@@ -12,18 +12,36 @@ the same position.  Encoder: stride-2 same-padded conv (2 -> 8 channels,
 kernel 3), ReLU, dense to an 8-unit bottleneck.  Decoder mirrors it, with
 the transposed convolution realized as the exact adjoint of a stride-2
 conv, and a sigmoid output.
+
+Both convolutions are plain matmuls over an im2col layout.  A batch of B
+rows is copied into a zero buffer of shape (B, 2, r + 2) (one pad column
+each side) and gathered, with an index computed once per architecture,
+into a (B * L, 2 * K) matrix whose row b * L + l holds the window of
+output position l: columns ci * K + k read padded position 2l + k of input
+channel ci.  A conv weight (C, 2, K) is used as its (C, 2 * K) reshape, so
+conv activations are (B * L, C) with the position axis outer; they are
+transposed to channel-major (B, C * L) at the dense layers, whose weights
+keep that order.  The transposed conv multiplies the other way and adds
+the windows back with K strided slice adds: window k of output l lands at
+padded position 2l + k.
+
+:func:`fit` keeps the 8 weights, their gradients and both Adam moments in
+four flat float buffers, with a view per weight, so each step makes one
+Adam update and one finiteness check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import (BadArchitecture, DivergedLoss, EmptyData, ShapeMismatch)
+from .errors import (BadArchitecture, DivergedLoss, EmptyData, SchemaError,
+                     ShapeMismatch)
 
 MODEL_SCHEMA_VERSION = "1.0"
 
@@ -56,6 +74,15 @@ class AEArchitecture:
         return (self.r - 1) // 2 + 1
 
 
+_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+
+
+def _param_shapes(arch: AEArchitecture) -> Dict[str, Tuple[int, ...]]:
+    c, k, m, L = arch.channels, arch.kernel, arch.bottleneck, arch.conv_len
+    return {"w1": (c, 2, k), "b1": (c,), "w2": (m, c * L), "b2": (m,),
+            "w3": (c * L, m), "b3": (c * L,), "w4": (c, 2, k), "b4": (2,)}
+
+
 @dataclass(frozen=True)
 class AEModel:
     arch: AEArchitecture
@@ -64,113 +91,134 @@ class AEModel:
     epsilon: Optional[float] = None  # calibrated threshold, set by training
 
     def __post_init__(self):
-        for name, w in self.params.items():
+        shapes = _param_shapes(self.arch)
+        missing = [n for n in _PARAM_ORDER if n not in self.params]
+        unknown = sorted(set(self.params) - set(shapes))
+        if missing or unknown:
+            raise SchemaError(
+                f"model weights missing: {', '.join(missing) or '-'}; "
+                f"unknown: {', '.join(unknown) or '-'}")
+        for name in _PARAM_ORDER:
+            w = self.params[name]
+            if w.shape != shapes[name]:
+                raise ShapeMismatch(
+                    f"weight {name} has shape {w.shape}, "
+                    f"architecture needs {shapes[name]}")
             if not np.all(np.isfinite(w)):
-                raise ValueError(f"non-finite weights in {name}")
-
-
-_PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
+                raise SchemaError(f"non-finite values in weight {name}")
 
 
 def init_model(arch: AEArchitecture, seed: int) -> AEModel:
     """Uniform fan-in-scaled initialization from a seeded RNG."""
     rng = np.random.default_rng(seed)
     c, k, m, L = arch.channels, arch.kernel, arch.bottleneck, arch.conv_len
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
-
-    params = {
-        "w1": uniform((c, 2, k), 2 * k),
-        "b1": uniform((c,), 2 * k),
-        "w2": uniform((m, c * L), c * L),
-        "b2": uniform((m,), c * L),
-        "w3": uniform((c * L, m), m),
-        "b3": uniform((c * L,), m),
-        "w4": uniform((c, 2, k), c * k),
-        "b4": uniform((2,), c * k),
-    }
+    fan_in = {"w1": 2 * k, "b1": 2 * k, "w2": c * L, "b2": c * L,
+              "w3": m, "b3": m, "w4": c * k, "b4": c * k}
+    params = {}
+    for name, shape in _param_shapes(arch).items():
+        bound = 1.0 / np.sqrt(fan_in[name])
+        params[name] = rng.uniform(-bound, bound, size=shape)
     return AEModel(arch, params, seed)
 
 
-def _window_index(out_len: int, kernel: int, stride: int) -> np.ndarray:
-    return stride * np.arange(out_len)[:, None] + np.arange(kernel)[None, :]
+def _flat_views(buf: np.ndarray, arch: AEArchitecture
+                ) -> Dict[str, np.ndarray]:
+    """One view per weight into a flat buffer laid out in _PARAM_ORDER."""
+    views, at = {}, 0
+    for name, shape in _param_shapes(arch).items():
+        size = int(np.prod(shape))
+        views[name] = buf[at:at + size].reshape(shape)
+        at += size
+    return views
 
 
-def _conv(xp: np.ndarray, w: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Strided conv on pre-padded input xp (B, C_in, Lp)."""
-    return np.einsum("bclk,ock->bol", xp[:, :, idx], w)
+def _flatten(params: Dict[str, np.ndarray]) -> np.ndarray:
+    return np.concatenate([params[name].ravel() for name in _PARAM_ORDER])
 
 
-def _conv_adjoint(g: np.ndarray, w: np.ndarray, idx: np.ndarray,
-                  padded_len: int) -> np.ndarray:
-    """Exact adjoint of _conv: scatter (B, C_out, L) back to (B, C_in, Lp)."""
-    out = np.zeros((g.shape[0], w.shape[1], padded_len))
-    contrib = np.einsum("bol,ock->bclk", g, w)
-    np.add.at(out, (slice(None), slice(None), idx), contrib)
-    return out
+@lru_cache(maxsize=None)
+def _window_index(arch: AEArchitecture) -> np.ndarray:
+    """(L, 2K) gather index into a flattened (2, r + 2) padded row: entry
+    [l, ci * K + k] is ci * (r + 2) + stride * l + k."""
+    k, s, L, rp = arch.kernel, arch.stride, arch.conv_len, arch.r + 2
+    idx = (np.arange(2)[None, :, None] * rp
+           + s * np.arange(L)[:, None, None]
+           + np.arange(k)[None, None, :]).reshape(L, 2 * k)
+    idx.setflags(write=False)
+    return idx
 
 
-def _forward_batch(model: AEModel, x: np.ndarray, want_cache: bool = False):
-    """x: (B, input_len) -> reconstruction (B, input_len)."""
-    a = model.arch
-    p = model.params
+def _im2col(arch: AEArchitecture, x: np.ndarray) -> np.ndarray:
+    """(B, 2r) or (B, 2, r) input -> (B * L, 2K) windows of its same-padded
+    channels."""
     B = x.shape[0]
-    r, L = a.r, a.conv_len
-    idx = _window_index(L, a.kernel, a.stride)
+    xp = np.zeros((B, 2, arch.r + 2))
+    xp[:, :, 1:-1] = x.reshape(B, 2, arch.r)
+    return xp.reshape(B, -1)[:, _window_index(arch)].reshape(
+        B * arch.conv_len, -1)
 
-    xc = x.reshape(B, 2, r)
-    xp = np.pad(xc, ((0, 0), (0, 0), (1, 1)))
-    h1_pre = _conv(xp, p["w1"], idx) + p["b1"][None, :, None]
-    h1 = np.maximum(h1_pre, 0.0)
-    flat = h1.reshape(B, -1)
-    z_pre = flat @ p["w2"].T + p["b2"]
-    z = np.maximum(z_pre, 0.0)
-    g_pre = z @ p["w3"].T + p["b3"]
-    g = np.maximum(g_pre, 0.0)
-    gc = g.reshape(B, a.channels, L)
-    y_padded = _conv_adjoint(gc, p["w4"], idx, r + 2)
-    y_pre = y_padded[:, :, 1:-1] + p["b4"][None, :, None]
-    y = expit(y_pre)
-    out = y.reshape(B, a.input_len)
+
+def _col2im(arch: AEArchitecture, cols: np.ndarray) -> np.ndarray:
+    """Exact adjoint of _im2col: (B * L, 2K) windows summed back into their
+    padded positions, then cropped to (B, 2, r)."""
+    k, s, L = arch.kernel, arch.stride, arch.conv_len
+    B = cols.shape[0] // L
+    windows = cols.reshape(B, L, 2, k)
+    yp = np.zeros((B, 2, arch.r + 2))
+    for j in range(k):
+        yp[:, :, j:j + s * L:s] += windows[:, :, :, j].transpose(0, 2, 1)
+    return yp[:, :, 1:-1]
+
+
+def _channel_major(a: np.ndarray, B: int, L: int) -> np.ndarray:
+    """(B * L, C) position-major activations -> (B, C * L) channel-major."""
+    return a.reshape(B, L, -1).transpose(0, 2, 1).reshape(B, -1)
+
+
+def _position_major(a: np.ndarray, B: int, L: int) -> np.ndarray:
+    """Inverse of _channel_major."""
+    return a.reshape(B, -1, L).transpose(0, 2, 1).reshape(B * L, -1)
+
+
+def _forward(arch: AEArchitecture, p: Dict[str, np.ndarray], x: np.ndarray,
+             want_cache: bool = False):
+    """x: (B, input_len) -> reconstruction (B, input_len)."""
+    B, L, c = x.shape[0], arch.conv_len, arch.channels
+    cols = _im2col(arch, x)
+    h1 = np.maximum(cols @ p["w1"].reshape(c, -1).T + p["b1"], 0.0)
+    flat = _channel_major(h1, B, L)
+    z = np.maximum(flat @ p["w2"].T + p["b2"], 0.0)
+    g = np.maximum(z @ p["w3"].T + p["b3"], 0.0)
+    g_cols = _position_major(g, B, L)
+    y = expit(_col2im(arch, g_cols @ p["w4"].reshape(c, -1))
+              + p["b4"][:, None])
+    out = y.reshape(B, arch.input_len)
     if not want_cache:
         return out
-    cache = {"x": x, "xp": xp, "h1_pre": h1_pre, "h1": h1, "z_pre": z_pre,
-             "z": z, "g_pre": g_pre, "gc": gc, "y": y, "idx": idx}
-    return out, cache
+    return out, (cols, flat, z, g, g_cols, y)
 
 
-def _backward_batch(model: AEModel, cache: dict,
-                    d_out: np.ndarray) -> Dict[str, np.ndarray]:
-    """Gradients of a scalar loss given d(loss)/d(reconstruction)."""
-    a = model.arch
-    p = model.params
-    B = d_out.shape[0]
-    r, L = a.r, a.conv_len
-    idx = cache["idx"]
+def _backward(arch: AEArchitecture, p: Dict[str, np.ndarray], cache: tuple,
+              d_out: np.ndarray, grads: Dict[str, np.ndarray]) -> None:
+    """Write the gradients of a scalar loss, given d(loss)/d(reconstruction),
+    into ``grads`` (one array per weight)."""
+    cols, flat, z, g, g_cols, y = cache
+    B, L, c = d_out.shape[0], arch.conv_len, arch.channels
 
-    y = cache["y"]
-    dy_pre = d_out.reshape(B, 2, r) * y * (1.0 - y)
-    db4 = dy_pre.sum(axis=(0, 2))
-    dy_padded = np.pad(dy_pre, ((0, 0), (0, 0), (1, 1)))
-    dyw = dy_padded[:, :, idx]                        # (B, 2, L, K)
-    dgc = np.einsum("bclk,ock->bol", dyw, p["w4"])
-    dw4 = np.einsum("bclk,bol->ock", dyw, cache["gc"])
+    dy = d_out.reshape(B, 2, arch.r) * y * (1.0 - y)
+    dy.sum(axis=(0, 2), out=grads["b4"])
+    dy_cols = _im2col(arch, dy)
+    np.matmul(g_cols.T, dy_cols, out=grads["w4"].reshape(c, -1))
 
-    dg = dgc.reshape(B, -1) * (cache["g_pre"].reshape(B, -1) > 0)
-    dw3 = dg.T @ cache["z"]
-    db3 = dg.sum(axis=0)
-    dz = (dg @ p["w3"]) * (cache["z_pre"] > 0)
-    dw2 = dz.T @ cache["h1"].reshape(B, -1)
-    db2 = dz.sum(axis=0)
-    dflat = dz @ p["w2"]
-    dh1 = dflat.reshape(B, a.channels, L) * (cache["h1_pre"] > 0)
-    db1 = dh1.sum(axis=(0, 2))
-    dw1 = np.einsum("bclk,bol->ock", cache["xp"][:, :, idx], dh1)
-
-    return {"w1": dw1, "b1": db1, "w2": dw2, "b2": db2,
-            "w3": dw3, "b3": db3, "w4": dw4, "b4": db4}
+    dg = _channel_major(dy_cols @ p["w4"].reshape(c, -1).T, B, L) * (g > 0)
+    np.matmul(dg.T, z, out=grads["w3"])
+    dg.sum(axis=0, out=grads["b3"])
+    dz = (dg @ p["w3"]) * (z > 0)
+    np.matmul(dz.T, flat, out=grads["w2"])
+    dz.sum(axis=0, out=grads["b2"])
+    dh1 = _position_major((dz @ p["w2"]) * (flat > 0), B, L)
+    dh1.sum(axis=0, out=grads["b1"])
+    np.matmul(dh1.T, cols, out=grads["w1"].reshape(c, -1))
 
 
 def _check_input(model: AEModel, x) -> np.ndarray:
@@ -184,7 +232,8 @@ def _check_input(model: AEModel, x) -> np.ndarray:
 
 def forward(model: AEModel, x) -> np.ndarray:
     """Reconstruct one feature vector; outputs lie in (0, 1)."""
-    return _forward_batch(model, _check_input(model, x)[None, :])[0]
+    return _forward(model.arch, model.params,
+                    _check_input(model, x)[None, :])[0]
 
 
 def reconstruction_error(model: AEModel, x) -> float:
@@ -193,8 +242,9 @@ def reconstruction_error(model: AEModel, x) -> float:
     return float(np.mean((forward(model, arr) - arr) ** 2))
 
 
-def _batch_errors(model: AEModel, X: np.ndarray) -> np.ndarray:
-    return np.mean((_forward_batch(model, X) - X) ** 2, axis=1)
+def _batch_errors(arch: AEArchitecture, p: Dict[str, np.ndarray],
+                  X: np.ndarray) -> np.ndarray:
+    return np.mean((_forward(arch, p, X) - X) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -202,7 +252,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 50
     batch_size: int = 32
-    optimizer: str = "adam"       # "adam" or "sgd"
     patience: int = 5
 
     def __post_init__(self):
@@ -210,14 +259,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
         ) -> Tuple[AEModel, List[float]]:
-    """Train on benign feature vectors; returns the trained model and its
-    final per-sample reconstruction errors on the training set.
+    """Train on benign feature vectors with Adam; returns the trained model
+    and its final per-sample reconstruction errors on the training set.
 
     Keeps the best-loss weights seen (including the initial ones), so the
     final mean training loss never exceeds the initial one.  Raises
@@ -225,61 +272,63 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
     """
     if len(data) == 0:
         raise EmptyData("no training vectors")
+    arch = model.arch
     X = np.stack([_check_input(model, v) for v in data])
     rng = np.random.default_rng(model.rng_seed)
 
-    params = {k: v.copy() for k, v in model.params.items()}
-    adam_m = {k: np.zeros_like(v) for k, v in params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in params.items()}
+    flat_params = _flatten(model.params)
+    flat_grads = np.zeros_like(flat_params)
+    adam_m = np.zeros_like(flat_params)
+    adam_v = np.zeros_like(flat_params)
+    params = _flat_views(flat_params, arch)
+    grads = _flat_views(flat_grads, arch)
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
 
-    def epoch_loss(p):
-        probe = replace(model, params=p)
-        return float(np.mean(_batch_errors(probe, X)))
+    def epoch_loss():
+        return float(np.mean(_batch_errors(arch, params, X)))
 
-    best_loss = epoch_loss(params)
-    best_params = {k: v.copy() for k, v in params.items()}
+    best_loss = epoch_loss()
+    best_flat = flat_params.copy()
     stale = 0
 
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], cfg.batch_size):
             batch = X[order[start:start + cfg.batch_size]]
-            work = replace(model, params=params)
-            out, cache = _forward_batch(work, batch, want_cache=True)
+            out, cache = _forward(arch, params, batch, want_cache=True)
             d_out = 2.0 * (out - batch) / out.size
-            grads = _backward_batch(work, cache, d_out)
+            _backward(arch, params, cache, d_out, grads)
+            if not np.isfinite(flat_grads).all():
+                name = next(n for n in _PARAM_ORDER
+                            if not np.isfinite(grads[n]).all())
+                raise DivergedLoss(f"non-finite gradient in {name}")
             step += 1
-            for name in _PARAM_ORDER:
-                g = grads[name]
-                if not np.all(np.isfinite(g)):
-                    raise DivergedLoss(f"non-finite gradient in {name}")
-                if cfg.optimizer == "adam":
-                    adam_m[name] = beta1 * adam_m[name] + (1 - beta1) * g
-                    adam_v[name] = beta2 * adam_v[name] + (1 - beta2) * g * g
-                    m_hat = adam_m[name] / (1 - beta1 ** step)
-                    v_hat = adam_v[name] / (1 - beta2 ** step)
-                    params[name] -= cfg.learning_rate * m_hat / (
-                        np.sqrt(v_hat) + adam_eps)
-                else:
-                    params[name] -= cfg.learning_rate * g
+            adam_m *= beta1
+            adam_m += (1 - beta1) * flat_grads
+            adam_v *= beta2
+            adam_v += (1 - beta2) * flat_grads * flat_grads
+            m_hat = adam_m / (1 - beta1 ** step)
+            v_hat = adam_v / (1 - beta2 ** step)
+            flat_params -= cfg.learning_rate * m_hat / (
+                np.sqrt(v_hat) + adam_eps)
 
-        loss = epoch_loss(params)
+        loss = epoch_loss()
         if not np.isfinite(loss):
             raise DivergedLoss(f"non-finite training loss {loss}")
         if loss < best_loss - 1e-15:
             best_loss = loss
-            best_params = {k: v.copy() for k, v in params.items()}
+            best_flat = flat_params.copy()
             stale = 0
         else:
             stale += 1
             if stale >= cfg.patience:
                 break
 
-    trained = replace(model, params=best_params)
-    errors = _batch_errors(trained, X)
-    return trained, [float(e) for e in errors]
+    best = _flat_views(best_flat, arch)
+    errors = _batch_errors(arch, best, X)
+    return AEModel(arch, best, model.rng_seed, model.epsilon), [
+        float(e) for e in errors]
 
 
 def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
@@ -287,19 +336,21 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
     loss and central finite differences, over every weight."""
     if not 0 < eps <= 1e-2:
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
+    arch = model.arch
     arr = _check_input(model, x)[None, :]
+    flat_params = _flatten(model.params)
+    params = _flat_views(flat_params, arch)
 
-    out, cache = _forward_batch(model, arr, want_cache=True)
+    out, cache = _forward(arch, params, arr, want_cache=True)
     d_out = 2.0 * (out - arr) / out.size
-    analytic = _backward_batch(model, cache, d_out)
+    analytic = _flat_views(np.zeros_like(flat_params), arch)
+    _backward(arch, params, cache, d_out, analytic)
 
-    def loss_at(params):
-        probe = replace(model, params=params)
-        y = _forward_batch(probe, arr)
+    def loss_at():
+        y = _forward(arch, params, arr)
         return float(np.mean((y - arr) ** 2))
 
     worst = 0.0
-    params = {k: v.copy() for k, v in model.params.items()}
     for name in _PARAM_ORDER:
         w = params[name]
         it = np.nditer(w, flags=["multi_index"])
@@ -307,9 +358,9 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
             i = it.multi_index
             orig = w[i]
             w[i] = orig + eps
-            up = loss_at(params)
+            up = loss_at()
             w[i] = orig - eps
-            down = loss_at(params)
+            down = loss_at()
             w[i] = orig
             numeric = (up - down) / (2 * eps)
             a = analytic[name][i]
@@ -340,7 +391,13 @@ def model_from_dict(doc: dict) -> AEModel:
     from .clustering_tree import check_schema_version
     check_schema_version(doc, MODEL_SCHEMA_VERSION, "model")
     arch = AEArchitecture(**doc["architecture"])
-    params = {k: np.asarray(v, dtype=float) for k, v in doc["weights"].items()}
+    params = {}
+    for name, value in doc["weights"].items():
+        try:
+            params[name] = np.asarray(value, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"weight {name} is not a numeric array: "
+                              f"{exc}") from None
     return AEModel(arch, params, doc["seed"], doc.get("epsilon"))
 
 

@@ -144,3 +144,24 @@ class TestEval:
                    "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestCorruptEnsemble:
+    @pytest.mark.parametrize("corrupt, names", [
+        (lambda w: w["w1"][0][0].__setitem__(0, float("nan")), "w1"),
+        (lambda w: [row.pop() for row in w["w2"]], "w2"),
+    ])
+    def test_bad_weights_exit_1_without_traceback(self, tmp_path, capsys,
+                                                  corrupt, names):
+        trace, _, ensemble, _, _ = run_pipeline(tmp_path, duration="600",
+                                                epochs="10")
+        doc = json.loads(open(ensemble).read())
+        corrupt(doc["submodels"][0]["model"]["weights"])
+        open(ensemble, "w").write(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["detect", trace, ensemble,
+                   "-o", str(tmp_path / "v.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert names in err and "Traceback" not in err

@@ -1,10 +1,12 @@
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
+from atrellis import neural_autoencoder as na
 from atrellis.errors import (BadArchitecture, DivergedLoss, EmptyData,
-                             ShapeMismatch)
+                             SchemaError, ShapeMismatch)
 from atrellis.neural_autoencoder import (AEArchitecture, AEModel,
                                          TrainConfig, fit, forward,
                                          grad_check, init_model,
@@ -124,11 +126,11 @@ class TestFit:
         for name in t1.params:
             assert np.array_equal(t1.params[name], t2.params[name])
 
-    def test_sgd_option(self):
-        data = [np.full(20, 0.6)] * 64
-        _, errors = fit(init_model(ARCH, 1), data,
-                        TrainConfig(optimizer="sgd", epochs=10))
-        assert len(errors) == 64
+    def test_non_finite_gradient_names_weight(self):
+        data = [np.full(20, 0.5)] * 40
+        data[7] = np.full(20, np.nan)
+        with pytest.raises(DivergedLoss, match="non-finite gradient in w1"):
+            fit(init_model(ARCH, 1), data, TrainConfig(epochs=2))
 
 
 class TestGradCheck:
@@ -170,6 +172,84 @@ class TestSerialization:
     def test_bad_version_rejected(self):
         doc = model_to_dict(init_model(ARCH, 0))
         doc["schema_version"] = "9.0"
-        from atrellis.errors import SchemaError
         with pytest.raises(SchemaError):
             model_from_dict(doc)
+
+    @pytest.mark.parametrize("corrupt, error, names", [
+        (lambda w: w["w1"][0][0].__setitem__(0, float("nan")),
+         SchemaError, "weight w1"),
+        (lambda w: [row.pop() for row in w["w2"]], ShapeMismatch,
+         "weight w2"),
+        (lambda w: w["w3"][0].pop(), SchemaError, "weight w3"),
+        (lambda w: w.pop("b4"), SchemaError, "missing: b4"),
+        (lambda w: w.__setitem__("w9", [0.0]), SchemaError, "unknown: w9"),
+    ])
+    def test_corrupt_weights_rejected(self, corrupt, error, names):
+        doc = model_to_dict(init_model(ARCH, 0))
+        corrupt(doc["weights"])
+        with pytest.raises(error, match=names):
+            model_from_dict(doc)
+
+
+# --- kernel oracles -------------------------------------------------------
+
+def reference_forward(model, X):
+    """The einsum / np.pad / np.add.at forward pass that the im2col kernel
+    replaced, kept as an independent oracle."""
+    a, p = model.arch, model.params
+    B, r, L = X.shape[0], a.r, a.conv_len
+    idx = a.stride * np.arange(L)[:, None] + np.arange(a.kernel)[None, :]
+    xp = np.pad(X.reshape(B, 2, r), ((0, 0), (0, 0), (1, 1)))
+    h1 = np.einsum("bclk,ock->bol", xp[:, :, idx], p["w1"])
+    h1 = np.maximum(h1 + p["b1"][None, :, None], 0.0)
+    z = np.maximum(h1.reshape(B, -1) @ p["w2"].T + p["b2"], 0.0)
+    g = np.maximum(z @ p["w3"].T + p["b3"], 0.0)
+    y_padded = np.zeros((B, 2, r + 2))
+    np.add.at(y_padded, (slice(None), slice(None), idx),
+              np.einsum("bol,ock->bclk", g.reshape(B, a.channels, L),
+                        p["w4"]))
+    y = expit(y_padded[:, :, 1:-1] + p["b4"][None, :, None])
+    return y.reshape(B, a.input_len)
+
+
+even_lengths = st.integers(3, 32).map(lambda half: 2 * half)
+batch_sizes = st.integers(1, 64)
+seeds = st.integers(0, 2 ** 32 - 1)
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(n=even_lengths, batch=batch_sizes, seed=seeds)
+    def test_forward_matches_einsum_reference(self, n, batch, seed):
+        arch = AEArchitecture(input_len=n)
+        model = init_model(arch, seed)
+        X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
+        got = na._forward(arch, model.params, X)
+        assert np.max(np.abs(got - reference_forward(model, X))) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=even_lengths, batch=batch_sizes, seed=seeds)
+    def test_transposed_conv_is_adjoint_of_conv(self, n, batch, seed):
+        arch = AEArchitecture(input_len=n)
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(arch.channels, 2, arch.kernel)).reshape(
+            arch.channels, -1)
+        x = rng.normal(size=(batch, n))
+        g = rng.normal(size=(batch * arch.conv_len, arch.channels))
+        conv = na._im2col(arch, x) @ w.T
+        conv_t = na._col2im(arch, g @ w)
+        lhs = np.sum(conv * g)
+        rhs = np.sum(x.reshape(batch, 2, arch.r) * conv_t)
+        scale = np.sum(np.abs(conv * g)) + np.sum(np.abs(x) * np.abs(
+            conv_t.reshape(batch, n)))
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=even_lengths, batch=batch_sizes, seed=seeds)
+    def test_batch_forward_equals_single_rows(self, n, batch, seed):
+        arch = AEArchitecture(input_len=n)
+        model = init_model(arch, seed)
+        X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
+        rows = np.stack([forward(model, x) for x in X])
+        assert np.max(np.abs(na._forward(arch, model.params, X) - rows)) \
+            <= 1e-12
