@@ -42,7 +42,7 @@ attacked = sim.inject_attack(holdout, scan, seed=1)
 attacked = sim.inject_attack(attacked, cnc, seed=1)
 
 keys, table = flows_of_trace(attacked, spec.device_ip)
-verdicts = [ens.detect(ensemble, k, table[k]) for k in keys]
+verdicts = ens.detect_flows(ensemble, keys, table)
 print("\nverdicts:", dict(Counter(v.kind for v in verdicts)))
 
 sample = next(v for v in verdicts if v.kind == ens.STAGE1_MALICIOUS)

@@ -4,7 +4,8 @@ Stage 1 fuzzy-matches a flow's 5-tuple against the device's abstract
 activity keys; a flow matching no key is immediately malicious.  Stage 2
 scores the flow with only the autoencoder submodels of the matched keys
 (trigger-action) and compares the best (minimum) reconstruction error
-against that submodel's calibrated threshold.
+against that submodel's calibrated threshold.  A batch of flows is judged
+with one feature matrix and one batched forward per matched key.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .clustering_tree import (ActivityKey, ActivityProfile,
                               activity_key_from_dict, activity_key_to_dict,
                               check_schema_version, flow_key_to_dict,
                               tree_path_of)
-from .errors import EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch
-from .feature_pipeline import FeatureConfig, featurize
+from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
+                     SchemaError)
+from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
@@ -106,40 +108,71 @@ def train_ensemble(profile: ActivityProfile,
     arch = AEArchitecture(input_len=2 * fcfg.r)
     submodels: Dict[ActivityKey, Tuple[AEModel, float]] = {}
     for i, key in enumerate(profile.keys):
-        vectors = [featurize(training_flows[f], fcfg)
-                   for f in key.member_flows
-                   if f in training_flows and training_flows[f]]
-        if not vectors:
+        flows = [training_flows[f] for f in key.member_flows
+                 if f in training_flows and training_flows[f]]
+        if not flows:
             raise EmptyActivity(f"activity key {i} has no trainable flows")
         model = init_model(arch, seed + i)
-        model, errors = fit(model, vectors, tcfg)
+        model, errors = fit(model, featurize_many(flows, fcfg), tcfg)
         submodels[key] = (model, calibrate_threshold(errors, thcfg.q))
     return Ensemble(profile, submodels, fcfg)
 
 
+def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
+                 table: Dict[FlowKey, Sequence[PacketRecord]]
+                 ) -> List[Verdict]:
+    """Two-stage verdicts for the flows ``keys`` (packets in ``table``), in
+    that order.  Stage 1 runs per flow.  Stage 2 featurizes every matched
+    flow into one matrix and makes one batched forward per activity key;
+    each flow is judged by its matched key with the least error, the first
+    in profile order on a tie."""
+    profile = ensemble.profile
+    column: Dict[ActivityKey, int] = {}
+    for j, key in enumerate(profile.keys):
+        column.setdefault(key, j)
+    verdicts: List[Optional[Verdict]] = [None] * len(keys)
+    stage2: List[int] = []
+    triggered: List[int] = []
+    rows_of: Dict[int, List[int]] = {}
+    for i, flow_key in enumerate(keys):
+        if not table[flow_key]:
+            raise EmptyFlow("cannot judge an empty flow")
+        matched = fuzzy_match(profile, flow_key)
+        if not matched:
+            verdicts[i] = Verdict(STAGE1_MALICIOUS, flow_key, 0,
+                                  reason=_stage1_reason(profile, flow_key))
+            continue
+        for key in matched:
+            rows_of.setdefault(column[key], []).append(len(stage2))
+        stage2.append(i)
+        triggered.append(len(matched))
+
+    X = featurize_many([table[keys[i]] for i in stage2],
+                       ensemble.feature_config)
+    best_score = np.full(len(stage2), np.inf)
+    best_column = np.zeros(len(stage2), dtype=np.intp)
+    for j in sorted(rows_of):
+        rows = np.asarray(rows_of[j])
+        model, _ = ensemble.submodels[profile.keys[j]]
+        errors = reconstruction_error(model, X[rows])
+        better = errors < best_score[rows]
+        best_score[rows[better]] = errors[better]
+        best_column[rows[better]] = j
+
+    for row, i in enumerate(stage2):
+        j = int(best_column[row])
+        score = float(best_score[row])
+        epsilon = ensemble.submodels[profile.keys[j]][1]
+        kind = ANOMALOUS if score > epsilon else BENIGN
+        verdicts[i] = Verdict(kind, keys[i], triggered[row], score=score,
+                              activity=j)
+    return verdicts
+
+
 def detect(ensemble: Ensemble, flow_key: FlowKey,
            flow_packets: Sequence[PacketRecord]) -> Verdict:
-    """Two-stage verdict for one flow."""
-    if not flow_packets:
-        raise EmptyFlow("cannot judge an empty flow")
-    matched = fuzzy_match(ensemble.profile, flow_key)
-    if not matched:
-        return Verdict(STAGE1_MALICIOUS, flow_key, 0,
-                       reason=_stage1_reason(ensemble.profile, flow_key))
-
-    vector = featurize(flow_packets, ensemble.feature_config)
-    best_score = None
-    best_key = None
-    for key in matched:
-        model, _ = ensemble.submodels[key]
-        score = reconstruction_error(model, vector)
-        if best_score is None or score < best_score:
-            best_score, best_key = score, key
-    epsilon = ensemble.submodels[best_key][1]
-    activity = ensemble.profile.keys.index(best_key)
-    kind = ANOMALOUS if best_score > epsilon else BENIGN
-    return Verdict(kind, flow_key, len(matched),
-                   score=best_score, activity=activity)
+    """Two-stage verdict for one flow: the batch of one of detect_flows."""
+    return detect_flows(ensemble, [flow_key], {flow_key: flow_packets})[0]
 
 
 def _auc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -242,14 +275,27 @@ def ensemble_from_dict(doc: dict) -> Ensemble:
     from .clustering_tree import profile_from_dict
     check_schema_version(doc, ENSEMBLE_SCHEMA_VERSION, "ensemble")
     profile = profile_from_dict(doc["profile"])
-    fcfg = FeatureConfig(**doc["feature_config"])
-    if len(doc["submodels"]) != len(profile.keys):
+    if "feature_config" not in doc:
+        raise SchemaError("ensemble: missing field feature_config")
+    try:
+        fcfg = FeatureConfig(**doc["feature_config"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"ensemble feature_config: {exc}") from None
+    n = len(profile.keys)
+    if len(doc["submodels"]) != n:
         raise LengthMismatch("submodel count does not match profile keys")
     submodels = {}
+    seen = set()
     for entry in doc["submodels"]:
-        key = profile.keys[entry["key_index"]]
-        submodels[key] = (model_from_dict(entry["model"]),
-                          float(entry["epsilon"]))
+        i = entry.get("key_index")
+        if type(i) is not int or not 0 <= i < n:
+            raise SchemaError(f"ensemble: key_index {i!r} is not an index "
+                              f"of the {n} profile keys")
+        if i in seen:
+            raise SchemaError(f"ensemble: key_index {i} appears twice")
+        seen.add(i)
+        submodels[profile.keys[i]] = (model_from_dict(entry["model"]),
+                                      float(entry["epsilon"]))
     return Ensemble(profile, submodels, fcfg)
 
 

@@ -18,7 +18,7 @@ from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
 from .errors import AtrellisError, EmptyTree, SchemaError
-from .feature_pipeline import FeatureConfig, featurize
+from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import TrainConfig
 from .traffic_model import (PacketRecord, flows_of_trace,
                             read_packets_jsonl, write_packets_jsonl)
@@ -152,20 +152,18 @@ def cmd_detect(args) -> int:
     packets = _load_trace(args.trace, args.strict)
     keys, table = flows_of_trace(packets, ensemble.profile.device_ip,
                                  args.local_prefix or ())
-    dump = open(args.dump_features, "w") if args.dump_features else None
-    try:
-        with open(args.out, "w") as fh:
-            for key in keys:
-                verdict = ens.detect(ensemble, key, table[key])
-                fh.write(json.dumps(ens.verdict_to_dict(verdict)) + "\n")
-                if dump:
-                    vec = featurize(table[key], ensemble.feature_config)
-                    dump.write(json.dumps(
-                        {"flow_key": ct.flow_key_to_dict(key),
-                         "values": vec.values.tolist()}) + "\n")
-    finally:
-        if dump:
-            dump.close()
+    verdicts = ens.detect_flows(ensemble, keys, table)
+    with open(args.out, "w") as fh:
+        for verdict in verdicts:
+            fh.write(json.dumps(ens.verdict_to_dict(verdict)) + "\n")
+    if args.dump_features:
+        X = featurize_many([table[key] for key in keys],
+                           ensemble.feature_config)
+        with open(args.dump_features, "w") as dump:
+            for key, row in zip(keys, X):
+                dump.write(json.dumps(
+                    {"flow_key": ct.flow_key_to_dict(key),
+                     "values": row.tolist()}) + "\n")
     print(f"judged {len(keys)} flows")
     return 0
 
@@ -181,8 +179,7 @@ def cmd_eval(args) -> int:
     for key, flow in table.items():
         attack = next((p.label for p in flow
                        if p.label and p.label.startswith("attack:")), None)
-        truth[json.dumps(ct.flow_key_to_dict(key), sort_keys=True)] = \
-            attack or "benign"
+        truth[key] = attack or "benign"
 
     verdicts, labels = [], []
     with open(args.verdicts) as fh:
@@ -191,15 +188,16 @@ def cmd_eval(args) -> int:
                 continue
             doc = json.loads(line)
             key = ct.flow_key_from_dict(doc["flow_key"])
-            ident = json.dumps(ct.flow_key_to_dict(key), sort_keys=True)
-            if ident not in truth:
-                raise AtrellisError(f"verdict for unknown flow: {ident}")
+            if key not in truth:
+                raise AtrellisError(
+                    "verdict for unknown flow: "
+                    + json.dumps(ct.flow_key_to_dict(key), sort_keys=True))
             verdicts.append(ens.Verdict(
                 kind=doc["kind"], flow=key,
                 models_triggered=doc["models_triggered"],
                 score=doc.get("score"), activity=doc.get("activity"),
                 reason=doc.get("reason")))
-            labels.append(truth[ident])
+            labels.append(truth[key])
 
     metrics = ens.evaluate(verdicts, labels)
     metrics["schema_version"] = METRICS_SCHEMA_VERSION

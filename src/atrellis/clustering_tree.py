@@ -199,7 +199,8 @@ class ActivityKey:
     remote_pattern: RemotePattern
     src_port_pattern: PortPattern
     dst_port_pattern: PortPattern
-    member_flows: Tuple[FlowKey, ...] = field(default=(), compare=False)
+    member_flows: Tuple[FlowKey, ...] = field(default=(), compare=False,
+                                              repr=False)
 
 
 @dataclass(frozen=True)

@@ -39,29 +39,38 @@ class FeatureVector:
     """2r values in [0,1]: r normalized lengths then r normalized gaps."""
 
     values: np.ndarray
-    valid_count: int
 
 
 def featurize(flow_packets: Sequence[PacketRecord],
               cfg: FeatureConfig) -> FeatureVector:
-    if not flow_packets:
+    """Feature vector of one flow: the batch of one of featurize_many."""
+    return FeatureVector(featurize_many([flow_packets], cfg)[0])
+
+
+def featurize_many(flows: Sequence[Sequence[PacketRecord]],
+                   cfg: FeatureConfig) -> np.ndarray:
+    """(N, 2r) matrix whose row i is the feature vector of flows[i]."""
+    r = cfg.r
+    heads = [flow[:r] for flow in flows]
+    counts = np.fromiter(map(len, heads), dtype=np.intp, count=len(heads))
+    if not counts.all():
         raise EmptyFlow("cannot featurize an empty flow")
-    head = list(flow_packets[:cfg.r])
-    ts = np.array([p.ts for p in head])
-    if np.any(np.diff(ts) < 0):
+    packets = [p for head in heads for p in head]
+    valid = np.arange(r) < counts[:, None]
+    ts = np.zeros((len(heads), r))
+    ts[valid] = np.fromiter((p.ts for p in packets), dtype=float,
+                            count=len(packets))
+    gaps = np.zeros((len(heads), r))
+    gaps[:, 1:] = np.where(valid[:, 1:], ts[:, 1:] - ts[:, :-1], 0.0)
+    if np.any(gaps < 0):
         raise UnorderedTimestamps("flow packets must be time-ordered")
 
-    n = len(head)
-    lengths = np.zeros(cfg.r)
-    gaps = np.zeros(cfg.r)
-    lengths[:n] = [p.length for p in head]
-    gaps[1:n] = np.diff(ts)
-
+    lengths = np.zeros((len(heads), r))
+    lengths[valid] = np.fromiter((p.length for p in packets), dtype=float,
+                                 count=len(packets))
     lengths = np.clip(lengths / cfg.max_len, 0.0, 1.0)
     gaps = np.clip(np.log1p(gaps) / np.log1p(cfg.max_gap), 0.0, 1.0)
-    lengths[n:] = 0.0
-    gaps[n:] = 0.0
-    return FeatureVector(np.concatenate([lengths, gaps]), n)
+    return np.concatenate([lengths, gaps], axis=1)
 
 
 def fit_feature_config(training_flows: List[Sequence[PacketRecord]],

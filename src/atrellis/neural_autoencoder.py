@@ -222,24 +222,33 @@ def _backward(arch: AEArchitecture, p: Dict[str, np.ndarray], cache: tuple,
 
 
 def _check_input(model: AEModel, x) -> np.ndarray:
-    arr = np.asarray(getattr(x, "values", x), dtype=float).ravel()
-    if arr.shape[0] != model.arch.input_len:
+    """One vector (any shape but 2-D is flattened) or a 2-D batch of rows,
+    as float arrays of the model's input length."""
+    arr = np.asarray(getattr(x, "values", x), dtype=float)
+    if arr.ndim != 2:
+        arr = arr.ravel()
+    if arr.shape[-1] != model.arch.input_len:
         raise ShapeMismatch(
             f"expected input of length {model.arch.input_len}, "
-            f"got {arr.shape[0]}")
+            f"got {arr.shape[-1]}")
     return arr
 
 
 def forward(model: AEModel, x) -> np.ndarray:
-    """Reconstruct one feature vector; outputs lie in (0, 1)."""
-    return _forward(model.arch, model.params,
-                    _check_input(model, x)[None, :])[0]
-
-
-def reconstruction_error(model: AEModel, x) -> float:
-    """Mean squared error between input and reconstruction."""
+    """Reconstruct one feature vector, or each row of a 2-D batch; outputs
+    lie in (0, 1)."""
     arr = _check_input(model, x)
-    return float(np.mean((forward(model, arr) - arr) ** 2))
+    if arr.ndim == 2:
+        return _forward(model.arch, model.params, arr)
+    return _forward(model.arch, model.params, arr[None, :])[0]
+
+
+def reconstruction_error(model: AEModel, x):
+    """Mean squared error between input and reconstruction: a float for one
+    vector, an array with one error per row for a 2-D batch."""
+    arr = _check_input(model, x)
+    errors = np.mean((forward(model, arr) - arr) ** 2, axis=-1)
+    return errors if arr.ndim == 2 else float(errors)
 
 
 def _batch_errors(arch: AEArchitecture, p: Dict[str, np.ndarray],
@@ -390,7 +399,15 @@ def model_to_dict(model: AEModel) -> dict:
 def model_from_dict(doc: dict) -> AEModel:
     from .clustering_tree import check_schema_version
     check_schema_version(doc, MODEL_SCHEMA_VERSION, "model")
-    arch = AEArchitecture(**doc["architecture"])
+    missing = [f for f in ("architecture", "seed", "weights") if f not in doc]
+    if missing:
+        raise SchemaError(f"model: missing fields: {', '.join(missing)}")
+    try:
+        arch = AEArchitecture(**doc["architecture"])
+    except TypeError as exc:
+        raise SchemaError(f"model architecture: {exc}") from None
+    if not isinstance(doc["weights"], dict):
+        raise SchemaError("model: weights is not an object")
     params = {}
     for name, value in doc["weights"].items():
         try:

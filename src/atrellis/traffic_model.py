@@ -12,6 +12,7 @@ import functools
 import ipaddress
 import json
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -42,14 +43,16 @@ PACKET_FIELDS = frozenset(
     {"ts", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "length",
      "dns_name", "label"}
 )
+_REQUIRED_FIELDS = PACKET_FIELDS - {"dns_name", "label"}
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_domain(name: str) -> str:
     """Lowercase and strip a trailing dot."""
     return name.lower().rstrip(".")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PacketRecord:
     """One observed packet.
 
@@ -69,8 +72,9 @@ class PacketRecord:
     label: Optional[str] = None
 
     def __post_init__(self):
-        if self.ts < 0:
-            raise ValueError(f"negative timestamp: {self.ts}")
+        if not 0.0 <= self.ts < math.inf:
+            raise ValueError(
+                f"timestamp must be finite and >= 0, got {self.ts}")
         if not 1 <= self.length <= 65535:
             raise ValueError(f"bad packet length: {self.length}")
         for p in (self.src_port, self.dst_port):
@@ -193,17 +197,22 @@ def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
 
     Returns ``(keys, table)`` where ``table`` maps each flow key to its
     time-ordered packets and ``keys`` lists the flow keys ordered by
-    first-packet timestamp.
+    first-packet timestamp.  The key is computed once per distinct raw
+    (addresses, ports, protocol, domain) tuple, so a request and its
+    replies cost one key each and every later packet one lookup.
     """
+    local_prefixes = tuple(local_prefixes)
     table: dict = {}
-    keys: list = []
+    by_raw: dict = {}
     for pkt in packets:
-        key = flow_key_of(pkt, device_ip, local_prefixes)
-        if key not in table:
-            table[key] = []
-            keys.append(key)
-        table[key].append(pkt)
-    return keys, table
+        raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
+               pkt.dns_name)
+        flow = by_raw.get(raw)
+        if flow is None:
+            key = flow_key_of(pkt, device_ip, local_prefixes)
+            flow = by_raw[raw] = table.setdefault(key, [])
+        flow.append(pkt)
+    return list(table), table
 
 
 # --- JSON-lines packet format -------------------------------------------
@@ -225,26 +234,50 @@ def packet_to_dict(pkt: PacketRecord) -> dict:
     return d
 
 
-def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
+_NUMERIC_FIELDS = (("ts", float), ("src_port", int), ("dst_port", int),
+                   ("length", int))
+
+
+def _check_fields(obj: dict, strict: bool) -> None:
     unknown = set(obj) - PACKET_FIELDS
     if unknown:
         if strict:
             raise SchemaError(f"unknown packet fields: {sorted(unknown)}")
         log.warning("ignoring unknown packet fields: %s", sorted(unknown))
-    missing = PACKET_FIELDS - {"dns_name", "label"} - set(obj)
+    missing = _REQUIRED_FIELDS - set(obj)
     if missing:
         raise SchemaError(f"missing packet fields: {sorted(missing)}")
-    return PacketRecord(
-        ts=float(obj["ts"]),
-        src_ip=str(obj["src_ip"]),
-        dst_ip=str(obj["dst_ip"]),
-        src_port=int(obj["src_port"]),
-        dst_port=int(obj["dst_port"]),
-        proto=str(obj["proto"]),
-        length=int(obj["length"]),
-        dns_name=obj.get("dns_name"),
-        label=obj.get("label"),
-    )
+
+
+def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
+    """Build a packet from its JSON object; a bad field raises SchemaError."""
+    if not _REQUIRED_FIELDS <= obj.keys() <= PACKET_FIELDS:
+        _check_fields(obj, strict)
+    dns_name = obj.get("dns_name")
+    label = obj.get("label")
+    if not (dns_name is None or isinstance(dns_name, str)) \
+            or not (label is None or isinstance(label, str)):
+        raise SchemaError(f"packet fields dns_name and label must be "
+                          f"strings, got {dns_name!r} and {label!r}")
+    try:
+        return PacketRecord(
+            ts=float(obj["ts"]),
+            src_ip=str(obj["src_ip"]),
+            dst_ip=str(obj["dst_ip"]),
+            src_port=int(obj["src_port"]),
+            dst_port=int(obj["dst_port"]),
+            proto=str(obj["proto"]),
+            length=int(obj["length"]),
+            dns_name=dns_name,
+            label=label,
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        for name, convert in _NUMERIC_FIELDS:
+            try:
+                convert(obj[name])
+            except (TypeError, ValueError, OverflowError) as bad:
+                raise SchemaError(f"packet field {name!r}: {bad}") from None
+        raise SchemaError(str(exc)) from None
 
 
 def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
@@ -253,9 +286,26 @@ def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
             fh.write(json.dumps(packet_to_dict(pkt)) + "\n")
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
+    """Yield the packets of a JSON-lines trace.  A line that is not one
+    valid packet object raises SchemaError("PATH:LINE: reason")."""
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
-                yield packet_from_dict(json.loads(line), strict=strict)
+            if not line:
+                continue
+            try:
+                obj, end = _raw_decode(line)
+                if end != len(line):
+                    raise SchemaError(f"data after the JSON object at "
+                                      f"column {end + 1}")
+                if not isinstance(obj, dict):
+                    raise SchemaError(f"not a JSON object: "
+                                      f"{type(obj).__name__}")
+                pkt = packet_from_dict(obj, strict=strict)
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            yield pkt

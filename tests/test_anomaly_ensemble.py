@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
+from atrellis import neural_autoencoder as na
 from atrellis import synth_traffic as sim
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       PortPattern, RemotePattern)
 from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
-                             LengthMismatch)
-from atrellis.feature_pipeline import FeatureConfig
-from atrellis.neural_autoencoder import TrainConfig
+                             LengthMismatch, SchemaError)
+from atrellis.feature_pipeline import FeatureConfig, featurize
+from atrellis.neural_autoencoder import TrainConfig, reconstruction_error
 from atrellis.traffic_model import FlowKey, Remote, flows_of_trace
 
 DEVICE = "192.168.1.10"
@@ -160,6 +162,112 @@ class TestDetect:
             ens.detect(ensemble, keys[0], [])
 
 
+def reference_detect(ensemble, flow_key, flow_packets):
+    """The per-flow detect that detect_flows replaced, kept as an oracle:
+    one single-row forward per matched key."""
+    if not flow_packets:
+        raise EmptyFlow("cannot judge an empty flow")
+    matched = ens.fuzzy_match(ensemble.profile, flow_key)
+    if not matched:
+        return ens.Verdict(ens.STAGE1_MALICIOUS, flow_key, 0,
+                           reason=ens._stage1_reason(ensemble.profile,
+                                                     flow_key))
+    vector = featurize(flow_packets, ensemble.feature_config)
+    best_score = best_key = None
+    for key in matched:
+        model, _ = ensemble.submodels[key]
+        score = reconstruction_error(model, vector)
+        if best_score is None or score < best_score:
+            best_score, best_key = score, key
+    epsilon = ensemble.submodels[best_key][1]
+    kind = ens.ANOMALOUS if best_score > epsilon else ens.BENIGN
+    return ens.Verdict(kind, flow_key, len(matched), score=best_score,
+                       activity=ensemble.profile.keys.index(best_key))
+
+
+@pytest.fixture(scope="module")
+def judged_flows(camera_setup):
+    """Flows of an attacked camera trace: benign, stage-1 and stage-2
+    anomalous verdicts all occur."""
+    spec, ensemble, _, _ = camera_setup
+    trace = sim.generate(spec, 900, seed=8)
+    for atk in (sim.AttackSpec("HttpMasqCnc", start=50, rate=0.05,
+                               duration=400,
+                               target={"domain": "api.cam-vendor.com",
+                                       "ip": "203.0.113.11"}),
+                sim.AttackSpec("PortScan", start=100, rate=5,
+                               target={"n_ports": 20})):
+        trace = sim.inject_attack(trace, atk, seed=8,
+                                  device_ip=spec.device_ip)
+    return flows_of_trace(trace, spec.device_ip)
+
+
+class TestDetectFlows:
+    def test_judged_flows_cover_every_verdict_kind(self, camera_setup,
+                                                   judged_flows):
+        _, ensemble, _, _ = camera_setup
+        keys, table = judged_flows
+        kinds = {v.kind for v in ens.detect_flows(ensemble, keys, table)}
+        assert kinds == {ens.BENIGN, ens.ANOMALOUS, ens.STAGE1_MALICIOUS}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_flow_oracle(self, camera_setup, judged_flows,
+                                     data):
+        _, ensemble, _, _ = camera_setup
+        all_keys, table = judged_flows
+        picks = data.draw(st.lists(st.integers(0, len(all_keys) - 1),
+                                   unique=True, max_size=80))
+        keys = [all_keys[i] for i in picks]
+        got = ens.detect_flows(ensemble, keys, table)
+        assert len(got) == len(keys)
+        for v, key in zip(got, keys):
+            ref = reference_detect(ensemble, key, table[key])
+            assert (v.flow, v.kind, v.activity, v.models_triggered,
+                    v.reason) == (ref.flow, ref.kind, ref.activity,
+                                  ref.models_triggered, ref.reason)
+            if ref.score is None:
+                assert v.score is None
+            else:
+                assert abs(v.score - ref.score) <= 1e-12 * abs(ref.score)
+
+    def test_one_forward_per_matched_key(self, camera_setup, judged_flows,
+                                         monkeypatch):
+        _, ensemble, _, _ = camera_setup
+        keys, table = judged_flows
+        rows = []
+        original = na.forward
+        monkeypatch.setattr(na, "forward",
+                            lambda m, X: rows.append(len(X)) or original(m, X))
+        verdicts = ens.detect_flows(ensemble, keys, table)
+        stage2 = [v for v in verdicts if v.kind != ens.STAGE1_MALICIOUS]
+        assert len(rows) <= len(ensemble.profile.keys)
+        assert sum(rows) == sum(v.models_triggered for v in stage2)
+
+    def test_tie_goes_to_the_first_key_in_profile_order(self, camera_setup,
+                                                        judged_flows):
+        _, ensemble, _, _ = camera_setup
+        keys, table = judged_flows
+        flow_key = next(k for k in keys if k.remote.kind == "domain"
+                        and len(ens.fuzzy_match(ensemble.profile, k)) == 1)
+        [key] = ens.fuzzy_match(ensemble.profile, flow_key)
+        twin = ActivityKey(key.proto, RemotePattern("wildcard", ""),
+                           key.src_port_pattern, key.dst_port_pattern)
+        for order in ([twin, key], [key, twin]):
+            tied = ens.Ensemble(ActivityProfile(DEVICE, order),
+                                {k: ensemble.submodels[key] for k in order},
+                                ensemble.feature_config)
+            [v] = ens.detect_flows(tied, [flow_key], table)
+            assert v.models_triggered == 2 and v.activity == 0
+            assert v == reference_detect(tied, flow_key, table[flow_key])
+
+    def test_empty_flow(self, camera_setup, judged_flows):
+        _, ensemble, _, _ = camera_setup
+        keys, table = judged_flows
+        with pytest.raises(EmptyFlow):
+            ens.detect_flows(ensemble, keys[:3], {**table, keys[1]: []})
+
+
 class TestEvaluate:
     def _verdict(self, kind, score=None):
         triggered = 0 if kind == ens.STAGE1_MALICIOUS else 1
@@ -196,6 +304,24 @@ class TestEvaluate:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc["submodels"][1].__setitem__("key_index", 0),
+         "key_index 0 appears twice"),
+        (lambda doc: doc["submodels"][0].__setitem__("key_index", -1),
+         "key_index -1 is not an index"),
+        (lambda doc: doc["submodels"][0].__setitem__(
+            "key_index", len(doc["submodels"])), "is not an index"),
+        (lambda doc: doc.pop("feature_config"), "feature_config"),
+    ], ids=["duplicate", "negative", "out-of-range", "no-feature-config"])
+    def test_bad_index_or_missing_config_is_a_short_schema_error(
+            self, camera_setup, corrupt, message):
+        _, ensemble, _, _ = camera_setup
+        doc = ens.ensemble_to_dict(ensemble)
+        corrupt(doc)
+        with pytest.raises(SchemaError, match=message) as info:
+            ens.ensemble_from_dict(doc)
+        assert len(str(info.value)) < 120
+
     def test_round_trip(self, camera_setup, tmp_path):
         _, ensemble, keys, table = camera_setup
         path = tmp_path / "ensemble.json"

@@ -146,22 +146,60 @@ class TestEval:
         assert "schema_version" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    return run_pipeline(tmp_path_factory.mktemp("run"), duration="600",
+                        epochs="10")
+
+
+def assert_one_error_line(capsys, *names):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
 class TestCorruptEnsemble:
     @pytest.mark.parametrize("corrupt, names", [
-        (lambda w: w["w1"][0][0].__setitem__(0, float("nan")), "w1"),
-        (lambda w: [row.pop() for row in w["w2"]], "w2"),
+        (lambda m: m["weights"]["w1"][0][0].__setitem__(0, float("nan")),
+         "w1"),
+        (lambda m: [row.pop() for row in m["weights"]["w2"]], "w2"),
+        (lambda m: m["architecture"].__setitem__("foo", 1), "foo"),
+        (lambda m: m.pop("seed"), "seed"),
     ])
-    def test_bad_weights_exit_1_without_traceback(self, tmp_path, capsys,
-                                                  corrupt, names):
-        trace, _, ensemble, _, _ = run_pipeline(tmp_path, duration="600",
-                                                epochs="10")
+    def test_bad_weights_exit_1_without_traceback(self, small_run, tmp_path,
+                                                  capsys, corrupt, names):
+        trace, _, ensemble, _, _ = small_run
         doc = json.loads(open(ensemble).read())
-        corrupt(doc["submodels"][0]["model"]["weights"])
-        open(ensemble, "w").write(json.dumps(doc))
+        corrupt(doc["submodels"][0]["model"])
+        bad = str(tmp_path / "ensemble.json")
+        open(bad, "w").write(json.dumps(doc))
         capsys.readouterr()
-        rc = main(["detect", trace, ensemble,
-                   "-o", str(tmp_path / "v.jsonl")])
-        err = capsys.readouterr().err
+        rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert names in err and "Traceback" not in err
+        assert_one_error_line(capsys, names)
+
+
+class TestMalformedTrace:
+    GOOD = json.dumps({"ts": 1.0, "src_ip": "192.168.1.10",
+                       "dst_ip": "203.0.113.5", "src_port": 40000,
+                       "dst_port": 443, "proto": "TCP", "length": 60})
+
+    @pytest.mark.parametrize("line, reason", [
+        (GOOD[:40], "Unterminated string"),
+        ("[1, 2]", "not a JSON object"),
+        (GOOD + " {}", "data after the JSON object"),
+        (GOOD.replace("40000", "70000"), "port out of range: 70000"),
+        (GOOD.replace("1.0", '"noon"'), "'ts'"),
+        (GOOD.replace(', "proto": "TCP"', ""), "missing packet fields"),
+    ], ids=["truncated", "not-object", "trailing-data", "port-70000",
+            "non-numeric-ts", "missing-field"])
+    def test_bad_line_exits_1_naming_path_and_line(self, tmp_path, capsys,
+                                                   line, reason):
+        trace = str(tmp_path / "t.jsonl")
+        with open(trace, "w") as fh:
+            fh.write(f"{self.GOOD}\n\n{line}\n{self.GOOD}\n")
+        rc = main(["profile", trace, "-o", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"{trace}:3: ", reason)

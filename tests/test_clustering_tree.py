@@ -266,3 +266,11 @@ class TestBuildProfile:
             [k.member_flows for k in profile.keys]
         # serialization is stable
         assert profile_to_dict(loaded) == profile_to_dict(profile)
+
+    def test_key_repr_leaves_out_member_flows(self):
+        profile = build_profile(self._tree_with_three_leaves(),
+                                MergeConfig(0.5))
+        for key in profile.keys:
+            assert key.member_flows
+            assert "member_flows" not in repr(key)
+            assert "FlowKey" not in repr(key)

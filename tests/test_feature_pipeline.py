@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from atrellis import synth_traffic as sim
 from atrellis.errors import (EmptyFlow, EmptyTrainingSet,
                              UnorderedTimestamps)
 from atrellis.feature_pipeline import (FeatureConfig, featurize,
-                                       fit_feature_config)
-from atrellis.traffic_model import PacketRecord
+                                       featurize_many, fit_feature_config)
+from atrellis.traffic_model import PacketRecord, flows_of_trace
 
 DEVICE = "192.168.1.10"
 
@@ -19,7 +20,7 @@ class TestFeaturize:
     def test_single_full_mtu_packet(self):
         vec = featurize([pkt(0.0, 1500)], FeatureConfig(r=2))
         assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert vec.valid_count == 1
+        assert vec.values[1] == 0.0 and vec.values[3] == 0.0  # padding
 
     def test_log_gap_normalization(self):
         vec = featurize([pkt(0.0, 750), pkt(59.0, 750)],
@@ -59,7 +60,7 @@ class TestFeaturize:
         vec = featurize(packets, FeatureConfig(r=r))
         assert vec.values.shape == (2 * r,)
         assert np.all(vec.values >= 0.0) and np.all(vec.values <= 1.0)
-        n = vec.valid_count
+        n = min(len(packets), r)
         assert np.all(vec.values[n:r] == 0.0)
         assert np.all(vec.values[r + n:] == 0.0)
 
@@ -68,6 +69,72 @@ class TestFeaturize:
             FeatureConfig(r=0)
         with pytest.raises(ValueError):
             FeatureConfig(max_gap=0)
+
+
+def reference_featurize(flow_packets, cfg):
+    """The per-flow featurize that featurize_many replaced, kept as an
+    oracle: its rows must be bitwise equal to featurize_many's."""
+    if not flow_packets:
+        raise EmptyFlow("cannot featurize an empty flow")
+    head = list(flow_packets[:cfg.r])
+    ts = np.array([p.ts for p in head])
+    if np.any(np.diff(ts) < 0):
+        raise UnorderedTimestamps("flow packets must be time-ordered")
+    n = len(head)
+    lengths = np.zeros(cfg.r)
+    gaps = np.zeros(cfg.r)
+    lengths[:n] = [p.length for p in head]
+    gaps[1:n] = np.diff(ts)
+    lengths = np.clip(lengths / cfg.max_len, 0.0, 1.0)
+    gaps = np.clip(np.log1p(gaps) / np.log1p(cfg.max_gap), 0.0, 1.0)
+    lengths[n:] = 0.0
+    gaps[n:] = 0.0
+    return np.concatenate([lengths, gaps])
+
+
+flows_strategy = st.lists(
+    st.lists(st.tuples(st.floats(0, 1e5), st.integers(1, 65535)),
+             min_size=1, max_size=25).map(
+        lambda raw: [pkt(ts, length) for ts, length in sorted(raw)]),
+    max_size=20)
+
+
+class TestFeaturizeMany:
+    @settings(max_examples=150, deadline=None)
+    @given(flows_strategy, st.integers(1, 12),
+           st.sampled_from([(1500.0, 60.0), (100.0, 0.5), (1.0, 1e4)]))
+    def test_rows_bitwise_equal_to_per_flow_oracle(self, flows, r, scales):
+        cfg = FeatureConfig(r=r, max_len=scales[0], max_gap=scales[1])
+        X = featurize_many(flows, cfg)
+        assert X.shape == (len(flows), 2 * r)
+        for row, flow in zip(X, flows):
+            assert row.tobytes() == reference_featurize(flow, cfg).tobytes()
+
+    def test_simulated_flows_bitwise_equal(self):
+        spec = sim.FIXTURES["camera"]
+        keys, table = flows_of_trace(sim.generate(spec, 900, seed=2),
+                                     spec.device_ip)
+        cfg = FeatureConfig()
+        X = featurize_many([table[k] for k in keys], cfg)
+        ref = np.stack([reference_featurize(table[k], cfg) for k in keys])
+        assert X.tobytes() == ref.tobytes()
+
+    def test_any_empty_flow_raises(self):
+        with pytest.raises(EmptyFlow):
+            featurize_many([[pkt(0.0, 100)], []], FeatureConfig(r=4))
+
+    def test_any_unordered_flow_raises(self):
+        flows = [[pkt(0.0, 100), pkt(1.0, 100)],
+                 [pkt(5.0, 100), pkt(1.0, 100)]]
+        with pytest.raises(UnorderedTimestamps):
+            featurize_many(flows, FeatureConfig(r=4))
+
+    def test_order_checked_only_within_first_r(self):
+        flows = [[pkt(0.0, 100), pkt(1.0, 100), pkt(0.5, 100)]]
+        assert featurize_many(flows, FeatureConfig(r=2)).shape == (1, 4)
+
+    def test_no_flows(self):
+        assert featurize_many([], FeatureConfig(r=3)).shape == (0, 6)
 
 
 class TestFitFeatureConfig:

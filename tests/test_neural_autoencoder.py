@@ -251,5 +251,10 @@ class TestKernel:
         model = init_model(arch, seed)
         X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
         rows = np.stack([forward(model, x) for x in X])
-        assert np.max(np.abs(na._forward(arch, model.params, X) - rows)) \
-            <= 1e-12
+        batch = forward(model, X)
+        assert batch.shape == X.shape
+        assert np.max(np.abs(batch - rows)) <= 1e-12
+        errors = reconstruction_error(model, X)
+        assert errors.shape == (batch.shape[0],)
+        assert np.max(np.abs(errors - [reconstruction_error(model, x)
+                                       for x in X])) <= 1e-12

@@ -1,15 +1,18 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from atrellis import synth_traffic as sim
 from atrellis.errors import ForeignPacket, MalformedAddress, SchemaError
 from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
-                                    OUT, REGISTERED, REMOTE_IP, SYSTEM,
+                                    OUT, PACKET_FIELDS, PROTOCOLS,
+                                    REGISTERED, REMOTE_IP, SYSTEM,
                                     PacketRecord, classify_address,
                                     classify_port, direction_of, flow_key_of,
-                                    packet_from_dict, packet_to_dict,
-                                    read_packets_jsonl, write_packets_jsonl)
+                                    flows_of_trace, packet_from_dict,
+                                    packet_to_dict, read_packets_jsonl,
+                                    write_packets_jsonl)
 
 DEVICE = "192.168.1.10"
 
@@ -141,6 +144,13 @@ class TestPacketValidation:
         with pytest.raises(ValueError):
             pkt(proto="ICMP")
 
+    @pytest.mark.parametrize("ts", [float("nan"), float("inf"), -1.0])
+    def test_rejects_timestamp_not_finite_or_negative(self, ts):
+        # a NaN timestamp would give NaN features, and a NaN score is
+        # never above the threshold, so the flow would pass as benign
+        with pytest.raises(ValueError):
+            pkt(ts=ts)
+
 
 class TestJsonLines:
     def test_round_trip(self, tmp_path):
@@ -165,3 +175,198 @@ class TestJsonLines:
         del obj["proto"]
         with pytest.raises(SchemaError):
             packet_from_dict(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        ("dns_name", 5), ("label", ["benign"]), ("ts", "soon"),
+        ("src_port", None), ("length", 1e400),
+    ])
+    def test_bad_field_value_names_the_field(self, field, value):
+        obj = dict(packet_to_dict(pkt()), **{field: value})
+        with pytest.raises(SchemaError, match=field):
+            packet_from_dict(obj)
+
+
+# --- flow keying oracle ---------------------------------------------------
+
+def reference_flows_of_trace(packets, device_ip, local_prefixes=()):
+    """The per-packet flows_of_trace that keyed every packet, kept as an
+    oracle for the version that keys each raw tuple once."""
+    table, keys = {}, []
+    for p in packets:
+        key = flow_key_of(p, device_ip, local_prefixes)
+        if key not in table:
+            table[key] = []
+            keys.append(key)
+        table[key].append(p)
+    return keys, table
+
+
+REMOTES = ["203.0.113.5", "203.0.113.6", "192.168.1.7", "239.255.255.250",
+           "192.168.1.255"]
+
+
+@st.composite
+def interleaved_traces(draw):
+    """Packets of a few request/reply conversations, interleaved: each
+    packet goes either way, and the remote's name may be missing or differ
+    in case and trailing dot between request and reply."""
+    n = draw(st.integers(1, 60))
+    packets = []
+    for i in range(n):
+        remote = draw(st.sampled_from(REMOTES))
+        dport = draw(st.sampled_from([53, 443, 1900]))
+        sport = draw(st.sampled_from([40000, 40001, 50000]))
+        name = draw(st.sampled_from([None, "cam.example.com",
+                                     "CAM.Example.com.", "other.example"]))
+        fields = dict(ts=float(i), src_port=sport, dst_port=dport,
+                      proto=draw(st.sampled_from(PROTOCOLS)),
+                      length=draw(st.integers(40, 1500)), dns_name=name)
+        if draw(st.booleans()):
+            packets.append(PacketRecord(src_ip=DEVICE, dst_ip=remote,
+                                        **fields))
+        else:
+            fields.update(src_port=dport, dst_port=sport)
+            packets.append(PacketRecord(src_ip=remote, dst_ip=DEVICE,
+                                        **fields))
+    return packets
+
+
+class TestFlowsOfTrace:
+    @settings(max_examples=150, deadline=None)
+    @given(interleaved_traces(), st.sampled_from([(), ("192.168.1.0/24",)]))
+    def test_matches_per_packet_keying(self, packets, prefixes):
+        keys, table = flows_of_trace(packets, DEVICE, prefixes)
+        ref_keys, ref_table = reference_flows_of_trace(packets, DEVICE,
+                                                       prefixes)
+        assert keys == ref_keys
+        assert table == ref_table
+
+    def test_matches_per_packet_keying_on_simulated_trace(self):
+        spec = sim.FIXTURES["camera"]
+        trace = sim.generate(spec, 900, seed=5)
+        assert flows_of_trace(trace, spec.device_ip) == \
+            reference_flows_of_trace(trace, spec.device_ip)
+
+    def test_foreign_packet(self):
+        with pytest.raises(ForeignPacket):
+            flows_of_trace([pkt(), pkt(src_ip="10.1.1.1", dst_ip="10.2.2.2")],
+                           DEVICE)
+
+
+# --- reader fuzz ----------------------------------------------------------
+
+def reference_reader_fields(line, strict):
+    """The reader that used json.loads, kept as an oracle: the field
+    values it made of one stripped line, or None where it raised."""
+    try:
+        obj = json.loads(line)
+        unknown = set(obj) - PACKET_FIELDS
+        if unknown and strict:
+            return None
+        if PACKET_FIELDS - {"dns_name", "label"} - set(obj):
+            return None
+        ts, length = float(obj["ts"]), int(obj["length"])
+        ports = int(obj["src_port"]), int(obj["dst_port"])
+        proto = str(obj["proto"])
+        dns_name = obj.get("dns_name")
+        if ts < 0 or not 1 <= length <= 65535 or proto not in PROTOCOLS \
+                or not all(0 <= p <= 65535 for p in ports):
+            return None
+        if dns_name is not None:
+            dns_name = dns_name.lower().rstrip(".")
+        return (ts, str(obj["src_ip"]), str(obj["dst_ip"]), *ports, proto,
+                length, dns_name, obj.get("label"))
+    except Exception:
+        return None
+
+
+def record_fields(p):
+    return (p.ts, p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto,
+            p.length, p.dns_name, p.label)
+
+
+ascii_text = st.text(st.characters(max_codepoint=0x7F,
+                                   blacklist_characters="\r\n"),
+                     max_size=6)
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() \
+    | ascii_text
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(ascii_text, inner, max_size=3),
+    max_leaves=6)
+valid_packets = st.builds(
+    PacketRecord, ts=st.floats(0, 1e6), src_ip=st.just(DEVICE),
+    dst_ip=st.sampled_from(REMOTES), src_port=st.integers(0, 65535),
+    dst_port=st.integers(0, 65535), proto=st.sampled_from(PROTOCOLS),
+    length=st.integers(1, 65535),
+    dns_name=st.none() | st.just("Cam.Example.com."),
+    label=st.none() | st.just("benign"))
+
+
+FIELD_MUTATIONS = ["set", "drop"]
+TEXT_MUTATIONS = ["truncate", "delete", "insert", "append", "value"]
+
+
+@st.composite
+def mutated_lines(draw, hows):
+    obj = packet_to_dict(draw(valid_packets))
+    how = draw(st.sampled_from(hows))
+    if how == "set":
+        field = draw(st.sampled_from(sorted(PACKET_FIELDS) + ["bogus"]))
+        obj[field] = draw(json_scalars | json_values)
+    elif how == "drop":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    line = json.dumps(obj)
+    a = draw(st.integers(0, len(line)))
+    if how == "truncate":
+        line = line[:a]
+    elif how == "delete":
+        line = line[:a] + line[draw(st.integers(a, len(line))):]
+    elif how == "insert":
+        line = line[:a] + draw(ascii_text) + line[a:]
+    elif how == "append":
+        line += draw(ascii_text)
+    elif how == "value":
+        line = json.dumps(draw(json_values))
+    return line
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("fuzz") / "trace.jsonl")
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(line=mutated_lines(TEXT_MUTATIONS), strict=st.booleans())
+    def test_mutated_line_parses_as_before_or_names_path_and_line(
+            self, fuzz_path, line, strict):
+        self.check(fuzz_path, line, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=mutated_lines(FIELD_MUTATIONS), strict=st.booleans())
+    def test_field_of_any_type_parses_as_before_or_names_path_and_line(
+            self, fuzz_path, line, strict):
+        self.check(fuzz_path, line, strict)
+
+    @staticmethod
+    def check(fuzz_path, line, strict):
+        """For a file whose second line is ``line``, the reader gives the
+        reference reader's records, or stops at line 2 with a one-line
+        SchemaError that names the file and the line."""
+        good = json.dumps(packet_to_dict(pkt()))
+        with open(fuzz_path, "w") as fh:
+            fh.write(f"{good}\n{line}\n{good}\n")
+        expected = [reference_reader_fields(text.strip(), strict)
+                     for text in (good, line, good) if text.strip()]
+        got = []
+        try:
+            for p in read_packets_jsonl(fuzz_path, strict=strict):
+                got.append(record_fields(p))
+        except SchemaError as exc:
+            assert str(exc).startswith(f"{fuzz_path}:2: ")
+            assert "\n" not in str(exc)
+            assert got == expected[:len(got)] and len(got) == 1
+        else:
+            assert got == expected
