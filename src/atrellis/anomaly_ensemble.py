@@ -11,28 +11,32 @@ with one feature matrix and one batched forward per matched key.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clustering_tree import (ActivityKey, ActivityProfile,
-                              activity_key_from_dict, activity_key_to_dict,
-                              check_schema_version, flow_key_to_dict,
-                              tree_path_of)
+from .clustering_tree import (ActivityProfile, activity_key_from_dict,
+                              activity_key_to_dict, flow_key_from_dict,
+                              flow_key_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
-                     SchemaError)
+                     SchemaError, check, check_schema_version)
 from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
 from .traffic_model import FlowKey, PacketRecord
 
-ENSEMBLE_SCHEMA_VERSION = "1.0"
+ENSEMBLE_SCHEMA_VERSION = "2.0"
 
 STAGE1_MALICIOUS = "stage1_malicious"
 ANOMALOUS = "anomalous"
 BENIGN = "benign"
+VERDICT_KINDS = (STAGE1_MALICIOUS, ANOMALOUS, BENIGN)
+_VERDICT_FIELDS = {"kind": frozenset(VERDICT_KINDS), "flow_key": dict,
+                   "models_triggered": int}
+_OPTIONAL_VERDICT_FIELDS = {"activity": int, "score": float, "reason": str}
 
 
 @dataclass(frozen=True)
@@ -56,14 +60,17 @@ class Verdict:
 
 @dataclass
 class Ensemble:
+    """``submodels[j]`` is the (model, threshold) of ``profile.keys[j]``."""
+
     profile: ActivityProfile
-    submodels: Dict[ActivityKey, Tuple[AEModel, float]]
+    submodels: List[Tuple[AEModel, float]]
     feature_config: FeatureConfig
 
 
-def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[ActivityKey]:
-    """Every activity key whose fields all accept the flow."""
-    return [k for k in profile.keys
+def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[int]:
+    """The positions of every activity key whose fields all accept the
+    flow."""
+    return [j for j, k in enumerate(profile.keys)
             if k.proto == key.proto
             and k.remote_pattern.matches(key.remote)
             and k.src_port_pattern.matches(key.src_port)
@@ -78,13 +85,12 @@ def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
         ("src-port", lambda k: k.src_port_pattern.matches(key.src_port)),
         ("dst-port", lambda k: k.dst_port_pattern.matches(key.dst_port)),
     ]
-    candidates = list(profile.keys)
+    candidates = profile.keys
     for name, accept in levels:
-        surviving = [k for k in candidates if accept(k)]
-        if not surviving:
-            return f"no activity key accepts the flow at the {name} level"
-        candidates = surviving
-    return "no activity key accepts the flow"
+        candidates = [k for k in candidates if accept(k)]
+        if not candidates:
+            break
+    return f"no activity key accepts the flow at the {name} level"
 
 
 def calibrate_threshold(errors: Sequence[float], q: float) -> float:
@@ -106,7 +112,7 @@ def train_ensemble(profile: ActivityProfile,
     """Fit one autoencoder per activity key on its member flows and
     calibrate its threshold on the training reconstruction errors."""
     arch = AEArchitecture(input_len=2 * fcfg.r)
-    submodels: Dict[ActivityKey, Tuple[AEModel, float]] = {}
+    submodels = []
     for i, key in enumerate(profile.keys):
         flows = [training_flows[f] for f in key.member_flows
                  if f in training_flows and training_flows[f]]
@@ -114,7 +120,7 @@ def train_ensemble(profile: ActivityProfile,
             raise EmptyActivity(f"activity key {i} has no trainable flows")
         model = init_model(arch, seed + i)
         model, errors = fit(model, featurize_many(flows, fcfg), tcfg)
-        submodels[key] = (model, calibrate_threshold(errors, thcfg.q))
+        submodels.append((model, calibrate_threshold(errors, thcfg.q)))
     return Ensemble(profile, submodels, fcfg)
 
 
@@ -127,9 +133,6 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
     each flow is judged by its matched key with the least error, the first
     in profile order on a tie."""
     profile = ensemble.profile
-    column: Dict[ActivityKey, int] = {}
-    for j, key in enumerate(profile.keys):
-        column.setdefault(key, j)
     verdicts: List[Optional[Verdict]] = [None] * len(keys)
     stage2: List[int] = []
     triggered: List[int] = []
@@ -142,8 +145,8 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
             verdicts[i] = Verdict(STAGE1_MALICIOUS, flow_key, 0,
                                   reason=_stage1_reason(profile, flow_key))
             continue
-        for key in matched:
-            rows_of.setdefault(column[key], []).append(len(stage2))
+        for j in matched:
+            rows_of.setdefault(j, []).append(len(stage2))
         stage2.append(i)
         triggered.append(len(matched))
 
@@ -153,7 +156,7 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
     best_column = np.zeros(len(stage2), dtype=np.intp)
     for j in sorted(rows_of):
         rows = np.asarray(rows_of[j])
-        model, _ = ensemble.submodels[profile.keys[j]]
+        model, _ = ensemble.submodels[j]
         errors = reconstruction_error(model, X[rows])
         better = errors < best_score[rows]
         best_score[rows[better]] = errors[better]
@@ -162,7 +165,7 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
     for row, i in enumerate(stage2):
         j = int(best_column[row])
         score = float(best_score[row])
-        epsilon = ensemble.submodels[profile.keys[j]][1]
+        epsilon = ensemble.submodels[j][1]
         kind = ANOMALOUS if score > epsilon else BENIGN
         verdicts[i] = Verdict(kind, keys[i], triggered[row], score=score,
                               activity=j)
@@ -244,59 +247,55 @@ def evaluate(verdicts: Sequence[Verdict],
 def verdict_to_dict(v: Verdict) -> dict:
     d = {"flow_key": flow_key_to_dict(v.flow), "kind": v.kind,
          "models_triggered": v.models_triggered}
-    if v.activity is not None:
-        d["activity"] = v.activity
-    if v.score is not None:
-        d["score"] = v.score
-    if v.reason is not None:
-        d["reason"] = v.reason
+    d.update((name, getattr(v, name)) for name in _OPTIONAL_VERDICT_FIELDS
+             if getattr(v, name) is not None)
     return d
 
 
+def verdict_from_dict(d) -> Verdict:
+    """The verdict ``verdict_to_dict`` wrote; every field is checked."""
+    check(d, _VERDICT_FIELDS, "verdict")
+    check(d, {n: t for n, t in _OPTIONAL_VERDICT_FIELDS.items() if n in d},
+          "verdict")
+    if d["kind"] != STAGE1_MALICIOUS and not math.isfinite(
+            d.get("score", math.nan)):
+        raise SchemaError(f"verdict: a {d['kind']} verdict needs a finite "
+                          f"score, got {d.get('score')}")
+    flow = flow_key_from_dict(d["flow_key"], "verdict flow_key")
+    return Verdict(d["kind"], flow, d["models_triggered"],
+                   *(d.get(name) for name in ("score", "activity", "reason")))
+
+
 def ensemble_to_dict(e: Ensemble) -> dict:
-    from .clustering_tree import profile_to_dict
-    entries = []
-    for i, key in enumerate(e.profile.keys):
-        model, epsilon = e.submodels[key]
-        entries.append({"key_index": i,
-                        "model": model_to_dict(model),
-                        "epsilon": epsilon})
     return {
         "schema_version": ENSEMBLE_SCHEMA_VERSION,
-        "profile": profile_to_dict(e.profile),
-        "feature_config": {"r": e.feature_config.r,
-                           "max_len": e.feature_config.max_len,
-                           "max_gap": e.feature_config.max_gap},
-        "submodels": entries,
+        "device_ip": e.profile.device_ip,
+        "feature_config": asdict(e.feature_config),
+        "submodels": [{**activity_key_to_dict(key),
+                       "model": model_to_dict(model),
+                       "epsilon": epsilon}
+                      for key, (model, epsilon)
+                      in zip(e.profile.keys, e.submodels)],
     }
 
 
-def ensemble_from_dict(doc: dict) -> Ensemble:
-    from .clustering_tree import profile_from_dict
+def ensemble_from_dict(doc) -> Ensemble:
     check_schema_version(doc, ENSEMBLE_SCHEMA_VERSION, "ensemble")
-    profile = profile_from_dict(doc["profile"])
-    if "feature_config" not in doc:
-        raise SchemaError("ensemble: missing field feature_config")
+    check(doc, {"device_ip": str, "feature_config": {"r": int},
+                "submodels": list}, "ensemble")
     try:
         fcfg = FeatureConfig(**doc["feature_config"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"ensemble feature_config: {exc}") from None
-    n = len(profile.keys)
-    if len(doc["submodels"]) != n:
-        raise LengthMismatch("submodel count does not match profile keys")
-    submodels = {}
-    seen = set()
-    for entry in doc["submodels"]:
-        i = entry.get("key_index")
-        if type(i) is not int or not 0 <= i < n:
-            raise SchemaError(f"ensemble: key_index {i!r} is not an index "
-                              f"of the {n} profile keys")
-        if i in seen:
-            raise SchemaError(f"ensemble: key_index {i} appears twice")
-        seen.add(i)
-        submodels[profile.keys[i]] = (model_from_dict(entry["model"]),
-                                      float(entry["epsilon"]))
-    return Ensemble(profile, submodels, fcfg)
+    keys, submodels = [], []
+    for j, entry in enumerate(doc["submodels"]):
+        what = f"ensemble submodel {j}"
+        keys.append(activity_key_from_dict(entry, what))
+        eps = check(entry, {"model": dict, "epsilon": float}, what)["epsilon"]
+        if not 0 < eps < math.inf:
+            raise SchemaError(f"{what}: epsilon {eps} is not in (0, inf)")
+        submodels.append((model_from_dict(entry["model"]), eps))
+    return Ensemble(ActivityProfile(doc["device_ip"], keys), submodels, fcfg)
 
 
 def save_ensemble(path, e: Ensemble) -> None:

@@ -20,7 +20,7 @@ from . import synth_traffic as sim
 from .errors import AtrellisError, EmptyTree, SchemaError
 from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import TrainConfig
-from .traffic_model import (PacketRecord, flows_of_trace,
+from .traffic_model import (PacketRecord, flows_of_trace, read_jsonl,
                             read_packets_jsonl, write_packets_jsonl)
 
 log = logging.getLogger("atrellis")
@@ -41,10 +41,6 @@ def _infer_device_ip(packets: List[PacketRecord]) -> str:
         if all(candidate in (p.src_ip, p.dst_ip) for p in packets):
             return candidate
     raise AtrellisError("could not infer device IP; pass --device-ip")
-
-
-def _load_trace(path: str, strict: bool) -> List[PacketRecord]:
-    return list(read_packets_jsonl(path, strict=strict))
 
 
 def _parse_attack(text: str) -> sim.AttackSpec:
@@ -116,7 +112,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    packets = _load_trace(args.trace, args.strict)
+    packets = list(read_packets_jsonl(args.trace, args.strict))
     device_ip = args.device_ip or _infer_device_ip(packets)
     tree = ct.ClusterTree(device_ip, args.local_prefix or ())
     for pkt in packets:
@@ -133,7 +129,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_train(args) -> int:
-    packets = _load_trace(args.trace, args.strict)
+    packets = list(read_packets_jsonl(args.trace, args.strict))
     profile = ct.load_profile(args.profile)
     _, table = flows_of_trace(packets, profile.device_ip,
                               args.local_prefix or ())
@@ -149,7 +145,7 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
-    packets = _load_trace(args.trace, args.strict)
+    packets = list(read_packets_jsonl(args.trace, args.strict))
     keys, table = flows_of_trace(packets, ensemble.profile.device_ip,
                                  args.local_prefix or ())
     verdicts = ens.detect_flows(ensemble, keys, table)
@@ -169,7 +165,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    packets = _load_trace(args.trace, args.strict)
+    packets = list(read_packets_jsonl(args.trace, args.strict))
     if any(p.label is None for p in packets):
         raise UsageError("eval requires a fully labeled trace")
     device_ip = args.device_ip or _infer_device_ip(packets)
@@ -181,24 +177,16 @@ def cmd_eval(args) -> int:
                        if p.label and p.label.startswith("attack:")), None)
         truth[key] = attack or "benign"
 
-    verdicts, labels = [], []
-    with open(args.verdicts) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            key = ct.flow_key_from_dict(doc["flow_key"])
-            if key not in truth:
-                raise AtrellisError(
-                    "verdict for unknown flow: "
-                    + json.dumps(ct.flow_key_to_dict(key), sort_keys=True))
-            verdicts.append(ens.Verdict(
-                kind=doc["kind"], flow=key,
-                models_triggered=doc["models_triggered"],
-                score=doc.get("score"), activity=doc.get("activity"),
-                reason=doc.get("reason")))
-            labels.append(truth[key])
+    labels = []
 
+    def verdict_of(doc: dict) -> ens.Verdict:
+        verdict = ens.verdict_from_dict(doc)
+        if verdict.flow not in truth:
+            raise SchemaError("unknown flow, or a second verdict for it")
+        labels.append(truth.pop(verdict.flow))
+        return verdict
+
+    verdicts = list(read_jsonl(args.verdicts, verdict_of))
     metrics = ens.evaluate(verdicts, labels)
     metrics["schema_version"] = METRICS_SCHEMA_VERSION
     with open(args.out, "w") as fh:

@@ -11,13 +11,13 @@ with wildcarded domains and "reg/dyn" port patterns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (EmptyTree, NonMonotonicTimestamp, NoPacketsInDirection,
-                     SchemaError)
-from .traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, OUT, REMOTE_IP,
-                            SYSTEM, FlowKey, PacketRecord, Remote,
+                     check, check_schema_version)
+from .traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, PROTOCOLS,
+                            REMOTE_IP, SYSTEM, FlowKey, PacketRecord, Remote,
                             classify_port, direction_of, flow_key_of)
 
 PROFILE_SCHEMA_VERSION = "1.0"
@@ -110,12 +110,12 @@ class TreePath:
 
 
 def tree_path_of(key: FlowKey) -> TreePath:
-    src = classify_port(key.src_port, "src")
+    src = classify_port(key.src_port)
     if src.kind == SYSTEM:
         src_bucket = (SYSTEM, src.port)
     else:
         src_bucket = (REGDYN,)
-    dst = classify_port(key.dst_port, "dst")
+    dst = classify_port(key.dst_port)
     if dst.kind in (SYSTEM, "registered"):
         dst_bucket = (dst.kind, dst.port)
     else:
@@ -144,10 +144,6 @@ class ClusterTree:
 
     def stats_of(self, key: FlowKey) -> IncrementalStats:
         return self.leaves[tree_path_of(key)][key]
-
-
-def insert_packet(tree: ClusterTree, pkt: PacketRecord) -> FlowKey:
-    return tree.insert(pkt)
 
 
 def jaccard(s1: FrozenSet, s2) -> float:
@@ -343,57 +339,78 @@ def build_profile(tree: ClusterTree, cfg: MergeConfig) -> ActivityProfile:
 
 # --- serialization --------------------------------------------------------
 
+_PORT = range(65536)
+_FLOW_KEY_FIELDS = {
+    "device_ip": str,
+    "remote": {"kind": frozenset({DOMAIN, REMOTE_IP, LOCAL_IP, BC_MC}),
+               "value": str},
+    "src_port": _PORT, "dst_port": _PORT, "proto": frozenset(PROTOCOLS)}
+_NONE = type(None)
+_REMOTE_VALUE_BY_KIND = {EXACT_DOMAIN: str, WILDCARD_DOMAIN: str,
+                         REMOTE_IP_CLASS: _NONE, LOCAL_IP_CLASS: _NONE,
+                         BC_MC_CLASS: _NONE}
+_PORT_BY_KIND = {EXACT: _PORT, REGDYN: _NONE}
+_KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
+               "remote_pattern": {"kind": frozenset(_REMOTE_VALUE_BY_KIND)},
+               "src_port_pattern": {"kind": frozenset(_PORT_BY_KIND)},
+               "dst_port_pattern": {"kind": frozenset(_PORT_BY_KIND)}}
+
+
 def flow_key_to_dict(f: FlowKey) -> dict:
     return {"device_ip": f.device_ip,
             "remote": {"kind": f.remote.kind, "value": f.remote.value},
             "src_port": f.src_port, "dst_port": f.dst_port, "proto": f.proto}
 
 
-def flow_key_from_dict(d: dict) -> FlowKey:
+def flow_key_from_dict(d, what: str) -> FlowKey:
+    check(d, _FLOW_KEY_FIELDS, what)
     return FlowKey(d["device_ip"],
                    Remote(d["remote"]["kind"], d["remote"]["value"]),
                    d["src_port"], d["dst_port"], d["proto"])
 
 
 def activity_key_to_dict(k: ActivityKey) -> dict:
-    return {
-        "proto": k.proto,
-        "remote_pattern": {"kind": k.remote_pattern.kind,
-                           "value": k.remote_pattern.value},
-        "src_port_pattern": {"kind": k.src_port_pattern.kind,
-                             "port": k.src_port_pattern.port},
-        "dst_port_pattern": {"kind": k.dst_port_pattern.kind,
-                             "port": k.dst_port_pattern.port},
-        "member_flows": [flow_key_to_dict(f) for f in k.member_flows],
-    }
+    """The four patterns of a key, as the profile and ensemble store them."""
+    return {"proto": k.proto, **{name: asdict(getattr(k, name)) for name in
+                                 ("remote_pattern", "src_port_pattern",
+                                  "dst_port_pattern")}}
 
 
-def activity_key_from_dict(d: dict) -> ActivityKey:
-    return ActivityKey(
-        d["proto"],
-        RemotePattern(d["remote_pattern"]["kind"], d["remote_pattern"]["value"]),
-        PortPattern(d["src_port_pattern"]["kind"], d["src_port_pattern"]["port"]),
-        PortPattern(d["dst_port_pattern"]["kind"], d["dst_port_pattern"]["port"]),
-        tuple(flow_key_from_dict(f) for f in d["member_flows"]),
-    )
+def activity_key_from_dict(d, what: str) -> ActivityKey:
+    """The key, without member flows, whose four patterns ``d`` holds."""
+    check(d, _KEY_FIELDS, what)
+    remote = d["remote_pattern"]
+    check(remote, {"value": _REMOTE_VALUE_BY_KIND[remote["kind"]]},
+          f"{what} remote_pattern")
+    src, dst = (check(d[name], {"port": _PORT_BY_KIND[d[name]["kind"]]},
+                      f"{what} {name}")
+                for name in ("src_port_pattern", "dst_port_pattern"))
+    return ActivityKey(d["proto"],
+                       RemotePattern(remote["kind"], remote["value"]),
+                       PortPattern(src["kind"], src["port"]),
+                       PortPattern(dst["kind"], dst["port"]))
 
 
 def profile_to_dict(profile: ActivityProfile) -> dict:
     return {"schema_version": PROFILE_SCHEMA_VERSION,
             "device_ip": profile.device_ip,
-            "keys": [activity_key_to_dict(k) for k in profile.keys]}
+            "keys": [{**activity_key_to_dict(k),
+                      "member_flows": [flow_key_to_dict(f)
+                                       for f in k.member_flows]}
+                     for k in profile.keys]}
 
 
-def check_schema_version(doc: dict, expected: str, what: str) -> None:
-    version = doc.get("schema_version")
-    if version is None or version.split(".")[0] != expected.split(".")[0]:
-        raise SchemaError(f"{what}: unsupported schema_version {version!r}")
-
-
-def profile_from_dict(doc: dict) -> ActivityProfile:
+def profile_from_dict(doc) -> ActivityProfile:
     check_schema_version(doc, PROFILE_SCHEMA_VERSION, "profile")
-    return ActivityProfile(doc["device_ip"],
-                           [activity_key_from_dict(k) for k in doc["keys"]])
+    check(doc, {"device_ip": str, "keys": list}, "profile")
+    keys = []
+    for i, d in enumerate(doc["keys"]):
+        what = f"profile key {i}"
+        key = activity_key_from_dict(d, what)
+        flows = check(d, {"member_flows": list}, what)["member_flows"]
+        keys.append(replace(key, member_flows=tuple(
+            flow_key_from_dict(f, f"{what} member flow") for f in flows)))
+    return ActivityProfile(doc["device_ip"], keys)
 
 
 def save_profile(path, profile: ActivityProfile) -> None:

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy and artifact field check shared across the toolkit."""
 
 
 class AtrellisError(ValueError):
@@ -17,6 +17,38 @@ class ForeignPacket(AtrellisError):
 
 class SchemaError(AtrellisError):
     """A serialized artifact violates its schema (unknown field, bad version)."""
+
+
+def check(doc, fields: dict, what: str) -> dict:
+    """``doc``, checked to be an object holding each of ``fields``: a dict
+    of nested fields, a frozenset of strings, a range of ints, or a type (a
+    bool never counts as a number).  A miss is a one-line SchemaError."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{what}: not a JSON object")
+    for name, spec in fields.items():
+        if name not in doc:
+            raise SchemaError(f"{what}: missing field {name}")
+        value = doc[name]
+        if isinstance(spec, dict):
+            check(value, spec, f"{what} {name}")
+        elif isinstance(spec, frozenset):
+            if not isinstance(value, str) or value not in spec:
+                raise SchemaError(f"{what}: unknown {name} {value!r:.20}")
+        elif isinstance(spec, range):
+            if type(value) is not int or value not in spec:
+                raise SchemaError(f"{what}: {name} {value!r:.20} is not an "
+                                  f"integer in {spec[0]}-{spec[-1]}")
+        elif isinstance(value, bool) or not isinstance(value, spec):
+            raise SchemaError(f"{what}: field {name} has the wrong type "
+                              f"{type(value).__name__}")
+    return doc
+
+
+def check_schema_version(doc, expected: str, what: str) -> None:
+    version = check(doc, {"schema_version": str}, what)["schema_version"]
+    if version.split(".")[0] != expected.split(".")[0]:
+        raise SchemaError(f"{what}: unsupported schema_version "
+                          f"{version!r:.20}")
 
 
 # --- clustering tree ---
@@ -58,10 +90,6 @@ class EmptyFlow(AtrellisError):
 
 
 class UnorderedTimestamps(AtrellisError):
-    pass
-
-
-class EmptyTrainingSet(AtrellisError):
     pass
 
 

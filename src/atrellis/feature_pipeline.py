@@ -11,11 +11,11 @@ clipped to [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyFlow, EmptyTrainingSet, UnorderedTimestamps
+from .errors import EmptyFlow, UnorderedTimestamps
 from .traffic_model import PacketRecord
 
 
@@ -72,19 +72,3 @@ def featurize_many(flows: Sequence[Sequence[PacketRecord]],
     gaps = np.clip(np.log1p(gaps) / np.log1p(cfg.max_gap), 0.0, 1.0)
     return np.concatenate([lengths, gaps], axis=1)
 
-
-def fit_feature_config(training_flows: List[Sequence[PacketRecord]],
-                       r: int = 10) -> FeatureConfig:
-    """Pick normalization constants from training data: the 99.9th
-    percentile of observed lengths (floor 64) and gaps (floor 1 s)."""
-    if not training_flows:
-        raise EmptyTrainingSet("need at least one training flow")
-    lengths = []
-    gaps = []
-    for flow in training_flows:
-        lengths.extend(p.length for p in flow)
-        ts = [p.ts for p in flow]
-        gaps.extend(b - a for a, b in zip(ts, ts[1:]))
-    max_len = max(64.0, float(np.percentile(lengths, 99.9)))
-    max_gap = max(1.0, float(np.percentile(gaps, 99.9))) if gaps else 1.0
-    return FeatureConfig(r=r, max_len=max_len, max_gap=max_gap)

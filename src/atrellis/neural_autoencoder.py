@@ -32,16 +32,15 @@ Adam update and one finiteness check.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import (BadArchitecture, DivergedLoss, EmptyData, SchemaError,
-                     ShapeMismatch)
+                     ShapeMismatch, check, check_schema_version)
 
 MODEL_SCHEMA_VERSION = "1.0"
 
@@ -88,7 +87,6 @@ class AEModel:
     arch: AEArchitecture
     params: Dict[str, np.ndarray]
     rng_seed: int
-    epsilon: Optional[float] = None  # calibrated threshold, set by training
 
     def __post_init__(self):
         shapes = _param_shapes(self.arch)
@@ -336,7 +334,7 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
 
     best = _flat_views(best_flat, arch)
     errors = _batch_errors(arch, best, X)
-    return AEModel(arch, best, model.rng_seed, model.epsilon), [
+    return AEModel(arch, best, model.rng_seed), [
         float(e) for e in errors]
 
 
@@ -383,47 +381,24 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
 def model_to_dict(model: AEModel) -> dict:
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "architecture": {
-            "input_len": model.arch.input_len,
-            "channels": model.arch.channels,
-            "kernel": model.arch.kernel,
-            "bottleneck": model.arch.bottleneck,
-            "stride": model.arch.stride,
-        },
+        "architecture": asdict(model.arch),
         "seed": model.rng_seed,
-        "epsilon": model.epsilon,
         "weights": {k: v.tolist() for k, v in model.params.items()},
     }
 
 
 def model_from_dict(doc: dict) -> AEModel:
-    from .clustering_tree import check_schema_version
     check_schema_version(doc, MODEL_SCHEMA_VERSION, "model")
-    missing = [f for f in ("architecture", "seed", "weights") if f not in doc]
-    if missing:
-        raise SchemaError(f"model: missing fields: {', '.join(missing)}")
+    check(doc, {"architecture": dict, "seed": int, "weights": dict}, "model")
     try:
         arch = AEArchitecture(**doc["architecture"])
     except TypeError as exc:
         raise SchemaError(f"model architecture: {exc}") from None
-    if not isinstance(doc["weights"], dict):
-        raise SchemaError("model: weights is not an object")
     params = {}
     for name, value in doc["weights"].items():
         try:
             params[name] = np.asarray(value, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"weight {name} is not a numeric array: "
                               f"{exc}") from None
-    return AEModel(arch, params, doc["seed"], doc.get("epsilon"))
-
-
-def save_model(path, model: AEModel) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
-
-
-def load_model(path) -> AEModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))
+    return AEModel(arch, params, doc["seed"])

@@ -55,6 +55,9 @@ class ActivitySpec:
             raise BadSpec(f"activity {self.name}: probabilities must sum to 1")
         if self.packets_per_burst < 1:
             raise BadSpec(f"activity {self.name}: need >= 1 packet per burst")
+        if not 0 <= self.dst_port <= 65535:
+            raise BadSpec(f"activity {self.name}: dst_port {self.dst_port} "
+                          f"is not in 0-65535")
         if self.domain is not None:
             object.__setattr__(self, "domain", normalize_domain(self.domain))
 
@@ -116,6 +119,12 @@ def generate(spec: DeviceSpec, duration: float,
     """Time-ordered benign trace for one device, reproducible per seed."""
     if duration <= 0:
         raise BadSpec(f"duration must be > 0, got {duration}")
+    for idx, act in enumerate(spec.activities):
+        n_bursts = min(int(duration / act.period), _PORT_BLOCK_SIZE)
+        top = _PORT_BLOCK_BASE + idx * _PORT_BLOCK_SIZE + n_bursts - 1
+        if n_bursts > 0 and top > 65535:
+            raise BadSpec(f"activity {act.name}: its bursts would use source "
+                          f"ports up to {top}, past 65535")
     packets: List[PacketRecord] = []
     for idx, act in enumerate(spec.activities):
         rng = np.random.default_rng([seed, idx])
@@ -136,27 +145,26 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                     seed: int) -> List[PacketRecord]:
     rng = np.random.default_rng([seed, 1000 + ATTACK_KINDS.index(atk.kind)])
     label = f"attack:{atk.kind}"
-    packets: List[PacketRecord] = []
     n_flows = max(int(atk.rate * atk.duration), 0)
+    if atk.kind == PORT_SCAN:
+        n_flows = int(atk.target.get("n_ports", n_flows or 100))
+    top = _ATTACK_PORT_BASE + n_flows - 1
+    if top > 65535:
+        raise BadSpec(f"attack {atk.kind}: its {n_flows} flows would use "
+                      f"source ports up to {top}, past 65535")
 
     if atk.kind == PORT_SCAN:
         target_ip = atk.target.get("ip", "198.51.100.99")
-        n_ports = int(atk.target.get("n_ports", n_flows or 100))
-        for i in range(n_ports):
-            t = atk.start + i / atk.rate
-            packets.append(PacketRecord(
-                t, device_ip, target_ip, _ATTACK_PORT_BASE + i, 1 + i,
-                TCP, 60, label=label))
-    elif atk.kind == TELNET_BRUTE:
+        return [PacketRecord(atk.start + i / atk.rate, device_ip, target_ip,
+                             _ATTACK_PORT_BASE + i, 1 + i, TCP, 60,
+                             label=label)
+                for i in range(n_flows)]
+    if atk.kind == TELNET_BRUTE:
         target_ip = atk.target.get("ip", "198.51.100.99")
         act = ActivitySpec("telnet-brute", target_ip, 23, TCP,
                            period=1.0, sizes=(91, 97, 105),
                            size_probs=(0.4, 0.4, 0.2), packets_per_burst=6,
                            intra_gap=0.2)
-        for i in range(n_flows):
-            t = atk.start + i / atk.rate
-            packets.extend(_burst_packets(rng, device_ip, act, t,
-                                          _ATTACK_PORT_BASE + i, label))
     elif atk.kind == FLOOD:
         act = ActivitySpec("flood", atk.target["ip"], atk.target["dst_port"],
                            atk.target.get("proto", TCP), period=1.0,
@@ -164,10 +172,6 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                            packets_per_burst=int(atk.target.get(
                                "packets_per_flow", 40)),
                            intra_gap=0.002, domain=atk.target.get("domain"))
-        for i in range(n_flows):
-            t = atk.start + i / atk.rate
-            packets.extend(_burst_packets(rng, device_ip, act, t,
-                                          _ATTACK_PORT_BASE + i, label))
     else:  # HTTP_MASQ_CNC: beaconing C&C disguised as web traffic on port 80
         act = ActivitySpec("http-masq-cnc", atk.target["ip"], 80, TCP,
                            period=1.0, sizes=(88, 96),
@@ -176,10 +180,11 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                                "packets_per_flow", 12)),
                            intra_gap=float(atk.target.get("beacon_gap", 2.0)),
                            domain=atk.target["domain"])
-        for i in range(n_flows):
-            t = atk.start + i / atk.rate
-            packets.extend(_burst_packets(rng, device_ip, act, t,
-                                          _ATTACK_PORT_BASE + i, label))
+    packets: List[PacketRecord] = []
+    for i in range(n_flows):
+        packets.extend(_burst_packets(rng, device_ip, act,
+                                      atk.start + i / atk.rate,
+                                      _ATTACK_PORT_BASE + i, label))
     return packets
 
 

@@ -14,7 +14,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ForeignPacket, MalformedAddress, SchemaError
 
@@ -128,12 +128,8 @@ def _parse_prefixes(prefixes: tuple) -> tuple:
     return tuple(ipaddress.IPv4Network(p) for p in prefixes)
 
 
-def classify_port(port: int, role: str = "dst") -> PortClass:
-    """Classify a port into its IANA range.
-
-    The logic is identical for src and dst roles; ``role`` exists only so
-    callers can record which side they classified.
-    """
+def classify_port(port: int) -> PortClass:
+    """Classify a port into its IANA range."""
     if not 0 <= port <= 65535:
         raise ValueError(f"port out of range: {port}")
     if port <= 1023:
@@ -289,15 +285,16 @@ def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
-    """Yield the packets of a JSON-lines trace.  A line that is not one
-    valid packet object raises SchemaError("PATH:LINE: reason")."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+def read_jsonl(path, convert: Callable[[dict], object]) -> Iterator:
+    """Yield ``convert(obj)`` for each JSON object line of ``path``.  A line
+    that is not UTF-8, not one JSON object, or that ``convert`` rejects with
+    a ValueError raises SchemaError("PATH:LINE: reason")."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj, end = _raw_decode(line)
                 if end != len(line):
                     raise SchemaError(f"data after the JSON object at "
@@ -305,7 +302,13 @@ def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
                 if not isinstance(obj, dict):
                     raise SchemaError(f"not a JSON object: "
                                       f"{type(obj).__name__}")
-                pkt = packet_from_dict(obj, strict=strict)
+                item = convert(obj)
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
-            yield pkt
+            yield item
+
+
+def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
+    """Yield the packets of a JSON-lines trace.  A line that is not one
+    valid packet object raises SchemaError("PATH:LINE: reason")."""
+    yield from read_jsonl(path, lambda obj: packet_from_dict(obj, strict))

@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +16,7 @@ from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
                              LengthMismatch, SchemaError)
 from atrellis.feature_pipeline import FeatureConfig, featurize
 from atrellis.neural_autoencoder import TrainConfig, reconstruction_error
-from atrellis.traffic_model import FlowKey, Remote, flows_of_trace
+from atrellis.traffic_model import FlowKey, Remote, flows_of_trace, read_jsonl
 
 DEVICE = "192.168.1.10"
 
@@ -31,7 +35,7 @@ def key(remote=RemotePattern("wildcard", ".vendor.com"),
 class TestFuzzyMatch:
     def test_wildcard_match(self):
         profile = ActivityProfile(DEVICE, [key()])
-        assert ens.fuzzy_match(profile, flow()) == [key()]
+        assert ens.fuzzy_match(profile, flow()) == [0]
 
     def test_dst_port_mismatch(self):
         profile = ActivityProfile(DEVICE, [key(dst=PortPattern("exact", 80))])
@@ -105,7 +109,7 @@ class TestTrainEnsemble:
     def test_one_submodel_per_key(self, camera_setup):
         _, ensemble, _, _ = camera_setup
         assert len(ensemble.submodels) == len(ensemble.profile.keys)
-        assert all(eps > 0 for _, eps in ensemble.submodels.values())
+        assert all(eps > 0 for _, eps in ensemble.submodels)
 
     def test_empty_activity(self):
         profile = ActivityProfile(DEVICE, [key(members=(flow(),))])
@@ -173,16 +177,16 @@ def reference_detect(ensemble, flow_key, flow_packets):
                            reason=ens._stage1_reason(ensemble.profile,
                                                      flow_key))
     vector = featurize(flow_packets, ensemble.feature_config)
-    best_score = best_key = None
-    for key in matched:
-        model, _ = ensemble.submodels[key]
+    best_score = best_j = None
+    for j in matched:
+        model, _ = ensemble.submodels[j]
         score = reconstruction_error(model, vector)
         if best_score is None or score < best_score:
-            best_score, best_key = score, key
-    epsilon = ensemble.submodels[best_key][1]
+            best_score, best_j = score, j
+    epsilon = ensemble.submodels[best_j][1]
     kind = ens.ANOMALOUS if best_score > epsilon else ens.BENIGN
     return ens.Verdict(kind, flow_key, len(matched), score=best_score,
-                       activity=ensemble.profile.keys.index(best_key))
+                       activity=best_j)
 
 
 @pytest.fixture(scope="module")
@@ -250,16 +254,36 @@ class TestDetectFlows:
         keys, table = judged_flows
         flow_key = next(k for k in keys if k.remote.kind == "domain"
                         and len(ens.fuzzy_match(ensemble.profile, k)) == 1)
-        [key] = ens.fuzzy_match(ensemble.profile, flow_key)
+        [j] = ens.fuzzy_match(ensemble.profile, flow_key)
+        key = ensemble.profile.keys[j]
         twin = ActivityKey(key.proto, RemotePattern("wildcard", ""),
                            key.src_port_pattern, key.dst_port_pattern)
         for order in ([twin, key], [key, twin]):
             tied = ens.Ensemble(ActivityProfile(DEVICE, order),
-                                {k: ensemble.submodels[key] for k in order},
+                                [ensemble.submodels[j]] * 2,
                                 ensemble.feature_config)
             [v] = ens.detect_flows(tied, [flow_key], table)
             assert v.models_triggered == 2 and v.activity == 0
             assert v == reference_detect(tied, flow_key, table[flow_key])
+
+    def test_keys_with_equal_patterns_keep_their_own_submodels(
+            self, camera_setup, judged_flows):
+        _, ensemble, _, _ = camera_setup
+        keys, table = judged_flows
+        flow_key = next(k for k in keys if k.remote.kind == "domain"
+                        and len(ens.fuzzy_match(ensemble.profile, k)) == 1)
+        [j] = ens.fuzzy_match(ensemble.profile, flow_key)
+        key = ensemble.profile.keys[j]
+        other = ensemble.submodels[(j + 1) % len(ensemble.submodels)]
+        twins = ens.Ensemble(ActivityProfile(DEVICE, [key, key]),
+                             [ensemble.submodels[j], other],
+                             ensemble.feature_config)
+        [v] = ens.detect_flows(twins, [flow_key], table)
+        x = featurize(table[flow_key], ensemble.feature_config)
+        errors = [reconstruction_error(m, x) for m, _ in twins.submodels]
+        assert v.models_triggered == 2 and errors[0] != errors[1]
+        assert v.activity == int(np.argmin(errors))
+        assert abs(v.score - min(errors)) <= 1e-12 * min(errors)
 
     def test_empty_flow(self, camera_setup, judged_flows):
         _, ensemble, _, _ = camera_setup
@@ -305,28 +329,202 @@ class TestEvaluate:
 
 class TestSerialization:
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda doc: doc["submodels"][1].__setitem__("key_index", 0),
-         "key_index 0 appears twice"),
-        (lambda doc: doc["submodels"][0].__setitem__("key_index", -1),
-         "key_index -1 is not an index"),
-        (lambda doc: doc["submodels"][0].__setitem__(
-            "key_index", len(doc["submodels"])), "is not an index"),
         (lambda doc: doc.pop("feature_config"), "feature_config"),
-    ], ids=["duplicate", "negative", "out-of-range", "no-feature-config"])
-    def test_bad_index_or_missing_config_is_a_short_schema_error(
+        (lambda doc: doc.pop("device_ip"), "missing field device_ip"),
+        (lambda doc: doc.__setitem__("submodels", 5),
+         "field submodels has the wrong type int"),
+        (lambda doc: doc["feature_config"].__setitem__("r", 10.5),
+         "field r has the wrong type float"),
+        (lambda doc: doc.__setitem__("schema_version", "1.0"),
+         "unsupported schema_version '1.0'"),
+        (lambda doc: doc["submodels"][0].__setitem__("epsilon", "x"),
+         "submodel 0: field epsilon has the wrong type str"),
+        (lambda doc: doc["submodels"][1].__setitem__("epsilon", float("nan")),
+         "submodel 1: epsilon nan is not in (0, inf)"),
+        (lambda doc: doc["submodels"][0].__setitem__("epsilon", -1.0),
+         "epsilon -1.0 is not in (0, inf)"),
+        (lambda doc: doc["submodels"][0].pop("epsilon"),
+         "missing field epsilon"),
+        (lambda doc: doc["submodels"][0].pop("model"), "missing field model"),
+        (lambda doc: doc["submodels"][0].pop("proto"), "missing field proto"),
+        (lambda doc: doc["submodels"][0].__setitem__("proto", "ICMP"),
+         "unknown proto 'ICMP'"),
+        (lambda doc: doc["submodels"][0]["remote_pattern"].__setitem__(
+            "kind", "anycast"), "remote_pattern: unknown kind 'anycast'"),
+        (lambda doc: doc["submodels"][0]["remote_pattern"].__setitem__(
+            "value", None), "field value has the wrong type NoneType"),
+        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
+            "kind", "range"), "dst_port_pattern: unknown kind 'range'"),
+        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
+            "port", 70000), "port 70000 is not an integer in 0-65535"),
+        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
+            "port", "443"), "port '443' is not an integer in 0-65535"),
+        (lambda doc: doc["submodels"][0]["src_port_pattern"].__setitem__(
+            "port", 1), "field port has the wrong type int"),
+    ], ids=["no-feature-config", "no-device-ip", "submodels-not-list",
+            "float-r", "schema-1.0", "epsilon-str", "epsilon-nan",
+            "epsilon-negative", "no-epsilon", "no-model", "no-proto",
+            "proto-icmp", "remote-kind", "domain-without-name",
+            "port-kind", "port-70000", "port-str", "regdyn-with-port"])
+    def test_corrupt_document_is_a_short_schema_error(
             self, camera_setup, corrupt, message):
         _, ensemble, _, _ = camera_setup
         doc = ens.ensemble_to_dict(ensemble)
+        assert doc["submodels"][0]["remote_pattern"]["kind"] == "domain"
+        assert doc["submodels"][0]["src_port_pattern"]["kind"] == "regdyn"
         corrupt(doc)
-        with pytest.raises(SchemaError, match=message) as info:
+        with pytest.raises(SchemaError, match=re.escape(message)) as info:
             ens.ensemble_from_dict(doc)
-        assert len(str(info.value)) < 120
+        assert len(str(info.value)) < 120 and "\n" not in str(info.value)
+
+    def test_holds_only_what_detect_reads(self, camera_setup):
+        _, ensemble, _, _ = camera_setup
+        doc = ens.ensemble_to_dict(ensemble)
+        assert set(doc) == {"schema_version", "device_ip", "feature_config",
+                            "submodels"}
+        for entry, key in zip(doc["submodels"], ensemble.profile.keys):
+            assert set(entry) == {"proto", "remote_pattern",
+                                  "src_port_pattern", "dst_port_pattern",
+                                  "model", "epsilon"}
+            assert ct.activity_key_from_dict(entry, "key") == key
 
     def test_round_trip(self, camera_setup, tmp_path):
         _, ensemble, keys, table = camera_setup
         path = tmp_path / "ensemble.json"
         ens.save_ensemble(path, ensemble)
         loaded = ens.load_ensemble(path)
-        for k in keys[:20]:
-            assert ens.detect(loaded, k, table[k]) == \
-                ens.detect(ensemble, k, table[k])
+        assert loaded.profile.keys == ensemble.profile.keys
+        assert all(not k.member_flows for k in loaded.profile.keys)
+        for (model, eps), (orig, orig_eps) in zip(loaded.submodels,
+                                                  ensemble.submodels):
+            assert eps == orig_eps
+            assert all(np.array_equal(model.params[n], w)
+                       for n, w in orig.params.items())
+        assert ens.detect_flows(loaded, keys, table) == \
+            ens.detect_flows(ensemble, keys, table)
+
+
+# --- verdict reader ---------------------------------------------------------
+
+flow_keys = st.builds(
+    FlowKey, device_ip=st.just(DEVICE),
+    remote=st.builds(Remote, st.sampled_from(["domain", "remote_ip",
+                                              "local_ip", "bc_mc"]),
+                     st.text(max_size=8)),
+    src_port=st.integers(0, 65535), dst_port=st.integers(0, 65535),
+    proto=st.sampled_from(["TCP", "UDP"]))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def verdicts(draw):
+    kind = draw(st.sampled_from(ens.VERDICT_KINDS))
+    stage1 = kind == ens.STAGE1_MALICIOUS
+    return ens.Verdict(
+        kind, draw(flow_keys), draw(st.integers(0, 50)),
+        score=draw(st.none() if stage1 else finite),
+        activity=draw(st.none() if stage1 else st.integers(0, 50)),
+        reason=draw(st.text(max_size=20) if stage1 else st.none()))
+
+
+def reference_verdict(line):
+    """Independent statement of what verdict_from_dict accepts: the
+    fields of the verdict a line must read as, or None where it must be
+    rejected."""
+    try:
+        d = json.loads(line)
+        fk = d["flow_key"]
+        remote = fk["remote"]
+        ok = (d["kind"] in ens.VERDICT_KINDS
+              and type(d["models_triggered"]) is int
+              and type(fk["device_ip"]) is str
+              and remote["kind"] in ("domain", "remote_ip", "local_ip",
+                                     "bc_mc")
+              and type(remote["value"]) is str
+              and all(type(fk[p]) is int and 0 <= fk[p] <= 65535
+                      for p in ("src_port", "dst_port"))
+              and fk["proto"] in ("TCP", "UDP")
+              and type(d.get("score", 0.0)) is float
+              and type(d.get("activity", 0)) is int
+              and type(d.get("reason", "")) is str
+              and (d["kind"] == ens.STAGE1_MALICIOUS
+                   or math.isfinite(d.get("score", math.nan))))
+    except Exception:
+        return None
+    if not ok:
+        return None
+    return (d["kind"], fk["device_ip"], remote["kind"], remote["value"],
+            fk["src_port"], fk["dst_port"], fk["proto"],
+            d["models_triggered"], d.get("score"), d.get("activity"),
+            d.get("reason"))
+
+
+def verdict_fields(v):
+    f = v.flow
+    return (v.kind, f.device_ip, f.remote.kind, f.remote.value, f.src_port,
+            f.dst_port, f.proto, v.models_triggered, v.score, v.activity,
+            v.reason)
+
+
+ascii_text = st.text(st.characters(max_codepoint=0x7F,
+                                   blacklist_characters="\r\n"),
+                     max_size=6)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | ascii_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(ascii_text, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_verdict_lines(draw):
+    doc = ens.verdict_to_dict(draw(verdicts()))
+    how = draw(st.sampled_from(["set", "drop", "set-flow", "drop-flow",
+                                "truncate", "delete", "insert", "value"]))
+    target = doc["flow_key"] if how.endswith("-flow") else doc
+    if how.startswith("set"):
+        field = draw(st.sampled_from(sorted(target) + ["score", "bogus"]))
+        target[field] = draw(json_values)
+    elif how.startswith("drop"):
+        del target[draw(st.sampled_from(sorted(target)))]
+    line = json.dumps(doc)
+    a = draw(st.integers(0, len(line)))
+    if how == "truncate":
+        line = line[:a]
+    elif how == "delete":
+        line = line[:a] + line[draw(st.integers(a, len(line))):]
+    elif how == "insert":
+        line = line[:a] + draw(ascii_text) + line[a:]
+    elif how == "value":
+        line = json.dumps(draw(json_values))
+    return line
+
+
+class TestVerdictReader:
+    @settings(max_examples=200, deadline=None)
+    @given(v=verdicts())
+    def test_round_trip(self, v):
+        doc = json.loads(json.dumps(ens.verdict_to_dict(v)))
+        assert ens.verdict_from_dict(doc) == v
+
+    @settings(max_examples=400, deadline=None)
+    @given(line=mutated_verdict_lines())
+    def test_mutated_line_reads_as_the_reference_or_names_path_and_line(
+            self, tmp_path_factory, line):
+        path = str(tmp_path_factory.getbasetemp() / "verdicts.jsonl")
+        good = json.dumps(ens.verdict_to_dict(ens.Verdict(
+            ens.BENIGN, flow(), 1, score=0.5, activity=0)))
+        with open(path, "w") as fh:
+            fh.write(f"{good}\n{line}\n{good}\n")
+        expected = [reference_verdict(text.strip())
+                    for text in (good, line, good) if text.strip()]
+        got = []
+        try:
+            for v in read_jsonl(path, ens.verdict_from_dict):
+                got.append(verdict_fields(v))
+        except SchemaError as exc:
+            assert str(exc).startswith(f"{path}:2: ")
+            assert "\n" not in str(exc)
+            assert got == expected[:1] and None in expected
+        else:
+            assert got == expected

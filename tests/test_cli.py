@@ -181,6 +181,128 @@ class TestCorruptEnsemble:
         assert_one_error_line(capsys, names)
 
 
+    @pytest.mark.parametrize("corrupt, names", [
+        (lambda d: d["submodels"][0].__setitem__("epsilon", "x"),
+         "submodel 0: field epsilon has the wrong type str"),
+        (lambda d: d["submodels"][0].__setitem__("epsilon", float("nan")),
+         "submodel 0: epsilon nan is not in"),
+        (lambda d: d["submodels"][0].__setitem__("epsilon", -1.0),
+         "submodel 0: epsilon -1.0 is not in"),
+        (lambda d: d.pop("device_ip"), "missing field device_ip"),
+        (lambda d: d["submodels"][0].pop("model"), "missing field model"),
+        (lambda d: d["submodels"][0]["remote_pattern"].__setitem__(
+            "kind", "anycast"), "unknown kind 'anycast'"),
+        (lambda d: d["submodels"][0]["dst_port_pattern"].__setitem__(
+            "kind", "range"), "unknown kind 'range'"),
+        (lambda d: d["submodels"][0].pop("proto"), "missing field proto"),
+        (lambda d: d.__setitem__("submodels", {}),
+         "field submodels has the wrong type dict"),
+        (lambda d: d.__setitem__("schema_version", "1.0"),
+         "unsupported schema_version '1.0'"),
+    ], ids=["epsilon-str", "epsilon-nan", "epsilon-negative", "no-device-ip",
+            "no-model", "remote-kind", "port-kind", "no-proto",
+            "submodels-not-list", "schema-1.0"])
+    def test_bad_document_exits_1_without_traceback(
+            self, small_run, tmp_path, capsys, corrupt, names):
+        trace, _, ensemble, _, _ = small_run
+        doc = json.loads(open(ensemble).read())
+        corrupt(doc)
+        bad = str(tmp_path / "ensemble.json")
+        open(bad, "w").write(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, names)
+
+    def test_holds_no_member_flows(self, small_run):
+        ensemble = small_run[2]
+        text = open(ensemble).read()
+        assert "member_flows" not in text and "profile" not in text
+
+
+class TestCorruptProfile:
+    def test_unknown_pattern_kind_exits_1_at_train(self, small_run, tmp_path,
+                                                   capsys):
+        trace, profile, _, _, _ = small_run
+        doc = json.loads(open(profile).read())
+        doc["keys"][0]["remote_pattern"]["kind"] = "anycast"
+        bad = str(tmp_path / "profile.json")
+        open(bad, "w").write(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["train", trace, bad, "--epochs", "1",
+                   "-o", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, "profile key 0 remote_pattern: "
+                                      "unknown kind 'anycast'")
+
+
+def edited(doc, path, value=None):
+    """The JSON text of ``doc`` with the field at ``path`` set to
+    ``value``, or removed when ``value`` is None."""
+    target = doc
+    for name in path[:-1]:
+        target = target[name]
+    if value is None:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return json.dumps(doc)
+
+
+class TestMalformedVerdicts:
+    @pytest.fixture(scope="class")
+    def lines(self, small_run):
+        """A stage-2 verdict line first, then every other line."""
+        _, _, _, verdicts, _ = small_run
+        lines = open(verdicts).read().splitlines()
+        lines.sort(key=lambda line: '"score"' not in line)
+        return lines
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        (lambda d: json.dumps(d)[:30], "Unterminated string"),
+        (lambda d: "[1, 2]", "not a JSON object: list"),
+        (lambda d: edited(d, ["flow_key"]),
+         "verdict: missing field flow_key"),
+        (lambda d: edited(d, ["kind"]), "verdict: missing field kind"),
+        (lambda d: edited(d, ["models_triggered"]),
+         "verdict: missing field models_triggered"),
+        (lambda d: edited(d, ["flow_key", "remote"]),
+         "verdict flow_key: missing field remote"),
+        (lambda d: edited(d, ["flow_key", "dst_port"], 70000),
+         "dst_port 70000 is not an integer in 0-65535"),
+        (lambda d: edited(d, ["flow_key", "proto"], "ICMP"),
+         "unknown proto 'ICMP'"),
+        (lambda d: edited(d, ["kind"], "suspicious"),
+         "verdict: unknown kind 'suspicious'"),
+        (lambda d: edited(d, ["score"]), "needs a finite score, got None"),
+        (lambda d: edited(d, ["score"], float("nan")),
+         "needs a finite score, got nan"),
+    ], ids=["truncated", "not-object", "no-flow-key", "no-kind",
+            "no-models-triggered", "no-remote", "port-70000", "proto-icmp",
+            "unknown-kind", "no-score", "nan-score"])
+    def test_bad_line_exits_1_naming_path_and_line(
+            self, small_run, lines, tmp_path, capsys, corrupt, reason):
+        trace = small_run[0]
+        line = corrupt(json.loads(lines[0]))
+        bad = str(tmp_path / "verdicts.jsonl")
+        open(bad, "w").write("\n".join([lines[1], line] + lines[2:]) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", trace, bad, "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"{bad}:2: ", reason)
+
+    def test_second_verdict_for_a_flow_exits_1(self, small_run, lines,
+                                               tmp_path, capsys):
+        trace = small_run[0]
+        bad = str(tmp_path / "verdicts.jsonl")
+        open(bad, "w").write("\n".join(lines + [lines[3]]) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", trace, bad, "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"{bad}:{len(lines) + 1}: ",
+                              "a second verdict for it")
+
+
 class TestMalformedTrace:
     GOOD = json.dumps({"ts": 1.0, "src_ip": "192.168.1.10",
                        "dst_ip": "203.0.113.5", "src_port": 40000,
@@ -203,3 +325,40 @@ class TestMalformedTrace:
         rc = main(["profile", trace, "-o", str(tmp_path / "p.json")])
         assert rc == 1
         assert_one_error_line(capsys, f"{trace}:3: ", reason)
+
+    def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path,
+                                                       capsys):
+        trace = str(tmp_path / "t.jsonl")
+        with open(trace, "wb") as fh:
+            fh.write(self.GOOD.encode() + b"\n\xff\xfe\n"
+                     + self.GOOD.encode() + b"\n")
+        rc = main(["profile", trace, "-o", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"{trace}:2: ", "utf-8")
+
+
+class TestSimulatorPorts:
+    def test_too_many_activities_for_the_source_ports(self, tmp_path,
+                                                      capsys):
+        spec = {"device_ip": "192.168.1.10", "activities": [
+            {"name": f"a{i}", "remote_ip": "203.0.113.5", "dst_port": 443,
+             "proto": "TCP", "period": 1.0, "sizes": [100],
+             "size_probs": [1.0]} for i in range(12)]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--spec", str(path), "--duration", "2600",
+                   "-o", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, "activity a11", "65599", "past 65535")
+        assert not out.exists()
+
+    def test_too_many_attack_flows_for_the_source_ports(self, tmp_path,
+                                                        capsys):
+        atk = {"kind": "PortScan", "start": 0, "rate": 5,
+               "target": {"n_ports": 20000}}
+        rc = main(["simulate", "--fixture", "hub", "--duration", "60",
+                   "--attack", json.dumps(atk),
+                   "-o", str(tmp_path / "t.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, "attack PortScan", "past 65535")

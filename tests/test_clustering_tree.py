@@ -12,7 +12,7 @@ from atrellis.clustering_tree import (ActivityKey, ClusterTree,
                                       profile_to_dict, save_profile,
                                       tree_path_of, update_stats)
 from atrellis.errors import (EmptyTree, NonMonotonicTimestamp,
-                             NoPacketsInDirection)
+                             NoPacketsInDirection, SchemaError)
 from atrellis.traffic_model import (IN, OUT, FlowKey, PacketRecord, Remote)
 
 DEVICE = "192.168.1.10"
@@ -266,6 +266,32 @@ class TestBuildProfile:
             [k.member_flows for k in profile.keys]
         # serialization is stable
         assert profile_to_dict(loaded) == profile_to_dict(profile)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: doc.__setitem__("keys", 5),
+         "field keys has the wrong type int"),
+        (lambda doc: doc.pop("device_ip"), "missing field device_ip"),
+        (lambda doc: doc["keys"][1]["remote_pattern"].__setitem__(
+            "kind", "anycast"), "key 1 remote_pattern: unknown kind"),
+        (lambda doc: doc["keys"][0]["src_port_pattern"].__setitem__(
+            "kind", "any"), "key 0 src_port_pattern: unknown kind 'any'"),
+        (lambda doc: doc["keys"][0].pop("member_flows"),
+         "key 0: missing field member_flows"),
+        (lambda doc: doc["keys"][0]["member_flows"][0].__setitem__(
+            "src_port", -1),
+         "member flow: src_port -1 is not an integer in 0-65535"),
+        (lambda doc: doc["keys"][0]["member_flows"][0]["remote"].pop(
+            "value"), "member flow remote: missing field value"),
+        (lambda doc: doc["keys"][0]["member_flows"][0].__setitem__(
+            "proto", "SCTP"), "unknown proto 'SCTP'"),
+    ])
+    def test_corrupt_profile_is_a_short_schema_error(self, corrupt, message):
+        doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
+                                            MergeConfig(0.5)))
+        corrupt(doc)
+        with pytest.raises(SchemaError, match=message) as info:
+            profile_from_dict(doc)
+        assert "\n" not in str(info.value)
 
     def test_key_repr_leaves_out_member_flows(self):
         profile = build_profile(self._tree_with_three_leaves(),

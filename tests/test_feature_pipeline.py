@@ -3,10 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atrellis import synth_traffic as sim
-from atrellis.errors import (EmptyFlow, EmptyTrainingSet,
-                             UnorderedTimestamps)
-from atrellis.feature_pipeline import (FeatureConfig, featurize,
-                                       featurize_many, fit_feature_config)
+from atrellis.errors import EmptyFlow, UnorderedTimestamps
+from atrellis.feature_pipeline import FeatureConfig, featurize, featurize_many
 from atrellis.traffic_model import PacketRecord, flows_of_trace
 
 DEVICE = "192.168.1.10"
@@ -136,26 +134,3 @@ class TestFeaturizeMany:
     def test_no_flows(self):
         assert featurize_many([], FeatureConfig(r=3)).shape == (0, 6)
 
-
-class TestFitFeatureConfig:
-    def test_constant_lengths(self):
-        flows = [[pkt(0.0, 100), pkt(1.0, 100)]]
-        cfg = fit_feature_config(flows, r=5)
-        assert cfg.max_len == 100.0
-        assert cfg.r == 5
-
-    def test_uniform_draw_percentile(self):
-        rng = np.random.default_rng(0)
-        flows = [[pkt(float(j), int(rng.integers(64, 1501)))
-                  for j in range(50)] for _ in range(40)]
-        cfg = fit_feature_config(flows, r=10)
-        assert 1450 <= cfg.max_len <= 1500
-
-    def test_floors(self):
-        flows = [[pkt(0.0, 2), pkt(0.001, 2)]]
-        cfg = fit_feature_config(flows)
-        assert cfg.max_len == 64.0 and cfg.max_gap == 1.0
-
-    def test_empty(self):
-        with pytest.raises(EmptyTrainingSet):
-            fit_feature_config([])

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,8 @@ from atrellis.errors import (BadArchitecture, DivergedLoss, EmptyData,
 from atrellis.neural_autoencoder import (AEArchitecture, AEModel,
                                          TrainConfig, fit, forward,
                                          grad_check, init_model,
-                                         load_model, model_from_dict,
-                                         model_to_dict,
-                                         reconstruction_error, save_model)
+                                         model_from_dict, model_to_dict,
+                                         reconstruction_error)
 
 ARCH = AEArchitecture(input_len=20)
 
@@ -154,20 +155,16 @@ class TestGradCheck:
 
 
 class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
+    def test_round_trip_exact(self):
         model = init_model(ARCH, 11)
         data = [np.random.default_rng(0).uniform(0, 1, 20) for _ in range(30)]
         trained, _ = fit(model, data, TrainConfig(epochs=5))
-        path = tmp_path / "model.json"
-        save_model(path, trained)
-        loaded = load_model(path)
+        text = json.dumps(model_to_dict(trained))
+        loaded = model_from_dict(json.loads(text))
+        for name, w in trained.params.items():
+            assert np.array_equal(loaded.params[name], w)
         x = np.random.default_rng(1).uniform(0, 1, 20)
-        assert np.max(np.abs(forward(loaded, x) - forward(trained, x))) < 1e-12
-
-    def test_epsilon_preserved(self):
-        model = init_model(ARCH, 0)
-        doc = model_to_dict(AEModel(ARCH, model.params, 0, epsilon=0.42))
-        assert model_from_dict(doc).epsilon == 0.42
+        assert np.array_equal(forward(loaded, x), forward(trained, x))
 
     def test_bad_version_rejected(self):
         doc = model_to_dict(init_model(ARCH, 0))

@@ -42,6 +42,30 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             sim.generate(one_shot_spec(), 0.0, seed=0)
 
+    def test_source_ports_past_65535_rejected_before_generating(
+            self, monkeypatch):
+        spec = sim.DeviceSpec("10.0.0.5", tuple(
+            sim.ActivitySpec(f"a{i}", "203.0.113.1", 443, "TCP", period=1.0,
+                             sizes=(100,), size_probs=(1.0,))
+            for i in range(12)))
+        monkeypatch.setattr(sim, "_burst_packets", None)
+        with pytest.raises(BadSpec, match="activity a11: .* up to 65599"):
+            sim.generate(spec, 2600.0)
+
+    def test_last_block_fits_up_to_65535(self):
+        spec = sim.DeviceSpec("10.0.0.5", tuple(
+            sim.ActivitySpec(f"a{i}", "203.0.113.1", 443, "TCP", period=1.0,
+                             sizes=(100,), size_probs=(1.0,),
+                             packets_per_burst=1, jitter=0.0)
+            for i in range(12)))
+        trace = sim.generate(spec, 2536.0)
+        assert max(p.src_port for p in trace) == 65535
+
+    def test_dst_port_out_of_range_rejected(self):
+        with pytest.raises(BadSpec, match="activity x: dst_port 65536"):
+            sim.ActivitySpec("x", "203.0.113.1", 65536, "TCP", period=1.0,
+                             sizes=(100,), size_probs=(1.0,))
+
     def test_bad_probabilities_rejected(self):
         with pytest.raises(BadSpec):
             sim.ActivitySpec("x", "203.0.113.1", 80, "TCP", period=1.0,
@@ -84,6 +108,22 @@ class TestInjectAttack:
         keys, _ = flows_of_trace(packets, "192.168.1.10")
         assert all(k.dst_port == 80 and k.proto == "TCP" for k in keys)
         assert all(k.remote.value == "api.cam-vendor.com" for k in keys)
+
+    @pytest.mark.parametrize("kind, target", [
+        ("PortScan", {"n_ports": 19537}),
+        ("TelnetBrute", {}),
+    ])
+    def test_source_ports_past_65535_rejected(self, kind, target):
+        atk = sim.AttackSpec(kind, start=0.0, rate=19537.0, duration=1.0,
+                             target=target)
+        with pytest.raises(BadSpec, match=f"attack {kind}: .* up to 65536"):
+            sim.inject_attack([], atk, device_ip="10.0.0.5")
+
+    def test_last_attack_port_is_65535(self):
+        atk = sim.AttackSpec("PortScan", start=0.0, rate=1000.0,
+                             target={"n_ports": 19536})
+        packets = sim.inject_attack([], atk, device_ip="10.0.0.5")
+        assert max(p.src_port for p in packets) == 65535
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(BadSpec):
