@@ -19,16 +19,17 @@ import numpy as np
 
 from .clustering_tree import (ActivityProfile, activity_key_from_dict,
                               activity_key_to_dict, flow_key_from_dict,
-                              flow_key_to_dict)
+                              flow_key_to_dict, keying_from_dict,
+                              keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
-from .traffic_model import FlowKey, PacketRecord
+from .traffic_model import FlowKey, PacketRecord, read_json
 
-ENSEMBLE_SCHEMA_VERSION = "2.0"
+ENSEMBLE_SCHEMA_VERSION = "3.0"
 
 STAGE1_MALICIOUS = "stage1_malicious"
 ANOMALOUS = "anomalous"
@@ -269,7 +270,7 @@ def verdict_from_dict(d) -> Verdict:
 def ensemble_to_dict(e: Ensemble) -> dict:
     return {
         "schema_version": ENSEMBLE_SCHEMA_VERSION,
-        "device_ip": e.profile.device_ip,
+        **keying_to_dict(e.profile),
         "feature_config": asdict(e.feature_config),
         "submodels": [{**activity_key_to_dict(key),
                        "model": model_to_dict(model),
@@ -281,12 +282,13 @@ def ensemble_to_dict(e: Ensemble) -> dict:
 
 def ensemble_from_dict(doc) -> Ensemble:
     check_schema_version(doc, ENSEMBLE_SCHEMA_VERSION, "ensemble")
-    check(doc, {"device_ip": str, "feature_config": {"r": int},
-                "submodels": list}, "ensemble")
+    device_ip, prefixes = keying_from_dict(doc, "ensemble")
+    check(doc, {"feature_config": {"r": int}, "submodels": list}, "ensemble")
     try:
         fcfg = FeatureConfig(**doc["feature_config"])
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"ensemble feature_config: {exc}") from None
+    arch = AEArchitecture(input_len=2 * fcfg.r)
     keys, submodels = [], []
     for j, entry in enumerate(doc["submodels"]):
         what = f"ensemble submodel {j}"
@@ -294,8 +296,9 @@ def ensemble_from_dict(doc) -> Ensemble:
         eps = check(entry, {"model": dict, "epsilon": float}, what)["epsilon"]
         if not 0 < eps < math.inf:
             raise SchemaError(f"{what}: epsilon {eps} is not in (0, inf)")
-        submodels.append((model_from_dict(entry["model"]), eps))
-    return Ensemble(ActivityProfile(doc["device_ip"], keys), submodels, fcfg)
+        submodels.append((model_from_dict(entry["model"], arch), eps))
+    return Ensemble(ActivityProfile(device_ip, keys, prefixes), submodels,
+                    fcfg)
 
 
 def save_ensemble(path, e: Ensemble) -> None:
@@ -305,5 +308,4 @@ def save_ensemble(path, e: Ensemble) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    with open(path) as fh:
-        return ensemble_from_dict(json.load(fh))
+    return ensemble_from_dict(read_json(path))

@@ -17,10 +17,11 @@ from typing import List, Optional
 from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
-from .errors import AtrellisError, EmptyTree, SchemaError
+from .errors import AtrellisError, EmptyTree, SchemaError, check
 from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import TrainConfig
-from .traffic_model import (PacketRecord, flows_of_trace, read_jsonl,
+from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
+                            parse_prefixes, read_json, read_jsonl,
                             read_packets_jsonl, write_packets_jsonl)
 
 log = logging.getLogger("atrellis")
@@ -31,6 +32,21 @@ METRICS_SCHEMA_VERSION = "1.0"
 
 class UsageError(Exception):
     pass
+
+
+def _option(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; the ValueError with which it rejects an
+    option value becomes a UsageError naming the flag."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from None
+
+
+def _local_prefixes(values: Optional[List[str]]) -> tuple:
+    prefixes = tuple(values or ())
+    _option("--local-prefix", parse_prefixes, prefixes)
+    return prefixes
 
 
 def _infer_device_ip(packets: List[PacketRecord]) -> str:
@@ -55,22 +71,40 @@ def _parse_attack(text: str) -> sim.AttackSpec:
         raise UsageError(f"bad --attack spec: {exc}") from exc
 
 
+_NUMBER = (int, float)
+_ACTIVITY_FIELDS = {"name": str, "remote_ip": str, "dst_port": int,
+                    "proto": frozenset(PROTOCOLS), "period": _NUMBER,
+                    "sizes": list, "size_probs": list}
+_OPTIONAL_ACTIVITY_FIELDS = {"packets_per_burst": int, "jitter": _NUMBER,
+                             "intra_gap": _NUMBER, "domain": str,
+                             "bidirectional": bool}
+
+
 def _device_spec_from_file(path: str) -> sim.DeviceSpec:
-    with open(path) as fh:
-        doc = json.load(fh)
-    activities = tuple(
-        sim.ActivitySpec(
+    doc = check(read_json(path), {"device_ip": str, "activities": list},
+                path)
+    activities = []
+    for i, a in enumerate(doc["activities"]):
+        what = f"{path} activity {i}"
+        check(a, _ACTIVITY_FIELDS, what)
+        check(a, {n: t for n, t in _OPTIONAL_ACTIVITY_FIELDS.items()
+                  if n in a}, what)
+        for name, kind in (("sizes", int), ("size_probs", _NUMBER)):
+            if any(isinstance(v, bool) or not isinstance(v, kind)
+                   for v in a[name]):
+                raise SchemaError(f"{what}: {name} holds a value of the "
+                                  f"wrong type")
+        activities.append(sim.ActivitySpec(
             name=a["name"], remote_ip=a["remote_ip"],
-            dst_port=int(a["dst_port"]), proto=a["proto"],
+            dst_port=a["dst_port"], proto=a["proto"],
             period=float(a["period"]), sizes=tuple(a["sizes"]),
             size_probs=tuple(a["size_probs"]),
-            packets_per_burst=int(a.get("packets_per_burst", 4)),
+            packets_per_burst=a.get("packets_per_burst", 4),
             jitter=float(a.get("jitter", 1.0)),
             intra_gap=float(a.get("intra_gap", 0.05)),
             domain=a.get("domain"),
-            bidirectional=bool(a.get("bidirectional", True)))
-        for a in doc["activities"])
-    return sim.DeviceSpec(doc["device_ip"], activities)
+            bidirectional=a.get("bidirectional", True)))
+    return sim.DeviceSpec(doc["device_ip"], tuple(activities))
 
 
 def cmd_simulate(args) -> int:
@@ -112,12 +146,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    prefixes = _local_prefixes(args.local_prefix)
+    mcfg = _option("--h-s", ct.MergeConfig, h_s=args.h_s)
     packets = list(read_packets_jsonl(args.trace, args.strict))
     device_ip = args.device_ip or _infer_device_ip(packets)
-    tree = ct.ClusterTree(device_ip, args.local_prefix or ())
+    tree = ct.ClusterTree(device_ip, prefixes)
     for pkt in packets:
         tree.insert(pkt)
-    profile = ct.build_profile(tree, ct.MergeConfig(args.h_s))
+    profile = ct.build_profile(tree, mcfg)
     ct.save_profile(args.out, profile)
     print(f"{len(profile.keys)} activity keys for device {device_ip}")
     for i, key in enumerate(profile.keys):
@@ -129,15 +165,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_train(args) -> int:
+    fcfg = _option("--r", FeatureConfig, r=args.r)
+    tcfg = _option("--epochs", TrainConfig, epochs=args.epochs)
+    thcfg = _option("--quantile", ens.ThresholdConfig, q=args.quantile)
     packets = list(read_packets_jsonl(args.trace, args.strict))
     profile = ct.load_profile(args.profile)
     _, table = flows_of_trace(packets, profile.device_ip,
-                              args.local_prefix or ())
-    fcfg = FeatureConfig(r=args.r)
-    tcfg = TrainConfig(epochs=args.epochs)
-    ensemble = ens.train_ensemble(
-        profile, table, fcfg, tcfg,
-        ens.ThresholdConfig(args.quantile), seed=args.seed)
+                              profile.local_prefixes)
+    ensemble = ens.train_ensemble(profile, table, fcfg, tcfg, thcfg,
+                                  seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
     print(f"trained {len(ensemble.submodels)} submodels")
     return 0
@@ -147,7 +183,7 @@ def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
     packets = list(read_packets_jsonl(args.trace, args.strict))
     keys, table = flows_of_trace(packets, ensemble.profile.device_ip,
-                                 args.local_prefix or ())
+                                 ensemble.profile.local_prefixes)
     verdicts = ens.detect_flows(ensemble, keys, table)
     with open(args.out, "w") as fh:
         for verdict in verdicts:
@@ -165,11 +201,12 @@ def cmd_detect(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    prefixes = _local_prefixes(args.local_prefix)
     packets = list(read_packets_jsonl(args.trace, args.strict))
     if any(p.label is None for p in packets):
         raise UsageError("eval requires a fully labeled trace")
     device_ip = args.device_ip or _infer_device_ip(packets)
-    _, table = flows_of_trace(packets, device_ip, args.local_prefix or ())
+    _, table = flows_of_trace(packets, device_ip, prefixes)
 
     truth = {}
     for key, flow in table.items():
@@ -209,14 +246,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="activity-profiling and anomaly-detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trace=True):
-        if trace:
-            p.add_argument("trace", help="packet trace (JSON-lines)")
+    def common(p, keying=False):
+        """The trace, output and parse options; with ``keying``, also the
+        device IP and local prefixes that flows are keyed by.  train and
+        detect take those from the profile or ensemble."""
+        p.add_argument("trace", help="packet trace (JSON-lines)")
         p.add_argument("-o", "--out", required=True)
         p.add_argument("--strict", action="store_true",
                        help="reject unknown packet fields")
-        p.add_argument("--local-prefix", action="append", metavar="CIDR")
-        p.add_argument("--device-ip")
+        if keying:
+            p.add_argument("--local-prefix", action="append", metavar="CIDR")
+            p.add_argument("--device-ip")
 
     p = sub.add_parser("simulate", help="generate a labeled synthetic trace")
     p.add_argument("--fixture", help=f"one of: {', '.join(sorted(sim.FIXTURES))}")
@@ -229,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("profile", help="build the activity profile")
-    common(p)
+    common(p, keying=True)
     p.add_argument("--h-s", type=float, default=0.5, dest="h_s",
                    help="Jaccard merge threshold")
     p.set_defaults(func=cmd_profile)
@@ -252,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score verdicts against trace labels")
-    common(p)
+    common(p, keying=True)
     p.add_argument("verdicts", help="verdict JSON-lines from detect")
     p.set_defaults(func=cmd_eval)
 

@@ -15,12 +15,13 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import (EmptyTree, NonMonotonicTimestamp, NoPacketsInDirection,
-                     check, check_schema_version)
+                     SchemaError, check, check_schema_version)
 from .traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, PROTOCOLS,
                             REMOTE_IP, SYSTEM, FlowKey, PacketRecord, Remote,
-                            classify_port, direction_of, flow_key_of)
+                            classify_port, direction_of, flow_key_of,
+                            parse_prefixes, read_json)
 
-PROFILE_SCHEMA_VERSION = "1.0"
+PROFILE_SCHEMA_VERSION = "2.0"
 
 # port pattern kinds for activity keys
 EXACT = "exact"
@@ -210,8 +211,13 @@ class MergeConfig:
 
 @dataclass
 class ActivityProfile:
+    """The device's activity keys, with the device IP and local prefixes
+    its flows were keyed by; train and detect key their traces the same
+    way."""
+
     device_ip: str
     keys: List[ActivityKey]
+    local_prefixes: Tuple[str, ...] = ()
 
 
 def _domain_suffix(a: str, b: str) -> Optional[str]:
@@ -334,7 +340,8 @@ def build_profile(tree: ClusterTree, cfg: MergeConfig) -> ActivityProfile:
                 merged[ident] = ActivityKey(*ident, pooled)
             else:
                 merged[ident] = key
-    return ActivityProfile(tree.device_ip, list(merged.values()))
+    return ActivityProfile(tree.device_ip, list(merged.values()),
+                           tree.local_prefixes)
 
 
 # --- serialization --------------------------------------------------------
@@ -391,9 +398,30 @@ def activity_key_from_dict(d, what: str) -> ActivityKey:
                        PortPattern(dst["kind"], dst["port"]))
 
 
+def keying_to_dict(profile: ActivityProfile) -> dict:
+    """The device IP and local prefixes, as the profile and ensemble store
+    them."""
+    return {"device_ip": profile.device_ip,
+            "local_prefixes": list(profile.local_prefixes)}
+
+
+def keying_from_dict(doc, what: str) -> Tuple[str, Tuple[str, ...]]:
+    """The device IP and local prefixes that ``doc`` holds."""
+    check(doc, {"device_ip": str, "local_prefixes": list}, what)
+    prefixes = tuple(doc["local_prefixes"])
+    if not all(isinstance(p, str) for p in prefixes):
+        raise SchemaError(f"{what}: local_prefixes holds a value that is "
+                          f"not a string")
+    try:
+        parse_prefixes(prefixes)
+    except ValueError as exc:
+        raise SchemaError(f"{what}: local_prefixes: {exc}") from None
+    return doc["device_ip"], prefixes
+
+
 def profile_to_dict(profile: ActivityProfile) -> dict:
     return {"schema_version": PROFILE_SCHEMA_VERSION,
-            "device_ip": profile.device_ip,
+            **keying_to_dict(profile),
             "keys": [{**activity_key_to_dict(k),
                       "member_flows": [flow_key_to_dict(f)
                                        for f in k.member_flows]}
@@ -402,7 +430,8 @@ def profile_to_dict(profile: ActivityProfile) -> dict:
 
 def profile_from_dict(doc) -> ActivityProfile:
     check_schema_version(doc, PROFILE_SCHEMA_VERSION, "profile")
-    check(doc, {"device_ip": str, "keys": list}, "profile")
+    device_ip, prefixes = keying_from_dict(doc, "profile")
+    check(doc, {"keys": list}, "profile")
     keys = []
     for i, d in enumerate(doc["keys"]):
         what = f"profile key {i}"
@@ -410,7 +439,7 @@ def profile_from_dict(doc) -> ActivityProfile:
         flows = check(d, {"member_flows": list}, what)["member_flows"]
         keys.append(replace(key, member_flows=tuple(
             flow_key_from_dict(f, f"{what} member flow") for f in flows)))
-    return ActivityProfile(doc["device_ip"], keys)
+    return ActivityProfile(device_ip, keys, prefixes)
 
 
 def save_profile(path, profile: ActivityProfile) -> None:
@@ -420,5 +449,4 @@ def save_profile(path, profile: ActivityProfile) -> None:
 
 
 def load_profile(path) -> ActivityProfile:
-    with open(path) as fh:
-        return profile_from_dict(json.load(fh))
+    return profile_from_dict(read_json(path))

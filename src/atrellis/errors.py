@@ -21,8 +21,9 @@ class SchemaError(AtrellisError):
 
 def check(doc, fields: dict, what: str) -> dict:
     """``doc``, checked to be an object holding each of ``fields``: a dict
-    of nested fields, a frozenset of strings, a range of ints, or a type (a
-    bool never counts as a number).  A miss is a one-line SchemaError."""
+    of nested fields, a frozenset of strings, a range of ints, or a type or
+    tuple of types (a bool counts only as a bool, never as a number).  A
+    miss is a one-line SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: not a JSON object")
     for name, spec in fields.items():
@@ -38,7 +39,8 @@ def check(doc, fields: dict, what: str) -> dict:
             if type(value) is not int or value not in spec:
                 raise SchemaError(f"{what}: {name} {value!r:.20} is not an "
                                   f"integer in {spec[0]}-{spec[-1]}")
-        elif isinstance(value, bool) or not isinstance(value, spec):
+        elif not isinstance(value, spec) or (isinstance(value, bool)
+                                             and spec is not bool):
             raise SchemaError(f"{what}: field {name} has the wrong type "
                               f"{type(value).__name__}")
     return doc

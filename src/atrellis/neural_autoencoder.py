@@ -32,7 +32,7 @@ Adam update and one finiteness check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
@@ -40,28 +40,26 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import (BadArchitecture, DivergedLoss, EmptyData, SchemaError,
-                     ShapeMismatch, check, check_schema_version)
+                     ShapeMismatch, check)
 
-MODEL_SCHEMA_VERSION = "1.0"
+# The network's shape: only input_len varies, with the feature config's r.
+CHANNELS = 8
+KERNEL = 3
+BOTTLENECK = 8
+STRIDE = 2
 
 
 @dataclass(frozen=True)
 class AEArchitecture:
     input_len: int          # 2r
-    channels: int = 8
-    kernel: int = 3
-    bottleneck: int = 8
-    stride: int = 2
 
     def __post_init__(self):
         if self.input_len < 2 or self.input_len % 2 != 0:
             raise BadArchitecture(
                 f"input_len must be even and >= 2, got {self.input_len}")
-        if self.kernel > self.r:
+        if KERNEL > self.r:
             raise BadArchitecture(
-                f"kernel {self.kernel} larger than per-channel input {self.r}")
-        if self.stride != 2 or self.kernel != 3:
-            raise BadArchitecture("only kernel 3 / stride 2 is supported")
+                f"kernel {KERNEL} larger than per-channel input {self.r}")
 
     @property
     def r(self) -> int:
@@ -77,7 +75,7 @@ _PARAM_ORDER = ("w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4")
 
 
 def _param_shapes(arch: AEArchitecture) -> Dict[str, Tuple[int, ...]]:
-    c, k, m, L = arch.channels, arch.kernel, arch.bottleneck, arch.conv_len
+    c, k, m, L = CHANNELS, KERNEL, BOTTLENECK, arch.conv_len
     return {"w1": (c, 2, k), "b1": (c,), "w2": (m, c * L), "b2": (m,),
             "w3": (c * L, m), "b3": (c * L,), "w4": (c, 2, k), "b4": (2,)}
 
@@ -109,7 +107,7 @@ class AEModel:
 def init_model(arch: AEArchitecture, seed: int) -> AEModel:
     """Uniform fan-in-scaled initialization from a seeded RNG."""
     rng = np.random.default_rng(seed)
-    c, k, m, L = arch.channels, arch.kernel, arch.bottleneck, arch.conv_len
+    c, k, m, L = CHANNELS, KERNEL, BOTTLENECK, arch.conv_len
     fan_in = {"w1": 2 * k, "b1": 2 * k, "w2": c * L, "b2": c * L,
               "w3": m, "b3": m, "w4": c * k, "b4": c * k}
     params = {}
@@ -138,7 +136,7 @@ def _flatten(params: Dict[str, np.ndarray]) -> np.ndarray:
 def _window_index(arch: AEArchitecture) -> np.ndarray:
     """(L, 2K) gather index into a flattened (2, r + 2) padded row: entry
     [l, ci * K + k] is ci * (r + 2) + stride * l + k."""
-    k, s, L, rp = arch.kernel, arch.stride, arch.conv_len, arch.r + 2
+    k, s, L, rp = KERNEL, STRIDE, arch.conv_len, arch.r + 2
     idx = (np.arange(2)[None, :, None] * rp
            + s * np.arange(L)[:, None, None]
            + np.arange(k)[None, None, :]).reshape(L, 2 * k)
@@ -159,7 +157,7 @@ def _im2col(arch: AEArchitecture, x: np.ndarray) -> np.ndarray:
 def _col2im(arch: AEArchitecture, cols: np.ndarray) -> np.ndarray:
     """Exact adjoint of _im2col: (B * L, 2K) windows summed back into their
     padded positions, then cropped to (B, 2, r)."""
-    k, s, L = arch.kernel, arch.stride, arch.conv_len
+    k, s, L = KERNEL, STRIDE, arch.conv_len
     B = cols.shape[0] // L
     windows = cols.reshape(B, L, 2, k)
     yp = np.zeros((B, 2, arch.r + 2))
@@ -181,7 +179,7 @@ def _position_major(a: np.ndarray, B: int, L: int) -> np.ndarray:
 def _forward(arch: AEArchitecture, p: Dict[str, np.ndarray], x: np.ndarray,
              want_cache: bool = False):
     """x: (B, input_len) -> reconstruction (B, input_len)."""
-    B, L, c = x.shape[0], arch.conv_len, arch.channels
+    B, L, c = x.shape[0], arch.conv_len, CHANNELS
     cols = _im2col(arch, x)
     h1 = np.maximum(cols @ p["w1"].reshape(c, -1).T + p["b1"], 0.0)
     flat = _channel_major(h1, B, L)
@@ -201,7 +199,7 @@ def _backward(arch: AEArchitecture, p: Dict[str, np.ndarray], cache: tuple,
     """Write the gradients of a scalar loss, given d(loss)/d(reconstruction),
     into ``grads`` (one array per weight)."""
     cols, flat, z, g, g_cols, y = cache
-    B, L, c = d_out.shape[0], arch.conv_len, arch.channels
+    B, L, c = d_out.shape[0], arch.conv_len, CHANNELS
 
     dy = d_out.reshape(B, 2, arch.r) * y * (1.0 - y)
     dy.sum(axis=(0, 2), out=grads["b4"])
@@ -265,7 +263,7 @@ class TrainConfig:
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
@@ -379,21 +377,14 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
 # --- serialization --------------------------------------------------------
 
 def model_to_dict(model: AEModel) -> dict:
-    return {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "architecture": asdict(model.arch),
-        "seed": model.rng_seed,
-        "weights": {k: v.tolist() for k, v in model.params.items()},
-    }
+    """The seed and the weights; the architecture is the reader's to give."""
+    return {"seed": model.rng_seed,
+            "weights": {k: v.tolist() for k, v in model.params.items()}}
 
 
-def model_from_dict(doc: dict) -> AEModel:
-    check_schema_version(doc, MODEL_SCHEMA_VERSION, "model")
-    check(doc, {"architecture": dict, "seed": int, "weights": dict}, "model")
-    try:
-        arch = AEArchitecture(**doc["architecture"])
-    except TypeError as exc:
-        raise SchemaError(f"model architecture: {exc}") from None
+def model_from_dict(doc: dict, arch: AEArchitecture) -> AEModel:
+    """The model that ``model_to_dict`` wrote, given its architecture."""
+    check(doc, {"seed": int, "weights": dict}, "model")
     params = {}
     for name, value in doc["weights"].items():
         try:

@@ -124,7 +124,9 @@ def _parse_ipv4(text: str) -> ipaddress.IPv4Address:
 
 
 @functools.lru_cache(maxsize=256)
-def _parse_prefixes(prefixes: tuple) -> tuple:
+def parse_prefixes(prefixes: tuple) -> tuple:
+    """The IPv4 networks that local-prefix strings name; ipaddress raises a
+    ValueError on any string that names none."""
     return tuple(ipaddress.IPv4Network(p) for p in prefixes)
 
 
@@ -153,7 +155,7 @@ def classify_address(dst_ip: str, dns_name: Optional[str],
 @functools.lru_cache(maxsize=65536)
 def _classify_address(dst_ip, dns_name, local_prefixes) -> Remote:
     addr = _parse_ipv4(dst_ip)
-    networks = _parse_prefixes(tuple(local_prefixes))
+    networks = parse_prefixes(tuple(local_prefixes))
     if addr.is_multicast or addr == ipaddress.IPv4Address("255.255.255.255") \
             or any(addr == net.broadcast_address for net in networks):
         return Remote(BC_MC, dst_ip)
@@ -283,6 +285,16 @@ def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
 
 
 _raw_decode = json.JSONDecoder().raw_decode
+
+
+def read_json(path):
+    """The JSON document in ``path``.  A file that is not one, cut short
+    say, raises SchemaError("PATH: reason at its position")."""
+    with open(path, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
 
 
 def read_jsonl(path, convert: Callable[[dict], object]) -> Iterator:

@@ -361,11 +361,26 @@ class TestSerialization:
             "port", "443"), "port '443' is not an integer in 0-65535"),
         (lambda doc: doc["submodels"][0]["src_port_pattern"].__setitem__(
             "port", 1), "field port has the wrong type int"),
+        (lambda doc: doc.__setitem__("schema_version", "2.0"),
+         "unsupported schema_version '2.0'"),
+        (lambda doc: doc.pop("local_prefixes"),
+         "ensemble: missing field local_prefixes"),
+        (lambda doc: doc.__setitem__("local_prefixes", "10.0.0.0/8"),
+         "field local_prefixes has the wrong type str"),
+        (lambda doc: doc.__setitem__("local_prefixes", ["10.0.0.0/33"]),
+         "ensemble: local_prefixes: "),
+        (lambda doc: doc.__setitem__("local_prefixes", [10]),
+         "local_prefixes holds a value that is not a string"),
+        (lambda doc: doc["submodels"][0]["model"].pop("weights"),
+         "model: missing field weights"),
     ], ids=["no-feature-config", "no-device-ip", "submodels-not-list",
             "float-r", "schema-1.0", "epsilon-str", "epsilon-nan",
             "epsilon-negative", "no-epsilon", "no-model", "no-proto",
             "proto-icmp", "remote-kind", "domain-without-name",
-            "port-kind", "port-70000", "port-str", "regdyn-with-port"])
+            "port-kind", "port-70000", "port-str", "regdyn-with-port",
+            "schema-2.0", "no-local-prefixes", "local-prefixes-not-list",
+            "local-prefix-not-network", "local-prefix-not-str",
+            "no-weights"])
     def test_corrupt_document_is_a_short_schema_error(
             self, camera_setup, corrupt, message):
         _, ensemble, _, _ = camera_setup
@@ -380,12 +395,13 @@ class TestSerialization:
     def test_holds_only_what_detect_reads(self, camera_setup):
         _, ensemble, _, _ = camera_setup
         doc = ens.ensemble_to_dict(ensemble)
-        assert set(doc) == {"schema_version", "device_ip", "feature_config",
-                            "submodels"}
+        assert set(doc) == {"schema_version", "device_ip", "local_prefixes",
+                            "feature_config", "submodels"}
         for entry, key in zip(doc["submodels"], ensemble.profile.keys):
             assert set(entry) == {"proto", "remote_pattern",
                                   "src_port_pattern", "dst_port_pattern",
                                   "model", "epsilon"}
+            assert set(entry["model"]) == {"seed", "weights"}
             assert ct.activity_key_from_dict(entry, "key") == key
 
     def test_round_trip(self, camera_setup, tmp_path):

@@ -1,8 +1,12 @@
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import pytest
 
-from atrellis.cli import main
+from atrellis.cli import build_parser, main
 
 SEED = ["--seed", "3"]
 
@@ -165,7 +169,7 @@ class TestCorruptEnsemble:
         (lambda m: m["weights"]["w1"][0][0].__setitem__(0, float("nan")),
          "w1"),
         (lambda m: [row.pop() for row in m["weights"]["w2"]], "w2"),
-        (lambda m: m["architecture"].__setitem__("foo", 1), "foo"),
+        (lambda m: m.pop("weights"), "model: missing field weights"),
         (lambda m: m.pop("seed"), "seed"),
     ])
     def test_bad_weights_exit_1_without_traceback(self, small_run, tmp_path,
@@ -199,9 +203,15 @@ class TestCorruptEnsemble:
          "field submodels has the wrong type dict"),
         (lambda d: d.__setitem__("schema_version", "1.0"),
          "unsupported schema_version '1.0'"),
+        (lambda d: d.__setitem__("schema_version", "2.0"),
+         "unsupported schema_version '2.0'"),
+        (lambda d: d.pop("local_prefixes"), "missing field local_prefixes"),
+        (lambda d: d.__setitem__("local_prefixes", ["garbage"]),
+         "ensemble: local_prefixes: "),
     ], ids=["epsilon-str", "epsilon-nan", "epsilon-negative", "no-device-ip",
             "no-model", "remote-kind", "port-kind", "no-proto",
-            "submodels-not-list", "schema-1.0"])
+            "submodels-not-list", "schema-1.0", "schema-2.0",
+            "no-local-prefixes", "local-prefix-garbage"])
     def test_bad_document_exits_1_without_traceback(
             self, small_run, tmp_path, capsys, corrupt, names):
         trace, _, ensemble, _, _ = small_run
@@ -234,6 +244,181 @@ class TestCorruptProfile:
         assert rc == 1
         assert_one_error_line(capsys, "profile key 0 remote_pattern: "
                                       "unknown kind 'anycast'")
+
+
+class TestTruncatedArtifact:
+    def test_train_with_a_truncated_profile_exits_1(self, small_run,
+                                                    tmp_path, capsys):
+        trace, profile, _, _, _ = small_run
+        bad = str(tmp_path / "profile.json")
+        open(bad, "wb").write(open(profile, "rb").read()[:500])
+        capsys.readouterr()
+        rc = main(["train", trace, bad, "--epochs", "1",
+                   "-o", str(tmp_path / "e.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {bad}: ", "(char ")
+
+    def test_detect_with_a_truncated_ensemble_exits_1(self, small_run,
+                                                      tmp_path, capsys):
+        trace, _, ensemble, _, _ = small_run
+        bad = str(tmp_path / "ensemble.json")
+        open(bad, "wb").write(open(ensemble, "rb").read()[:500])
+        capsys.readouterr()
+        rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {bad}: ", "(char 500)")
+
+
+class TestBadOptionValues:
+    """The config class, or ipaddress, decides; the CLI turns its
+    ValueError into a usage error that names the flag."""
+
+    @pytest.mark.parametrize("option, reason", [
+        (["--quantile", "1.5"], "quantile must be in (0,1), got 1.5"),
+        (["--r", "0"], "r must be >= 1, got 0"),
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+    ], ids=["quantile", "r", "epochs"])
+    def test_train_exits_2(self, small_run, tmp_path, capsys, option,
+                           reason):
+        trace, profile, _, _, _ = small_run
+        capsys.readouterr()
+        rc = main(["train", trace, profile, *option,
+                   "-o", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, f"error: {option[0]}: {reason}")
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("option, names", [
+        (["--h-s", "2"], ["error: --h-s: h_s must be in [0,1], got 2.0"]),
+        (["--local-prefix", "garbage"],
+         ["error: --local-prefix: ", "'garbage'"]),
+    ], ids=["h-s", "local-prefix"])
+    def test_profile_exits_2(self, small_run, tmp_path, capsys, option,
+                             names):
+        trace = small_run[0]
+        capsys.readouterr()
+        rc = main(["profile", trace, *option, "-o", str(tmp_path / "p.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, *names)
+
+    def test_eval_local_prefix_exits_2(self, small_run, tmp_path, capsys):
+        trace, _, _, verdicts, _ = small_run
+        capsys.readouterr()
+        rc = main(["eval", trace, verdicts, "--local-prefix", "garbage",
+                   "-o", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert_one_error_line(capsys, "error: --local-prefix: ", "'garbage'")
+
+
+class TestSpecFile:
+    ACTIVITY = {"name": "a", "remote_ip": "203.0.113.5", "dst_port": 443,
+                "proto": "TCP", "period": 30.0, "sizes": [100],
+                "size_probs": [1.0]}
+
+    def simulate(self, tmp_path, text):
+        path = str(tmp_path / "spec.json")
+        open(path, "w").write(text)
+        rc = main(["simulate", "--spec", path, "--duration", "60",
+                   "-o", str(tmp_path / "t.jsonl")])
+        return rc, path
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda a: a.pop("remote_ip"), "activity 0: missing field remote_ip"),
+        (lambda a: a.__setitem__("period", "30"),
+         "activity 0: field period has the wrong type str"),
+        (lambda a: a.__setitem__("sizes", ["100"]),
+         "activity 0: sizes holds a value of the wrong type"),
+    ], ids=["no-remote-ip", "period-str", "size-str"])
+    def test_bad_activity_exits_1_naming_the_spec(self, tmp_path, capsys,
+                                                  edit, reason):
+        activity = dict(self.ACTIVITY)
+        edit(activity)
+        rc, path = self.simulate(tmp_path, json.dumps(
+            {"device_ip": "10.0.0.5", "activities": [activity]}))
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {path} {reason}")
+
+    def test_spec_that_is_not_json_exits_1_naming_the_spec(self, tmp_path,
+                                                           capsys):
+        rc, path = self.simulate(tmp_path, '{"device_ip": "10.0.0.5", ')
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {path}: ", "(char ")
+
+    def test_good_spec_simulates(self, tmp_path):
+        rc, _ = self.simulate(tmp_path, json.dumps(
+            {"device_ip": "10.0.0.5", "activities": [
+                dict(self.ACTIVITY, bidirectional=False, jitter=1)]}))
+        assert rc == 0
+
+
+LAN_SPEC = {"device_ip": "192.168.1.10", "activities": [
+    {"name": "lan_poll", "remote_ip": "192.168.1.50", "dst_port": 8080,
+     "proto": "TCP", "period": 20.0, "sizes": [180, 260],
+     "size_probs": [0.5, 0.5]},
+    {"name": "cloud_sync", "remote_ip": "203.0.113.9", "dst_port": 443,
+     "proto": "TCP", "period": 30.0, "sizes": [700, 900],
+     "size_probs": [0.5, 0.5], "domain": "api.example.com"},
+]}
+
+
+class TestKeyingFromArtifacts:
+    """profile records the device IP and local prefixes; train and detect
+    key their traces with them and take no keying flags."""
+
+    @pytest.mark.parametrize("stage", ["train", "detect"])
+    @pytest.mark.parametrize("flag", [["--device-ip", "192.168.1.10"],
+                                      ["--local-prefix", "192.168.1.0/24"]],
+                             ids=["device-ip", "local-prefix"])
+    def test_keying_flag_is_a_usage_error(self, small_run, tmp_path, capsys,
+                                          stage, flag):
+        trace, profile, ensemble, _, _ = small_run
+        artifact = profile if stage == "train" else ensemble
+        with pytest.raises(SystemExit) as info:
+            main([stage, trace, artifact, *flag,
+                  "-o", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_lan_flows_are_keyed_as_the_profile_keyed_them(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(LAN_SPEC))
+        p = lambda name: str(tmp_path / name)  # noqa: E731
+        for seed in ("1", "2"):
+            assert main(["simulate", "--spec", str(spec), "--duration",
+                         "1800", "--seed", seed,
+                         "-o", p(f"t{seed}.jsonl")]) == 0
+        assert main(["profile", p("t1.jsonl"), "--local-prefix",
+                     "192.168.1.0/24", "-o", p("profile.json")]) == 0
+        assert main(["train", p("t1.jsonl"), p("profile.json"),
+                     "--epochs", "20", "-o", p("ensemble.json")]) == 0
+        assert main(["detect", p("t2.jsonl"), p("ensemble.json"),
+                     "-o", p("verdicts.jsonl")]) == 0
+        ensemble = json.loads(open(p("ensemble.json")).read())
+        assert ensemble["local_prefixes"] == ["192.168.1.0/24"]
+        verdicts = [json.loads(line) for line in open(p("verdicts.jsonl"))]
+        lan = [v for v in verdicts
+               if v["flow_key"]["remote"]["value"] == "192.168.1.50"]
+        assert lan and all(v["flow_key"]["remote"]["kind"] == "local_ip"
+                           for v in lan)
+        assert not [v for v in lan if v["kind"] == "stage1_malicious"]
+
+
+def test_every_declared_option_is_read():
+    """Each subcommand's function reads ``args.<dest>`` for every option
+    its parser declares, so no flag is accepted and then ignored."""
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        func = sub.get_default("func")
+        tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "args"}
+        declared = {a.dest for a in sub._actions
+                    if not isinstance(a, argparse._HelpAction)}
+        assert declared <= read, (name, sorted(declared - read))
 
 
 def edited(doc, path, value=None):

@@ -284,6 +284,17 @@ class TestBuildProfile:
             "value"), "member flow remote: missing field value"),
         (lambda doc: doc["keys"][0]["member_flows"][0].__setitem__(
             "proto", "SCTP"), "unknown proto 'SCTP'"),
+        (lambda doc: doc.__setitem__("schema_version", "1.0"),
+         "unsupported schema_version '1.0'"),
+        (lambda doc: doc.pop("local_prefixes"),
+         "profile: missing field local_prefixes"),
+        (lambda doc: doc.__setitem__("local_prefixes", {}),
+         "field local_prefixes has the wrong type dict"),
+        (lambda doc: doc.__setitem__("local_prefixes", ["192.168.1.0/24",
+                                                        "garbage"]),
+         "profile: local_prefixes: .*'garbage'"),
+        (lambda doc: doc.__setitem__("local_prefixes", [None]),
+         "local_prefixes holds a value that is not a string"),
     ])
     def test_corrupt_profile_is_a_short_schema_error(self, corrupt, message):
         doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
@@ -292,6 +303,16 @@ class TestBuildProfile:
         with pytest.raises(SchemaError, match=message) as info:
             profile_from_dict(doc)
         assert "\n" not in str(info.value)
+
+    def test_round_trip_keeps_local_prefixes(self, tmp_path):
+        tree = ClusterTree(DEVICE, ["192.168.1.0/24", "10.0.0.0/8"])
+        tree.insert(pkt(dst_ip="192.168.1.50", dst_port=8080, proto="TCP"))
+        profile = build_profile(tree, MergeConfig(0.5))
+        assert profile.local_prefixes == ("192.168.1.0/24", "10.0.0.0/8")
+        assert profile.keys[0].remote_pattern.kind == "local_ip"
+        path = tmp_path / "profile.json"
+        save_profile(path, profile)
+        assert load_profile(path).local_prefixes == profile.local_prefixes
 
     def test_key_repr_leaves_out_member_flows(self):
         profile = build_profile(self._tree_with_three_leaves(),

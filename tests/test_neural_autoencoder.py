@@ -36,7 +36,7 @@ class TestInit:
 
     def test_kernel_too_large(self):
         with pytest.raises(BadArchitecture):
-            AEArchitecture(input_len=4, kernel=3)  # r=2 < kernel
+            AEArchitecture(input_len=4)  # r=2 < kernel 3
 
     def test_odd_input_rejected(self):
         with pytest.raises(BadArchitecture):
@@ -160,17 +160,24 @@ class TestSerialization:
         data = [np.random.default_rng(0).uniform(0, 1, 20) for _ in range(30)]
         trained, _ = fit(model, data, TrainConfig(epochs=5))
         text = json.dumps(model_to_dict(trained))
-        loaded = model_from_dict(json.loads(text))
+        loaded = model_from_dict(json.loads(text), ARCH)
         for name, w in trained.params.items():
             assert np.array_equal(loaded.params[name], w)
         x = np.random.default_rng(1).uniform(0, 1, 20)
         assert np.array_equal(forward(loaded, x), forward(trained, x))
 
-    def test_bad_version_rejected(self):
+    def test_holds_only_seed_and_weights(self):
         doc = model_to_dict(init_model(ARCH, 0))
-        doc["schema_version"] = "9.0"
-        with pytest.raises(SchemaError):
-            model_from_dict(doc)
+        assert set(doc) == {"seed", "weights"}
+        for name in ("seed", "weights"):
+            with pytest.raises(SchemaError, match=f"missing field {name}"):
+                model_from_dict({k: v for k, v in doc.items() if k != name},
+                                ARCH)
+
+    def test_architecture_comes_from_the_reader(self):
+        doc = model_to_dict(init_model(ARCH, 0))
+        with pytest.raises(ShapeMismatch, match="weight w2"):
+            model_from_dict(doc, AEArchitecture(input_len=24))
 
     @pytest.mark.parametrize("corrupt, error, names", [
         (lambda w: w["w1"][0][0].__setitem__(0, float("nan")),
@@ -185,7 +192,7 @@ class TestSerialization:
         doc = model_to_dict(init_model(ARCH, 0))
         corrupt(doc["weights"])
         with pytest.raises(error, match=names):
-            model_from_dict(doc)
+            model_from_dict(doc, ARCH)
 
 
 # --- kernel oracles -------------------------------------------------------
@@ -195,7 +202,7 @@ def reference_forward(model, X):
     replaced, kept as an independent oracle."""
     a, p = model.arch, model.params
     B, r, L = X.shape[0], a.r, a.conv_len
-    idx = a.stride * np.arange(L)[:, None] + np.arange(a.kernel)[None, :]
+    idx = na.STRIDE * np.arange(L)[:, None] + np.arange(na.KERNEL)[None, :]
     xp = np.pad(X.reshape(B, 2, r), ((0, 0), (0, 0), (1, 1)))
     h1 = np.einsum("bclk,ock->bol", xp[:, :, idx], p["w1"])
     h1 = np.maximum(h1 + p["b1"][None, :, None], 0.0)
@@ -203,7 +210,7 @@ def reference_forward(model, X):
     g = np.maximum(z @ p["w3"].T + p["b3"], 0.0)
     y_padded = np.zeros((B, 2, r + 2))
     np.add.at(y_padded, (slice(None), slice(None), idx),
-              np.einsum("bol,ock->bclk", g.reshape(B, a.channels, L),
+              np.einsum("bol,ock->bclk", g.reshape(B, na.CHANNELS, L),
                         p["w4"]))
     y = expit(y_padded[:, :, 1:-1] + p["b4"][None, :, None])
     return y.reshape(B, a.input_len)
@@ -229,10 +236,10 @@ class TestKernel:
     def test_transposed_conv_is_adjoint_of_conv(self, n, batch, seed):
         arch = AEArchitecture(input_len=n)
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(arch.channels, 2, arch.kernel)).reshape(
-            arch.channels, -1)
+        w = rng.normal(size=(na.CHANNELS, 2, na.KERNEL)).reshape(
+            na.CHANNELS, -1)
         x = rng.normal(size=(batch, n))
-        g = rng.normal(size=(batch * arch.conv_len, arch.channels))
+        g = rng.normal(size=(batch * arch.conv_len, na.CHANNELS))
         conv = na._im2col(arch, x) @ w.T
         conv_t = na._col2im(arch, g @ w)
         lhs = np.sum(conv * g)
