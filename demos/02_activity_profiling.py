@@ -1,8 +1,8 @@
 """Build an activity profile from a packet trace.
 
-Packets stream into a four-level clustering tree
-(protocol -> address class -> source-port bucket -> destination-port
-bucket) that keeps incremental per-flow statistics.  Flows with similar
+Packets stream into one flow table, whose flows a four-level clustering
+tree (protocol -> address class -> source-port bucket -> destination-port
+bucket) routes into leaves.  Flows of a leaf with similar
 packet-size sets are then merged into abstract activity keys, e.g. all
 uploads to *.cam-vendor.com from dynamic source ports become one key.
 """
@@ -10,7 +10,6 @@ uploads to *.cam-vendor.com from dynamic source ports become one key.
 from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis.cluster_metrics import purity
-from atrellis.traffic_model import flows_of_trace
 
 spec = sim.FIXTURES["camera"]
 trace = sim.generate(spec, duration=3600.0, seed=7)
@@ -18,8 +17,8 @@ trace = sim.generate(spec, duration=3600.0, seed=7)
 tree = ct.ClusterTree(spec.device_ip)
 for pkt in trace:
     tree.insert(pkt)
-print(f"tree holds {tree.total_packets} packets in "
-      f"{len(tree.leaves)} leaves")
+print(f"table holds {sum(map(len, tree.flows.values()))} packets in "
+      f"{len(tree.flows)} flows and {len(ct.leaves_of(tree))} leaves")
 
 profile = ct.build_profile(tree, ct.MergeConfig(h_s=0.5))
 print(f"\nprofile for {profile.device_ip}: {len(profile.keys)} "
@@ -33,7 +32,7 @@ for i, key in enumerate(profile.keys):
 
 # How well do the discovered keys line up with the simulator's ground
 # truth activities?
-keys, _ = flows_of_trace(trace, spec.device_ip)
+keys = list(tree.flows)
 cluster_of = {f: i for i, key in enumerate(profile.keys)
               for f in key.member_flows}
 assignment = [cluster_of[f] for f in keys]

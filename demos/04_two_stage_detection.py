@@ -24,8 +24,7 @@ tree = ct.ClusterTree(spec.device_ip)
 for pkt in train_trace:
     tree.insert(pkt)
 profile = ct.build_profile(tree, ct.MergeConfig(0.5))
-_, train_table = flows_of_trace(train_trace, spec.device_ip)
-ensemble = ens.train_ensemble(profile, train_table, FeatureConfig(),
+ensemble = ens.train_ensemble(profile, tree.flows, FeatureConfig(),
                               TrainConfig(epochs=30), seed=0)
 print(f"trained {len(ensemble.submodels)} per-activity submodels")
 

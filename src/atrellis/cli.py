@@ -19,7 +19,7 @@ from . import clustering_tree as ct
 from . import synth_traffic as sim
 from .errors import AtrellisError, EmptyTree, SchemaError, check
 from .feature_pipeline import FeatureConfig, featurize_many
-from .neural_autoencoder import TrainConfig
+from .neural_autoencoder import AEArchitecture, TrainConfig
 from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
                             parse_prefixes, read_json, read_jsonl,
                             read_packets_jsonl, write_packets_jsonl)
@@ -59,19 +59,38 @@ def _infer_device_ip(packets: List[PacketRecord]) -> str:
     raise AtrellisError("could not infer device IP; pass --device-ip")
 
 
-def _parse_attack(text: str) -> sim.AttackSpec:
-    try:
-        obj = json.loads(text)
-        return sim.AttackSpec(
-            kind=obj["kind"], start=float(obj.get("start", 0.0)),
-            rate=float(obj.get("rate", 1.0)),
-            duration=float(obj.get("duration", 60.0)),
-            target=obj.get("target", {}))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise UsageError(f"bad --attack spec: {exc}") from exc
-
-
 _NUMBER = (int, float)
+_PORT = range(65536)
+_ATTACK_FIELDS = {"kind": frozenset(sim.ATTACK_KINDS)}
+_OPTIONAL_ATTACK_FIELDS = {"start": _NUMBER, "rate": _NUMBER,
+                           "duration": _NUMBER, "target": dict}
+_TARGET_FIELDS = {sim.FLOOD: {"ip": str, "dst_port": _PORT},
+                  sim.HTTP_MASQ_CNC: {"ip": str, "domain": str}}
+_OPTIONAL_TARGET_FIELDS = {"ip": str, "n_ports": int, "dst_port": _PORT,
+                           "proto": frozenset(PROTOCOLS), "domain": str,
+                           "packets_per_flow": int, "beacon_gap": _NUMBER}
+
+
+def _optional(doc: dict, fields: dict) -> dict:
+    """The entries of ``fields`` that ``doc`` holds."""
+    return {name: spec for name, spec in fields.items() if name in doc}
+
+
+def _attack_spec(text: str) -> sim.AttackSpec:
+    """The attack that an ``--attack`` JSON value describes; a bad value
+    raises a ValueError."""
+    obj = check(json.loads(text), _ATTACK_FIELDS, "spec")
+    check(obj, _optional(obj, _OPTIONAL_ATTACK_FIELDS), "spec")
+    target = obj.get("target", {})
+    check(target, _TARGET_FIELDS.get(obj["kind"], {}), "target")
+    check(target, _optional(target, _OPTIONAL_TARGET_FIELDS), "target")
+    return sim.AttackSpec(kind=obj["kind"],
+                          start=float(obj.get("start", 0.0)),
+                          rate=float(obj.get("rate", 1.0)),
+                          duration=float(obj.get("duration", 60.0)),
+                          target=target)
+
+
 _ACTIVITY_FIELDS = {"name": str, "remote_ip": str, "dst_port": int,
                     "proto": frozenset(PROTOCOLS), "period": _NUMBER,
                     "sizes": list, "size_probs": list}
@@ -87,8 +106,7 @@ def _device_spec_from_file(path: str) -> sim.DeviceSpec:
     for i, a in enumerate(doc["activities"]):
         what = f"{path} activity {i}"
         check(a, _ACTIVITY_FIELDS, what)
-        check(a, {n: t for n, t in _OPTIONAL_ACTIVITY_FIELDS.items()
-                  if n in a}, what)
+        check(a, _optional(a, _OPTIONAL_ACTIVITY_FIELDS), what)
         for name, kind in (("sizes", int), ("size_probs", _NUMBER)):
             if any(isinstance(v, bool) or not isinstance(v, kind)
                    for v in a[name]):
@@ -119,9 +137,10 @@ def cmd_simulate(args) -> int:
     else:
         raise UsageError("one of --fixture or --spec is required")
 
+    attacks = [_option("--attack", _attack_spec, text)
+               for text in args.attack or []]
     trace = sim.generate(spec, args.duration, args.seed)
-    for attack_text in args.attack or []:
-        atk = _parse_attack(attack_text)
+    for atk in attacks:
         trace = sim.inject_attack(trace, atk, args.seed,
                                   device_ip=spec.device_ip)
     write_packets_jsonl(args.out, trace)
@@ -166,6 +185,7 @@ def cmd_profile(args) -> int:
 
 def cmd_train(args) -> int:
     fcfg = _option("--r", FeatureConfig, r=args.r)
+    _option("--r", AEArchitecture, input_len=2 * fcfg.r)
     tcfg = _option("--epochs", TrainConfig, epochs=args.epochs)
     thcfg = _option("--quantile", ens.ThresholdConfig, q=args.quantile)
     packets = list(read_packets_jsonl(args.trace, args.strict))
@@ -215,12 +235,21 @@ def cmd_eval(args) -> int:
         truth[key] = attack or "benign"
 
     labels = []
+    judged = set()
 
     def verdict_of(doc: dict) -> ens.Verdict:
         verdict = ens.verdict_from_dict(doc)
-        if verdict.flow not in truth:
-            raise SchemaError("unknown flow, or a second verdict for it")
-        labels.append(truth.pop(verdict.flow))
+        flow = verdict.flow
+        if flow not in truth:
+            raise SchemaError(
+                f"flow {flow} is not in {args.trace}; eval keys the trace "
+                f"with its own --device-ip and --local-prefix, which must "
+                f"match the profile's")
+        if flow in judged:
+            raise SchemaError(f"flow {flow} was judged on an earlier line; "
+                              f"this is a second verdict for it")
+        judged.add(flow)
+        labels.append(truth[flow])
         return verdict
 
     verdicts = list(read_jsonl(args.verdicts, verdict_of))

@@ -1,25 +1,24 @@
 """Tree-structured activity clustering of bidirectional flows.
 
-Flows are routed through four rule levels (protocol, address class, source
-port class, destination port class) into leaves.  Each leaf keeps a hash
-table from flow key to a constant-size incremental statistics record.  At
-profiling time, flows within a leaf whose packet-size sets are sufficiently
-similar (Jaccard index >= h_s) are merged into one abstract activity key,
-with wildcarded domains and "reg/dyn" port patterns.
+The flows of a FlowTable are routed through four rule levels (protocol,
+address class, source port class, destination port class) into leaves.
+At profiling time, flows within a leaf whose packet-size sets are
+sufficiently similar (Jaccard index >= h_s) are merged into one abstract
+activity key, with wildcarded domains and "reg/dyn" port patterns.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .errors import (EmptyTree, NonMonotonicTimestamp, NoPacketsInDirection,
-                     SchemaError, check, check_schema_version)
-from .traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, PROTOCOLS,
-                            REMOTE_IP, SYSTEM, FlowKey, PacketRecord, Remote,
-                            classify_port, direction_of, flow_key_of,
+from .errors import EmptyTree, SchemaError, check, check_schema_version
+from .traffic_model import (BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS, REMOTE_IP,
+                            SYSTEM, FlowKey, Remote, classify_port,
                             parse_prefixes, read_json)
+# bench/stage.py wraps ClusterTree.insert by name and its tests count calls
+from .traffic_model import FlowTable as ClusterTree
 
 PROFILE_SCHEMA_VERSION = "2.0"
 
@@ -33,64 +32,6 @@ WILDCARD_DOMAIN = "wildcard"
 REMOTE_IP_CLASS = "remote_ip"
 LOCAL_IP_CLASS = "local_ip"
 BC_MC_CLASS = "bc_mc"
-
-
-@dataclass
-class IncrementalStats:
-    """Constant-size per-flow statistics: packet counts and inter-arrival
-    sums per direction, plus the set of distinct packet sizes.
-
-    The record holds exactly 7 fields no matter how many packets the flow
-    carries; only the size set grows, bounded by the number of distinct
-    lengths observed.
-    """
-
-    n_in: int = 0
-    n_out: int = 0
-    t_in: float = 0.0
-    t_out: float = 0.0
-    sizes: set = field(default_factory=set)
-    last_ts_in: Optional[float] = None
-    last_ts_out: Optional[float] = None
-
-
-def update_stats(stats: IncrementalStats, direction: str, size: int,
-                 ts: float) -> IncrementalStats:
-    """Fold one packet into the stats record.
-
-    The first packet in each direction contributes a zero inter-arrival
-    gap.  Timestamps within a direction must be non-decreasing.
-    """
-    if direction == IN:
-        if stats.last_ts_in is not None:
-            if ts < stats.last_ts_in:
-                raise NonMonotonicTimestamp(
-                    f"in-direction ts {ts} < {stats.last_ts_in}")
-            stats.t_in += ts - stats.last_ts_in
-        stats.n_in += 1
-        stats.last_ts_in = ts
-    else:
-        if stats.last_ts_out is not None:
-            if ts < stats.last_ts_out:
-                raise NonMonotonicTimestamp(
-                    f"out-direction ts {ts} < {stats.last_ts_out}")
-            stats.t_out += ts - stats.last_ts_out
-        stats.n_out += 1
-        stats.last_ts_out = ts
-    stats.sizes.add(size)
-    return stats
-
-
-def mean_interarrival(stats: IncrementalStats, direction: str) -> float:
-    """Average gap between consecutive packets of one direction.
-
-    A single-packet direction has mean gap 0 by convention.
-    """
-    n = stats.n_in if direction == IN else stats.n_out
-    t = stats.t_in if direction == IN else stats.t_out
-    if n < 1:
-        raise NoPacketsInDirection(f"no packets in direction {direction!r}")
-    return t / max(n - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -122,29 +63,6 @@ def tree_path_of(key: FlowKey) -> TreePath:
     else:
         dst_bucket = ("dynamic",)
     return TreePath(key.proto, key.remote.kind, src_bucket, dst_bucket)
-
-
-class ClusterTree:
-    """Single-writer flow table keyed by tree path then flow key."""
-
-    def __init__(self, device_ip: str, local_prefixes: Sequence[str] = ()):
-        self.device_ip = device_ip
-        self.local_prefixes = tuple(local_prefixes)
-        self.leaves: Dict[TreePath, Dict[FlowKey, IncrementalStats]] = {}
-        self.total_packets = 0
-
-    def insert(self, pkt: PacketRecord) -> FlowKey:
-        key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
-        path = tree_path_of(key)
-        leaf = self.leaves.setdefault(path, {})
-        stats = leaf.setdefault(key, IncrementalStats())
-        update_stats(stats, direction_of(pkt, self.device_ip),
-                     pkt.length, pkt.ts)
-        self.total_packets += 1
-        return key
-
-    def stats_of(self, key: FlowKey) -> IncrementalStats:
-        return self.leaves[tree_path_of(key)][key]
 
 
 def jaccard(s1: FrozenSet, s2) -> float:
@@ -281,9 +199,10 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
                        tuple(sorted(group, key=_flow_sort_key)))
 
 
-def merge_activities(leaf_entries: Dict[FlowKey, IncrementalStats],
+def merge_activities(leaf_entries: Dict[FlowKey, FrozenSet],
                      cfg: MergeConfig) -> List[ActivityKey]:
-    """Single-linkage agglomeration of one leaf's flows.
+    """Single-linkage agglomeration of one leaf's flows, each given with
+    its set of packet lengths.
 
     Two flows join one activity when their size sets have Jaccard >= h_s
     and their keys are compatible under the generalization rules; groups
@@ -304,8 +223,8 @@ def merge_activities(leaf_entries: Dict[FlowKey, IncrementalStats],
             if find(i) == find(j):
                 continue
             if _mergeable(flows[i], flows[j]) and \
-                    jaccard(leaf_entries[flows[i]].sizes,
-                            leaf_entries[flows[j]].sizes) >= cfg.h_s:
+                    jaccard(leaf_entries[flows[i]],
+                            leaf_entries[flows[j]]) >= cfg.h_s:
                 parent[find(j)] = find(i)
 
     groups: Dict[int, List[FlowKey]] = {}
@@ -320,17 +239,28 @@ def _path_sort_key(path: TreePath):
             tuple(str(x) for x in path.dst_bucket))
 
 
+def leaves_of(tree: ClusterTree) -> Dict[TreePath, Dict[FlowKey, FrozenSet]]:
+    """The table's flows routed to their leaves, each flow with the set of
+    its packet lengths."""
+    leaves: Dict[TreePath, Dict[FlowKey, FrozenSet]] = {}
+    for key, flow in tree.flows.items():
+        leaves.setdefault(tree_path_of(key), {})[key] = \
+            frozenset(p.length for p in flow)
+    return leaves
+
+
 def build_profile(tree: ClusterTree, cfg: MergeConfig) -> ActivityProfile:
     """Merge every leaf and concatenate the resulting activity keys.
 
     Keys whose patterns coincide (possible across groups of one leaf)
     are collapsed into one, pooling their member flows.
     """
-    if tree.total_packets == 0:
+    if not tree.flows:
         raise EmptyTree("no packets inserted")
+    leaves = leaves_of(tree)
     merged: Dict[Tuple, ActivityKey] = {}
-    for path in sorted(tree.leaves, key=_path_sort_key):
-        for key in merge_activities(tree.leaves[path], cfg):
+    for path in sorted(leaves, key=_path_sort_key):
+        for key in merge_activities(leaves[path], cfg):
             ident = (key.proto, key.remote_pattern, key.src_port_pattern,
                      key.dst_port_pattern)
             if ident in merged:

@@ -15,6 +15,10 @@ class ForeignPacket(AtrellisError):
     """Neither endpoint of the packet is the monitored device."""
 
 
+class NonMonotonicTimestamp(AtrellisError):
+    """A packet is earlier than the last packet of its flow."""
+
+
 class SchemaError(AtrellisError):
     """A serialized artifact violates its schema (unknown field, bad version)."""
 
@@ -54,14 +58,6 @@ def check_schema_version(doc, expected: str, what: str) -> None:
 
 
 # --- clustering tree ---
-
-class NonMonotonicTimestamp(AtrellisError):
-    """Per-direction timestamps must be non-decreasing."""
-
-
-class NoPacketsInDirection(AtrellisError):
-    pass
-
 
 class EmptyTree(AtrellisError):
     pass

@@ -13,6 +13,7 @@ hub.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -83,7 +84,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise BadSpec(f"unknown attack kind {self.kind!r}")
-        if self.start < 0 or self.rate <= 0 or self.duration < 0:
+        if not (0 <= self.start < math.inf and 0 < self.rate < math.inf
+                and 0 <= self.duration < math.inf):
             raise BadSpec("attack start/rate/duration out of range")
 
 

@@ -14,9 +14,11 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence)
 
-from .errors import ForeignPacket, MalformedAddress, SchemaError
+from .errors import (ForeignPacket, MalformedAddress, NonMonotonicTimestamp,
+                     SchemaError)
 
 log = logging.getLogger("atrellis")
 
@@ -114,6 +116,10 @@ class FlowKey:
     dst_port: int
     proto: str
 
+    def __str__(self) -> str:
+        return (f"{self.proto} {self.device_ip}:{self.src_port} <-> "
+                f"{self.remote.kind} {self.remote.value}:{self.dst_port}")
+
 
 @functools.lru_cache(maxsize=65536)
 def _parse_ipv4(text: str) -> ipaddress.IPv4Address:
@@ -189,28 +195,53 @@ def flow_key_of(pkt: PacketRecord, device_ip: str,
     return FlowKey(device_ip, remote, sport, dport, pkt.proto)
 
 
-def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
-                   local_prefixes: Sequence[str] = ()):
-    """Group a time-ordered trace into flows.
+class FlowTable:
+    """The one place where packets become flows: a single-writer table from
+    flow key to the flow's time-ordered packets, in first-packet order.
 
-    Returns ``(keys, table)`` where ``table`` maps each flow key to its
-    time-ordered packets and ``keys`` lists the flow keys ordered by
-    first-packet timestamp.  The key is computed once per distinct raw
-    (addresses, ports, protocol, domain) tuple, so a request and its
-    replies cost one key each and every later packet one lookup.
+    The key is computed once per distinct raw (addresses, ports, protocol,
+    domain) tuple, so a request and its replies cost one key each and every
+    later packet one lookup.
     """
-    local_prefixes = tuple(local_prefixes)
-    table: dict = {}
-    by_raw: dict = {}
-    for pkt in packets:
+
+    def __init__(self, device_ip: str, local_prefixes: Sequence[str] = ()):
+        self.device_ip = device_ip
+        self.local_prefixes = tuple(local_prefixes)
+        self.flows: Dict[FlowKey, List[PacketRecord]] = {}
+        self._by_raw: dict = {}
+
+    def insert(self, pkt: PacketRecord) -> FlowKey:
+        """Append ``pkt`` to its flow and return the flow's key.  A packet
+        earlier than the last packet of its flow raises
+        NonMonotonicTimestamp."""
         raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
                pkt.dns_name)
-        flow = by_raw.get(raw)
-        if flow is None:
-            key = flow_key_of(pkt, device_ip, local_prefixes)
-            flow = by_raw[raw] = table.setdefault(key, [])
+        entry = self._by_raw.get(raw)
+        if entry is None:
+            key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
+            entry = self._by_raw[raw] = (key, self.flows.setdefault(key, []))
+        key, flow = entry
+        if flow and pkt.ts < flow[-1].ts:
+            raise NonMonotonicTimestamp(
+                f"flow {key}: packet at ts {pkt.ts} is earlier than the "
+                f"flow's last packet at ts {flow[-1].ts}")
         flow.append(pkt)
-    return list(table), table
+        return key
+
+
+def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
+                   local_prefixes: Sequence[str] = ()):
+    """Group a trace into flows with a FlowTable.
+
+    Returns ``(keys, flows)`` where ``flows`` maps each flow key to its
+    time-ordered packets and ``keys`` lists the flow keys in the order of
+    their first packets.
+    """
+    table = FlowTable(device_ip, local_prefixes)
+    insert = table.insert
+    for pkt in packets:
+        insert(pkt)
+    return list(table.flows), table.flows
 
 
 # --- JSON-lines packet format -------------------------------------------

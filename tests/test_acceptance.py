@@ -27,49 +27,74 @@ def _ok(num, message):
     print(f"\nACCEPTANCE {num}: PASS — {message}")
 
 
-# --- criterion 1: incremental stats vs naive recomputation -----------------
+# --- criterion 1: the one flow table vs naive grouping ----------------------
+
+_PORTS = [(40000, 443, "TCP"), (40001, 443, "TCP"), (40002, 8883, "TCP"),
+          (123, 123, "UDP"), (40003, 53, "UDP"), (40004, 50001, "UDP")]
+
 
 def _random_stream(rng):
     """One random trace: <=10 flows, <=1000 packets, increasing times."""
     n_flows = int(rng.integers(1, 11))
+    ports = [_PORTS[int(i)] for i in rng.integers(len(_PORTS), size=n_flows)]
     n_packets = int(rng.integers(1, 1001))
     packets = []
     ts = 0.0
     for _ in range(n_packets):
         ts += float(rng.uniform(0.0, 0.5))
         fi = int(rng.integers(n_flows))
+        sport, dport, proto = ports[fi]
         out = bool(rng.integers(2))
         length = int(rng.integers(40, 1500))
         remote = f"198.51.100.{fi + 1}"
         if out:
-            packets.append(PacketRecord(ts, DEVICE, remote, 40000 + fi,
-                                        443, "TCP", length))
+            packets.append(PacketRecord(ts, DEVICE, remote, sport, dport,
+                                        proto, length))
         else:
-            packets.append(PacketRecord(ts, remote, DEVICE, 443,
-                                        40000 + fi, "TCP", length))
+            packets.append(PacketRecord(ts, remote, DEVICE, dport, sport,
+                                        proto, length))
     return packets
 
 
-def test_criterion_1_stats_oracle():
+def _naive_leaf(remote, sport, dport, proto):
+    """The four rule levels of a device-oriented 5-tuple, spelled out."""
+    src = ("system", sport) if sport < 1024 else ("regdyn",)
+    dst = ("system", dport) if dport < 1024 else \
+        ("registered", dport) if dport < 49152 else ("dynamic",)
+    return (proto, "remote_ip", src, dst)
+
+
+def test_criterion_1_flow_table_oracle():
     rng = np.random.default_rng(2026)
     t0 = time.perf_counter()
     for _ in range(100):
         packets = _random_stream(rng)
-        tree = ct.ClusterTree(DEVICE)
-        raw = {}
+        table = ct.ClusterTree(DEVICE)
         for p in packets:
-            key = tree.insert(p)
-            out = p.src_ip == DEVICE
-            raw.setdefault(key, []).append((out, p.length, p.ts))
-        for key, plist in raw.items():
-            s = tree.stats_of(key)
-            assert s.n_out == sum(1 for o, _, _ in plist if o)
-            assert s.n_in == len(plist) - s.n_out
-            assert s.sizes == {length for _, length, _ in plist}
-            for out_dir, t_sum in ((True, s.t_out), (False, s.t_in)):
-                stamps = [t for o, _, t in plist if o == out_dir]
-                expect = sum(b - a for a, b in zip(stamps, stamps[1:]))
-                assert abs(t_sum - expect) <= 1e-9
+            table.insert(p)
+        naive = {}
+        for p in packets:
+            if p.src_ip == DEVICE:
+                five = (p.dst_ip, p.src_port, p.dst_port, p.proto)
+            else:
+                five = (p.src_ip, p.dst_port, p.src_port, p.proto)
+            naive.setdefault(five, []).append(p)
+        as_five = {key: (key.remote.value, key.src_port, key.dst_port,
+                         key.proto) for key in table.flows}
+        # the flow order, then each flow's packets in order
+        assert [as_five[key] for key in table.flows] == list(naive)
+        for key, flow in table.flows.items():
+            assert flow == naive[as_five[key]]
+        # each leaf's size sets
+        naive_leaves = {}
+        for five, flow in naive.items():
+            naive_leaves.setdefault(_naive_leaf(*five), {})[five] = \
+                {p.length for p in flow}
+        leaves = {(path.proto, path.addr_class, path.src_bucket,
+                   path.dst_bucket): {as_five[key]: sizes
+                                      for key, sizes in leaf.items()}
+                  for path, leaf in ct.leaves_of(table).items()}
+        assert leaves == naive_leaves
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _ok(1, f"100 random streams match the naive oracle ({elapsed:.2f}s)")

@@ -66,6 +66,25 @@ class TestSimulate:
         manifest = json.loads(open(out + ".manifest.json").read())
         assert manifest["label_counts"]["attack:PortScan"] == 20
 
+    @pytest.mark.parametrize("spec, names", [
+        ({"kind": "HttpMasqCnc", "target": "api"},
+         "spec: field target has the wrong type str"),
+        ({"kind": "HttpMasqCnc", "target": {"domain": "api.example.com"}},
+         "target: missing field ip"),
+        ({"kind": "PortScan", "rate": "x"},
+         "spec: field rate has the wrong type str"),
+        ({"kind": "PortScan", "rate": float("nan")},
+         "attack start/rate/duration out of range"),
+    ], ids=["target-str", "target-no-ip", "rate-str", "rate-nan"])
+    def test_bad_attack_exits_2_naming_the_flag(self, tmp_path, capsys,
+                                                spec, names):
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--fixture", "hub", "--duration", "60",
+                   "--attack", json.dumps(spec), "-o", str(out)])
+        assert rc == 2
+        assert_one_error_line(capsys, f"error: --attack: {names}")
+        assert not out.exists()
+
 
 class TestProfile:
     def test_camera_reports_keys(self, tmp_path, capsys):
@@ -288,6 +307,17 @@ class TestBadOptionValues:
         assert_one_error_line(capsys, f"error: {option[0]}: {reason}")
         assert not (tmp_path / "e.json").exists()
 
+    @pytest.mark.parametrize("r", ["1", "2"])
+    def test_train_r_below_the_kernel_exits_2_before_reading(
+            self, small_run, tmp_path, capsys, r):
+        profile = small_run[1]
+        capsys.readouterr()
+        rc = main(["train", str(tmp_path / "missing.jsonl"), profile,
+                   "--r", r, "-o", str(tmp_path / "e.json")])
+        assert rc == 2
+        assert_one_error_line(
+            capsys, f"error: --r: kernel 3 larger than per-channel input {r}")
+
     @pytest.mark.parametrize("option, names", [
         (["--h-s", "2"], ["error: --h-s: h_s must be in [0,1], got 2.0"]),
         (["--local-prefix", "garbage"],
@@ -379,10 +409,14 @@ class TestKeyingFromArtifacts:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
-    def test_lan_flows_are_keyed_as_the_profile_keyed_them(self, tmp_path):
-        spec = tmp_path / "spec.json"
+    @pytest.fixture(scope="class")
+    def lan_run(self, tmp_path_factory):
+        """The LAN spec profiled with its /24 as local prefix, trained on
+        seed 1 and judged on seed 2."""
+        d = tmp_path_factory.mktemp("lan")
+        spec = d / "spec.json"
         spec.write_text(json.dumps(LAN_SPEC))
-        p = lambda name: str(tmp_path / name)  # noqa: E731
+        p = lambda name: str(d / name)  # noqa: E731
         for seed in ("1", "2"):
             assert main(["simulate", "--spec", str(spec), "--duration",
                          "1800", "--seed", seed,
@@ -393,6 +427,10 @@ class TestKeyingFromArtifacts:
                      "--epochs", "20", "-o", p("ensemble.json")]) == 0
         assert main(["detect", p("t2.jsonl"), p("ensemble.json"),
                      "-o", p("verdicts.jsonl")]) == 0
+        return p
+
+    def test_lan_flows_are_keyed_as_the_profile_keyed_them(self, lan_run):
+        p = lan_run
         ensemble = json.loads(open(p("ensemble.json")).read())
         assert ensemble["local_prefixes"] == ["192.168.1.0/24"]
         verdicts = [json.loads(line) for line in open(p("verdicts.jsonl"))]
@@ -401,6 +439,20 @@ class TestKeyingFromArtifacts:
         assert lan and all(v["flow_key"]["remote"]["kind"] == "local_ip"
                            for v in lan)
         assert not [v for v in lan if v["kind"] == "stage1_malicious"]
+
+    def test_eval_without_the_profiles_prefix_names_flow_and_keying(
+            self, lan_run, capsys):
+        p = lan_run
+        assert main(["eval", p("t2.jsonl"), p("verdicts.jsonl"),
+                     "--local-prefix", "192.168.1.0/24",
+                     "-o", p("m.json")]) == 0
+        capsys.readouterr()
+        assert main(["eval", p("t2.jsonl"), p("verdicts.jsonl"),
+                     "-o", p("m.json")]) == 1
+        assert_one_error_line(
+            capsys, f"{p('verdicts.jsonl')}:", "local_ip 192.168.1.50:8080",
+            f"is not in {p('t2.jsonl')}", "--device-ip", "--local-prefix",
+            "must match the profile's")
 
 
 def test_every_declared_option_is_read():
@@ -485,6 +537,7 @@ class TestMalformedVerdicts:
         rc = main(["eval", trace, bad, "-o", str(tmp_path / "m.json")])
         assert rc == 1
         assert_one_error_line(capsys, f"{bad}:{len(lines) + 1}: ",
+                              "was judged on an earlier line",
                               "a second verdict for it")
 
 
@@ -520,6 +573,38 @@ class TestMalformedTrace:
         rc = main(["profile", trace, "-o", str(tmp_path / "p.json")])
         assert rc == 1
         assert_one_error_line(capsys, f"{trace}:2: ", "utf-8")
+
+
+class TestOutOfOrderFlow:
+    """One flow of 14 packets whose 13th, after the r = 10 that features
+    read, is earlier than the 12th."""
+
+    @staticmethod
+    def write(path, device_ip, late_ts):
+        with open(path, "w") as fh:
+            for i in range(14):
+                ts = late_ts if i == 12 else float(i)
+                fh.write(json.dumps({
+                    "ts": ts, "src_ip": device_ip, "dst_ip": "203.0.113.5",
+                    "src_port": 40000, "dst_port": 443, "proto": "TCP",
+                    "length": 60 + i, "label": "benign"}) + "\n")
+
+    @pytest.mark.parametrize("stage", ["profile", "train", "detect", "eval"])
+    def test_every_stage_exits_1(self, small_run, tmp_path, capsys, stage):
+        _, profile, ensemble, _, _ = small_run
+        device_ip = json.loads(open(ensemble).read())["device_ip"]
+        good, bad = str(tmp_path / "good.jsonl"), str(tmp_path / "bad.jsonl")
+        self.write(good, device_ip, 12.0)
+        self.write(bad, device_ip, 10.5)
+        verdicts = str(tmp_path / "v.jsonl")
+        assert main(["detect", good, ensemble, "-o", verdicts]) == 0
+        args = {"profile": [], "train": [profile, "--epochs", "1"],
+                "detect": [ensemble], "eval": [verdicts]}[stage]
+        capsys.readouterr()
+        rc = main([stage, bad, *args, "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert_one_error_line(capsys, "ts 10.5")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulatorPorts:

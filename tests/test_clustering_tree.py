@@ -1,19 +1,21 @@
-import json
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from atrellis.clustering_tree import (ActivityKey, ClusterTree,
-                                      IncrementalStats, MergeConfig,
-                                      build_profile, jaccard,
-                                      load_profile, mean_interarrival,
-                                      merge_activities, profile_from_dict,
-                                      profile_to_dict, save_profile,
-                                      tree_path_of, update_stats)
-from atrellis.errors import (EmptyTree, NonMonotonicTimestamp,
-                             NoPacketsInDirection, SchemaError)
-from atrellis.traffic_model import (IN, OUT, FlowKey, PacketRecord, Remote)
+from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
+                                      ClusterTree, MergeConfig,
+                                      _flow_sort_key, _path_sort_key,
+                                      build_profile, jaccard, leaves_of,
+                                      load_profile, merge_activities,
+                                      profile_from_dict, profile_to_dict,
+                                      save_profile, tree_path_of)
+from atrellis.errors import EmptyTree, NonMonotonicTimestamp, SchemaError
+from atrellis.traffic_model import (IN, PROTOCOLS, FlowKey,
+                                    PacketRecord, Remote, direction_of,
+                                    flow_key_of)
 
 DEVICE = "192.168.1.10"
 
@@ -29,58 +31,134 @@ def domain_flow(name, sport=40000, dport=443, proto="TCP"):
     return FlowKey(DEVICE, Remote("domain", name), sport, dport, proto)
 
 
-def stats_with_sizes(sizes):
-    s = IncrementalStats()
-    for i, size in enumerate(sorted(sizes)):
-        update_stats(s, OUT, size, float(i))
-    return s
+# --- reference: the per-packet tree with incremental statistics -----------
+
+@dataclass
+class ReferenceStats:
+    """The constant-size per-flow record the tree once kept: packet counts
+    and inter-arrival sums per direction, plus the set of packet sizes."""
+
+    n_in: int = 0
+    n_out: int = 0
+    t_in: float = 0.0
+    t_out: float = 0.0
+    sizes: set = field(default_factory=set)
+    last_ts_in: Optional[float] = None
+    last_ts_out: Optional[float] = None
 
 
-class TestUpdateStats:
-    def test_first_in_packet(self):
-        s = update_stats(IncrementalStats(), IN, 100, 5.0)
-        assert (s.n_in, s.n_out, s.t_in, s.t_out) == (1, 0, 0.0, 0.0)
-        assert s.sizes == {100}
-
-    def test_first_out_packet_zero_gap(self):
-        s = update_stats(IncrementalStats(), IN, 100, 5.0)
-        update_stats(s, OUT, 60, 5.5)
-        assert (s.n_in, s.n_out, s.t_in, s.t_out) == (1, 1, 0.0, 0.0)
-        assert s.sizes == {100, 60}
-
-    def test_gap_accumulates_per_direction(self):
-        s = update_stats(IncrementalStats(), IN, 100, 5.0)
-        update_stats(s, OUT, 60, 5.5)
-        update_stats(s, IN, 100, 6.0)
-        assert (s.n_in, s.n_out) == (2, 1)
-        assert s.t_in == pytest.approx(1.0)
-        assert s.t_out == 0.0
-
-    def test_non_monotonic_rejected(self):
-        s = update_stats(IncrementalStats(), IN, 100, 5.0)
-        with pytest.raises(NonMonotonicTimestamp):
-            update_stats(s, IN, 100, 4.0)
-
-    def test_constant_field_count(self):
-        s = IncrementalStats()
-        for i in range(500):
-            update_stats(s, IN if i % 2 else OUT, 64 + i % 3, float(i))
-        assert len(vars(s)) == 7
-        assert len(s.sizes) == 3
+def reference_update_stats(s, direction, size, ts):
+    if direction == IN:
+        if s.last_ts_in is not None:
+            if ts < s.last_ts_in:
+                raise NonMonotonicTimestamp(f"in {ts} < {s.last_ts_in}")
+            s.t_in += ts - s.last_ts_in
+        s.n_in += 1
+        s.last_ts_in = ts
+    else:
+        if s.last_ts_out is not None:
+            if ts < s.last_ts_out:
+                raise NonMonotonicTimestamp(f"out {ts} < {s.last_ts_out}")
+            s.t_out += ts - s.last_ts_out
+        s.n_out += 1
+        s.last_ts_out = ts
+    s.sizes.add(size)
 
 
-class TestMeanInterarrival:
-    def test_mean(self):
-        s = IncrementalStats(n_in=3, t_in=2.0)
-        assert mean_interarrival(s, IN) == 1.0
+class ReferenceClusterTree:
+    """The tree that keyed every packet and folded it into its leaf's
+    statistics record, kept as an oracle for the one flow table."""
 
-    def test_single_packet_convention(self):
-        s = IncrementalStats(n_in=1, t_in=0.0)
-        assert mean_interarrival(s, IN) == 0.0
+    def __init__(self, device_ip, local_prefixes=()):
+        self.device_ip = device_ip
+        self.local_prefixes = tuple(local_prefixes)
+        self.leaves = {}
 
-    def test_no_packets(self):
-        with pytest.raises(NoPacketsInDirection):
-            mean_interarrival(IncrementalStats(), IN)
+    def insert(self, p):
+        key = flow_key_of(p, self.device_ip, self.local_prefixes)
+        leaf = self.leaves.setdefault(tree_path_of(key), {})
+        reference_update_stats(leaf.setdefault(key, ReferenceStats()),
+                               direction_of(p, self.device_ip), p.length,
+                               p.ts)
+        return key
+
+
+def reference_build_profile(tree, cfg):
+    """build_profile as it read the reference tree's leaves."""
+    merged = {}
+    for path in sorted(tree.leaves, key=_path_sort_key):
+        sizes = {k: s.sizes for k, s in tree.leaves[path].items()}
+        for key in merge_activities(sizes, cfg):
+            ident = (key.proto, key.remote_pattern, key.src_port_pattern,
+                     key.dst_port_pattern)
+            if ident in merged:
+                pooled = tuple(sorted(
+                    set(merged[ident].member_flows) | set(key.member_flows),
+                    key=_flow_sort_key))
+                merged[ident] = ActivityKey(*ident, pooled)
+            else:
+                merged[ident] = key
+    return ActivityProfile(tree.device_ip, list(merged.values()),
+                           tree.local_prefixes)
+
+
+REMOTES = [("203.0.113.5", None), ("203.0.113.6", None),
+           ("198.51.100.7", "cam1.vendor.com"),
+           ("198.51.100.8", "cam2.vendor.com"),
+           ("198.51.100.9", "time.other.org"), ("192.168.1.7", None),
+           ("192.168.1.8", None), ("239.255.255.250", None),
+           ("192.168.1.255", None)]
+
+
+@st.composite
+def multi_flow_traces(draw):
+    """A time-ordered trace of a few dozen flows of mixed remotes, ports
+    and protocols, each packet going either way, with small size sets so
+    that leaves hold mergeable flows."""
+    n = draw(st.integers(1, 120))
+    packets = []
+    ts = 0.0
+    for _ in range(n):
+        ts += draw(st.sampled_from([0.0, 0.25, 1.0]))
+        remote, name = draw(st.sampled_from(REMOTES))
+        sport = draw(st.sampled_from([123, 40000, 40001, 40002, 50000]))
+        dport = draw(st.sampled_from([53, 443, 1900, 8080, 50001]))
+        fields = dict(ts=ts, proto=draw(st.sampled_from(PROTOCOLS)),
+                      length=draw(st.sampled_from([60, 70, 300, 310, 1400])),
+                      dns_name=name)
+        if draw(st.booleans()):
+            packets.append(PacketRecord(src_ip=DEVICE, dst_ip=remote,
+                                        src_port=sport, dst_port=dport,
+                                        **fields))
+        else:
+            packets.append(PacketRecord(src_ip=remote, dst_ip=DEVICE,
+                                        src_port=dport, dst_port=sport,
+                                        **fields))
+    return packets
+
+
+class TestAgainstReferenceTree:
+    @settings(max_examples=80, deadline=None)
+    @given(multi_flow_traces(), st.sampled_from([(), ("192.168.1.0/24",)]),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    def test_build_profile_matches(self, packets, prefixes, h_s):
+        tree, ref = ClusterTree(DEVICE, prefixes), \
+            ReferenceClusterTree(DEVICE, prefixes)
+        for p in packets:
+            assert tree.insert(p) == ref.insert(p)
+        assert profile_to_dict(build_profile(tree, MergeConfig(h_s))) == \
+            profile_to_dict(reference_build_profile(ref, MergeConfig(h_s)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_flow_traces())
+    def test_leaves_hold_the_reference_size_sets(self, packets):
+        tree, ref = ClusterTree(DEVICE), ReferenceClusterTree(DEVICE)
+        for p in packets:
+            tree.insert(p)
+            ref.insert(p)
+        assert leaves_of(tree) == {
+            path: {k: frozenset(s.sizes) for k, s in leaf.items()}
+            for path, leaf in ref.leaves.items()}
 
 
 class TestInsert:
@@ -90,8 +168,7 @@ class TestInsert:
         path = tree_path_of(key)
         assert path.proto == "UDP" and path.addr_class == "bc_mc"
         assert path.dst_bucket == ("registered", 1900)
-        stats = tree.stats_of(key)
-        assert (stats.n_in, stats.n_out) == (0, 1)
+        assert tree.flows == {key: [pkt()]}
 
     def test_reply_reuses_entry(self):
         tree = ClusterTree(DEVICE)
@@ -101,10 +178,10 @@ class TestInsert:
         tree.insert(pkt(src_ip=DEVICE, dst_ip="198.51.100.1",
                         src_port=40000, dst_port=443, proto="TCP",
                         dns_name="a.example.com", ts=2.0))
-        assert sum(len(leaf) for leaf in tree.leaves.values()) == 1
+        assert sum(len(leaf) for leaf in leaves_of(tree).values()) == 1
 
     def test_conservation_against_oracle(self):
-        # recompute all statistics naively from the raw packet list
+        # recompute every flow naively from the raw packet list
         rng = np.random.default_rng(3)
         tree = ClusterTree(DEVICE)
         raw = {}
@@ -123,19 +200,19 @@ class TestInsert:
                 p = pkt(ts=ts, src_ip=remote, dst_ip=DEVICE, src_port=443,
                         dst_port=40000 + fi, proto="TCP", length=length)
             key = tree.insert(p)
-            raw.setdefault(key, []).append((out, length, ts))
-        total = sum(s.n_in + s.n_out
-                    for leaf in tree.leaves.values() for s in leaf.values())
-        assert total == 1000
-        for key, plist in raw.items():
-            s = tree.stats_of(key)
-            assert s.n_out == sum(1 for o, _, _ in plist if o)
-            assert s.n_in == len(plist) - s.n_out
-            assert s.sizes == {length for _, length, _ in plist}
-            for direction, t_sum in ((True, s.t_out), (False, s.t_in)):
-                stamps = [t for o, _, t in plist if o == direction]
-                expect = sum(b - a for a, b in zip(stamps, stamps[1:]))
-                assert t_sum == pytest.approx(expect, abs=1e-9)
+            raw.setdefault(key, []).append(p)
+        assert sum(len(flow) for flow in tree.flows.values()) == 1000
+        assert tree.flows == raw
+        assert list(tree.flows) == list(raw)
+        for leaf in leaves_of(tree).values():
+            for key, sizes in leaf.items():
+                assert sizes == {p.length for p in raw[key]}
+
+    def test_earlier_packet_of_a_flow_is_rejected(self):
+        tree = ClusterTree(DEVICE)
+        tree.insert(pkt(ts=5.0))
+        with pytest.raises(NonMonotonicTimestamp, match="ts 4.0 .* ts 5.0"):
+            tree.insert(pkt(ts=4.0))
 
 
 class TestJaccard:
@@ -164,8 +241,8 @@ class TestJaccard:
 class TestMergeActivities:
     def test_wildcard_domain(self):
         entries = {
-            domain_flow("cam1.vendor.com", 40000): stats_with_sizes({512, 1024}),
-            domain_flow("cam2.vendor.com", 40001): stats_with_sizes({512, 1024}),
+            domain_flow("cam1.vendor.com", 40000): frozenset({512, 1024}),
+            domain_flow("cam2.vendor.com", 40001): frozenset({512, 1024}),
         }
         keys = merge_activities(entries, MergeConfig(0.5))
         assert len(keys) == 1
@@ -175,8 +252,8 @@ class TestMergeActivities:
 
     def test_disjoint_sizes_stay_separate(self):
         entries = {
-            domain_flow("cam1.vendor.com", 40000): stats_with_sizes({512}),
-            domain_flow("cam2.vendor.com", 40001): stats_with_sizes({1024}),
+            domain_flow("cam1.vendor.com", 40000): frozenset({512}),
+            domain_flow("cam2.vendor.com", 40001): frozenset({1024}),
         }
         keys = merge_activities(entries, MergeConfig(0.5))
         assert len(keys) == 2
@@ -184,29 +261,29 @@ class TestMergeActivities:
 
     def test_zero_threshold_merges_everything(self):
         entries = {
-            domain_flow("cam1.vendor.com", 40000 + i): stats_with_sizes({100 + i})
+            domain_flow("cam1.vendor.com", 40000 + i): frozenset({100 + i})
             for i in range(4)
         }
         assert len(merge_activities(entries, MergeConfig(0.0))) == 1
 
     def test_unrelated_domains_never_merge(self):
         entries = {
-            domain_flow("a.one.org", 40000): stats_with_sizes({512}),
-            domain_flow("b.two.net", 40001): stats_with_sizes({512}),
+            domain_flow("a.one.org", 40000): frozenset({512}),
+            domain_flow("b.two.net", 40001): frozenset({512}),
         }
         assert len(merge_activities(entries, MergeConfig(0.0))) == 2
 
     def test_system_src_port_never_generalizes(self):
         entries = {
-            domain_flow("a.example.com", 22): stats_with_sizes({512}),
-            domain_flow("a.example.com", 40001): stats_with_sizes({512}),
+            domain_flow("a.example.com", 22): frozenset({512}),
+            domain_flow("a.example.com", 40001): frozenset({512}),
         }
         assert len(merge_activities(entries, MergeConfig(0.0))) == 2
 
     def test_differing_dst_ports_never_merge(self):
         entries = {
-            domain_flow("a.example.com", 40000, dport=80): stats_with_sizes({512}),
-            domain_flow("a.example.com", 40001, dport=81): stats_with_sizes({512}),
+            domain_flow("a.example.com", 40000, dport=80): frozenset({512}),
+            domain_flow("a.example.com", 40001, dport=81): frozenset({512}),
         }
         assert len(merge_activities(entries, MergeConfig(0.0))) == 2
 
@@ -214,7 +291,7 @@ class TestMergeActivities:
         rng = np.random.default_rng(0)
         entries = {
             domain_flow("a.example.com", 40000 + i):
-                stats_with_sizes(set(rng.choice(20, size=5) + 1))
+                frozenset(set(rng.choice(20, size=5) + 1))
             for i in range(12)
         }
         counts = [len(merge_activities(entries, MergeConfig(h)))
@@ -223,9 +300,9 @@ class TestMergeActivities:
 
     def test_members_match_own_key(self):
         entries = {
-            domain_flow("cam1.vendor.com", 40000): stats_with_sizes({512, 1024}),
-            domain_flow("cam2.vendor.com", 40001): stats_with_sizes({512, 1024}),
-            domain_flow("cam2.vendor.com", 40002, dport=80): stats_with_sizes({99}),
+            domain_flow("cam1.vendor.com", 40000): frozenset({512, 1024}),
+            domain_flow("cam2.vendor.com", 40001): frozenset({512, 1024}),
+            domain_flow("cam2.vendor.com", 40002, dport=80): frozenset({99}),
         }
         for key in merge_activities(entries, MergeConfig(0.5)):
             for f in key.member_flows:
