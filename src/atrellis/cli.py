@@ -17,12 +17,14 @@ from typing import List, Optional
 from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
-from .errors import AtrellisError, EmptyTree, SchemaError, check
+from .errors import (AtrellisError, EmptyTree, NonMonotonicTimestamp,
+                     SchemaError, check)
 from .feature_pipeline import FeatureConfig, featurize_many
 from .neural_autoencoder import AEArchitecture, TrainConfig
 from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
-                            parse_prefixes, read_json, read_jsonl,
-                            read_packets_jsonl, write_packets_jsonl)
+                            line_of_object, parse_prefixes, read_json,
+                            read_jsonl, read_packets_jsonl,
+                            write_packets_jsonl)
 
 log = logging.getLogger("atrellis")
 
@@ -338,6 +340,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NonMonotonicTimestamp as exc:
+        # every stage that keys flows inserts its whole trace, in order
+        line = line_of_object(args.trace, exc.index)
+        where = args.trace if line is None else f"{args.trace}:{line}"
+        print(f"error: {where}: {exc}", file=sys.stderr)
+        return 1
     except (AtrellisError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

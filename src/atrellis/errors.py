@@ -16,7 +16,12 @@ class ForeignPacket(AtrellisError):
 
 
 class NonMonotonicTimestamp(AtrellisError):
-    """A packet is earlier than the last packet of its flow."""
+    """A packet is earlier than the last packet of its flow; ``index`` is
+    its position among the packets inserted into the flow table."""
+
+    def __init__(self, message: str, index: int = -1):
+        super().__init__(message)
+        self.index = index
 
 
 class SchemaError(AtrellisError):

@@ -13,9 +13,8 @@ import ipaddress
 import json
 import logging
 import math
-from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
-                    Sequence)
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence)
 
 from .errors import (ForeignPacket, MalformedAddress, NonMonotonicTimestamp,
                      SchemaError)
@@ -54,15 +53,7 @@ def normalize_domain(name: str) -> str:
     return name.lower().rstrip(".")
 
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One observed packet.
-
-    ``dns_name`` is the pre-resolved domain of the *remote* endpoint, when
-    known.  ``label`` is present only in simulator output ("benign" or
-    "attack:<kind>").
-    """
-
+class _PacketFields(NamedTuple):
     ts: float
     src_ip: str
     dst_ip: str
@@ -73,23 +64,42 @@ class PacketRecord:
     dns_name: Optional[str] = None
     label: Optional[str] = None
 
-    def __post_init__(self):
-        if not 0.0 <= self.ts < math.inf:
-            raise ValueError(
-                f"timestamp must be finite and >= 0, got {self.ts}")
-        if not 1 <= self.length <= 65535:
-            raise ValueError(f"bad packet length: {self.length}")
-        for p in (self.src_port, self.dst_port):
-            if not 0 <= p <= 65535:
-                raise ValueError(f"port out of range: {p}")
-        if self.proto not in PROTOCOLS:
-            raise ValueError(f"unknown protocol: {self.proto!r}")
-        if self.dns_name is not None:
-            object.__setattr__(self, "dns_name", normalize_domain(self.dns_name))
+
+class PacketRecord(_PacketFields):
+    """One observed packet: a tuple, checked when it is built.
+
+    ``dns_name`` is the pre-resolved domain of the *remote* endpoint, when
+    known.  ``label`` is present only in simulator output ("benign" or
+    "attack:<kind>").
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, ts, src_ip, dst_ip, src_port, dst_port, proto, length,
+                dns_name=None, label=None):
+        if not 0.0 <= ts < math.inf:
+            raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+        if not 1 <= length <= 65535:
+            raise ValueError(f"bad packet length: {length}")
+        if not 0 <= src_port <= 65535:
+            raise ValueError(f"port out of range: {src_port}")
+        if not 0 <= dst_port <= 65535:
+            raise ValueError(f"port out of range: {dst_port}")
+        if proto not in PROTOCOLS:
+            raise ValueError(f"unknown protocol: {proto!r}")
+        if dns_name is not None:
+            dns_name = normalize_domain(dns_name)
+        return tuple.__new__(cls, (ts, src_ip, dst_ip, src_port, dst_port,
+                                   proto, length, dns_name, label))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The checked record of ``iterable``'s fields; ``_replace`` builds
+        through here."""
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class PortClass:
+class PortClass(NamedTuple):
     """IANA range of a port.  System and Registered retain the concrete
     port; Dynamic does not."""
 
@@ -97,8 +107,7 @@ class PortClass:
     port: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class Remote:
+class Remote(NamedTuple):
     """Classified remote endpoint: the address class plus its concrete
     value (the domain name for DOMAIN, the IP text otherwise)."""
 
@@ -106,8 +115,7 @@ class Remote:
     value: str
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Canonical bidirectional 5-tuple, always oriented from the device."""
 
     device_ip: str
@@ -213,7 +221,8 @@ class FlowTable:
     def insert(self, pkt: PacketRecord) -> FlowKey:
         """Append ``pkt`` to its flow and return the flow's key.  A packet
         earlier than the last packet of its flow raises
-        NonMonotonicTimestamp."""
+        NonMonotonicTimestamp with the number of packets inserted before
+        it."""
         raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
                pkt.dns_name)
         entry = self._by_raw.get(raw)
@@ -224,7 +233,8 @@ class FlowTable:
         if flow and pkt.ts < flow[-1].ts:
             raise NonMonotonicTimestamp(
                 f"flow {key}: packet at ts {pkt.ts} is earlier than the "
-                f"flow's last packet at ts {flow[-1].ts}")
+                f"flow's last packet at ts {flow[-1].ts}",
+                sum(map(len, self.flows.values())))
         flow.append(pkt)
         return key
 
@@ -289,17 +299,10 @@ def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
         raise SchemaError(f"packet fields dns_name and label must be "
                           f"strings, got {dns_name!r} and {label!r}")
     try:
-        return PacketRecord(
-            ts=float(obj["ts"]),
-            src_ip=str(obj["src_ip"]),
-            dst_ip=str(obj["dst_ip"]),
-            src_port=int(obj["src_port"]),
-            dst_port=int(obj["dst_port"]),
-            proto=str(obj["proto"]),
-            length=int(obj["length"]),
-            dns_name=dns_name,
-            label=label,
-        )
+        return PacketRecord(float(obj["ts"]), str(obj["src_ip"]),
+                            str(obj["dst_ip"]), int(obj["src_port"]),
+                            int(obj["dst_port"]), str(obj["proto"]),
+                            int(obj["length"]), dns_name, label)
     except (TypeError, ValueError, OverflowError) as exc:
         for name, convert in _NUMERIC_FIELDS:
             try:
@@ -349,6 +352,23 @@ def read_jsonl(path, convert: Callable[[dict], object]) -> Iterator:
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield item
+
+
+def line_of_object(path, index: int) -> Optional[int]:
+    """The line of ``path`` that holds its ``index``-th JSON object,
+    counting from 0 and skipping blank lines as read_jsonl does; None if
+    the file (a pipe, say) cannot be read again or no longer holds that
+    many."""
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                if raw.decode("utf-8", "replace").strip():
+                    if index == 0:
+                        return lineno
+                    index -= 1
+    except OSError:
+        pass
+    return None
 
 
 def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:

@@ -521,7 +521,11 @@ class TestVerdictReader:
     @given(v=verdicts())
     def test_round_trip(self, v):
         doc = json.loads(json.dumps(ens.verdict_to_dict(v)))
-        assert ens.verdict_from_dict(doc) == v
+        back = ens.verdict_from_dict(doc)
+        # records are tuples, which compare equal across types
+        assert back == v and type(back) is ens.Verdict
+        assert type(back.flow) is FlowKey and type(back.flow.remote) is Remote
+        assert ens.verdict_from_dict(ens.verdict_to_dict(v)) == v
 
     @settings(max_examples=400, deadline=None)
     @given(line=mutated_verdict_lines())

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import hashlib
 import inspect
 import json
 import textwrap
@@ -603,8 +604,49 @@ class TestOutOfOrderFlow:
         capsys.readouterr()
         rc = main([stage, bad, *args, "-o", str(tmp_path / "out")])
         assert rc == 1
-        assert_one_error_line(capsys, "ts 10.5")
+        assert_one_error_line(capsys, f"error: {bad}:13: flow TCP ",
+                              "ts 10.5")
         assert not (tmp_path / "out").exists()
+
+    def test_line_counts_blank_lines_and_not_an_equal_earlier_packet(
+            self, tmp_path, capsys):
+        def line(ts):
+            return json.dumps({
+                "ts": ts, "src_ip": "192.168.1.10", "dst_ip": "203.0.113.5",
+                "src_port": 40000, "dst_port": 443, "proto": "TCP",
+                "length": 60})
+
+        bad = str(tmp_path / "bad.jsonl")
+        with open(bad, "w") as fh:
+            fh.write("\n".join([line(0.0), "", line(10.5), "  ", line(11.0),
+                                line(10.5)]) + "\n")
+        rc = main(["profile", bad, "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {bad}:6: flow TCP ",
+                              "ts 10.5")
+
+
+class TestPinnedBytes:
+    """The bytes of a camera trace and of its profile, as the code wrote
+    them when these digests were taken.  No BLAS arithmetic runs up to the
+    profile, so they hold on any host; a change that moves a byte in
+    simulate, parse, flow keying or profile fails here and has to say why
+    its bytes differ."""
+
+    TRACE_SHA256 = ("42a7f1153b86bbc7b7d12e949a55c0f0"
+                    "4d53c256dc6f9d372718f74d9b96679b")
+    PROFILE_SHA256 = ("4716ec28b18237e017d54953df6b2128"
+                      "cc858cdef28f9fe0b652d0c3f578244b")
+
+    def test_simulated_trace_and_its_profile(self, tmp_path):
+        trace, profile = str(tmp_path / "t.jsonl"), str(tmp_path / "p.json")
+        assert main(["simulate", "--fixture", "camera", "--duration", "3600",
+                     "-o", trace] + SEED) == 0
+        assert main(["profile", trace, "-o", profile]) == 0
+        for path, digest in ((trace, self.TRACE_SHA256),
+                             (profile, self.PROFILE_SHA256)):
+            with open(path, "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == digest, path
 
 
 class TestSimulatorPorts:

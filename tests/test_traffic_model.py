@@ -1,4 +1,7 @@
 import json
+import math
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +10,12 @@ from atrellis import synth_traffic as sim
 from atrellis.errors import ForeignPacket, MalformedAddress, SchemaError
 from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
                                     OUT, PACKET_FIELDS, PROTOCOLS,
-                                    REGISTERED, REMOTE_IP, SYSTEM,
-                                    PacketRecord, classify_address,
-                                    classify_port, direction_of, flow_key_of,
-                                    flows_of_trace, packet_from_dict,
+                                    REGISTERED, REMOTE_IP, SYSTEM, FlowKey,
+                                    PacketRecord, PortClass, Remote,
+                                    classify_address, classify_port,
+                                    direction_of, flow_key_of,
+                                    flows_of_trace, line_of_object,
+                                    normalize_domain, packet_from_dict,
                                     packet_to_dict, read_packets_jsonl,
                                     write_packets_jsonl)
 
@@ -152,12 +157,137 @@ class TestPacketValidation:
             pkt(ts=ts)
 
 
+# --- packet record oracle -------------------------------------------------
+
+@dataclass(frozen=True, slots=True)
+class ReferencePacketRecord:
+    """The frozen-dataclass PacketRecord that the tuple-backed record
+    replaced, kept as an oracle for what a record accepts and holds."""
+
+    ts: float
+    src_ip: str
+    dst_ip: str
+    src_port: int
+    dst_port: int
+    proto: str
+    length: int
+    dns_name: Optional[str] = None
+    label: Optional[str] = None
+
+    def __post_init__(self):
+        if not 0.0 <= self.ts < math.inf:
+            raise ValueError(
+                f"timestamp must be finite and >= 0, got {self.ts}")
+        if not 1 <= self.length <= 65535:
+            raise ValueError(f"bad packet length: {self.length}")
+        for p in (self.src_port, self.dst_port):
+            if not 0 <= p <= 65535:
+                raise ValueError(f"port out of range: {p}")
+        if self.proto not in PROTOCOLS:
+            raise ValueError(f"unknown protocol: {self.proto!r}")
+        if self.dns_name is not None:
+            object.__setattr__(self, "dns_name", normalize_domain(self.dns_name))
+
+
+RECORD_FIELDS = ("ts", "src_ip", "dst_ip", "src_port", "dst_port", "proto",
+                 "length", "dns_name", "label")
+ports = st.sampled_from([-1, 0, 1023, 65535, 65536]) | st.integers(-9, 70000)
+record_values = {
+    "ts": st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0,
+                           -1e-300]) | st.floats(-10, 1e9),
+    "src_ip": st.sampled_from([DEVICE, "203.0.113.5"]),
+    "dst_ip": st.sampled_from([DEVICE, "203.0.113.5"]),
+    "src_port": ports, "dst_port": ports,
+    "proto": st.sampled_from(PROTOCOLS + ("ICMP", "tcp", "")),
+    "length": st.sampled_from([0, 1, 65535, 65536]) | st.integers(-5, 70000),
+    "dns_name": st.none() | st.sampled_from(
+        ["Cam.Example.COM.", "cam.example.com", "A.", ".", ""])
+    | st.text(max_size=6),
+    "label": st.none() | st.sampled_from(["benign", "attack:Flood"]),
+}
+record_kwargs = st.fixed_dictionaries(record_values)
+
+
+def outcome(make, *args, **kwargs):
+    """The field values of the record that ``make`` builds, or the type
+    and message of the ValueError with which it refuses."""
+    try:
+        p = make(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(p, name) for name in RECORD_FIELDS)
+
+
+class TestPacketRecordOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(record_kwargs)
+    def test_accepts_and_refuses_as_the_dataclass(self, kw):
+        expected = outcome(ReferencePacketRecord, **kw)
+        assert outcome(PacketRecord, **kw) == expected
+        values = [kw[name] for name in RECORD_FIELDS]
+        assert outcome(PacketRecord, *values) == expected
+        assert outcome(PacketRecord._make, values) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(name=st.sampled_from(RECORD_FIELDS), data=st.data())
+    def test_replace_checks_as_the_dataclass(self, name, data):
+        base = pkt(dns_name="Cam.Example.com.", label="benign")
+        ref = ReferencePacketRecord(*base)
+        value = data.draw(record_values[name])
+        assert outcome(base._replace, **{name: value}) == \
+            outcome(replace, ref, **{name: value})
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("ts", math.nan, "timestamp"), ("ts", -1.0, "timestamp"),
+        ("length", 0, "bad packet length: 0"),
+        ("dst_port", 65536, "port out of range: 65536"),
+        ("proto", "ICMP", "unknown protocol"),
+    ])
+    def test_make_and_replace_cannot_bypass_the_checks(self, name, value,
+                                                        message):
+        values = list(pkt())
+        values[RECORD_FIELDS.index(name)] = value
+        with pytest.raises(ValueError, match=message):
+            PacketRecord._make(values)
+        with pytest.raises(ValueError, match=message):
+            pkt()._replace(**{name: value})
+
+    def test_fields_cannot_be_assigned(self):
+        p = pkt()
+        for name in RECORD_FIELDS + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 1)
+        key = flow_key_of(p, DEVICE)
+        for record in (key, key.remote, classify_port(80)):
+            with pytest.raises(AttributeError):
+                record.proto = "UDP"
+
+    def test_the_small_records_are_plain_tuples(self):
+        key = FlowKey(DEVICE, Remote(DOMAIN, "a.example"), 40000, 443, "TCP")
+        assert key == (DEVICE, (DOMAIN, "a.example"), 40000, 443, "TCP")
+        assert hash(key) == hash(tuple(key))
+        assert str(key) == f"TCP {DEVICE}:40000 <-> domain a.example:443"
+        assert PortClass(DYNAMIC) == (DYNAMIC, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.deferred(lambda: valid_packets))
+    def test_dict_round_trip(self, p):
+        back = packet_from_dict(packet_to_dict(p))
+        assert back == p and type(back) is PacketRecord
+
+
 class TestJsonLines:
     def test_round_trip(self, tmp_path):
         packets = [pkt(), pkt(ts=2.0, dns_name="dns.google", label="benign")]
         path = tmp_path / "trace.jsonl"
         write_packets_jsonl(path, packets)
         assert list(read_packets_jsonl(path)) == packets
+
+    def test_line_of_object_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("{}\n\n  \n{}\n{}\n")
+        assert [line_of_object(path, i) for i in range(4)] == [1, 4, 5, None]
+        assert line_of_object(tmp_path / "gone.jsonl", 0) is None
 
     def test_strict_rejects_unknown_field(self):
         obj = packet_to_dict(pkt())
