@@ -21,7 +21,7 @@ r = 10
 base = np.concatenate([np.linspace(0.2, 0.8, r), np.linspace(0.7, 0.3, r)])
 data = np.clip(base + rng.normal(0, 0.02, size=(400, 2 * r)), 0, 1)
 
-arch = AEArchitecture(input_len=2 * r)
+arch = AEArchitecture(r)
 model = init_model(arch, seed=3)
 
 before = float(np.mean([reconstruction_error(model, x) for x in data]))

@@ -12,8 +12,7 @@ from collections import Counter
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
-from atrellis.feature_pipeline import FeatureConfig
-from atrellis.neural_autoencoder import TrainConfig
+from atrellis.neural_autoencoder import AEArchitecture, TrainConfig
 from atrellis.traffic_model import flows_of_trace
 
 spec = sim.FIXTURES["camera"]
@@ -24,7 +23,7 @@ tree = ct.ClusterTree(spec.device_ip)
 for pkt in train_trace:
     tree.insert(pkt)
 profile = ct.build_profile(tree, ct.MergeConfig(0.5))
-ensemble = ens.train_ensemble(profile, tree.flows, FeatureConfig(),
+ensemble = ens.train_ensemble(profile, tree.flows, AEArchitecture(r=10),
                               TrainConfig(epochs=30), seed=0)
 print(f"trained {len(ensemble.submodels)} per-activity submodels")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -23,13 +23,13 @@ from .clustering_tree import (ActivityProfile, activity_key_from_dict,
                               keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
-from .feature_pipeline import FeatureConfig, featurize_many
+from .feature_pipeline import featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
 from .traffic_model import FlowKey, PacketRecord, read_json
 
-ENSEMBLE_SCHEMA_VERSION = "3.0"
+ENSEMBLE_SCHEMA_VERSION = "4.0"
 
 STAGE1_MALICIOUS = "stage1_malicious"
 ANOMALOUS = "anomalous"
@@ -64,7 +64,7 @@ class Ensemble:
 
     profile: ActivityProfile
     submodels: List[Tuple[AEModel, float]]
-    feature_config: FeatureConfig
+    arch: AEArchitecture
 
 
 def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[int]:
@@ -105,13 +105,12 @@ def calibrate_threshold(errors: Sequence[float], q: float) -> float:
 
 def train_ensemble(profile: ActivityProfile,
                    training_flows: Dict[FlowKey, List[PacketRecord]],
-                   fcfg: FeatureConfig,
+                   arch: AEArchitecture,
                    tcfg: TrainConfig = TrainConfig(),
                    thcfg: ThresholdConfig = ThresholdConfig(),
                    seed: int = 0) -> Ensemble:
     """Fit one autoencoder per activity key on its member flows and
     calibrate its threshold on the training reconstruction errors."""
-    arch = AEArchitecture(input_len=2 * fcfg.r)
     submodels = []
     for i, key in enumerate(profile.keys):
         flows = [training_flows[f] for f in key.member_flows
@@ -119,9 +118,9 @@ def train_ensemble(profile: ActivityProfile,
         if not flows:
             raise EmptyActivity(f"activity key {i} has no trainable flows")
         model = init_model(arch, seed + i)
-        model, errors = fit(model, featurize_many(flows, fcfg), tcfg)
+        model, errors = fit(model, featurize_many(flows, arch.r), tcfg)
         submodels.append((model, calibrate_threshold(errors, thcfg.q)))
-    return Ensemble(profile, submodels, fcfg)
+    return Ensemble(profile, submodels, arch)
 
 
 def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
@@ -150,8 +149,7 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
         stage2.append(i)
         triggered.append(len(matched))
 
-    X = featurize_many([table[keys[i]] for i in stage2],
-                       ensemble.feature_config)
+    X = featurize_many([table[keys[i]] for i in stage2], ensemble.arch.r)
     best_score = np.full(len(stage2), np.inf)
     best_column = np.zeros(len(stage2), dtype=np.intp)
     for j in sorted(rows_of):
@@ -212,8 +210,8 @@ def evaluate(verdicts: Sequence[Verdict],
     if len(verdicts) != len(labels):
         raise LengthMismatch(f"{len(verdicts)} verdicts vs "
                              f"{len(labels)} labels")
-    flagged = np.array([v.kind != BENIGN for v in verdicts])
-    is_attack = np.array([lab != "benign" for lab in labels])
+    flagged = np.array([v.kind != BENIGN for v in verdicts], dtype=bool)
+    is_attack = np.array([lab != "benign" for lab in labels], dtype=bool)
     scores = np.array([verdict_score(v) for v in verdicts])
 
     n_attack = int(is_attack.sum())
@@ -270,7 +268,7 @@ def ensemble_to_dict(e: Ensemble) -> dict:
     return {
         "schema_version": ENSEMBLE_SCHEMA_VERSION,
         **keying_to_dict(e.profile),
-        "feature_config": asdict(e.feature_config),
+        "r": e.arch.r,
         "submodels": [{**activity_key_to_dict(key),
                        "model": model_to_dict(model),
                        "epsilon": epsilon}
@@ -282,12 +280,11 @@ def ensemble_to_dict(e: Ensemble) -> dict:
 def ensemble_from_dict(doc) -> Ensemble:
     check_schema_version(doc, ENSEMBLE_SCHEMA_VERSION, "ensemble")
     device_ip, prefixes = keying_from_dict(doc, "ensemble")
-    check(doc, {"feature_config": {"r": int}, "submodels": list}, "ensemble")
+    check(doc, {"r": int, "submodels": list}, "ensemble")
     try:
-        fcfg = FeatureConfig(**doc["feature_config"])
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"ensemble feature_config: {exc}") from None
-    arch = AEArchitecture(input_len=2 * fcfg.r)
+        arch = AEArchitecture(doc["r"])
+    except ValueError as exc:
+        raise SchemaError(f"ensemble: {exc}") from None
     keys, submodels = [], []
     for j, entry in enumerate(doc["submodels"]):
         what = f"ensemble submodel {j}"
@@ -297,7 +294,7 @@ def ensemble_from_dict(doc) -> Ensemble:
             raise SchemaError(f"{what}: epsilon {eps} is not in (0, inf)")
         submodels.append((model_from_dict(entry["model"], arch), eps))
     return Ensemble(ActivityProfile(device_ip, keys, prefixes), submodels,
-                    fcfg)
+                    arch)
 
 
 def save_ensemble(path, e: Ensemble) -> None:

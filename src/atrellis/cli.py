@@ -1,8 +1,10 @@
 """Command-line pipeline: simulate -> profile -> train -> detect -> eval.
 
-All artifacts are plain JSON / JSON-lines files carrying a schema_version
-field.  Exit codes: 0 success, 1 runtime or data failure, 2 usage error.
-Set ATRELLIS_LOG={error|info|debug} to control logging.
+Traces and verdicts are JSON-lines files, one packet or verdict per line.
+The other artifacts are JSON files carrying a schema_version field: the
+profile, the ensemble, the metrics and the trace's manifest.
+Exit codes: 0 success, 1 runtime or data failure, 2 usage error.  Set
+ATRELLIS_LOG={error|info|debug} to control logging.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from . import clustering_tree as ct
 from . import synth_traffic as sim
 from .errors import (AtrellisError, EmptyTree, NonMonotonicTimestamp,
                      SchemaError, check)
-from .feature_pipeline import FeatureConfig, featurize_many
+from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture, TrainConfig
 from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
                             line_of_object, parse_prefixes, read_json,
@@ -49,6 +51,13 @@ def _local_prefixes(values: Optional[List[str]]) -> tuple:
     prefixes = tuple(values or ())
     _option("--local-prefix", parse_prefixes, prefixes)
     return prefixes
+
+
+def _where(path: str, index: int) -> str:
+    """``PATH:LINE`` of the ``index``-th JSON object of ``path``, or
+    ``PATH`` if that line cannot be found again."""
+    line = line_of_object(path, index)
+    return path if line is None else f"{path}:{line}"
 
 
 def _infer_device_ip(packets: List[PacketRecord]) -> str:
@@ -186,15 +195,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_train(args) -> int:
-    fcfg = _option("--r", FeatureConfig, r=args.r)
-    _option("--r", AEArchitecture, input_len=2 * fcfg.r)
+    arch = _option("--r", AEArchitecture, r=args.r)
     tcfg = _option("--epochs", TrainConfig, epochs=args.epochs)
     thcfg = _option("--quantile", ens.ThresholdConfig, q=args.quantile)
     packets = list(read_packets_jsonl(args.trace, args.strict))
     profile = ct.load_profile(args.profile)
     _, table = flows_of_trace(packets, profile.device_ip,
                               profile.local_prefixes)
-    ensemble = ens.train_ensemble(profile, table, fcfg, tcfg, thcfg,
+    ensemble = ens.train_ensemble(profile, table, arch, tcfg, thcfg,
                                   seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
     print(f"trained {len(ensemble.submodels)} submodels")
@@ -211,8 +219,7 @@ def cmd_detect(args) -> int:
         for verdict in verdicts:
             fh.write(json.dumps(ens.verdict_to_dict(verdict)) + "\n")
     if args.dump_features:
-        X = featurize_many([table[key] for key in keys],
-                           ensemble.feature_config)
+        X = featurize_many([table[key] for key in keys], ensemble.arch.r)
         with open(args.dump_features, "w") as dump:
             for key, row in zip(keys, X):
                 dump.write(json.dumps(
@@ -227,34 +234,37 @@ def cmd_eval(args) -> int:
     packets = list(read_packets_jsonl(args.trace, args.strict))
     if any(p.label is None for p in packets):
         raise UsageError("eval requires a fully labeled trace")
-    device_ip = args.device_ip or _infer_device_ip(packets)
-    _, table = flows_of_trace(packets, device_ip, prefixes)
+    lines = read_jsonl(args.verdicts, ens.verdict_from_dict)
+    first = next(lines, None)
+    if first is None:
+        raise AtrellisError(f"{args.verdicts} holds no verdicts, so there is "
+                            f"no device IP to key {args.trace} with")
+    _, table = flows_of_trace(packets, first.flow.device_ip, prefixes)
 
-    truth = {}
-    for key, flow in table.items():
-        attack = next((p.label for p in flow
-                       if p.label and p.label.startswith("attack:")), None)
-        truth[key] = attack or "benign"
+    truth = {key: next((p.label for p in flow
+                        if p.label.startswith("attack:")), "benign")
+             for key, flow in table.items()}
 
+    verdicts = [first, *lines]
     labels = []
-    judged = set()
-
-    def verdict_of(doc: dict) -> ens.Verdict:
-        verdict = ens.verdict_from_dict(doc)
+    for i, verdict in enumerate(verdicts):
         flow = verdict.flow
-        if flow not in truth:
-            raise SchemaError(
-                f"flow {flow} is not in {args.trace}; eval keys the trace "
-                f"with its own --device-ip and --local-prefix, which must "
-                f"match the profile's")
-        if flow in judged:
-            raise SchemaError(f"flow {flow} was judged on an earlier line; "
-                              f"this is a second verdict for it")
-        judged.add(flow)
-        labels.append(truth[flow])
-        return verdict
+        if flow in truth:
+            labels.append(truth.pop(flow))
+            continue
+        if flow in table:
+            problem = ("was judged on an earlier line; this is a second "
+                       "verdict for it")
+        else:
+            problem = (f"is not in {args.trace}; eval keys the trace with "
+                       f"the verdicts' device IP and its own --local-prefix, "
+                       f"which must match the profile's")
+        raise SchemaError(f"{_where(args.verdicts, i)}: flow {flow} {problem}")
+    if truth:
+        raise AtrellisError(
+            f"{len(truth)} of the {len(table)} flows of {args.trace} have no "
+            f"verdict in {args.verdicts}; the first is {next(iter(truth))}")
 
-    verdicts = list(read_jsonl(args.verdicts, verdict_of))
     metrics = ens.evaluate(verdicts, labels)
     metrics["schema_version"] = METRICS_SCHEMA_VERSION
     with open(args.out, "w") as fh:
@@ -279,15 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, keying=False):
         """The trace, output and parse options; with ``keying``, also the
-        device IP and local prefixes that flows are keyed by.  train and
-        detect take those from the profile or ensemble."""
+        local prefixes that flows are keyed by.  profile also takes the
+        device IP, eval takes it from the verdicts, and train and detect
+        take both from the profile or ensemble."""
         p.add_argument("trace", help="packet trace (JSON-lines)")
         p.add_argument("-o", "--out", required=True)
         p.add_argument("--strict", action="store_true",
                        help="reject unknown packet fields")
         if keying:
             p.add_argument("--local-prefix", action="append", metavar="CIDR")
-            p.add_argument("--device-ip")
 
     p = sub.add_parser("simulate", help="generate a labeled synthetic trace")
     p.add_argument("--fixture", help=f"one of: {', '.join(sorted(sim.FIXTURES))}")
@@ -301,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="build the activity profile")
     common(p, keying=True)
+    p.add_argument("--device-ip")
     p.add_argument("--h-s", type=float, default=0.5, dest="h_s",
                    help="Jaccard merge threshold")
     p.set_defaults(func=cmd_profile)
@@ -342,9 +353,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except NonMonotonicTimestamp as exc:
         # every stage that keys flows inserts its whole trace, in order
-        line = line_of_object(args.trace, exc.index)
-        where = args.trace if line is None else f"{args.trace}:{line}"
-        print(f"error: {where}: {exc}", file=sys.stderr)
+        print(f"error: {_where(args.trace, exc.index)}: {exc}",
+              file=sys.stderr)
         return 1
     except (AtrellisError, SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

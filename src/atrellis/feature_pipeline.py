@@ -3,7 +3,7 @@ normalization.
 
 A flow's first r packets yield r normalized IP lengths followed by r
 normalized inter-arrival gaps (first gap 0); short flows are zero-padded.
-Lengths scale linearly by max_len; gaps scale as log(1+gap)/log(1+max_gap)
+Lengths scale linearly by MAX_LEN; gaps scale as log(1+gap)/log(1+MAX_GAP)
 so that millisecond and minute gaps both stay resolvable.  Everything is
 clipped to [0, 1].
 """
@@ -18,20 +18,8 @@ import numpy as np
 from .errors import EmptyFlow, UnorderedTimestamps
 from .traffic_model import PacketRecord
 
-
-@dataclass(frozen=True)
-class FeatureConfig:
-    r: int = 10
-    max_len: float = 1500.0
-    max_gap: float = 60.0
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
-        if self.max_gap <= 0:
-            raise ValueError(f"max_gap must be > 0, got {self.max_gap}")
+MAX_LEN = 1500.0        # bytes: the Ethernet MTU
+MAX_GAP = 60.0          # seconds
 
 
 @dataclass(frozen=True)
@@ -41,16 +29,16 @@ class FeatureVector:
     values: np.ndarray
 
 
-def featurize(flow_packets: Sequence[PacketRecord],
-              cfg: FeatureConfig) -> FeatureVector:
+def featurize(flow_packets: Sequence[PacketRecord], r: int) -> FeatureVector:
     """Feature vector of one flow: the batch of one of featurize_many."""
-    return FeatureVector(featurize_many([flow_packets], cfg)[0])
+    return FeatureVector(featurize_many([flow_packets], r)[0])
 
 
 def featurize_many(flows: Sequence[Sequence[PacketRecord]],
-                   cfg: FeatureConfig) -> np.ndarray:
+                   r: int) -> np.ndarray:
     """(N, 2r) matrix whose row i is the feature vector of flows[i]."""
-    r = cfg.r
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     heads = [flow[:r] for flow in flows]
     counts = np.fromiter(map(len, heads), dtype=np.intp, count=len(heads))
     if not counts.all():
@@ -68,7 +56,7 @@ def featurize_many(flows: Sequence[Sequence[PacketRecord]],
     lengths = np.zeros((len(heads), r))
     lengths[valid] = np.fromiter((p.length for p in packets), dtype=float,
                                  count=len(packets))
-    lengths = np.clip(lengths / cfg.max_len, 0.0, 1.0)
-    gaps = np.clip(np.log1p(gaps) / np.log1p(cfg.max_gap), 0.0, 1.0)
+    lengths = np.clip(lengths / MAX_LEN, 0.0, 1.0)
+    gaps = np.clip(np.log1p(gaps) / np.log1p(MAX_GAP), 0.0, 1.0)
     return np.concatenate([lengths, gaps], axis=1)
 

@@ -42,28 +42,31 @@ from scipy.special import expit
 from .errors import (BadArchitecture, DivergedLoss, EmptyData, SchemaError,
                      ShapeMismatch, check)
 
-# The network's shape: only input_len varies, with the feature config's r.
+# The network's shape: only r varies.
 CHANNELS = 8
 KERNEL = 3
 BOTTLENECK = 8
 STRIDE = 2
 
+# Adam's step size, the minibatch size, and the epochs without a better
+# loss after which fit stops.
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 32
+PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class AEArchitecture:
-    input_len: int          # 2r
+    r: int                  # packets per flow; the input is 2r values
 
     def __post_init__(self):
-        if self.input_len < 2 or self.input_len % 2 != 0:
+        if self.r < KERNEL:
             raise BadArchitecture(
-                f"input_len must be even and >= 2, got {self.input_len}")
-        if KERNEL > self.r:
-            raise BadArchitecture(
-                f"kernel {KERNEL} larger than per-channel input {self.r}")
+                f"r must be >= {KERNEL}, the kernel size, got {self.r}")
 
     @property
-    def r(self) -> int:
-        return self.input_len // 2
+    def input_len(self) -> int:
+        return 2 * self.r
 
     @property
     def conv_len(self) -> int:
@@ -254,14 +257,9 @@ def _batch_errors(arch: AEArchitecture, p: Dict[str, np.ndarray],
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
     epochs: int = 50
-    batch_size: int = 32
-    patience: int = 5
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
@@ -299,8 +297,8 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
 
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
-        for start in range(0, X.shape[0], cfg.batch_size):
-            batch = X[order[start:start + cfg.batch_size]]
+        for start in range(0, X.shape[0], BATCH_SIZE):
+            batch = X[order[start:start + BATCH_SIZE]]
             out, cache = _forward(arch, params, batch, want_cache=True)
             d_out = 2.0 * (out - batch) / out.size
             _backward(arch, params, cache, d_out, grads)
@@ -315,7 +313,7 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
             adam_v += (1 - beta2) * flat_grads * flat_grads
             m_hat = adam_m / (1 - beta1 ** step)
             v_hat = adam_v / (1 - beta2 ** step)
-            flat_params -= cfg.learning_rate * m_hat / (
+            flat_params -= LEARNING_RATE * m_hat / (
                 np.sqrt(v_hat) + adam_eps)
 
         loss = epoch_loss()
@@ -327,7 +325,7 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
             stale = 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= PATIENCE:
                 break
 
     best = _flat_views(best_flat, arch)

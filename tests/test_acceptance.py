@@ -15,7 +15,7 @@ from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis.cli import main as cli_main
 from atrellis.cluster_metrics import dunn_index, kmeans, purity
-from atrellis.feature_pipeline import FeatureConfig, featurize
+from atrellis.feature_pipeline import featurize
 from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
                                          grad_check, init_model)
 from atrellis.traffic_model import PacketRecord, flows_of_trace
@@ -161,7 +161,7 @@ def test_criterion_3_kmeans_micro_optimality():
 # --- criterion 4: autoencoder gradient check --------------------------------
 
 def test_criterion_4_gradient_check():
-    arch = AEArchitecture(input_len=20)
+    arch = AEArchitecture(r=10)
     t0 = time.perf_counter()
     worst = 0.0
     for s in range(20):
@@ -179,7 +179,6 @@ def test_criterion_4_gradient_check():
 
 def test_criterion_5_clustering_purity():
     rng = np.random.default_rng(99)
-    fcfg = FeatureConfig()
     for name, spec in sim.FIXTURES.items():
         trace = sim.generate(spec, 7200.0, seed=7)
         tree = ct.ClusterTree(spec.device_ip)
@@ -194,7 +193,7 @@ def test_criterion_5_clustering_purity():
         assert "unknown" not in labels
         p_score = purity(assignment, labels)
         assert p_score >= 0.95, f"{name}: purity {p_score:.3f}"
-        points = np.array([featurize(table[f], fcfg).values for f in keys])
+        points = np.array([featurize(table[f], 10).values for f in keys])
         di_true = dunn_index(points, assignment)
         for _ in range(10):
             shuffled = rng.permutation(assignment)
@@ -215,7 +214,7 @@ def camera_rig():
         tree.insert(p)
     profile = ct.build_profile(tree, ct.MergeConfig(0.5))
     keys, table = flows_of_trace(trace, spec.device_ip)
-    ensemble = ens.train_ensemble(profile, table, FeatureConfig(),
+    ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
                                   TrainConfig(epochs=30), seed=0)
     elapsed = time.perf_counter() - t0
     return spec, ensemble, keys, table, elapsed

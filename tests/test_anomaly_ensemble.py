@@ -14,8 +14,9 @@ from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       PortPattern, RemotePattern)
 from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
                              LengthMismatch, SchemaError)
-from atrellis.feature_pipeline import FeatureConfig, featurize
-from atrellis.neural_autoencoder import TrainConfig, reconstruction_error
+from atrellis.feature_pipeline import featurize
+from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
+                                         reconstruction_error)
 from atrellis.traffic_model import FlowKey, Remote, flows_of_trace, read_jsonl
 
 DEVICE = "192.168.1.10"
@@ -99,8 +100,7 @@ def camera_setup():
         tree.insert(p)
     profile = ct.build_profile(tree, ct.MergeConfig(0.5))
     keys, table = flows_of_trace(trace, spec.device_ip)
-    fcfg = FeatureConfig(r=10)
-    ensemble = ens.train_ensemble(profile, table, fcfg,
+    ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
                                   TrainConfig(epochs=80), seed=0)
     return spec, ensemble, keys, table
 
@@ -114,13 +114,13 @@ class TestTrainEnsemble:
     def test_empty_activity(self):
         profile = ActivityProfile(DEVICE, [key(members=(flow(),))])
         with pytest.raises(EmptyActivity):
-            ens.train_ensemble(profile, {}, FeatureConfig(r=4))
+            ens.train_ensemble(profile, {}, AEArchitecture(r=4))
 
     def test_deterministic(self, camera_setup):
         spec, ensemble, _, table = camera_setup
         again = ens.train_ensemble(ensemble.profile, table,
-                                   ensemble.feature_config,
-                                   TrainConfig(epochs=80), seed=0)
+                                   ensemble.arch, TrainConfig(epochs=80),
+                                   seed=0)
         assert ens.ensemble_to_dict(again) == ens.ensemble_to_dict(ensemble)
 
 
@@ -176,7 +176,7 @@ def reference_detect(ensemble, flow_key, flow_packets):
         return ens.Verdict(ens.STAGE1_MALICIOUS, flow_key, 0,
                            reason=ens._stage1_reason(ensemble.profile,
                                                      flow_key))
-    vector = featurize(flow_packets, ensemble.feature_config)
+    vector = featurize(flow_packets, ensemble.arch.r)
     best_score = best_j = None
     for j in matched:
         model, _ = ensemble.submodels[j]
@@ -261,7 +261,7 @@ class TestDetectFlows:
         for order in ([twin, key], [key, twin]):
             tied = ens.Ensemble(ActivityProfile(DEVICE, order),
                                 [ensemble.submodels[j]] * 2,
-                                ensemble.feature_config)
+                                ensemble.arch)
             [v] = ens.detect_flows(tied, [flow_key], table)
             assert v.models_triggered == 2 and v.activity == 0
             assert v == reference_detect(tied, flow_key, table[flow_key])
@@ -277,9 +277,9 @@ class TestDetectFlows:
         other = ensemble.submodels[(j + 1) % len(ensemble.submodels)]
         twins = ens.Ensemble(ActivityProfile(DEVICE, [key, key]),
                              [ensemble.submodels[j], other],
-                             ensemble.feature_config)
+                             ensemble.arch)
         [v] = ens.detect_flows(twins, [flow_key], table)
-        x = featurize(table[flow_key], ensemble.feature_config)
+        x = featurize(table[flow_key], ensemble.arch.r)
         errors = [reconstruction_error(m, x) for m, _ in twins.submodels]
         assert v.models_triggered == 2 and errors[0] != errors[1]
         assert v.activity == int(np.argmin(errors))
@@ -305,6 +305,11 @@ class TestEvaluate:
                                     "attack:PortScan"])
         assert m["tpr"] == 1.0 and m["fpr"] == 0.0
 
+    def test_no_verdicts(self):
+        m = ens.evaluate([], [])
+        assert (m["tpr"], m["fpr"], m["auc"]) == (0.0, 0.0, 0.5)
+        assert m["n_attack"] == m["n_benign"] == 0
+
     def test_equal_scores_auc_half(self):
         verdicts = [self._verdict(ens.BENIGN, 0.5) for _ in range(6)]
         labels = ["benign"] * 3 + ["attack:Flood"] * 3
@@ -329,12 +334,14 @@ class TestEvaluate:
 
 class TestSerialization:
     @pytest.mark.parametrize("corrupt, message", [
-        (lambda doc: doc.pop("feature_config"), "feature_config"),
+        (lambda doc: doc.pop("r"), "ensemble: missing field r"),
         (lambda doc: doc.pop("device_ip"), "missing field device_ip"),
         (lambda doc: doc.__setitem__("submodels", 5),
          "field submodels has the wrong type int"),
-        (lambda doc: doc["feature_config"].__setitem__("r", 10.5),
+        (lambda doc: doc.__setitem__("r", 10.5),
          "field r has the wrong type float"),
+        (lambda doc: doc.__setitem__("r", 2),
+         "ensemble: r must be >= 3, the kernel size, got 2"),
         (lambda doc: doc.__setitem__("schema_version", "1.0"),
          "unsupported schema_version '1.0'"),
         (lambda doc: doc["submodels"][0].__setitem__("epsilon", "x"),
@@ -363,6 +370,8 @@ class TestSerialization:
             "port", 1), "field port has the wrong type int"),
         (lambda doc: doc.__setitem__("schema_version", "2.0"),
          "unsupported schema_version '2.0'"),
+        (lambda doc: doc.__setitem__("schema_version", "3.0"),
+         "unsupported schema_version '3.0'"),
         (lambda doc: doc.pop("local_prefixes"),
          "ensemble: missing field local_prefixes"),
         (lambda doc: doc.__setitem__("local_prefixes", "10.0.0.0/8"),
@@ -373,14 +382,14 @@ class TestSerialization:
          "local_prefixes holds a value that is not a string"),
         (lambda doc: doc["submodels"][0]["model"].pop("weights"),
          "model: missing field weights"),
-    ], ids=["no-feature-config", "no-device-ip", "submodels-not-list",
-            "float-r", "schema-1.0", "epsilon-str", "epsilon-nan",
+    ], ids=["no-r", "no-device-ip", "submodels-not-list", "float-r",
+            "r-below-kernel", "schema-1.0", "epsilon-str", "epsilon-nan",
             "epsilon-negative", "no-epsilon", "no-model", "no-proto",
             "proto-icmp", "remote-kind", "domain-without-name",
             "port-kind", "port-70000", "port-str", "regdyn-with-port",
-            "schema-2.0", "no-local-prefixes", "local-prefixes-not-list",
-            "local-prefix-not-network", "local-prefix-not-str",
-            "no-weights"])
+            "schema-2.0", "schema-3.0", "no-local-prefixes",
+            "local-prefixes-not-list", "local-prefix-not-network",
+            "local-prefix-not-str", "no-weights"])
     def test_corrupt_document_is_a_short_schema_error(
             self, camera_setup, corrupt, message):
         _, ensemble, _, _ = camera_setup
@@ -396,7 +405,7 @@ class TestSerialization:
         _, ensemble, _, _ = camera_setup
         doc = ens.ensemble_to_dict(ensemble)
         assert set(doc) == {"schema_version", "device_ip", "local_prefixes",
-                            "feature_config", "submodels"}
+                            "r", "submodels"}
         for entry, key in zip(doc["submodels"], ensemble.profile.keys):
             assert set(entry) == {"proto", "remote_pattern",
                                   "src_port_pattern", "dst_port_pattern",

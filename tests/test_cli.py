@@ -1,13 +1,18 @@
 import argparse
 import ast
+import dataclasses
 import hashlib
 import inspect
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from atrellis import anomaly_ensemble as ens
+from atrellis import clustering_tree as ct
 from atrellis.cli import build_parser, main
+from atrellis.neural_autoencoder import AEArchitecture, TrainConfig
 
 SEED = ["--seed", "3"]
 
@@ -42,8 +47,8 @@ class TestSimulate:
         out = str(tmp_path / "t.jsonl")
         assert main(["simulate", "--fixture", "hub", "--duration", "300",
                      "-o", out] + SEED) == 0
-        manifest = json.loads(open(out + ".manifest.json").read())
-        n_lines = sum(1 for _ in open(out))
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
+        n_lines = len(Path(out).read_text().splitlines())
         assert manifest["label_counts"]["benign"] == n_lines
         assert manifest["seed"] == 3
 
@@ -64,7 +69,7 @@ class TestSimulate:
                "target": {"n_ports": 20}}
         assert main(["simulate", "--fixture", "hub", "--duration", "300",
                      "--attack", json.dumps(atk), "-o", out] + SEED) == 0
-        manifest = json.loads(open(out + ".manifest.json").read())
+        manifest = json.loads(Path(out + ".manifest.json").read_text())
         assert manifest["label_counts"]["attack:PortScan"] == 20
 
     @pytest.mark.parametrize("spec, names", [
@@ -94,7 +99,7 @@ class TestProfile:
               "-o", trace] + SEED)
         profile = str(tmp_path / "p.json")
         assert main(["profile", trace, "-o", profile]) == 0
-        doc = json.loads(open(profile).read())
+        doc = json.loads(Path(profile).read_text())
         assert len(doc["keys"]) >= 3
         assert "activity keys" in capsys.readouterr().out
 
@@ -116,7 +121,7 @@ class TestPipeline:
                         "ip": "203.0.113.11"}},
         ]
         *_, metrics = run_pipeline(tmp_path, attacks)
-        doc = json.loads(open(metrics).read())
+        doc = json.loads(Path(metrics).read_text())
         assert doc["n_attack"] == 50
         assert set(doc["per_attack"]) == {"PortScan", "HttpMasqCnc"}
         assert doc["per_attack"]["PortScan"]["tpr"] == 1.0
@@ -128,7 +133,7 @@ class TestPipeline:
         files_a = run_pipeline(a, duration="600", epochs="10")
         files_b = run_pipeline(b, duration="600", epochs="10")
         for fa, fb in zip(files_a, files_b):
-            assert open(fa, "rb").read() == open(fb, "rb").read()
+            assert Path(fa).read_bytes() == Path(fb).read_bytes()
 
     def test_dump_features(self, tmp_path):
         trace, profile, ensemble, _, _ = run_pipeline(tmp_path,
@@ -138,7 +143,8 @@ class TestPipeline:
         assert main(["detect", trace, ensemble, "-o",
                      str(tmp_path / "v2.jsonl"), "--dump-features",
                      dump]) == 0
-        rows = [json.loads(line) for line in open(dump)]
+        rows = [json.loads(line)
+                for line in Path(dump).read_text().splitlines()]
         assert rows and all(len(r["values"]) == 20 for r in rows)
         assert all(0.0 <= v <= 1.0 for r in rows for v in r["values"])
 
@@ -161,13 +167,39 @@ class TestEval:
     def test_schema_mismatch_exits_1(self, tmp_path, capsys):
         trace, profile, ensemble, verdicts, _ = run_pipeline(
             tmp_path, duration="600", epochs="10")
-        doc = json.loads(open(ensemble).read())
+        doc = json.loads(Path(ensemble).read_text())
         doc["schema_version"] = "9.9"
-        open(ensemble, "w").write(json.dumps(doc))
+        Path(ensemble).write_text(json.dumps(doc))
         rc = main(["detect", trace, ensemble,
                    "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
         assert "schema_version" in capsys.readouterr().err
+
+    def test_verdicts_cut_at_a_line_exit_1_naming_an_unjudged_flow(
+            self, small_run, tmp_path, capsys):
+        trace, _, _, verdicts, _ = small_run
+        lines = Path(verdicts).read_text().splitlines()
+        cut = tmp_path / "verdicts.jsonl"
+        cut.write_text("\n".join(lines[:5]) + "\n")
+        first_missing = ens.verdict_from_dict(json.loads(lines[5])).flow
+        capsys.readouterr()
+        rc = main(["eval", trace, str(cut), "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(
+            capsys, f"{len(lines) - 5} of the {len(lines)} flows of {trace} "
+                    f"have no verdict in {cut}",
+            f"the first is {first_missing}")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_empty_verdicts_exit_1(self, small_run, tmp_path, capsys):
+        trace = small_run[0]
+        empty = tmp_path / "verdicts.jsonl"
+        empty.write_text("")
+        capsys.readouterr()
+        rc = main(["eval", trace, str(empty), "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"{empty} holds no verdicts",
+                              "no device IP")
 
 
 @pytest.fixture(scope="module")
@@ -195,10 +227,10 @@ class TestCorruptEnsemble:
     def test_bad_weights_exit_1_without_traceback(self, small_run, tmp_path,
                                                   capsys, corrupt, names):
         trace, _, ensemble, _, _ = small_run
-        doc = json.loads(open(ensemble).read())
+        doc = json.loads(Path(ensemble).read_text())
         corrupt(doc["submodels"][0]["model"])
         bad = str(tmp_path / "ensemble.json")
-        open(bad, "w").write(json.dumps(doc))
+        Path(bad).write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
@@ -235,10 +267,10 @@ class TestCorruptEnsemble:
     def test_bad_document_exits_1_without_traceback(
             self, small_run, tmp_path, capsys, corrupt, names):
         trace, _, ensemble, _, _ = small_run
-        doc = json.loads(open(ensemble).read())
+        doc = json.loads(Path(ensemble).read_text())
         corrupt(doc)
         bad = str(tmp_path / "ensemble.json")
-        open(bad, "w").write(json.dumps(doc))
+        Path(bad).write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
@@ -246,7 +278,7 @@ class TestCorruptEnsemble:
 
     def test_holds_no_member_flows(self, small_run):
         ensemble = small_run[2]
-        text = open(ensemble).read()
+        text = Path(ensemble).read_text()
         assert "member_flows" not in text and "profile" not in text
 
 
@@ -254,10 +286,10 @@ class TestCorruptProfile:
     def test_unknown_pattern_kind_exits_1_at_train(self, small_run, tmp_path,
                                                    capsys):
         trace, profile, _, _, _ = small_run
-        doc = json.loads(open(profile).read())
+        doc = json.loads(Path(profile).read_text())
         doc["keys"][0]["remote_pattern"]["kind"] = "anycast"
         bad = str(tmp_path / "profile.json")
-        open(bad, "w").write(json.dumps(doc))
+        Path(bad).write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["train", trace, bad, "--epochs", "1",
                    "-o", str(tmp_path / "e.json")])
@@ -271,7 +303,7 @@ class TestTruncatedArtifact:
                                                     tmp_path, capsys):
         trace, profile, _, _, _ = small_run
         bad = str(tmp_path / "profile.json")
-        open(bad, "wb").write(open(profile, "rb").read()[:500])
+        Path(bad).write_bytes(Path(profile).read_bytes()[:500])
         capsys.readouterr()
         rc = main(["train", trace, bad, "--epochs", "1",
                    "-o", str(tmp_path / "e.json")])
@@ -282,7 +314,7 @@ class TestTruncatedArtifact:
                                                       tmp_path, capsys):
         trace, _, ensemble, _, _ = small_run
         bad = str(tmp_path / "ensemble.json")
-        open(bad, "wb").write(open(ensemble, "rb").read()[:500])
+        Path(bad).write_bytes(Path(ensemble).read_bytes()[:500])
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
@@ -295,7 +327,7 @@ class TestBadOptionValues:
 
     @pytest.mark.parametrize("option, reason", [
         (["--quantile", "1.5"], "quantile must be in (0,1), got 1.5"),
-        (["--r", "0"], "r must be >= 1, got 0"),
+        (["--r", "0"], "r must be >= 3, the kernel size, got 0"),
         (["--epochs", "0"], "epochs must be >= 1, got 0"),
     ], ids=["quantile", "r", "epochs"])
     def test_train_exits_2(self, small_run, tmp_path, capsys, option,
@@ -317,7 +349,7 @@ class TestBadOptionValues:
                    "--r", r, "-o", str(tmp_path / "e.json")])
         assert rc == 2
         assert_one_error_line(
-            capsys, f"error: --r: kernel 3 larger than per-channel input {r}")
+            capsys, f"error: --r: r must be >= 3, the kernel size, got {r}")
 
     @pytest.mark.parametrize("option, names", [
         (["--h-s", "2"], ["error: --h-s: h_s must be in [0,1], got 2.0"]),
@@ -348,7 +380,7 @@ class TestSpecFile:
 
     def simulate(self, tmp_path, text):
         path = str(tmp_path / "spec.json")
-        open(path, "w").write(text)
+        Path(path).write_text(text)
         rc = main(["simulate", "--spec", path, "--duration", "60",
                    "-o", str(tmp_path / "t.jsonl")])
         return rc, path
@@ -394,16 +426,22 @@ LAN_SPEC = {"device_ip": "192.168.1.10", "activities": [
 
 class TestKeyingFromArtifacts:
     """profile records the device IP and local prefixes; train and detect
-    key their traces with them and take no keying flags."""
+    key their traces with them and take no keying flags.  eval takes the
+    device IP from its verdicts."""
 
-    @pytest.mark.parametrize("stage", ["train", "detect"])
-    @pytest.mark.parametrize("flag", [["--device-ip", "192.168.1.10"],
-                                      ["--local-prefix", "192.168.1.0/24"]],
-                             ids=["device-ip", "local-prefix"])
+    DEVICE_IP = ["--device-ip", "192.168.1.10"]
+    LOCAL_PREFIX = ["--local-prefix", "192.168.1.0/24"]
+
+    @pytest.mark.parametrize("stage, flag", [
+        ("train", DEVICE_IP), ("detect", DEVICE_IP), ("eval", DEVICE_IP),
+        ("train", LOCAL_PREFIX), ("detect", LOCAL_PREFIX),
+    ], ids=["device-ip-train", "device-ip-detect", "device-ip-eval",
+            "local-prefix-train", "local-prefix-detect"])
     def test_keying_flag_is_a_usage_error(self, small_run, tmp_path, capsys,
                                           stage, flag):
-        trace, profile, ensemble, _, _ = small_run
-        artifact = profile if stage == "train" else ensemble
+        trace, profile, ensemble, verdicts, _ = small_run
+        artifact = {"train": profile, "detect": ensemble,
+                    "eval": verdicts}[stage]
         with pytest.raises(SystemExit) as info:
             main([stage, trace, artifact, *flag,
                   "-o", str(tmp_path / "out")])
@@ -432,9 +470,10 @@ class TestKeyingFromArtifacts:
 
     def test_lan_flows_are_keyed_as_the_profile_keyed_them(self, lan_run):
         p = lan_run
-        ensemble = json.loads(open(p("ensemble.json")).read())
+        ensemble = json.loads(Path(p("ensemble.json")).read_text())
         assert ensemble["local_prefixes"] == ["192.168.1.0/24"]
-        verdicts = [json.loads(line) for line in open(p("verdicts.jsonl"))]
+        verdicts = [json.loads(line) for line
+                    in Path(p("verdicts.jsonl")).read_text().splitlines()]
         lan = [v for v in verdicts
                if v["flow_key"]["remote"]["value"] == "192.168.1.50"]
         assert lan and all(v["flow_key"]["remote"]["kind"] == "local_ip"
@@ -452,17 +491,49 @@ class TestKeyingFromArtifacts:
                      "-o", p("m.json")]) == 1
         assert_one_error_line(
             capsys, f"{p('verdicts.jsonl')}:", "local_ip 192.168.1.50:8080",
-            f"is not in {p('t2.jsonl')}", "--device-ip", "--local-prefix",
+            f"is not in {p('t2.jsonl')}", "--local-prefix",
             "must match the profile's")
+
+    def test_eval_keys_the_trace_with_the_verdicts_device_ip(self,
+                                                             tmp_path):
+        """One peer, whose packet opens each flow: the first packet of the
+        trace is inbound, and both of its endpoints are in every packet, so
+        the trace alone cannot tell which one is the device."""
+        device, peer = "192.168.1.10", "203.0.113.5"
+        trace = tmp_path / "t.jsonl"
+        with open(trace, "w") as fh:
+            for i in range(8):
+                port = 50000 + i
+                for ts, src, dst, sport, dport, length in (
+                        (30.0 * i, peer, device, 443, port, 120),
+                        (30.0 * i + 0.1, device, peer, port, 443, 80)):
+                    fh.write(json.dumps({
+                        "ts": ts, "src_ip": src, "dst_ip": dst,
+                        "src_port": sport, "dst_port": dport, "proto": "TCP",
+                        "length": length, "label": "benign"}) + "\n")
+        p = lambda name: str(tmp_path / name)  # noqa: E731
+        assert main(["profile", str(trace), "--device-ip", device,
+                     "-o", p("profile.json")]) == 0
+        assert main(["train", str(trace), p("profile.json"), "--epochs", "2",
+                     "-o", p("ensemble.json")]) == 0
+        assert main(["detect", str(trace), p("ensemble.json"),
+                     "-o", p("verdicts.jsonl")]) == 0
+        assert main(["eval", str(trace), p("verdicts.jsonl"),
+                     "-o", p("metrics.json")]) == 0
+        assert json.loads(Path(p("metrics.json")).read_text())[
+            "n_benign"] == 8
+
+
+def subcommands() -> dict:
+    """Each subcommand's name and parser."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 def test_every_declared_option_is_read():
     """Each subcommand's function reads ``args.<dest>`` for every option
     its parser declares, so no flag is accepted and then ignored."""
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction))
-    for name, sub in subparsers.choices.items():
+    for name, sub in subcommands().items():
         func = sub.get_default("func")
         tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
         read = {node.attr for node in ast.walk(tree)
@@ -472,6 +543,34 @@ def test_every_declared_option_is_read():
         declared = {a.dest for a in sub._actions
                     if not isinstance(a, argparse._HelpAction)}
         assert declared <= read, (name, sorted(declared - read))
+
+
+SETTABLE = [
+    "simulate.fixture", "simulate.spec", "simulate.duration", "simulate.seed",
+    "simulate.attack", "simulate.out",
+    "profile.out", "profile.strict", "profile.local_prefix",
+    "profile.device_ip", "profile.h_s",
+    "train.out", "train.strict", "train.r", "train.quantile", "train.seed",
+    "train.epochs",
+    "detect.out", "detect.strict", "detect.dump_features",
+    "eval.out", "eval.strict", "eval.local_prefix",
+    "MergeConfig.h_s", "TrainConfig.epochs", "ThresholdConfig.q",
+    "AEArchitecture.r",
+]
+
+
+def test_settable_values_are_pinned():
+    """Every optional argument of every subcommand, once per dest, and
+    every config field: a new setting has to be added to SETTABLE."""
+    found = [f"{name}.{a.dest}" for name, sub in subcommands().items()
+             for a in sub._actions
+             if a.option_strings and not isinstance(a, argparse._HelpAction)]
+    found += [f"{cls.__name__}.{field.name}"
+              for cls in (ct.MergeConfig, TrainConfig, ens.ThresholdConfig,
+                          AEArchitecture)
+              for field in dataclasses.fields(cls)]
+    assert sorted(found) == sorted(SETTABLE)
+    assert len(SETTABLE) == 27
 
 
 def edited(doc, path, value=None):
@@ -492,7 +591,7 @@ class TestMalformedVerdicts:
     def lines(self, small_run):
         """A stage-2 verdict line first, then every other line."""
         _, _, _, verdicts, _ = small_run
-        lines = open(verdicts).read().splitlines()
+        lines = Path(verdicts).read_text().splitlines()
         lines.sort(key=lambda line: '"score"' not in line)
         return lines
 
@@ -523,7 +622,7 @@ class TestMalformedVerdicts:
         trace = small_run[0]
         line = corrupt(json.loads(lines[0]))
         bad = str(tmp_path / "verdicts.jsonl")
-        open(bad, "w").write("\n".join([lines[1], line] + lines[2:]) + "\n")
+        Path(bad).write_text("\n".join([lines[1], line] + lines[2:]) + "\n")
         capsys.readouterr()
         rc = main(["eval", trace, bad, "-o", str(tmp_path / "m.json")])
         assert rc == 1
@@ -533,7 +632,7 @@ class TestMalformedVerdicts:
                                                tmp_path, capsys):
         trace = small_run[0]
         bad = str(tmp_path / "verdicts.jsonl")
-        open(bad, "w").write("\n".join(lines + [lines[3]]) + "\n")
+        Path(bad).write_text("\n".join(lines + [lines[3]]) + "\n")
         capsys.readouterr()
         rc = main(["eval", trace, bad, "-o", str(tmp_path / "m.json")])
         assert rc == 1
@@ -593,7 +692,7 @@ class TestOutOfOrderFlow:
     @pytest.mark.parametrize("stage", ["profile", "train", "detect", "eval"])
     def test_every_stage_exits_1(self, small_run, tmp_path, capsys, stage):
         _, profile, ensemble, _, _ = small_run
-        device_ip = json.loads(open(ensemble).read())["device_ip"]
+        device_ip = json.loads(Path(ensemble).read_text())["device_ip"]
         good, bad = str(tmp_path / "good.jsonl"), str(tmp_path / "bad.jsonl")
         self.write(good, device_ip, 12.0)
         self.write(bad, device_ip, 10.5)

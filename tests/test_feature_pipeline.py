@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from atrellis import synth_traffic as sim
 from atrellis.errors import EmptyFlow, UnorderedTimestamps
-from atrellis.feature_pipeline import FeatureConfig, featurize, featurize_many
+from atrellis.feature_pipeline import (MAX_GAP, MAX_LEN, featurize,
+                                       featurize_many)
 from atrellis.traffic_model import PacketRecord, flows_of_trace
 
 DEVICE = "192.168.1.10"
@@ -16,13 +17,12 @@ def pkt(ts, length):
 
 class TestFeaturize:
     def test_single_full_mtu_packet(self):
-        vec = featurize([pkt(0.0, 1500)], FeatureConfig(r=2))
+        vec = featurize([pkt(0.0, 1500)], 2)
         assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
         assert vec.values[1] == 0.0 and vec.values[3] == 0.0  # padding
 
     def test_log_gap_normalization(self):
-        vec = featurize([pkt(0.0, 750), pkt(59.0, 750)],
-                        FeatureConfig(r=2, max_len=1500, max_gap=60))
+        vec = featurize([pkt(0.0, 750), pkt(59.0, 750)], 2)
         expected_gap = np.log(60.0) / np.log(61.0)  # = log1p(59)/log1p(60)
         assert vec.values[:2].tolist() == [0.5, 0.5]
         assert vec.values[2] == 0.0
@@ -31,23 +31,22 @@ class TestFeaturize:
 
     def test_truncates_to_first_r(self):
         packets = [pkt(float(i), 100 + i) for i in range(30)]
-        cfg = FeatureConfig(r=10)
-        vec = featurize(packets, cfg)
+        vec = featurize(packets, 10)
         assert vec.values.shape == (20,)
-        assert vec.values.tolist() == featurize(packets[:10], cfg).values.tolist()
+        assert vec.values.tolist() == \
+            featurize(packets[:10], 10).values.tolist()
 
     def test_clipping(self):
-        vec = featurize([pkt(0.0, 1500), pkt(500.0, 1500)],
-                        FeatureConfig(r=2, max_len=1000, max_gap=60))
+        vec = featurize([pkt(0.0, 9000), pkt(500.0, 9000)], 2)  # jumbo
         assert vec.values[0] == 1.0 and vec.values[3] == 1.0
 
     def test_empty_flow(self):
         with pytest.raises(EmptyFlow):
-            featurize([], FeatureConfig())
+            featurize([], 10)
 
     def test_unordered(self):
         with pytest.raises(UnorderedTimestamps):
-            featurize([pkt(5.0, 100), pkt(1.0, 100)], FeatureConfig(r=4))
+            featurize([pkt(5.0, 100), pkt(1.0, 100)], 4)
 
     @given(st.lists(st.tuples(st.floats(0, 100), st.integers(1, 65535)),
                     min_size=1, max_size=25),
@@ -55,36 +54,34 @@ class TestFeaturize:
     def test_fuzz_bounds(self, raw, r):
         raw.sort()
         packets = [pkt(ts, length) for ts, length in raw]
-        vec = featurize(packets, FeatureConfig(r=r))
+        vec = featurize(packets, r)
         assert vec.values.shape == (2 * r,)
         assert np.all(vec.values >= 0.0) and np.all(vec.values <= 1.0)
         n = min(len(packets), r)
         assert np.all(vec.values[n:r] == 0.0)
         assert np.all(vec.values[r + n:] == 0.0)
 
-    def test_bad_config(self):
-        with pytest.raises(ValueError):
-            FeatureConfig(r=0)
-        with pytest.raises(ValueError):
-            FeatureConfig(max_gap=0)
+    def test_r_below_one(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            featurize([pkt(0.0, 100)], 0)
 
 
-def reference_featurize(flow_packets, cfg):
+def reference_featurize(flow_packets, r):
     """The per-flow featurize that featurize_many replaced, kept as an
     oracle: its rows must be bitwise equal to featurize_many's."""
     if not flow_packets:
         raise EmptyFlow("cannot featurize an empty flow")
-    head = list(flow_packets[:cfg.r])
+    head = list(flow_packets[:r])
     ts = np.array([p.ts for p in head])
     if np.any(np.diff(ts) < 0):
         raise UnorderedTimestamps("flow packets must be time-ordered")
     n = len(head)
-    lengths = np.zeros(cfg.r)
-    gaps = np.zeros(cfg.r)
+    lengths = np.zeros(r)
+    gaps = np.zeros(r)
     lengths[:n] = [p.length for p in head]
     gaps[1:n] = np.diff(ts)
-    lengths = np.clip(lengths / cfg.max_len, 0.0, 1.0)
-    gaps = np.clip(np.log1p(gaps) / np.log1p(cfg.max_gap), 0.0, 1.0)
+    lengths = np.clip(lengths / MAX_LEN, 0.0, 1.0)
+    gaps = np.clip(np.log1p(gaps) / np.log1p(MAX_GAP), 0.0, 1.0)
     lengths[n:] = 0.0
     gaps[n:] = 0.0
     return np.concatenate([lengths, gaps])
@@ -99,38 +96,35 @@ flows_strategy = st.lists(
 
 class TestFeaturizeMany:
     @settings(max_examples=150, deadline=None)
-    @given(flows_strategy, st.integers(1, 12),
-           st.sampled_from([(1500.0, 60.0), (100.0, 0.5), (1.0, 1e4)]))
-    def test_rows_bitwise_equal_to_per_flow_oracle(self, flows, r, scales):
-        cfg = FeatureConfig(r=r, max_len=scales[0], max_gap=scales[1])
-        X = featurize_many(flows, cfg)
+    @given(flows_strategy, st.integers(1, 12))
+    def test_rows_bitwise_equal_to_per_flow_oracle(self, flows, r):
+        X = featurize_many(flows, r)
         assert X.shape == (len(flows), 2 * r)
         for row, flow in zip(X, flows):
-            assert row.tobytes() == reference_featurize(flow, cfg).tobytes()
+            assert row.tobytes() == reference_featurize(flow, r).tobytes()
 
     def test_simulated_flows_bitwise_equal(self):
         spec = sim.FIXTURES["camera"]
         keys, table = flows_of_trace(sim.generate(spec, 900, seed=2),
                                      spec.device_ip)
-        cfg = FeatureConfig()
-        X = featurize_many([table[k] for k in keys], cfg)
-        ref = np.stack([reference_featurize(table[k], cfg) for k in keys])
+        X = featurize_many([table[k] for k in keys], 10)
+        ref = np.stack([reference_featurize(table[k], 10) for k in keys])
         assert X.tobytes() == ref.tobytes()
 
     def test_any_empty_flow_raises(self):
         with pytest.raises(EmptyFlow):
-            featurize_many([[pkt(0.0, 100)], []], FeatureConfig(r=4))
+            featurize_many([[pkt(0.0, 100)], []], 4)
 
     def test_any_unordered_flow_raises(self):
         flows = [[pkt(0.0, 100), pkt(1.0, 100)],
                  [pkt(5.0, 100), pkt(1.0, 100)]]
         with pytest.raises(UnorderedTimestamps):
-            featurize_many(flows, FeatureConfig(r=4))
+            featurize_many(flows, 4)
 
     def test_order_checked_only_within_first_r(self):
         flows = [[pkt(0.0, 100), pkt(1.0, 100), pkt(0.5, 100)]]
-        assert featurize_many(flows, FeatureConfig(r=2)).shape == (1, 4)
+        assert featurize_many(flows, 2).shape == (1, 4)
 
     def test_no_flows(self):
-        assert featurize_many([], FeatureConfig(r=3)).shape == (0, 6)
+        assert featurize_many([], 3).shape == (0, 6)
 

@@ -15,7 +15,7 @@ from atrellis.neural_autoencoder import (AEArchitecture, AEModel,
                                          model_from_dict, model_to_dict,
                                          reconstruction_error)
 
-ARCH = AEArchitecture(input_len=20)
+ARCH = AEArchitecture(r=10)
 
 
 def zero_model():
@@ -35,12 +35,12 @@ class TestInit:
                    for n in a.params)
 
     def test_kernel_too_large(self):
-        with pytest.raises(BadArchitecture):
-            AEArchitecture(input_len=4)  # r=2 < kernel 3
+        with pytest.raises(BadArchitecture, match="r must be >= 3"):
+            AEArchitecture(r=2)
 
-    def test_odd_input_rejected(self):
-        with pytest.raises(BadArchitecture):
-            AEArchitecture(input_len=21)
+    def test_input_is_two_channels_of_r(self):
+        assert AEArchitecture(r=3).input_len == 6
+        assert AEArchitecture(r=11).input_len == 22
 
 
 class TestForward:
@@ -102,13 +102,14 @@ class TestFit:
         _, errors = fit(model, data, TrainConfig(epochs=10))
         assert float(np.mean(errors)) <= initial + 1e-12
 
-    def test_huge_learning_rate_diverges_or_aborts(self):
+    def test_huge_learning_rate_diverges_or_aborts(self, monkeypatch):
+        monkeypatch.setattr(na, "LEARNING_RATE", 1e6)
         model = init_model(ARCH, 1)
         data = [np.full(20, 0.7)] * 64
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
         try:
-            _, errors = fit(model, data, TrainConfig(learning_rate=1e6))
+            _, errors = fit(model, data)
         except DivergedLoss:
             return
         # early abort keeps the best weights, never worse than the start
@@ -148,7 +149,7 @@ class TestGradCheck:
             grad_check(init_model(ARCH, 0), np.zeros(20), eps=0.0)
 
     def test_tiny_architecture_high_precision(self):
-        arch = AEArchitecture(input_len=6)
+        arch = AEArchitecture(r=3)
         model = init_model(arch, 0)
         x = np.random.default_rng(0).uniform(0.2, 0.8, 6)
         assert grad_check(model, x, eps=1e-5) <= 1e-5
@@ -177,7 +178,7 @@ class TestSerialization:
     def test_architecture_comes_from_the_reader(self):
         doc = model_to_dict(init_model(ARCH, 0))
         with pytest.raises(ShapeMismatch, match="weight w2"):
-            model_from_dict(doc, AEArchitecture(input_len=24))
+            model_from_dict(doc, AEArchitecture(r=12))
 
     @pytest.mark.parametrize("corrupt, error, names", [
         (lambda w: w["w1"][0][0].__setitem__(0, float("nan")),
@@ -225,7 +226,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_forward_matches_einsum_reference(self, n, batch, seed):
-        arch = AEArchitecture(input_len=n)
+        arch = AEArchitecture(r=n // 2)
         model = init_model(arch, seed)
         X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
         got = na._forward(arch, model.params, X)
@@ -234,7 +235,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_transposed_conv_is_adjoint_of_conv(self, n, batch, seed):
-        arch = AEArchitecture(input_len=n)
+        arch = AEArchitecture(r=n // 2)
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(na.CHANNELS, 2, na.KERNEL)).reshape(
             na.CHANNELS, -1)
@@ -251,7 +252,7 @@ class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_batch_forward_equals_single_rows(self, n, batch, seed):
-        arch = AEArchitecture(input_len=n)
+        arch = AEArchitecture(r=n // 2)
         model = init_model(arch, seed)
         X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
         rows = np.stack([forward(model, x) for x in X])
