@@ -250,15 +250,36 @@ def verdict_to_dict(v: Verdict) -> dict:
     return d
 
 
+def _is_plain_verdict(d) -> bool:
+    """Whether ``d`` passes the checks of verdict_from_dict on its own
+    fields, each of its exact JSON type: one test for the common case of a
+    verdict file that holds a verdict per flow."""
+    if type(d) is not dict:
+        return False
+    try:
+        kind, score = d["kind"], d.get("score", math.nan)
+        return (kind in VERDICT_KINDS and type(d["flow_key"]) is dict
+                and type(d["models_triggered"]) is int
+                and type(d.get("activity", 0)) is int
+                and type(score) is float
+                and type(d.get("reason", "")) is str
+                and (kind == STAGE1_MALICIOUS or math.isfinite(score)))
+    except KeyError:
+        return False
+
+
 def verdict_from_dict(d) -> Verdict:
-    """The verdict ``verdict_to_dict`` wrote; every field is checked."""
-    check(d, _VERDICT_FIELDS, "verdict")
-    check(d, {n: t for n, t in _OPTIONAL_VERDICT_FIELDS.items() if n in d},
-          "verdict")
-    if d["kind"] != STAGE1_MALICIOUS and not math.isfinite(
-            d.get("score", math.nan)):
-        raise SchemaError(f"verdict: a {d['kind']} verdict needs a finite "
-                          f"score, got {d.get('score')}")
+    """The verdict ``verdict_to_dict`` wrote; every field is checked.  A
+    verdict that is not plain goes through ``check``, which names its bad
+    field."""
+    if not _is_plain_verdict(d):
+        check(d, _VERDICT_FIELDS, "verdict")
+        check(d, {n: t for n, t in _OPTIONAL_VERDICT_FIELDS.items()
+                  if n in d}, "verdict")
+        if d["kind"] != STAGE1_MALICIOUS and not math.isfinite(
+                d.get("score", math.nan)):
+            raise SchemaError(f"verdict: a {d['kind']} verdict needs a "
+                              f"finite score, got {d.get('score')}")
     flow = flow_key_from_dict(d["flow_key"], "verdict flow_key")
     return Verdict(d["kind"], flow, d["models_triggered"],
                    *(d.get(name) for name in ("score", "activity", "reason")))

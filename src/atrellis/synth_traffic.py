@@ -14,6 +14,7 @@ hub.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -46,21 +47,39 @@ class ActivitySpec:
     intra_gap: float = 0.05       # base gap between packets of a burst
     domain: Optional[str] = None  # resolved name of the remote, if any
     bidirectional: bool = True    # remote replies to every other packet
+    # (integer sizes, cumulative probabilities) that a burst draws from
+    _size_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.period <= 0:
+        if not self.period > 0:
             raise BadSpec(f"activity {self.name}: period must be > 0")
         if len(self.sizes) != len(self.size_probs):
             raise BadSpec(f"activity {self.name}: sizes/probs mismatch")
+        if not all(p >= 0 for p in self.size_probs):
+            raise BadSpec(f"activity {self.name}: probabilities must be "
+                          f">= 0, got {self.size_probs}")
         if abs(sum(self.size_probs) - 1.0) > 1e-9:
             raise BadSpec(f"activity {self.name}: probabilities must sum to 1")
+        for size in self.sizes:
+            if not 1 <= size <= 65535:
+                raise BadSpec(f"activity {self.name}: size {size} is not in "
+                              f"1-65535")
         if self.packets_per_burst < 1:
             raise BadSpec(f"activity {self.name}: need >= 1 packet per burst")
+        for name in ("jitter", "intra_gap"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise BadSpec(f"activity {self.name}: {name} must be finite "
+                              f"and >= 0, got {getattr(self, name)}")
         if not 0 <= self.dst_port <= 65535:
             raise BadSpec(f"activity {self.name}: dst_port {self.dst_port} "
                           f"is not in 0-65535")
         if self.domain is not None:
             object.__setattr__(self, "domain", normalize_domain(self.domain))
+        # the cdf that Generator.choice(sizes, p=size_probs) builds
+        cdf = np.cumsum(np.asarray(self.size_probs, dtype=float))
+        object.__setattr__(self, "_size_table", (
+            tuple(int(s) for s in self.sizes),
+            tuple((cdf / cdf[-1]).tolist())))
 
 
 @dataclass(frozen=True)
@@ -97,22 +116,25 @@ _ATTACK_PORT_BASE = 46000
 
 def _burst_packets(rng, device_ip, act: ActivitySpec, t0: float,
                    src_port: int, label: str) -> List[PacketRecord]:
-    packets = []
+    """The packets of one burst from one block of 2n - 1 uniform draws:
+    packet j's size from draw 2j and its gap from draw 2j - 1, the order
+    in which per-packet ``rng.choice(sizes, p=size_probs)`` and
+    ``rng.uniform(0.8, 1.2)`` calls would draw them, so a seed gives the
+    same packets either way."""
+    sizes, cdf = act._size_table
+    u = rng.random(2 * act.packets_per_burst - 1).tolist()
+    out = (device_ip, act.remote_ip, src_port, act.dst_port)
+    back = (act.remote_ip, device_ip, act.dst_port, src_port)
+    two_way = act.bidirectional
+    proto, domain, gap = act.proto, act.domain, act.intra_gap
     t = t0
+    packets = []
     for j in range(act.packets_per_burst):
         if j > 0:
-            t += act.intra_gap * rng.uniform(0.8, 1.2)
-        size = int(rng.choice(act.sizes, p=act.size_probs))
-        inbound = act.bidirectional and j % 2 == 1
-        if inbound:
-            pkt = PacketRecord(t, act.remote_ip, device_ip, act.dst_port,
-                               src_port, act.proto, size,
-                               dns_name=act.domain, label=label)
-        else:
-            pkt = PacketRecord(t, device_ip, act.remote_ip, src_port,
-                               act.dst_port, act.proto, size,
-                               dns_name=act.domain, label=label)
-        packets.append(pkt)
+            t += gap * (0.8 + (1.2 - 0.8) * u[2 * j - 1])
+        size = sizes[bisect_right(cdf, u[2 * j])]
+        packets.append(PacketRecord(t, *(back if two_way and j % 2 else out),
+                                    proto, size, domain, label))
     return packets
 
 

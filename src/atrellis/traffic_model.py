@@ -256,23 +256,6 @@ def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
 
 # --- JSON-lines packet format -------------------------------------------
 
-def packet_to_dict(pkt: PacketRecord) -> dict:
-    d = {
-        "ts": pkt.ts,
-        "src_ip": pkt.src_ip,
-        "dst_ip": pkt.dst_ip,
-        "src_port": pkt.src_port,
-        "dst_port": pkt.dst_port,
-        "proto": pkt.proto,
-        "length": pkt.length,
-    }
-    if pkt.dns_name is not None:
-        d["dns_name"] = pkt.dns_name
-    if pkt.label is not None:
-        d["label"] = pkt.label
-    return d
-
-
 _NUMERIC_FIELDS = (("ts", float), ("src_port", int), ("dst_port", int),
                    ("length", int))
 
@@ -312,10 +295,29 @@ def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
         raise SchemaError(str(exc)) from None
 
 
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _packet_line(pkt: PacketRecord) -> str:
+    """``json.dumps`` of the packet's object plus a newline: its fields
+    in record order, ``dns_name`` and ``label`` only when set.  Numbers
+    are written with ``repr``, as json writes a float or an int."""
+    (ts, src_ip, dst_ip, src_port, dst_port, proto, length, dns_name,
+     label) = pkt
+    tail = ""
+    if dns_name is not None:
+        tail = f', "dns_name": {_json_str(dns_name)}'
+    if label is not None:
+        tail += f', "label": {_json_str(label)}'
+    return (f'{{"ts": {ts!r}, "src_ip": {_json_str(src_ip)}, '
+            f'"dst_ip": {_json_str(dst_ip)}, "src_port": {src_port!r}, '
+            f'"dst_port": {dst_port!r}, "proto": {_json_str(proto)}, '
+            f'"length": {length!r}{tail}}}\n')
+
+
 def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
     with open(path, "w") as fh:
-        for pkt in packets:
-            fh.write(json.dumps(packet_to_dict(pkt)) + "\n")
+        fh.writelines(map(_packet_line, packets))
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -13,7 +13,7 @@ from atrellis import synth_traffic as sim
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       PortPattern, RemotePattern)
 from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
-                             LengthMismatch, SchemaError)
+                             LengthMismatch, SchemaError, check)
 from atrellis.feature_pipeline import featurize
 from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
                                          reconstruction_error)
@@ -525,7 +525,77 @@ def mutated_verdict_lines(draw):
     return line
 
 
+GENERIC_FLOW_KEY_FIELDS = {
+    "device_ip": str,
+    "remote": {"kind": frozenset({"domain", "remote_ip", "local_ip",
+                                  "bc_mc"}),
+               "value": str},
+    "src_port": range(65536), "dst_port": range(65536),
+    "proto": frozenset({"TCP", "UDP"})}
+
+
+def generic_verdict_from_dict(d):
+    """verdict_from_dict as errors.check alone states it, one call per
+    object and one for the optional fields: the oracle of the reader's
+    messages and of what it accepts."""
+    check(d, {"kind": frozenset(ens.VERDICT_KINDS), "flow_key": dict,
+              "models_triggered": int}, "verdict")
+    check(d, {n: t for n, t in (("activity", int), ("score", float),
+                                ("reason", str)) if n in d}, "verdict")
+    if d["kind"] != ens.STAGE1_MALICIOUS and not math.isfinite(
+            d.get("score", math.nan)):
+        raise SchemaError(f"verdict: a {d['kind']} verdict needs a finite "
+                          f"score, got {d.get('score')}")
+    fk = check(d["flow_key"], GENERIC_FLOW_KEY_FIELDS, "verdict flow_key")
+    flow = FlowKey(fk["device_ip"],
+                   Remote(fk["remote"]["kind"], fk["remote"]["value"]),
+                   fk["src_port"], fk["dst_port"], fk["proto"])
+    return ens.Verdict(d["kind"], flow, d["models_triggered"],
+                       d.get("score"), d.get("activity"), d.get("reason"))
+
+
+any_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70000) | st.integers()
+    | st.floats() | st.sampled_from(ens.VERDICT_KINDS + ("TCP", "domain"))
+    | ascii_text,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(ascii_text, inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def mutated_verdict_dicts(draw):
+    """A written verdict with one field of it, of its flow key or of the
+    key's remote set to any value or dropped, or the verdict itself
+    replaced."""
+    doc = ens.verdict_to_dict(draw(verdicts()))
+    target = draw(st.sampled_from([doc, doc["flow_key"],
+                                   doc["flow_key"]["remote"]]))
+    how = draw(st.sampled_from(["set", "set", "set", "drop", "whole"]))
+    if how == "set":
+        names = sorted(target) + ["score", "activity", "reason", "bogus"]
+        target[draw(st.sampled_from(names))] = draw(any_values)
+    elif how == "drop" and target:
+        del target[draw(st.sampled_from(sorted(target)))]
+    elif how == "whole":
+        return draw(any_values)
+    return doc
+
+
+def outcome(read, d):
+    try:
+        return repr(read(d))
+    except Exception as exc:  # noqa: BLE001 - the type is compared too
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestVerdictReader:
+    @settings(max_examples=1000, deadline=None)
+    @given(d=mutated_verdict_dicts())
+    def test_reads_as_the_generic_check_or_raises_its_message(self, d):
+        assert outcome(ens.verdict_from_dict, d) == \
+            outcome(generic_verdict_from_dict, d)
+
     @settings(max_examples=200, deadline=None)
     @given(v=verdicts())
     def test_round_trip(self, v):

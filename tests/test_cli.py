@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import textwrap
 from pathlib import Path
 
@@ -401,6 +402,27 @@ class TestSpecFile:
         assert rc == 1
         assert_one_error_line(capsys, f"error: {path} {reason}")
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("size_probs", [1.5, -0.5], "probabilities must be >= 0"),
+        ("size_probs", [math.nan, 0.5], "probabilities must be >= 0"),
+        ("sizes", [0, 200], "size 0 is not in 1-65535"),
+        ("sizes", [100, 70000], "size 70000 is not in 1-65535"),
+        ("jitter", -1.0, "jitter must be finite and >= 0"),
+        ("intra_gap", -5.0, "intra_gap must be finite and >= 0"),
+        ("period", math.nan, "period must be > 0"),
+    ], ids=["negative-prob", "nan-prob", "size-0", "size-70000",
+            "negative-jitter", "negative-gap", "nan-period"])
+    def test_activity_the_simulator_cannot_draw_exits_1(
+            self, tmp_path, capsys, field, value, reason):
+        activity = dict(self.ACTIVITY, sizes=[100, 200],
+                        size_probs=[0.5, 0.5])
+        activity[field] = value
+        rc, _ = self.simulate(tmp_path, json.dumps(
+            {"device_ip": "10.0.0.5", "activities": [activity]}))
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: activity a: {reason}")
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_spec_that_is_not_json_exits_1_naming_the_spec(self, tmp_path,
                                                            capsys):
         rc, path = self.simulate(tmp_path, '{"device_ip": "10.0.0.5", ')
@@ -726,11 +748,11 @@ class TestOutOfOrderFlow:
 
 
 class TestPinnedBytes:
-    """The bytes of a camera trace and of its profile, as the code wrote
-    them when these digests were taken.  No BLAS arithmetic runs up to the
-    profile, so they hold on any host; a change that moves a byte in
-    simulate, parse, flow keying or profile fails here and has to say why
-    its bytes differ."""
+    """The bytes of a camera trace, of its profile and of a camera trace
+    with every attack kind, as the code wrote them when these digests were
+    taken.  No BLAS arithmetic runs up to the profile, so they hold on any
+    host; a change that moves a byte in simulate, parse, flow keying or
+    profile fails here and has to say why its bytes differ."""
 
     TRACE_SHA256 = ("42a7f1153b86bbc7b7d12e949a55c0f0"
                     "4d53c256dc6f9d372718f74d9b96679b")
@@ -746,6 +768,28 @@ class TestPinnedBytes:
                              (profile, self.PROFILE_SHA256)):
             with open(path, "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == digest, path
+
+    ATTACKED_TRACE_SHA256 = ("024929574fa044dc4ab609c913e55a60"
+                             "f42fc59071521ec246b9c054882bd84c")
+    ATTACKS = [
+        {"kind": "HttpMasqCnc", "start": 100, "rate": 0.05, "duration": 3000,
+         "target": {"domain": "api.cam-vendor.com", "ip": "203.0.113.11"}},
+        {"kind": "Flood", "start": 900, "rate": 1, "duration": 60,
+         "target": {"ip": "203.0.113.10", "dst_port": 443,
+                    "domain": "upload.cam-vendor.com"}},
+        {"kind": "PortScan", "start": 200, "rate": 20, "duration": 10},
+        {"kind": "TelnetBrute", "start": 1500, "rate": 2, "duration": 60},
+    ]
+
+    def test_trace_with_every_attack_kind(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        attacks = [arg for atk in self.ATTACKS
+                   for arg in ("--attack", json.dumps(atk))]
+        assert main(["simulate", "--fixture", "camera", "--duration", "3600",
+                     "-o", str(trace)] + attacks + SEED) == 0
+        data = trace.read_bytes()
+        assert data.count(b"\n") == 8386
+        assert hashlib.sha256(data).hexdigest() == self.ATTACKED_TRACE_SHA256
 
 
 class TestSimulatorPorts:

@@ -1,11 +1,13 @@
-import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from atrellis import synth_traffic as sim
 from atrellis.clustering_tree import jaccard
 from atrellis.errors import BadSpec
-from atrellis.traffic_model import flows_of_trace, packet_to_dict
+from atrellis.traffic_model import PacketRecord, flows_of_trace
 
 
 def one_shot_spec():
@@ -31,12 +33,12 @@ class TestGenerate:
     def test_deterministic(self):
         a = sim.generate(sim.FIXTURES["plug"], 600, seed=5)
         b = sim.generate(sim.FIXTURES["plug"], 600, seed=5)
-        assert [packet_to_dict(p) for p in a] == [packet_to_dict(p) for p in b]
+        assert a == b
 
     def test_seed_changes_trace(self):
         a = sim.generate(sim.FIXTURES["plug"], 600, seed=5)
         b = sim.generate(sim.FIXTURES["plug"], 600, seed=6)
-        assert [packet_to_dict(p) for p in a] != [packet_to_dict(p) for p in b]
+        assert a != b
 
     def test_zero_duration_rejected(self):
         with pytest.raises(BadSpec):
@@ -70,6 +72,86 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             sim.ActivitySpec("x", "203.0.113.1", 80, "TCP", period=1.0,
                              sizes=(10, 20), size_probs=(0.5, 0.4))
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("size_probs", (1.5, -0.5), "probabilities must be >= 0"),
+        ("size_probs", (math.nan, 0.5), "probabilities must be >= 0"),
+        ("sizes", (0, 20), "size 0 is not in 1-65535"),
+        ("sizes", (10, 65536), "size 65536 is not in 1-65535"),
+        ("jitter", -1.0, "jitter must be finite and >= 0"),
+        ("jitter", math.inf, "jitter must be finite and >= 0"),
+        ("intra_gap", -5.0, "intra_gap must be finite and >= 0"),
+        ("intra_gap", math.nan, "intra_gap must be finite and >= 0"),
+        ("period", math.nan, "period must be > 0"),
+    ], ids=["negative-prob", "nan-prob", "size-0", "size-65536",
+            "negative-jitter", "inf-jitter", "negative-gap", "nan-gap",
+            "nan-period"])
+    def test_spec_the_burst_draw_cannot_use_is_rejected(self, field, value,
+                                                        reason):
+        kwargs = dict(period=1.0, sizes=(10, 20), size_probs=(0.5, 0.5))
+        kwargs[field] = value
+        with pytest.raises(BadSpec, match=f"activity x: {reason}"):
+            sim.ActivitySpec("x", "203.0.113.1", 80, "TCP", **kwargs)
+
+
+def reference_burst_packets(rng, device_ip, act, t0, src_port, label):
+    """One burst drawn call by call: a size with ``rng.choice`` for every
+    packet and a gap with ``rng.uniform`` before every packet but the
+    first.  _burst_packets must give the same records for the same rng."""
+    packets = []
+    t = t0
+    for j in range(act.packets_per_burst):
+        if j > 0:
+            t += act.intra_gap * rng.uniform(0.8, 1.2)
+        size = int(rng.choice(act.sizes, p=act.size_probs))
+        if act.bidirectional and j % 2 == 1:
+            pkt = PacketRecord(t, act.remote_ip, device_ip, act.dst_port,
+                               src_port, act.proto, size,
+                               dns_name=act.domain, label=label)
+        else:
+            pkt = PacketRecord(t, device_ip, act.remote_ip, src_port,
+                               act.dst_port, act.proto, size,
+                               dns_name=act.domain, label=label)
+        packets.append(pkt)
+    return packets
+
+
+@st.composite
+def burst_activities(draw):
+    n = draw(st.integers(1, 5))
+    sizes = draw(st.lists(st.integers(1, 65535), min_size=n, max_size=n,
+                          unique=True))
+    weights = draw(st.lists(st.floats(0, 1e6, allow_nan=False), min_size=n,
+                            max_size=n).filter(lambda w: sum(w) > 0))
+    probs = [w / sum(weights) for w in weights]
+    assume(abs(sum(probs) - 1.0) <= 1e-9)
+    return sim.ActivitySpec(
+        "a", "203.0.113.1", draw(st.integers(0, 65535)),
+        draw(st.sampled_from(["TCP", "UDP"])), period=1.0,
+        sizes=tuple(sizes), size_probs=tuple(probs),
+        packets_per_burst=draw(st.integers(1, 50)),
+        intra_gap=draw(st.floats(0, 10, allow_nan=False)),
+        domain=draw(st.none() | st.just("Svc.Example.com.")),
+        bidirectional=draw(st.booleans()))
+
+
+class TestBurstDraw:
+    @settings(max_examples=300, deadline=None)
+    @given(act=burst_activities(), seed=st.integers(0, 2**32 - 1),
+           t0=st.floats(0, 1e6, allow_nan=False),
+           src_port=st.integers(0, 65535))
+    def test_one_block_draws_the_records_of_per_packet_calls(
+            self, act, seed, t0, src_port):
+        want_rng, got_rng = (np.random.default_rng(seed) for _ in range(2))
+        want = reference_burst_packets(want_rng, "10.0.0.5", act, t0,
+                                       src_port, "benign")
+        got = sim._burst_packets(got_rng, "10.0.0.5", act, t0, src_port,
+                                 "benign")
+        assert got == want
+        assert [type(v) for p in got for v in p] == \
+            [type(v) for p in want for v in p]
+        # both leave the generator at the same state for the next burst
+        assert got_rng.random() == want_rng.random()
 
 
 class TestInjectAttack:

@@ -16,10 +16,23 @@ from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
                                     direction_of, flow_key_of,
                                     flows_of_trace, line_of_object,
                                     normalize_domain, packet_from_dict,
-                                    packet_to_dict, read_packets_jsonl,
-                                    write_packets_jsonl)
+                                    read_packets_jsonl, write_packets_jsonl)
 
 DEVICE = "192.168.1.10"
+
+
+def packet_to_dict(pkt: PacketRecord) -> dict:
+    """The JSON object of a packet, as the writer wrote it with
+    ``json.dumps`` before it formatted lines itself: the oracle of
+    write_packets_jsonl."""
+    d = {"ts": pkt.ts, "src_ip": pkt.src_ip, "dst_ip": pkt.dst_ip,
+         "src_port": pkt.src_port, "dst_port": pkt.dst_port,
+         "proto": pkt.proto, "length": pkt.length}
+    if pkt.dns_name is not None:
+        d["dns_name"] = pkt.dns_name
+    if pkt.label is not None:
+        d["label"] = pkt.label
+    return d
 
 
 def pkt(**kw):
@@ -283,6 +296,16 @@ class TestJsonLines:
         write_packets_jsonl(path, packets)
         assert list(read_packets_jsonl(path)) == packets
 
+    @settings(max_examples=300, deadline=None)
+    @given(packets=st.lists(st.deferred(lambda: written_packets),
+                            max_size=4))
+    def test_writer_writes_json_dumps_of_each_packet(self, tmp_path_factory,
+                                                     packets):
+        path = tmp_path_factory.getbasetemp() / "written.jsonl"
+        write_packets_jsonl(path, packets)
+        assert path.read_text() == "".join(
+            json.dumps(packet_to_dict(p)) + "\n" for p in packets)
+
     def test_line_of_object_skips_blank_lines(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("{}\n\n  \n{}\n{}\n")
@@ -432,6 +455,20 @@ valid_packets = st.builds(
     length=st.integers(1, 65535),
     dns_name=st.none() | st.just("Cam.Example.com."),
     label=st.none() | st.just("benign"))
+
+
+# names that need escaping: quotes, backslashes, control and non-ASCII
+# characters, astral ones included
+awkward_text = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                       'aZ.-\u00e9\u2028\ud7ff\U0001f600'))
+written_packets = st.builds(
+    PacketRecord,
+    ts=st.floats(0, 1e18, allow_nan=False, allow_infinity=False),
+    src_ip=st.sampled_from(REMOTES + [DEVICE]), dst_ip=awkward_text,
+    src_port=st.integers(0, 65535), dst_port=st.integers(0, 65535),
+    proto=st.sampled_from(PROTOCOLS), length=st.integers(1, 65535),
+    dns_name=st.none() | awkward_text,
+    label=st.none() | awkward_text | st.text())
 
 
 FIELD_MUTATIONS = ["set", "drop"]
