@@ -19,8 +19,7 @@ import numpy as np
 
 from .clustering_tree import (ActivityProfile, activity_key_from_dict,
                               activity_key_to_dict, flow_key_from_dict,
-                              flow_key_to_dict, keying_from_dict,
-                              keying_to_dict)
+                              keying_from_dict, keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
@@ -242,12 +241,31 @@ def evaluate(verdicts: Sequence[Verdict],
 
 # --- serialization --------------------------------------------------------
 
-def verdict_to_dict(v: Verdict) -> dict:
-    d = {"flow_key": flow_key_to_dict(v.flow), "kind": v.kind,
-         "models_triggered": v.models_triggered}
-    d.update((name, getattr(v, name)) for name in _OPTIONAL_VERDICT_FIELDS
-             if getattr(v, name) is not None)
-    return d
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def verdict_line(v: Verdict) -> str:
+    """``json.dumps`` of the verdict's object plus a newline: its flow key,
+    kind and models_triggered, then activity, score and reason when set.
+    Numbers are written with ``repr``, as json writes a finite float or an
+    int; a non-finite score is written as json writes it."""
+    flow, remote = v.flow, v.flow.remote
+    tail = ""
+    if v.activity is not None:
+        tail = f', "activity": {v.activity!r}'
+    if v.score is not None:
+        score = v.score
+        text = repr(score) if math.isfinite(score) else json.dumps(score)
+        tail += f', "score": {text}'
+    if v.reason is not None:
+        tail += f', "reason": {_json_str(v.reason)}'
+    return (f'{{"flow_key": {{"device_ip": {_json_str(flow.device_ip)}, '
+            f'"remote": {{"kind": {_json_str(remote.kind)}, '
+            f'"value": {_json_str(remote.value)}}}, '
+            f'"src_port": {flow.src_port!r}, "dst_port": {flow.dst_port!r}, '
+            f'"proto": {_json_str(flow.proto)}}}, '
+            f'"kind": {_json_str(v.kind)}, '
+            f'"models_triggered": {v.models_triggered!r}{tail}}}\n')
 
 
 def _is_plain_verdict(d) -> bool:
@@ -269,7 +287,7 @@ def _is_plain_verdict(d) -> bool:
 
 
 def verdict_from_dict(d) -> Verdict:
-    """The verdict ``verdict_to_dict`` wrote; every field is checked.  A
+    """The verdict of a ``verdict_line`` object; every field is checked.  A
     verdict that is not plain goes through ``check``, which names its bad
     field."""
     if not _is_plain_verdict(d):

@@ -61,13 +61,21 @@ def _where(path: str, index: int) -> str:
 
 
 def _infer_device_ip(packets: List[PacketRecord]) -> str:
+    """The endpoint of the first packet that is in every packet; when both
+    are, the trace cannot tell which is the device, and this refuses."""
     if not packets:
         raise EmptyTree("empty trace")
     first = packets[0]
-    for candidate in (first.src_ip, first.dst_ip):
-        if all(candidate in (p.src_ip, p.dst_ip) for p in packets):
-            return candidate
-    raise AtrellisError("could not infer device IP; pass --device-ip")
+    candidates = dict.fromkeys((first.src_ip, first.dst_ip))
+    found = [c for c in candidates
+             if all(c in (p.src_ip, p.dst_ip) for p in packets)]
+    if len(found) == 2:
+        raise AtrellisError(f"both {found[0]} and {found[1]} are in every "
+                            f"packet, so either could be the device; pass "
+                            f"--device-ip")
+    if not found:
+        raise AtrellisError("could not infer device IP; pass --device-ip")
+    return found[0]
 
 
 _NUMBER = (int, float)
@@ -216,8 +224,7 @@ def cmd_detect(args) -> int:
                                  ensemble.profile.local_prefixes)
     verdicts = ens.detect_flows(ensemble, keys, table)
     with open(args.out, "w") as fh:
-        for verdict in verdicts:
-            fh.write(json.dumps(ens.verdict_to_dict(verdict)) + "\n")
+        fh.writelines(map(ens.verdict_line, verdicts))
     if args.dump_features:
         X = featurize_many([table[key] for key in keys], ensemble.arch.r)
         with open(args.dump_features, "w") as dump:

@@ -140,7 +140,8 @@ def _burst_packets(rng, device_ip, act: ActivitySpec, t0: float,
 
 def generate(spec: DeviceSpec, duration: float,
              seed: int = 0) -> List[PacketRecord]:
-    """Time-ordered benign trace for one device, reproducible per seed."""
+    """Time-ordered benign trace for one device, reproducible per seed.
+    A spec and duration that would give no packet raise BadSpec."""
     if duration <= 0:
         raise BadSpec(f"duration must be > 0, got {duration}")
     for idx, act in enumerate(spec.activities):
@@ -161,6 +162,10 @@ def generate(spec: DeviceSpec, duration: float,
             src_port = base + i % _PORT_BLOCK_SIZE
             packets.extend(_burst_packets(rng, spec.device_ip, act, t0,
                                           src_port, BENIGN))
+    if not packets:
+        raise BadSpec(f"no burst starts within the duration of {duration} s; "
+                      f"the shortest period is "
+                      f"{min(act.period for act in spec.activities)} s")
     packets.sort(key=lambda p: p.ts)
     return packets
 

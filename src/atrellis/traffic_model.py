@@ -13,6 +13,7 @@ import ipaddress
 import json
 import logging
 import math
+import re
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence)
 
@@ -315,6 +316,39 @@ def _packet_line(pkt: PacketRecord) -> str:
             f'"length": {length!r}{tail}}}\n')
 
 
+# The lines _packet_line writes, and no others: the fields in record
+# order, strings of printable ASCII without '"' or '\\', ts an unsigned
+# JSON number, and ports and length unsigned integers without leading
+# zeros, so that each group converts to the value the JSON parse would
+# give.  A line in any other form ("-0", an escape, other spacing or key
+# order, a duplicated key) is left to the JSON parse.
+_STRING = r'"([ !#-\[\]-~]*)"'
+_UINT = r'(0|[1-9][0-9]*)'
+_PACKET_LINE = re.compile(
+    r'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
+    rf'"src_ip": {_STRING}, "dst_ip": {_STRING}, "src_port": {_UINT}, '
+    rf'"dst_port": {_UINT}, "proto": {_STRING}, "length": {_UINT}'
+    rf'(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
+
+
+def _packet_of_line(line: str) -> Optional[PacketRecord]:
+    """The packet of a stripped line in _packet_line's form, or None if
+    the line is in another form or a value fails its conversion or the
+    record's checks; the JSON parse then reads the line and alone raises,
+    so each error keeps its message."""
+    m = _PACKET_LINE.fullmatch(line)
+    if m is None:
+        return None
+    ts, src_ip, dst_ip, src_port, dst_port, proto, length, dns_name, \
+        label = m.groups()
+    try:
+        return PacketRecord(float(ts), src_ip, dst_ip, int(src_port),
+                            int(dst_port), proto, int(length), dns_name,
+                            label)
+    except ValueError:
+        return None
+
+
 def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
     with open(path, "w") as fh:
         fh.writelines(map(_packet_line, packets))
@@ -333,24 +367,29 @@ def read_json(path):
             raise SchemaError(f"{path}: {exc}") from None
 
 
-def read_jsonl(path, convert: Callable[[dict], object]) -> Iterator:
-    """Yield ``convert(obj)`` for each JSON object line of ``path``.  A line
-    that is not UTF-8, not one JSON object, or that ``convert`` rejects with
-    a ValueError raises SchemaError("PATH:LINE: reason")."""
+def read_jsonl(path, convert: Callable[[dict], object],
+               fast: Optional[Callable[[str], object]] = None) -> Iterator:
+    """Yield ``convert(obj)`` for each JSON object line of ``path``.
+    ``fast``, if given, makes the item of a stripped line without the JSON
+    parse, or returns None to leave the line to it.  A line that is not
+    UTF-8, not one JSON object, or that ``convert`` rejects with a
+    ValueError raises SchemaError("PATH:LINE: reason")."""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
             try:
                 line = raw.decode("utf-8").strip()
                 if not line:
                     continue
-                obj, end = _raw_decode(line)
-                if end != len(line):
-                    raise SchemaError(f"data after the JSON object at "
-                                      f"column {end + 1}")
-                if not isinstance(obj, dict):
-                    raise SchemaError(f"not a JSON object: "
-                                      f"{type(obj).__name__}")
-                item = convert(obj)
+                item = fast(line) if fast else None
+                if item is None:
+                    obj, end = _raw_decode(line)
+                    if end != len(line):
+                        raise SchemaError(f"data after the JSON object at "
+                                          f"column {end + 1}")
+                    if not isinstance(obj, dict):
+                        raise SchemaError(f"not a JSON object: "
+                                          f"{type(obj).__name__}")
+                    item = convert(obj)
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield item
@@ -374,6 +413,9 @@ def line_of_object(path, index: int) -> Optional[int]:
 
 
 def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
-    """Yield the packets of a JSON-lines trace.  A line that is not one
-    valid packet object raises SchemaError("PATH:LINE: reason")."""
-    yield from read_jsonl(path, lambda obj: packet_from_dict(obj, strict))
+    """Yield the packets of a JSON-lines trace.  A line in the form that
+    write_packets_jsonl writes is read without the JSON parse.  A line that
+    is not one valid packet object raises SchemaError("PATH:LINE:
+    reason")."""
+    yield from read_jsonl(path, lambda obj: packet_from_dict(obj, strict),
+                          _packet_of_line)

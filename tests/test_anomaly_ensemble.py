@@ -431,6 +431,17 @@ class TestSerialization:
 
 # --- verdict reader ---------------------------------------------------------
 
+def verdict_to_dict(v: ens.Verdict) -> dict:
+    """The JSON object of a verdict, as detect wrote it with ``json.dumps``
+    before it formatted lines itself: the oracle of verdict_line."""
+    d = {"flow_key": ct.flow_key_to_dict(v.flow), "kind": v.kind,
+         "models_triggered": v.models_triggered}
+    d.update((name, getattr(v, name)) for name in ("activity", "score",
+                                                   "reason")
+             if getattr(v, name) is not None)
+    return d
+
+
 flow_keys = st.builds(
     FlowKey, device_ip=st.just(DEVICE),
     remote=st.builds(Remote, st.sampled_from(["domain", "remote_ip",
@@ -503,7 +514,7 @@ json_values = st.recursive(
 
 @st.composite
 def mutated_verdict_lines(draw):
-    doc = ens.verdict_to_dict(draw(verdicts()))
+    doc = verdict_to_dict(draw(verdicts()))
     how = draw(st.sampled_from(["set", "drop", "set-flow", "drop-flow",
                                 "truncate", "delete", "insert", "value"]))
     target = doc["flow_key"] if how.endswith("-flow") else doc
@@ -568,7 +579,7 @@ def mutated_verdict_dicts(draw):
     """A written verdict with one field of it, of its flow key or of the
     key's remote set to any value or dropped, or the verdict itself
     replaced."""
-    doc = ens.verdict_to_dict(draw(verdicts()))
+    doc = verdict_to_dict(draw(verdicts()))
     target = draw(st.sampled_from([doc, doc["flow_key"],
                                    doc["flow_key"]["remote"]]))
     how = draw(st.sampled_from(["set", "set", "set", "drop", "whole"]))
@@ -589,6 +600,31 @@ def outcome(read, d):
         return f"{type(exc).__name__}: {exc}"
 
 
+# text that needs escaping: quotes, backslashes, control and non-ASCII
+# characters, astral ones and a lone surrogate included
+awkward_text = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f'
+                                       'aZ.-\u00e9\u2028\ud800\U0001f600'),
+                       max_size=8) | st.text(max_size=8)
+written_verdicts = st.builds(
+    ens.Verdict, kind=st.sampled_from(ens.VERDICT_KINDS),
+    flow=st.builds(FlowKey, awkward_text,
+                   st.builds(Remote, awkward_text, awkward_text),
+                   st.integers(0, 65535), st.integers(0, 65535),
+                   awkward_text),
+    models_triggered=st.integers(),
+    score=st.none() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0,
+                                       0.0, 5e-324, 1e308]) | st.floats(),
+    activity=st.none() | st.integers(),
+    reason=st.none() | awkward_text)
+
+
+class TestVerdictLine:
+    @settings(max_examples=500, deadline=None)
+    @given(v=written_verdicts)
+    def test_is_json_dumps_of_the_verdicts_object(self, v):
+        assert ens.verdict_line(v) == json.dumps(verdict_to_dict(v)) + "\n"
+
+
 class TestVerdictReader:
     @settings(max_examples=1000, deadline=None)
     @given(d=mutated_verdict_dicts())
@@ -599,19 +635,19 @@ class TestVerdictReader:
     @settings(max_examples=200, deadline=None)
     @given(v=verdicts())
     def test_round_trip(self, v):
-        doc = json.loads(json.dumps(ens.verdict_to_dict(v)))
+        doc = json.loads(json.dumps(verdict_to_dict(v)))
         back = ens.verdict_from_dict(doc)
         # records are tuples, which compare equal across types
         assert back == v and type(back) is ens.Verdict
         assert type(back.flow) is FlowKey and type(back.flow.remote) is Remote
-        assert ens.verdict_from_dict(ens.verdict_to_dict(v)) == v
+        assert ens.verdict_from_dict(verdict_to_dict(v)) == v
 
     @settings(max_examples=400, deadline=None)
     @given(line=mutated_verdict_lines())
     def test_mutated_line_reads_as_the_reference_or_names_path_and_line(
             self, tmp_path_factory, line):
         path = str(tmp_path_factory.getbasetemp() / "verdicts.jsonl")
-        good = json.dumps(ens.verdict_to_dict(ens.Verdict(
+        good = json.dumps(verdict_to_dict(ens.Verdict(
             ens.BENIGN, flow(), 1, score=0.5, activity=0)))
         with open(path, "w") as fh:
             fh.write(f"{good}\n{line}\n{good}\n")

@@ -12,6 +12,7 @@ import pytest
 
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
+from atrellis import traffic_model as tm
 from atrellis.cli import build_parser, main
 from atrellis.neural_autoencoder import AEArchitecture, TrainConfig
 
@@ -423,6 +424,20 @@ class TestSpecFile:
         assert_one_error_line(capsys, f"error: activity a: {reason}")
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("period, shortest", [
+        (math.inf, "inf"), (90.0, "90.0"),
+    ], ids=["infinite-period", "period-past-duration"])
+    def test_spec_with_no_burst_in_the_duration_exits_1(
+            self, tmp_path, capsys, period, shortest):
+        rc, _ = self.simulate(tmp_path, json.dumps(
+            {"device_ip": "10.0.0.5",
+             "activities": [dict(self.ACTIVITY, period=period)]}))
+        assert rc == 1
+        assert_one_error_line(
+            capsys, "error: no burst starts within the duration of 60.0 s; "
+            f"the shortest period is {shortest} s")
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_spec_that_is_not_json_exits_1_naming_the_spec(self, tmp_path,
                                                            capsys):
         rc, path = self.simulate(tmp_path, '{"device_ip": "10.0.0.5", ')
@@ -516,12 +531,14 @@ class TestKeyingFromArtifacts:
             f"is not in {p('t2.jsonl')}", "--local-prefix",
             "must match the profile's")
 
-    def test_eval_keys_the_trace_with_the_verdicts_device_ip(self,
-                                                             tmp_path):
-        """One peer, whose packet opens each flow: the first packet of the
-        trace is inbound, and both of its endpoints are in every packet, so
-        the trace alone cannot tell which one is the device."""
-        device, peer = "192.168.1.10", "203.0.113.5"
+    DEVICE, PEER = "192.168.1.10", "203.0.113.5"
+
+    def one_peer_trace(self, tmp_path):
+        """8 flows with one peer, whose packet opens each flow: the first
+        packet of the trace is inbound, and both of its endpoints are in
+        every packet, so the trace alone cannot tell which one is the
+        device."""
+        device, peer = self.DEVICE, self.PEER
         trace = tmp_path / "t.jsonl"
         with open(trace, "w") as fh:
             for i in range(8):
@@ -533,8 +550,23 @@ class TestKeyingFromArtifacts:
                         "ts": ts, "src_ip": src, "dst_ip": dst,
                         "src_port": sport, "dst_port": dport, "proto": "TCP",
                         "length": length, "label": "benign"}) + "\n")
+        return trace
+
+    def test_profile_refuses_to_guess_between_two_endpoints(self, tmp_path,
+                                                            capsys):
+        trace = self.one_peer_trace(tmp_path)
+        out = tmp_path / "profile.json"
+        assert main(["profile", str(trace), "-o", str(out)]) == 1
+        assert_one_error_line(
+            capsys, f"error: both {self.PEER} and {self.DEVICE} ",
+            "--device-ip")
+        assert not out.exists()
+
+    def test_eval_keys_the_trace_with_the_verdicts_device_ip(self,
+                                                             tmp_path):
+        trace = self.one_peer_trace(tmp_path)
         p = lambda name: str(tmp_path / name)  # noqa: E731
-        assert main(["profile", str(trace), "--device-ip", device,
+        assert main(["profile", str(trace), "--device-ip", self.DEVICE,
                      "-o", p("profile.json")]) == 0
         assert main(["train", str(trace), p("profile.json"), "--epochs", "2",
                      "-o", p("ensemble.json")]) == 0
@@ -720,7 +752,8 @@ class TestOutOfOrderFlow:
         self.write(bad, device_ip, 10.5)
         verdicts = str(tmp_path / "v.jsonl")
         assert main(["detect", good, ensemble, "-o", verdicts]) == 0
-        args = {"profile": [], "train": [profile, "--epochs", "1"],
+        args = {"profile": ["--device-ip", device_ip],
+                "train": [profile, "--epochs", "1"],
                 "detect": [ensemble], "eval": [verdicts]}[stage]
         capsys.readouterr()
         rc = main([stage, bad, *args, "-o", str(tmp_path / "out")])
@@ -741,7 +774,8 @@ class TestOutOfOrderFlow:
         with open(bad, "w") as fh:
             fh.write("\n".join([line(0.0), "", line(10.5), "  ", line(11.0),
                                 line(10.5)]) + "\n")
-        rc = main(["profile", bad, "-o", str(tmp_path / "out")])
+        rc = main(["profile", bad, "--device-ip", "192.168.1.10",
+                   "-o", str(tmp_path / "out")])
         assert rc == 1
         assert_one_error_line(capsys, f"error: {bad}:6: flow TCP ",
                               "ts 10.5")
@@ -790,6 +824,31 @@ class TestPinnedBytes:
         data = trace.read_bytes()
         assert data.count(b"\n") == 8386
         assert hashlib.sha256(data).hexdigest() == self.ATTACKED_TRACE_SHA256
+
+
+class TestReaderFastPath:
+    def test_pinned_attacked_trace_reads_without_the_json_decoder(
+            self, tmp_path, monkeypatch):
+        """Every line that simulate writes takes the reader's fast path:
+        reading the pinned trace never calls the JSON decoder, and gives
+        what the JSON parse alone reads."""
+        trace = tmp_path / "t.jsonl"
+        attacks = [arg for atk in TestPinnedBytes.ATTACKS
+                   for arg in ("--attack", json.dumps(atk))]
+        assert main(["simulate", "--fixture", "camera", "--duration", "3600",
+                     "-o", str(trace)] + attacks + SEED) == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+            TestPinnedBytes.ATTACKED_TRACE_SHA256
+        by_json = list(tm.read_jsonl(trace, tm.packet_from_dict))
+
+        def refuse(*args):
+            raise AssertionError("the JSON decoder was called")
+
+        monkeypatch.setattr(tm, "_raw_decode", refuse)
+        packets = list(tm.read_packets_jsonl(trace))
+        assert len(packets) == 8386
+        assert [[(type(v), repr(v)) for v in p] for p in packets] == \
+            [[(type(v), repr(v)) for v in p] for p in by_json]
 
 
 class TestSimulatorPorts:

@@ -16,7 +16,8 @@ from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
                                     direction_of, flow_key_of,
                                     flows_of_trace, line_of_object,
                                     normalize_domain, packet_from_dict,
-                                    read_packets_jsonl, write_packets_jsonl)
+                                    read_jsonl, read_packets_jsonl,
+                                    write_packets_jsonl)
 
 DEVICE = "192.168.1.10"
 
@@ -427,15 +428,17 @@ def reference_reader_fields(line, strict):
             return None
         if dns_name is not None:
             dns_name = dns_name.lower().rstrip(".")
-        return (ts, str(obj["src_ip"]), str(obj["dst_ip"]), *ports, proto,
-                length, dns_name, obj.get("label"))
+        return record_fields((ts, str(obj["src_ip"]), str(obj["dst_ip"]),
+                              *ports, proto, length, dns_name,
+                              obj.get("label")))
     except Exception:
         return None
 
 
-def record_fields(p):
-    return (p.ts, p.src_ip, p.dst_ip, p.src_port, p.dst_port, p.proto,
-            p.length, p.dns_name, p.label)
+def record_fields(values):
+    """The type and ``repr`` of each field of a record, which tell -0.0
+    from 0.0, and 1 from 1.0 or True, where ``==`` cannot."""
+    return tuple((type(v), repr(v)) for v in values)
 
 
 ascii_text = st.text(st.characters(max_codepoint=0x7F,
@@ -537,3 +540,102 @@ class TestReaderFuzz:
             assert got == expected[:len(got)] and len(got) == 1
         else:
             assert got == expected
+
+
+# --- reader fast path -----------------------------------------------------
+
+def read_outcome(packets):
+    """The typed fields of each packet read, and the text of the error that
+    stopped the reading, or None."""
+    got = []
+    try:
+        for p in packets:
+            got.append(record_fields(p))
+    except SchemaError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def json_path_outcome(path, strict):
+    """read_outcome of the JSON parse alone: the reader before it matched
+    the writer's lines, kept as the oracle of the fast path."""
+    return read_outcome(read_jsonl(
+        path, lambda obj: packet_from_dict(obj, strict)))
+
+
+def packet_text(ts="1.5", src_ip='"192.168.1.10"', src_port="50001",
+                length="70", tail=', "label": "benign"'):
+    return (f'{{"ts": {ts}, "src_ip": {src_ip}, "dst_ip": "8.8.8.8", '
+            f'"src_port": {src_port}, "dst_port": 53, "proto": "UDP", '
+            f'"length": {length}{tail}}}')
+
+
+DIGITS_4301 = "1" * 4301
+EDGE_LINES = [
+    # numbers: signs, exponents, leading zeros, huge and non-finite ones
+    *(packet_text(ts=ts) for ts in (
+        "-0", "-0.0", "0", "0.0e-0", "1E5", "1e+5", "2.5E-3", "1e999",
+        "1" + "0" * 400, DIGITS_4301, DIGITS_4301 + ".5", "00", "01.5",
+        "1.", ".5", "1e", "NaN", "Infinity", "-Infinity", "true", '"1.5"')),
+    *(packet_text(src_port=port) for port in (
+        "0", "-0", "053", "-1", "65535", "65536", DIGITS_4301, "53.0",
+        "5e1", "true", "null")),
+    *(packet_text(length=length) for length in (
+        "070", "0", "65536", "1.0", DIGITS_4301)),
+    # strings: escapes, raw non-ASCII and control characters, non-strings
+    packet_text(src_ip='"192.168.1.1\\u0030"'),
+    packet_text(src_ip='"\\u0041"'),
+    packet_text(tail=', "dns_name": "Cam.\\u0041pi.example."'),
+    packet_text(tail=', "label": "ben\\u0069gn"'),
+    packet_text(tail=', "label": "b\\"q"'),
+    packet_text(tail=', "label": "caf\u00e9"'),
+    packet_text(tail=', "label": "tab\there"'),
+    packet_text(tail=', "dns_name": null'),
+    packet_text(tail=', "label": 5'),
+    packet_text(tail=', "label": "benign", "dns_name": "a.example"'),
+    packet_text(tail=', "dns_name": "A.Example.", "label": "benign"'),
+    packet_text(tail=""),
+    packet_text(tail=', "bogus": 1'),
+    packet_text(tail=', "dns_name": "a.example", "dns_name": "b.example"'),
+    # values the record refuses, in the writer's form
+    packet_text(ts="0", length="0"),
+    packet_text(tail=', "label": "benign"').replace('"UDP"', '"ICMP"'),
+    # duplicated, reordered and missing keys; other spacing; trailing data
+    packet_text(tail=', "length": 80'),
+    packet_text(tail=', "ts": 2.5'),
+    '{"src_ip": "192.168.1.10", "ts": 1.5, "dst_ip": "8.8.8.8", '
+    '"src_port": 50001, "dst_port": 53, "proto": "UDP", "length": 70}',
+    packet_text().replace(", ", ","),
+    packet_text().replace(": ", " : "),
+    packet_text().replace(", ", ",  "),
+    packet_text().replace('"ts"', ' "ts"'),
+    packet_text().replace(', "proto": "UDP"', ""),
+    packet_text() + " x",
+    packet_text()[:-1],
+]
+
+
+class TestReaderFastPath:
+    """The reader matches each line against the writer's own form before it
+    parses JSON.  What it reads must not depend on which path a line
+    takes."""
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("line", EDGE_LINES)
+    def test_edge_line_reads_as_the_json_path(self, tmp_path, line, strict):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(f"{packet_text()}\n{line}\n{packet_text()}\n",
+                        encoding="utf-8")
+        assert read_outcome(read_packets_jsonl(path, strict)) == \
+            json_path_outcome(path, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(packets=st.lists(st.deferred(lambda: written_packets),
+                            max_size=4), strict=st.booleans())
+    def test_written_trace_reads_as_the_json_path(self, tmp_path_factory,
+                                                  packets, strict):
+        path = tmp_path_factory.getbasetemp() / "written.jsonl"
+        write_packets_jsonl(path, packets)
+        got = read_outcome(read_packets_jsonl(path, strict))
+        assert got == json_path_outcome(path, strict)
+        assert got == ([record_fields(p) for p in packets], None)
