@@ -12,21 +12,24 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .clustering_tree import (ActivityProfile, activity_key_from_dict,
-                              activity_key_to_dict, flow_key_from_dict,
-                              keying_from_dict, keying_to_dict)
+from .clustering_tree import (_REMOTE_KINDS, ActivityProfile,
+                              activity_key_from_dict, activity_key_to_dict,
+                              flow_key_from_dict, keying_from_dict,
+                              keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
-from .traffic_model import FlowKey, PacketRecord, read_json
+from .traffic_model import (_STRING, _UINT, PROTOCOLS, FlowKey, PacketRecord,
+                            Remote, read_json, read_jsonl)
 
 ENSEMBLE_SCHEMA_VERSION = "4.0"
 
@@ -268,6 +271,52 @@ def verdict_line(v: Verdict) -> str:
             f'"models_triggered": {v.models_triggered!r}{tail}}}\n')
 
 
+# The lines verdict_line writes, and no others: the fields in its order,
+# strings as _PACKET_LINE takes them, ports, counts and key positions
+# unsigned integers without leading zeros, and the score an unsigned JSON
+# number with a fraction or an exponent, so that each group converts to
+# the value and type the JSON parse would give.  A line in any other form
+# is left to the JSON parse.
+_VERDICT_LINE = re.compile(
+    rf'\{{"flow_key": \{{"device_ip": {_STRING}, "remote": \{{"kind": '
+    rf'{_STRING}, "value": {_STRING}\}}, "src_port": {_UINT}, "dst_port": '
+    rf'{_UINT}, "proto": {_STRING}\}}, "kind": {_STRING}, '
+    rf'"models_triggered": {_UINT}(?:, "activity": {_UINT})?'
+    r'(?:, "score": ((?:0|[1-9][0-9]*)'
+    r'(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))?'
+    rf'(?:, "reason": {_STRING})?\}}')
+
+
+def _verdict_of_line(line: str) -> Optional[Verdict]:
+    """The verdict of a stripped line in verdict_line's form, or None if the
+    line is in another form or a value fails verdict_from_dict's checks;
+    the JSON parse then reads the line and alone raises, so each error
+    keeps its message."""
+    m = _VERDICT_LINE.fullmatch(line)
+    if m is None:
+        return None
+    (device_ip, remote_kind, remote_value, src_port, dst_port, proto, kind,
+     triggered, activity, score, reason) = m.groups()
+    try:
+        src_port, dst_port, triggered = (int(src_port), int(dst_port),
+                                         int(triggered))
+        if activity is not None:
+            activity = int(activity)
+    except ValueError:          # more digits than int() converts
+        return None
+    if score is not None:
+        score = float(score)
+    if not (kind in VERDICT_KINDS and remote_kind in _REMOTE_KINDS
+            and src_port <= 65535 and dst_port <= 65535
+            and proto in PROTOCOLS
+            and (kind == STAGE1_MALICIOUS
+                 or score is not None and math.isfinite(score))):
+        return None
+    return Verdict(kind, FlowKey(device_ip, Remote(remote_kind, remote_value),
+                                 src_port, dst_port, proto),
+                   triggered, score, activity, reason)
+
+
 def _is_plain_verdict(d) -> bool:
     """Whether ``d`` passes the checks of verdict_from_dict on its own
     fields, each of its exact JSON type: one test for the common case of a
@@ -301,6 +350,13 @@ def verdict_from_dict(d) -> Verdict:
     flow = flow_key_from_dict(d["flow_key"], "verdict flow_key")
     return Verdict(d["kind"], flow, d["models_triggered"],
                    *(d.get(name) for name in ("score", "activity", "reason")))
+
+
+def read_verdicts_jsonl(path) -> Iterator[Verdict]:
+    """Yield the verdicts of a verdicts file.  A line in the form that
+    verdict_line writes is read without the JSON parse.  A line that is not
+    one valid verdict object raises SchemaError("PATH:LINE: reason")."""
+    yield from read_jsonl(path, verdict_from_dict, _verdict_of_line)
 
 
 def ensemble_to_dict(e: Ensemble) -> dict:

@@ -25,8 +25,7 @@ from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture, TrainConfig
 from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
                             line_of_object, parse_prefixes, read_json,
-                            read_jsonl, read_packets_jsonl,
-                            write_packets_jsonl)
+                            read_packets_jsonl, write_packets_jsonl)
 
 log = logging.getLogger("atrellis")
 
@@ -241,7 +240,7 @@ def cmd_eval(args) -> int:
     packets = list(read_packets_jsonl(args.trace, args.strict))
     if any(p.label is None for p in packets):
         raise UsageError("eval requires a fully labeled trace")
-    lines = read_jsonl(args.verdicts, ens.verdict_from_dict)
+    lines = ens.read_verdicts_jsonl(args.verdicts)
     first = next(lines, None)
     if first is None:
         raise AtrellisError(f"{args.verdicts} holds no verdicts, so there is "

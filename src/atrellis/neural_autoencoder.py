@@ -13,25 +13,29 @@ kernel 3), ReLU, dense to an 8-unit bottleneck.  Decoder mirrors it, with
 the transposed convolution realized as the exact adjoint of a stride-2
 conv, and a sigmoid output.
 
-Both convolutions are plain matmuls over an im2col layout.  A batch of B
-rows is copied into a zero buffer of shape (B, 2, r + 2) (one pad column
-each side) and gathered, with an index computed once per architecture,
-into a (B * L, 2 * K) matrix whose row b * L + l holds the window of
-output position l: columns ci * K + k read padded position 2l + k of input
-channel ci.  A conv weight (C, 2, K) is used as its (C, 2 * K) reshape, so
-conv activations are (B * L, C) with the position axis outer; they are
-transposed to channel-major (B, C * L) at the dense layers, whose weights
-keep that order.  The transposed conv multiplies the other way and adds
-the windows back with K strided slice adds: window k of output l lands at
-padded position 2l + k.
+Every layer is one matmul of a (B, ...) batch by a dense matrix, so the
+activations stay (B, width) throughout.  The conv is a banded (2r, C * L)
+matrix: entry [ci * r + i, c * L + l] is w1[c, ci, k] where
+i = 2l + k - 1, and 0 off the band (the same padding).  The transposed
+conv is the (C * L, 2r) matrix that w4 gives the same way, transposed.
+The dense layers use w2 and w3 transposed, b1 is repeated over the L conv
+positions and b4 over the r positions.  Laid end to end, these eight
+arrays form one dense buffer; one integer index, computed once per
+architecture, maps each of its entries to a slot of the flat weight buffer
+or to one extra slot that always holds 0.  A forward pass gathers the
+dense buffer from the current weights with ``np.take``; a backward pass
+writes its gradient into a dense-gradient buffer of the same layout, and
+``np.bincount`` over the same index folds it back into the flat gradient.
 
-:func:`fit` keeps the 8 weights, their gradients and both Adam moments in
-four flat float buffers, with a view per weight, so each step makes one
-Adam update and one finiteness check.
+:func:`fit` keeps the 8 weights (then the zero slot), their gradient and
+both Adam moments in flat float buffers, with a view per weight, so each
+step makes one gather, one fold, one finiteness check and one Adam update
+into preallocated temporaries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -120,104 +124,106 @@ def init_model(arch: AEArchitecture, seed: int) -> AEModel:
     return AEModel(arch, params, seed)
 
 
-def _flat_views(buf: np.ndarray, arch: AEArchitecture
-                ) -> Dict[str, np.ndarray]:
-    """One view per weight into a flat buffer laid out in _PARAM_ORDER."""
-    views, at = {}, 0
-    for name, shape in _param_shapes(arch).items():
-        size = int(np.prod(shape))
-        views[name] = buf[at:at + size].reshape(shape)
+def _split(buf: np.ndarray, shapes) -> List[np.ndarray]:
+    """Consecutive views of ``buf``, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buf[at:at + size].reshape(shape))
         at += size
     return views
 
 
+def _flat_views(buf: np.ndarray, arch: AEArchitecture
+                ) -> Dict[str, np.ndarray]:
+    """One view per weight into a flat buffer laid out in _PARAM_ORDER."""
+    return dict(zip(_PARAM_ORDER, _split(buf, _param_shapes(arch).values())))
+
+
 def _flatten(params: Dict[str, np.ndarray]) -> np.ndarray:
-    return np.concatenate([params[name].ravel() for name in _PARAM_ORDER])
+    """The weights laid out in _PARAM_ORDER, then the zero slot."""
+    return np.concatenate([*(params[name].ravel() for name in _PARAM_ORDER),
+                           [0.0]])
+
+
+def _dense_shapes(arch: AEArchitecture) -> Tuple[Tuple[int, ...], ...]:
+    n, cl, m = arch.input_len, CHANNELS * arch.conv_len, BOTTLENECK
+    return (n, cl), (cl,), (cl, m), (m,), (m, cl), (cl,), (cl, n), (n,)
 
 
 @lru_cache(maxsize=None)
-def _window_index(arch: AEArchitecture) -> np.ndarray:
-    """(L, 2K) gather index into a flattened (2, r + 2) padded row: entry
-    [l, ci * K + k] is ci * (r + 2) + stride * l + k."""
-    k, s, L, rp = KERNEL, STRIDE, arch.conv_len, arch.r + 2
-    idx = (np.arange(2)[None, :, None] * rp
-           + s * np.arange(L)[:, None, None]
-           + np.arange(k)[None, None, :]).reshape(L, 2 * k)
-    idx.setflags(write=False)
-    return idx
+def _dense_index(arch: AEArchitecture) -> np.ndarray:
+    """The flat-buffer slot of each entry of the eight dense layer arrays,
+    laid end to end; an entry that no weight feeds reads the zero slot."""
+    c, L, r = CHANNELS, arch.conv_len, arch.r
+    zero = sum(math.prod(s) for s in _param_shapes(arch).values())
+    slot = _flat_views(np.arange(zero), arch)
+    # w1[co, ci, k] links input position i = STRIDE * l + k - 1 of channel
+    # ci to output position l of channel co; w4[co, ci, k] links them back.
+    co, ci, k, l = np.meshgrid(np.arange(c), np.arange(2),
+                               np.arange(KERNEL), np.arange(L), indexing="ij")
+    i = STRIDE * l + k - 1
+    ok = (i >= 0) & (i < r)
+    rows, cols = (ci * r + i)[ok], (co * L + l)[ok]
+    w1 = np.full((2 * r, c * L), zero)
+    w1[rows, cols] = slot["w1"][co, ci, k][ok]
+    w4 = np.full((c * L, 2 * r), zero)
+    w4[cols, rows] = slot["w4"][co, ci, k][ok]
+    index = np.concatenate([a.ravel() for a in (
+        w1, np.repeat(slot["b1"], L), slot["w2"].T, slot["b2"],
+        slot["w3"].T, slot["b3"], w4, np.repeat(slot["b4"], r))])
+    index.setflags(write=False)
+    return index
 
 
-def _im2col(arch: AEArchitecture, x: np.ndarray) -> np.ndarray:
-    """(B, 2r) or (B, 2, r) input -> (B * L, 2K) windows of its same-padded
-    channels."""
-    B = x.shape[0]
-    xp = np.zeros((B, 2, arch.r + 2))
-    xp[:, :, 1:-1] = x.reshape(B, 2, arch.r)
-    return xp.reshape(B, -1)[:, _window_index(arch)].reshape(
-        B * arch.conv_len, -1)
+def _gather(arch: AEArchitecture, flat: np.ndarray) -> List[np.ndarray]:
+    """The eight dense layer arrays of the weights in ``flat`` (a _flatten
+    layout)."""
+    return _split(np.take(flat, _dense_index(arch)), _dense_shapes(arch))
 
 
-def _col2im(arch: AEArchitecture, cols: np.ndarray) -> np.ndarray:
-    """Exact adjoint of _im2col: (B * L, 2K) windows summed back into their
-    padded positions, then cropped to (B, 2, r)."""
-    k, s, L = KERNEL, STRIDE, arch.conv_len
-    B = cols.shape[0] // L
-    windows = cols.reshape(B, L, 2, k)
-    yp = np.zeros((B, 2, arch.r + 2))
-    for j in range(k):
-        yp[:, :, j:j + s * L:s] += windows[:, :, :, j].transpose(0, 2, 1)
-    return yp[:, :, 1:-1]
+def _fold(arch: AEArchitecture, dense_grad: np.ndarray) -> np.ndarray:
+    """The flat gradient, in _PARAM_ORDER layout, of a dense-layer
+    gradient: the adjoint of _gather, less the zero slot."""
+    # the zero slot is the index's largest value, so its bin is the last
+    return np.bincount(_dense_index(arch), weights=dense_grad)[:-1]
 
 
-def _channel_major(a: np.ndarray, B: int, L: int) -> np.ndarray:
-    """(B * L, C) position-major activations -> (B, C * L) channel-major."""
-    return a.reshape(B, L, -1).transpose(0, 2, 1).reshape(B, -1)
-
-
-def _position_major(a: np.ndarray, B: int, L: int) -> np.ndarray:
-    """Inverse of _channel_major."""
-    return a.reshape(B, -1, L).transpose(0, 2, 1).reshape(B * L, -1)
-
-
-def _forward(arch: AEArchitecture, p: Dict[str, np.ndarray], x: np.ndarray,
+def _forward(layers: Sequence[np.ndarray], x: np.ndarray,
              want_cache: bool = False):
-    """x: (B, input_len) -> reconstruction (B, input_len)."""
-    B, L, c = x.shape[0], arch.conv_len, CHANNELS
-    cols = _im2col(arch, x)
-    h1 = np.maximum(cols @ p["w1"].reshape(c, -1).T + p["b1"], 0.0)
-    flat = _channel_major(h1, B, L)
-    z = np.maximum(flat @ p["w2"].T + p["b2"], 0.0)
-    g = np.maximum(z @ p["w3"].T + p["b3"], 0.0)
-    g_cols = _position_major(g, B, L)
-    y = expit(_col2im(arch, g_cols @ p["w4"].reshape(c, -1))
-              + p["b4"][:, None])
-    out = y.reshape(B, arch.input_len)
+    """x: (B, input_len) -> reconstruction (B, input_len), through the
+    dense layer arrays of _gather."""
+    w1, b1, w2, b2, w3, b3, w4, b4 = layers
+    h1 = x @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    z = h1 @ w2
+    z += b2
+    np.maximum(z, 0.0, out=z)
+    g = z @ w3
+    g += b3
+    np.maximum(g, 0.0, out=g)
+    y = g @ w4
+    y += b4
+    expit(y, out=y)
     if not want_cache:
-        return out
-    return out, (cols, flat, z, g, g_cols, y)
+        return y
+    return y, (x, h1, z, g, y)
 
 
-def _backward(arch: AEArchitecture, p: Dict[str, np.ndarray], cache: tuple,
-              d_out: np.ndarray, grads: Dict[str, np.ndarray]) -> None:
+def _backward(layers: Sequence[np.ndarray], cache: tuple,
+              d_out: np.ndarray, grads: Sequence[np.ndarray]) -> None:
     """Write the gradients of a scalar loss, given d(loss)/d(reconstruction),
-    into ``grads`` (one array per weight)."""
-    cols, flat, z, g, g_cols, y = cache
-    B, L, c = d_out.shape[0], arch.conv_len, CHANNELS
-
-    dy = d_out.reshape(B, 2, arch.r) * y * (1.0 - y)
-    dy.sum(axis=(0, 2), out=grads["b4"])
-    dy_cols = _im2col(arch, dy)
-    np.matmul(g_cols.T, dy_cols, out=grads["w4"].reshape(c, -1))
-
-    dg = _channel_major(dy_cols @ p["w4"].reshape(c, -1).T, B, L) * (g > 0)
-    np.matmul(dg.T, z, out=grads["w3"])
-    dg.sum(axis=0, out=grads["b3"])
-    dz = (dg @ p["w3"]) * (z > 0)
-    np.matmul(dz.T, flat, out=grads["w2"])
-    dz.sum(axis=0, out=grads["b2"])
-    dh1 = _position_major((dz @ p["w2"]) * (flat > 0), B, L)
-    dh1.sum(axis=0, out=grads["b1"])
-    np.matmul(dh1.T, cols, out=grads["w1"].reshape(c, -1))
+    into ``grads`` (one array per dense layer array)."""
+    *acts, y = cache
+    d = d_out * y
+    d *= 1.0 - y
+    for j in (3, 2, 1, 0):
+        np.matmul(acts[j].T, d, out=grads[2 * j])
+        d.sum(axis=0, out=grads[2 * j + 1])
+        if j:
+            d = d @ layers[2 * j].T
+            d *= acts[j] > 0
 
 
 def _check_input(model: AEModel, x) -> np.ndarray:
@@ -237,9 +243,9 @@ def forward(model: AEModel, x) -> np.ndarray:
     """Reconstruct one feature vector, or each row of a 2-D batch; outputs
     lie in (0, 1)."""
     arr = _check_input(model, x)
-    if arr.ndim == 2:
-        return _forward(model.arch, model.params, arr)
-    return _forward(model.arch, model.params, arr[None, :])[0]
+    out = _forward(_gather(model.arch, _flatten(model.params)),
+                   np.atleast_2d(arr))
+    return out if arr.ndim == 2 else out[0]
 
 
 def reconstruction_error(model: AEModel, x):
@@ -250,9 +256,9 @@ def reconstruction_error(model: AEModel, x):
     return errors if arr.ndim == 2 else float(errors)
 
 
-def _batch_errors(arch: AEArchitecture, p: Dict[str, np.ndarray],
+def _batch_errors(arch: AEArchitecture, flat: np.ndarray,
                   X: np.ndarray) -> np.ndarray:
-    return np.mean((_forward(arch, p, X) - X) ** 2, axis=1)
+    return np.mean((_forward(_gather(arch, flat), X) - X) ** 2, axis=1)
 
 
 @dataclass(frozen=True)
@@ -279,59 +285,74 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
     X = np.stack([_check_input(model, v) for v in data])
     rng = np.random.default_rng(model.rng_seed)
 
-    flat_params = _flatten(model.params)
-    flat_grads = np.zeros_like(flat_params)
+    flat = _flatten(model.params)
+    flat_params = flat[:-1]
     adam_m = np.zeros_like(flat_params)
     adam_v = np.zeros_like(flat_params)
-    params = _flat_views(flat_params, arch)
-    grads = _flat_views(flat_grads, arch)
+    step_size = np.empty_like(flat_params)
+    denom = np.empty_like(flat_params)
+    index = _dense_index(arch)
+    dense = np.empty(index.size)
+    dense_grad = np.empty_like(dense)
+    layers = _split(dense, _dense_shapes(arch))
+    grads = _split(dense_grad, _dense_shapes(arch))
     beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
     step = 0
 
     def epoch_loss():
-        return float(np.mean(_batch_errors(arch, params, X)))
+        return float(np.mean(_batch_errors(arch, flat, X)))
 
     best_loss = epoch_loss()
-    best_flat = flat_params.copy()
+    best_flat = flat.copy()
     stale = 0
 
     for _ in range(cfg.epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], BATCH_SIZE):
             batch = X[order[start:start + BATCH_SIZE]]
-            out, cache = _forward(arch, params, batch, want_cache=True)
+            # the index is in range by construction, and "clip" mode
+            # writes to ``out`` without take's buffering
+            np.take(flat, index, out=dense, mode="clip")
+            out, cache = _forward(layers, batch, want_cache=True)
             d_out = 2.0 * (out - batch) / out.size
-            _backward(arch, params, cache, d_out, grads)
+            _backward(layers, cache, d_out, grads)
+            flat_grads = _fold(arch, dense_grad)
             if not np.isfinite(flat_grads).all():
+                named = _flat_views(flat_grads, arch)
                 name = next(n for n in _PARAM_ORDER
-                            if not np.isfinite(grads[n]).all())
+                            if not np.isfinite(named[n]).all())
                 raise DivergedLoss(f"non-finite gradient in {name}")
             step += 1
             adam_m *= beta1
-            adam_m += (1 - beta1) * flat_grads
+            np.multiply(flat_grads, 1 - beta1, out=step_size)
+            adam_m += step_size
             adam_v *= beta2
-            adam_v += (1 - beta2) * flat_grads * flat_grads
-            m_hat = adam_m / (1 - beta1 ** step)
-            v_hat = adam_v / (1 - beta2 ** step)
-            flat_params -= LEARNING_RATE * m_hat / (
-                np.sqrt(v_hat) + adam_eps)
+            np.multiply(flat_grads, 1 - beta2, out=denom)
+            denom *= flat_grads
+            adam_v += denom
+            np.divide(adam_v, 1 - beta2 ** step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += adam_eps
+            np.divide(adam_m, 1 - beta1 ** step, out=step_size)
+            step_size *= LEARNING_RATE
+            step_size /= denom
+            flat_params -= step_size
 
         loss = epoch_loss()
         if not np.isfinite(loss):
             raise DivergedLoss(f"non-finite training loss {loss}")
         if loss < best_loss - 1e-15:
             best_loss = loss
-            best_flat = flat_params.copy()
+            best_flat = flat.copy()
             stale = 0
         else:
             stale += 1
             if stale >= PATIENCE:
                 break
 
-    best = _flat_views(best_flat, arch)
-    errors = _batch_errors(arch, best, X)
-    return AEModel(arch, best, model.rng_seed), [
-        float(e) for e in errors]
+    errors = _batch_errors(arch, best_flat, X)
+    return AEModel(arch, _flat_views(best_flat[:-1], arch),
+                   model.rng_seed), [float(e) for e in errors]
 
 
 def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
@@ -341,16 +362,18 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
     arch = model.arch
     arr = _check_input(model, x)[None, :]
-    flat_params = _flatten(model.params)
-    params = _flat_views(flat_params, arch)
+    flat = _flatten(model.params)
+    params = _flat_views(flat[:-1], arch)
 
-    out, cache = _forward(arch, params, arr, want_cache=True)
+    layers = _gather(arch, flat)
+    out, cache = _forward(layers, arr, want_cache=True)
     d_out = 2.0 * (out - arr) / out.size
-    analytic = _flat_views(np.zeros_like(flat_params), arch)
-    _backward(arch, params, cache, d_out, analytic)
+    dense_grad = np.empty(_dense_index(arch).size)
+    _backward(layers, cache, d_out, _split(dense_grad, _dense_shapes(arch)))
+    analytic = _flat_views(_fold(arch, dense_grad), arch)
 
     def loss_at():
-        y = _forward(arch, params, arr)
+        y = _forward(_gather(arch, flat), arr)
         return float(np.mean((y - arr) ** 2))
 
     worst = 0.0

@@ -663,3 +663,113 @@ class TestVerdictReader:
             assert got == expected[:1] and None in expected
         else:
             assert got == expected
+
+
+# --- verdict reader fast path -----------------------------------------------
+
+def verdicts_outcome(verdicts):
+    """The repr of each verdict read, which tells an int from a float, and
+    the text of the error that stopped the reading, or None."""
+    got = []
+    try:
+        for v in verdicts:
+            got.append(repr(v))
+    except SchemaError as exc:
+        return got, str(exc)
+    return got, None
+
+
+def verdict_text(score="0.5", triggered="1", activity=', "activity": 0',
+                 src_port="41000", kind='"benign"', tail=""):
+    return ('{"flow_key": {"device_ip": "192.168.1.10", "remote": {"kind": '
+            '"domain", "value": "cam3.vendor.com"}, "src_port": '
+            f'{src_port}, "dst_port": 443, "proto": "TCP"}}, "kind": {kind}, '
+            f'"models_triggered": {triggered}{activity}, "score": {score}'
+            f'{tail}}}')
+
+
+VERDICT_EDGE_LINES = [
+    # scores: ints, signs, exponents, leading zeros, huge and non-finite
+    *(verdict_text(score=score) for score in (
+        "0", "1", "-0.0", "-0.5", "0.0e-0", "1E5", "1e+5", "2.5E-3",
+        "1e999", "1" * 4301, "1" * 4301 + ".5", "00.5", "01.5", "1.", ".5",
+        "1e", "NaN", "Infinity", "-Infinity", "true", '"0.5"', "null")),
+    *(verdict_text(kind='"stage1_malicious"', score=score, activity="")
+      for score in ("1e999", "0.5", "NaN", "5")),
+    # counts, ports and key positions
+    *(verdict_text(triggered=n) for n in (
+        "0", "-1", "01", "1.0", "1e1", "1" * 4301, "true")),
+    *(verdict_text(activity=f', "activity": {n}') for n in (
+        "-1", "07", "1" * 4301, "null")),
+    *(verdict_text(src_port=port) for port in (
+        "0", "65535", "65536", "-0", "053", "1" * 4301)),
+    # strings, kinds and fields
+    verdict_text(kind='"bogus"'),
+    verdict_text(kind='"\\u0062enign"'),
+    verdict_text(tail=', "reason": "a \\"quoted\\" reason"'),
+    verdict_text(tail=', "reason": "café"'),
+    verdict_text(tail=', "reason": 5'),
+    verdict_text(tail=', "bogus": 1'),
+    verdict_text(tail=', "score": 0.25'),
+    verdict_text().replace('"TCP"', '"ICMP"'),
+    verdict_text().replace('"domain"', '"elsewhere"'),
+    verdict_text().replace('"cam3.vendor.com"', '"\\u00e9"'),
+    verdict_text(activity="") + " x",
+    # reordered keys, other spacing, missing fields, truncation
+    verdict_text().replace(', "activity": 0, "score": 0.5',
+                           ', "score": 0.5, "activity": 0'),
+    verdict_text().replace(", ", ","),
+    verdict_text().replace(": ", " : "),
+    verdict_text().replace(', "proto": "TCP"', ""),
+    verdict_text(score="0.5").replace(', "score": 0.5', ""),
+    verdict_text()[:-1],
+]
+
+
+def read_both(tmp_path_factory, lines):
+    """verdicts_outcome of the reader eval uses, and of the JSON parse
+    alone, over a file of ``lines``."""
+    path = tmp_path_factory.getbasetemp() / "verdicts.jsonl"
+    path.write_text("".join(f"{line}\n" for line in lines),
+                    encoding="utf-8")
+    return (verdicts_outcome(ens.read_verdicts_jsonl(path)),
+            verdicts_outcome(read_jsonl(path, ens.verdict_from_dict)))
+
+
+class TestVerdictReaderFastPath:
+    """read_verdicts_jsonl matches each line against verdict_line's form
+    before it parses JSON.  What it reads must not depend on which path a
+    line takes."""
+
+    @pytest.mark.parametrize("line", VERDICT_EDGE_LINES)
+    def test_edge_line_reads_as_the_json_path(self, tmp_path_factory, line):
+        fast, json_path = read_both(
+            tmp_path_factory, [verdict_text(), line, verdict_text()])
+        assert fast == json_path
+        # the JSON path alone raises
+        ens._verdict_of_line(line)
+
+    def test_writer_lines_take_the_fast_path(self):
+        v = ens.Verdict(ens.BENIGN, flow(), 2, score=1.5e-07, activity=3)
+        assert ens._verdict_of_line(ens.verdict_line(v).strip()) == v
+        stage1 = ens.Verdict(ens.STAGE1_MALICIOUS, flow(), 0,
+                             reason="no key matches")
+        assert ens._verdict_of_line(ens.verdict_line(stage1).strip()) == \
+            stage1
+
+    @settings(max_examples=300, deadline=None)
+    @given(vs=st.lists(written_verdicts, max_size=4))
+    def test_written_verdicts_read_as_the_json_path(self, tmp_path_factory,
+                                                    vs):
+        fast, json_path = read_both(
+            tmp_path_factory, [ens.verdict_line(v).strip() for v in vs])
+        assert fast == json_path
+
+    @settings(max_examples=400, deadline=None)
+    @given(v=verdicts(), line=mutated_verdict_lines())
+    def test_mutated_lines_read_as_the_json_path(self, tmp_path_factory, v,
+                                                 line):
+        written = ens.verdict_line(v).strip()
+        fast, json_path = read_both(tmp_path_factory,
+                                    [written, line, written])
+        assert fast == json_path

@@ -217,44 +217,164 @@ def reference_forward(model, X):
     return y.reshape(B, a.input_len)
 
 
+class Im2col:
+    """The im2col kernel that the dense kernel replaced, kept as a second
+    oracle, for the gradients too.  A batch is copied into a zero buffer
+    (B, 2, r + 2) and gathered into a (B * L, 2K) window matrix; the
+    transposed conv adds the windows back with K strided slice adds."""
+
+    @staticmethod
+    def window_index(arch):
+        k, s, L, rp = na.KERNEL, na.STRIDE, arch.conv_len, arch.r + 2
+        return (np.arange(2)[None, :, None] * rp
+                + s * np.arange(L)[:, None, None]
+                + np.arange(k)[None, None, :]).reshape(L, 2 * k)
+
+    @classmethod
+    def im2col(cls, arch, x):
+        B = x.shape[0]
+        xp = np.zeros((B, 2, arch.r + 2))
+        xp[:, :, 1:-1] = x.reshape(B, 2, arch.r)
+        return xp.reshape(B, -1)[:, cls.window_index(arch)].reshape(
+            B * arch.conv_len, -1)
+
+    @staticmethod
+    def col2im(arch, cols):
+        k, s, L = na.KERNEL, na.STRIDE, arch.conv_len
+        B = cols.shape[0] // L
+        windows = cols.reshape(B, L, 2, k)
+        yp = np.zeros((B, 2, arch.r + 2))
+        for j in range(k):
+            yp[:, :, j:j + s * L:s] += windows[:, :, :, j].transpose(0, 2, 1)
+        return yp[:, :, 1:-1]
+
+    @staticmethod
+    def channel_major(a, B, L):
+        return a.reshape(B, L, -1).transpose(0, 2, 1).reshape(B, -1)
+
+    @staticmethod
+    def position_major(a, B, L):
+        return a.reshape(B, -1, L).transpose(0, 2, 1).reshape(B * L, -1)
+
+    @classmethod
+    def forward(cls, arch, p, x):
+        B, L, c = x.shape[0], arch.conv_len, na.CHANNELS
+        cols = cls.im2col(arch, x)
+        h1 = np.maximum(cols @ p["w1"].reshape(c, -1).T + p["b1"], 0.0)
+        flat = cls.channel_major(h1, B, L)
+        z = np.maximum(flat @ p["w2"].T + p["b2"], 0.0)
+        g = np.maximum(z @ p["w3"].T + p["b3"], 0.0)
+        g_cols = cls.position_major(g, B, L)
+        y = expit(cls.col2im(arch, g_cols @ p["w4"].reshape(c, -1))
+                  + p["b4"][:, None])
+        return y.reshape(B, arch.input_len), (cols, flat, z, g, g_cols, y)
+
+    @classmethod
+    def gradients(cls, arch, p, x):
+        """The gradient of the mean squared reconstruction error of ``x``,
+        laid out flat in _PARAM_ORDER."""
+        out, (cols, flat, z, g, g_cols, y) = cls.forward(arch, p, x)
+        B, L, c = x.shape[0], arch.conv_len, na.CHANNELS
+        d_out = 2.0 * (out - x) / out.size
+        grads = {}
+        dy = d_out.reshape(B, 2, arch.r) * y * (1.0 - y)
+        grads["b4"] = dy.sum(axis=(0, 2))
+        dy_cols = cls.im2col(arch, dy)
+        grads["w4"] = (g_cols.T @ dy_cols).reshape(c, 2, -1)
+        dg = cls.channel_major(dy_cols @ p["w4"].reshape(c, -1).T, B, L) \
+            * (g > 0)
+        grads["w3"], grads["b3"] = dg.T @ z, dg.sum(axis=0)
+        dz = (dg @ p["w3"]) * (z > 0)
+        grads["w2"], grads["b2"] = dz.T @ flat, dz.sum(axis=0)
+        dh1 = cls.position_major((dz @ p["w2"]) * (flat > 0), B, L)
+        grads["b1"] = dh1.sum(axis=0)
+        grads["w1"] = (dh1.T @ cols).reshape(c, 2, -1)
+        return np.concatenate([grads[n].ravel() for n in na._PARAM_ORDER])
+
+
+def dense_gradients(arch, params, x):
+    """One step's flat gradient through the dense kernel, as fit takes it."""
+    flat = na._flatten(params)
+    layers = na._gather(arch, flat)
+    out, cache = na._forward(layers, x, want_cache=True)
+    dense_grad = np.empty(na._dense_index(arch).size)
+    na._backward(layers, cache, 2.0 * (out - x) / out.size,
+                 na._split(dense_grad, na._dense_shapes(arch)))
+    return na._fold(arch, dense_grad)
+
+
 even_lengths = st.integers(3, 32).map(lambda half: 2 * half)
 batch_sizes = st.integers(1, 64)
 seeds = st.integers(0, 2 ** 32 - 1)
 
 
+def model_and_batch(n, batch, seed):
+    arch = AEArchitecture(r=n // 2)
+    model = init_model(arch, seed)
+    return arch, model, np.random.default_rng(seed).uniform(0, 1, (batch, n))
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
-    def test_forward_matches_einsum_reference(self, n, batch, seed):
-        arch = AEArchitecture(r=n // 2)
-        model = init_model(arch, seed)
-        X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
-        got = na._forward(arch, model.params, X)
+    def test_forward_matches_both_oracles(self, n, batch, seed):
+        arch, model, X = model_and_batch(n, batch, seed)
+        got = na._forward(na._gather(arch, na._flatten(model.params)), X)
         assert np.max(np.abs(got - reference_forward(model, X))) <= 1e-12
+        im2col, _ = Im2col.forward(arch, model.params, X)
+        assert np.max(np.abs(got - im2col)) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=even_lengths, batch=batch_sizes, seed=seeds)
+    def test_step_gradients_match_im2col(self, n, batch, seed):
+        arch, model, X = model_and_batch(n, batch, seed)
+        got = dense_gradients(arch, model.params, X)
+        want = Im2col.gradients(arch, model.params, X)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=even_lengths, seed=seeds)
+    def test_gather_and_fold_are_adjoint(self, n, seed):
+        arch = AEArchitecture(r=n // 2)
+        index = na._dense_index(arch)
+        rng = np.random.default_rng(seed)
+        p = np.append(rng.normal(size=index.max()), 0.0)
+        d = rng.normal(size=index.size)
+        lhs = np.dot(np.take(p, index), d)
+        rhs = np.dot(p[:-1], na._fold(arch, d))
+        scale = np.dot(np.abs(np.take(p, index)), np.abs(d))
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_transposed_conv_is_adjoint_of_conv(self, n, batch, seed):
         arch = AEArchitecture(r=n // 2)
         rng = np.random.default_rng(seed)
-        w = rng.normal(size=(na.CHANNELS, 2, na.KERNEL)).reshape(
-            na.CHANNELS, -1)
+        w = rng.normal(size=(na.CHANNELS, 2, na.KERNEL))
+        params = {name: np.zeros(shape)
+                  for name, shape in na._param_shapes(arch).items()}
+        params["w1"], params["w4"] = w, w
+        layers = na._gather(arch, na._flatten(params))
+        conv, conv_t = layers[0], layers[6]
+        assert np.array_equal(conv_t, conv.T)
+        # and each matches the im2col oracle's conv or transposed conv
+        L, w_cols = arch.conv_len, w.reshape(na.CHANNELS, -1)
         x = rng.normal(size=(batch, n))
-        g = rng.normal(size=(batch * arch.conv_len, na.CHANNELS))
-        conv = na._im2col(arch, x) @ w.T
-        conv_t = na._col2im(arch, g @ w)
-        lhs = np.sum(conv * g)
-        rhs = np.sum(x.reshape(batch, 2, arch.r) * conv_t)
-        scale = np.sum(np.abs(conv * g)) + np.sum(np.abs(x) * np.abs(
-            conv_t.reshape(batch, n)))
-        assert abs(lhs - rhs) <= 1e-12 * scale
+        want = Im2col.channel_major(Im2col.im2col(arch, x) @ w_cols.T,
+                                    batch, L)
+        assert np.max(np.abs(x @ conv - want)) <= 1e-12 * np.max(np.abs(want))
+        g = rng.normal(size=(batch, na.CHANNELS * L))
+        want = Im2col.col2im(
+            arch, Im2col.position_major(g, batch, L) @ w_cols).reshape(
+                batch, n)
+        assert np.max(np.abs(g @ conv_t - want)) \
+            <= 1e-12 * np.max(np.abs(want))
 
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_batch_forward_equals_single_rows(self, n, batch, seed):
-        arch = AEArchitecture(r=n // 2)
-        model = init_model(arch, seed)
-        X = np.random.default_rng(seed).uniform(0, 1, (batch, n))
+        arch, model, X = model_and_batch(n, batch, seed)
         rows = np.stack([forward(model, x) for x in X])
         batch = forward(model, X)
         assert batch.shape == X.shape
@@ -263,3 +383,18 @@ class TestKernel:
         assert errors.shape == (batch.shape[0],)
         assert np.max(np.abs(errors - [reconstruction_error(model, x)
                                        for x in X])) <= 1e-12
+
+    def test_empty_batch(self):
+        model = init_model(ARCH, 0)
+        empty = np.zeros((0, ARCH.input_len))
+        assert forward(model, empty).shape == (0, ARCH.input_len)
+        assert reconstruction_error(model, empty).shape == (0,)
+
+    def test_forward_reads_the_current_weights(self):
+        model = init_model(ARCH, 0)
+        x = np.random.default_rng(0).uniform(0, 1, ARCH.input_len)
+        before, w4 = forward(model, x), model.params["w4"].copy()
+        model.params["w4"] += 0.5
+        assert not np.allclose(forward(model, x), before)
+        model.params["w4"][...] = w4
+        assert np.array_equal(forward(model, x), before)
