@@ -184,16 +184,10 @@ def _auc(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    # a run of c equal scores ending at rank e shares rank e - (c - 1) / 2
+    _, group, counts = np.unique(scores, return_inverse=True,
+                                 return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[group]
     return (float(ranks[positive].sum()) - n_pos * (n_pos + 1) / 2.0) / (
         n_pos * n_neg)
 
@@ -317,36 +311,14 @@ def _verdict_of_line(line: str) -> Optional[Verdict]:
                    triggered, score, activity, reason)
 
 
-def _is_plain_verdict(d) -> bool:
-    """Whether ``d`` passes the checks of verdict_from_dict on its own
-    fields, each of its exact JSON type: one test for the common case of a
-    verdict file that holds a verdict per flow."""
-    if type(d) is not dict:
-        return False
-    try:
-        kind, score = d["kind"], d.get("score", math.nan)
-        return (kind in VERDICT_KINDS and type(d["flow_key"]) is dict
-                and type(d["models_triggered"]) is int
-                and type(d.get("activity", 0)) is int
-                and type(score) is float
-                and type(d.get("reason", "")) is str
-                and (kind == STAGE1_MALICIOUS or math.isfinite(score)))
-    except KeyError:
-        return False
-
-
 def verdict_from_dict(d) -> Verdict:
-    """The verdict of a ``verdict_line`` object; every field is checked.  A
-    verdict that is not plain goes through ``check``, which names its bad
-    field."""
-    if not _is_plain_verdict(d):
-        check(d, _VERDICT_FIELDS, "verdict")
-        check(d, {n: t for n, t in _OPTIONAL_VERDICT_FIELDS.items()
-                  if n in d}, "verdict")
-        if d["kind"] != STAGE1_MALICIOUS and not math.isfinite(
-                d.get("score", math.nan)):
-            raise SchemaError(f"verdict: a {d['kind']} verdict needs a "
-                              f"finite score, got {d.get('score')}")
+    """The verdict of a ``verdict_line`` object; ``check`` names its first
+    bad field."""
+    check(d, _VERDICT_FIELDS, "verdict", _OPTIONAL_VERDICT_FIELDS)
+    if d["kind"] != STAGE1_MALICIOUS and not math.isfinite(
+            d.get("score", math.nan)):
+        raise SchemaError(f"verdict: a {d['kind']} verdict needs a "
+                          f"finite score, got {d.get('score')}")
     flow = flow_key_from_dict(d["flow_key"], "verdict flow_key")
     return Verdict(d["kind"], flow, d["models_triggered"],
                    *(d.get(name) for name in ("score", "activity", "reason")))

@@ -89,19 +89,14 @@ _OPTIONAL_TARGET_FIELDS = {"ip": str, "n_ports": int, "dst_port": _PORT,
                            "packets_per_flow": int, "beacon_gap": _NUMBER}
 
 
-def _optional(doc: dict, fields: dict) -> dict:
-    """The entries of ``fields`` that ``doc`` holds."""
-    return {name: spec for name, spec in fields.items() if name in doc}
-
-
 def _attack_spec(text: str) -> sim.AttackSpec:
     """The attack that an ``--attack`` JSON value describes; a bad value
     raises a ValueError."""
-    obj = check(json.loads(text), _ATTACK_FIELDS, "spec")
-    check(obj, _optional(obj, _OPTIONAL_ATTACK_FIELDS), "spec")
+    obj = check(json.loads(text), _ATTACK_FIELDS, "spec",
+                _OPTIONAL_ATTACK_FIELDS)
     target = obj.get("target", {})
-    check(target, _TARGET_FIELDS.get(obj["kind"], {}), "target")
-    check(target, _optional(target, _OPTIONAL_TARGET_FIELDS), "target")
+    check(target, _TARGET_FIELDS.get(obj["kind"], {}), "target",
+          _OPTIONAL_TARGET_FIELDS)
     return sim.AttackSpec(kind=obj["kind"],
                           start=float(obj.get("start", 0.0)),
                           rate=float(obj.get("rate", 1.0)),
@@ -123,8 +118,7 @@ def _device_spec_from_file(path: str) -> sim.DeviceSpec:
     activities = []
     for i, a in enumerate(doc["activities"]):
         what = f"{path} activity {i}"
-        check(a, _ACTIVITY_FIELDS, what)
-        check(a, _optional(a, _OPTIONAL_ACTIVITY_FIELDS), what)
+        check(a, _ACTIVITY_FIELDS, what, _OPTIONAL_ACTIVITY_FIELDS)
         for name, kind in (("sizes", int), ("size_probs", _NUMBER)):
             if any(isinstance(v, bool) or not isinstance(v, kind)
                    for v in a[name]):

@@ -85,7 +85,9 @@ class RemotePattern:
         if self.kind == EXACT_DOMAIN:
             return remote.kind == DOMAIN and remote.value == self.value
         if self.kind == WILDCARD_DOMAIN:
-            return remote.kind == DOMAIN and remote.value.endswith(self.value)
+            # ".example.com" accepts example.com as well as its subdomains
+            return remote.kind == DOMAIN and \
+                ("." + remote.value).endswith(self.value)
         if self.kind == REMOTE_IP_CLASS:
             return remote.kind == REMOTE_IP
         if self.kind == LOCAL_IP_CLASS:
@@ -298,31 +300,10 @@ def flow_key_to_dict(f: FlowKey) -> dict:
             "src_port": f.src_port, "dst_port": f.dst_port, "proto": f.proto}
 
 
-def _is_plain_flow_key(d) -> bool:
-    """Whether ``d`` passes ``check(d, _FLOW_KEY_FIELDS)`` with every
-    field of its exact JSON type, as flow_key_to_dict writes it: one test
-    for the common case of an artifact that holds a key per flow."""
-    if type(d) is not dict:
-        return False
-    try:
-        remote, src, dst = d["remote"], d["src_port"], d["dst_port"]
-        return (type(d["device_ip"]) is str and type(remote) is dict
-                and type(remote["kind"]) is str
-                and remote["kind"] in _REMOTE_KINDS
-                and type(remote["value"]) is str
-                and type(src) is int and 0 <= src <= 65535
-                and type(dst) is int and 0 <= dst <= 65535
-                and d["proto"] in PROTOCOLS)
-    except KeyError:
-        return False
-
-
 def flow_key_from_dict(d, what: str) -> FlowKey:
-    """The flow key that ``d`` holds; a key that is not plain goes
-    through ``check``, which names its bad field."""
-    if not _is_plain_flow_key(d):
-        check(d, _FLOW_KEY_FIELDS, what)
-    remote = d["remote"]
+    """The flow key that ``d`` holds; ``check`` names its first bad
+    field."""
+    remote = check(d, _FLOW_KEY_FIELDS, what)["remote"]
     return FlowKey(d["device_ip"], Remote(remote["kind"], remote["value"]),
                    d["src_port"], d["dst_port"], d["proto"])
 

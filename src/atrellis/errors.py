@@ -1,5 +1,7 @@
 """Exception hierarchy and artifact field check shared across the toolkit."""
 
+from typing import Optional
+
 
 class AtrellisError(ValueError):
     """Base class for all toolkit errors."""
@@ -28,14 +30,19 @@ class SchemaError(AtrellisError):
     """A serialized artifact violates its schema (unknown field, bad version)."""
 
 
-def check(doc, fields: dict, what: str) -> dict:
+def check(doc, fields: dict, what: str, optional: Optional[dict] = None
+          ) -> dict:
     """``doc``, checked to be an object holding each of ``fields``: a dict
     of nested fields, a frozenset of strings, a range of ints, or a type or
-    tuple of types (a bool counts only as a bool, never as a number).  A
+    tuple of types (a bool counts only as a bool, never as a number).  Each
+    of ``optional`` that ``doc`` holds is then checked the same way.  A
     miss is a one-line SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: not a JSON object")
-    for name, spec in fields.items():
+    specs = fields.items()
+    if optional:
+        specs = [*specs, *((n, s) for n, s in optional.items() if n in doc)]
+    for name, spec in specs:
         if name not in doc:
             raise SchemaError(f"{what}: missing field {name}")
         value = doc[name]

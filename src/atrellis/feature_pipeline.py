@@ -10,7 +10,6 @@ clipped to [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,16 +21,10 @@ MAX_LEN = 1500.0        # bytes: the Ethernet MTU
 MAX_GAP = 60.0          # seconds
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """2r values in [0,1]: r normalized lengths then r normalized gaps."""
-
-    values: np.ndarray
-
-
-def featurize(flow_packets: Sequence[PacketRecord], r: int) -> FeatureVector:
-    """Feature vector of one flow: the batch of one of featurize_many."""
-    return FeatureVector(featurize_many([flow_packets], r)[0])
+def featurize(flow_packets: Sequence[PacketRecord], r: int) -> np.ndarray:
+    """Feature vector of one flow, 2r values in [0,1]: r normalized lengths
+    then r normalized gaps; the row of featurize_many's batch of one."""
+    return featurize_many([flow_packets], r)[0]
 
 
 def featurize_many(flows: Sequence[Sequence[PacketRecord]],

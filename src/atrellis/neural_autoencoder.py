@@ -229,7 +229,7 @@ def _backward(layers: Sequence[np.ndarray], cache: tuple,
 def _check_input(model: AEModel, x) -> np.ndarray:
     """One vector (any shape but 2-D is flattened) or a 2-D batch of rows,
     as float arrays of the model's input length."""
-    arr = np.asarray(getattr(x, "values", x), dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 2:
         arr = arr.ravel()
     if arr.shape[-1] != model.arch.input_len:

@@ -261,7 +261,8 @@ _NUMERIC_FIELDS = (("ts", float), ("src_port", int), ("dst_port", int),
                    ("length", int))
 
 
-def _check_fields(obj: dict, strict: bool) -> None:
+def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
+    """Build a packet from its JSON object; a bad field raises SchemaError."""
     unknown = set(obj) - PACKET_FIELDS
     if unknown:
         if strict:
@@ -270,12 +271,6 @@ def _check_fields(obj: dict, strict: bool) -> None:
     missing = _REQUIRED_FIELDS - set(obj)
     if missing:
         raise SchemaError(f"missing packet fields: {sorted(missing)}")
-
-
-def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
-    """Build a packet from its JSON object; a bad field raises SchemaError."""
-    if not _REQUIRED_FIELDS <= obj.keys() <= PACKET_FIELDS:
-        _check_fields(obj, strict)
     dns_name = obj.get("dns_name")
     label = obj.get("label")
     if not (dns_name is None or isinstance(dns_name, str)) \

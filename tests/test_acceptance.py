@@ -193,7 +193,7 @@ def test_criterion_5_clustering_purity():
         assert "unknown" not in labels
         p_score = purity(assignment, labels)
         assert p_score >= 0.95, f"{name}: purity {p_score:.3f}"
-        points = np.array([featurize(table[f], 10).values for f in keys])
+        points = np.array([featurize(table[f], 10) for f in keys])
         di_true = dunn_index(points, assignment)
         for _ in range(10):
             shuffled = rng.permutation(assignment)

@@ -17,7 +17,8 @@ from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
 from atrellis.feature_pipeline import featurize
 from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
                                          reconstruction_error)
-from atrellis.traffic_model import FlowKey, Remote, flows_of_trace, read_jsonl
+from atrellis.traffic_model import (FlowKey, PacketRecord, Remote,
+                                    flows_of_trace, read_jsonl)
 
 DEVICE = "192.168.1.10"
 
@@ -62,6 +63,38 @@ class TestFuzzyMatch:
         ip_flow = flow(domain="203.0.113.9", kind="remote_ip")
         assert len(ens.fuzzy_match(profile, ip_flow)) == 1
         assert ens.fuzzy_match(profile, flow()) == []
+
+    def test_wildcard_accepts_its_apex_only(self):
+        profile = ActivityProfile(DEVICE, [key()])
+        assert ens.fuzzy_match(profile, flow(domain="vendor.com")) == [0]
+        assert ens.fuzzy_match(profile, flow(domain="xvendor.com")) == []
+        assert ens.fuzzy_match(profile, flow(domain="vendor.com.cn")) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(h_s=st.sampled_from([0.0, 0.5]),
+           flows=st.lists(st.tuples(
+               st.sampled_from(["example.com", "api.example.com",
+                                "cam.api.example.com", "example.net",
+                                "eu.example.net"]),
+               st.sampled_from([123, 443, 1024, 40000, 50001]),
+               st.sampled_from([443, 8883]),
+               st.sets(st.sampled_from([60, 70, 310, 600]), min_size=1)),
+               min_size=1, max_size=12))
+    def test_every_member_flow_matches_its_key(self, h_s, flows):
+        """Whatever flows build_profile merges into a key, apex and
+        subdomain names alike, stage 1 accepts each of them on that key."""
+        tree = ct.ClusterTree(DEVICE)
+        ts = 0.0
+        for name, sport, dport, lengths in flows:
+            for length in sorted(lengths):
+                ts += 1.0
+                tree.insert(PacketRecord(ts, DEVICE, "198.51.100.7", sport,
+                                         dport, "TCP", length, name))
+        profile = ct.build_profile(tree, ct.MergeConfig(h_s))
+        for j, activity in enumerate(profile.keys):
+            for member in activity.member_flows:
+                assert j in ens.fuzzy_match(profile, member), (activity,
+                                                               member)
 
 
 class TestCalibrateThreshold:
@@ -330,6 +363,40 @@ class TestEvaluate:
                     self._verdict(ens.STAGE1_MALICIOUS)]
         m = ens.evaluate(verdicts, ["benign", "attack:PortScan"])
         assert m["auc"] == 1.0
+
+
+def reference_auc(scores, positive):
+    """The tie loop that _auc ran before mid-ranks came from np.unique,
+    kept as its oracle."""
+    n_pos = int(positive.sum())
+    n_neg = positive.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return (float(ranks[positive].sum()) - n_pos * (n_pos + 1) / 2.0) / (
+        n_pos * n_neg)
+
+
+class TestAucAgainstTieLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([0.0, 1e-9, 0.25, 0.5, 3.0, math.inf])
+        | st.floats(0.0, 10.0), st.booleans()), max_size=80))
+    def test_equal_to_the_tie_loop(self, pairs):
+        """Many ties and stage-1 (inf) scores: the mid-ranks of np.unique
+        give exactly the AUC of the loop."""
+        scores = np.array([s for s, _ in pairs], dtype=float)
+        positive = np.array([p for _, p in pairs], dtype=bool)
+        assert ens._auc(scores, positive) == reference_auc(scores, positive)
 
 
 class TestSerialization:

@@ -18,27 +18,26 @@ def pkt(ts, length):
 class TestFeaturize:
     def test_single_full_mtu_packet(self):
         vec = featurize([pkt(0.0, 1500)], 2)
-        assert vec.values.tolist() == [1.0, 0.0, 0.0, 0.0]
-        assert vec.values[1] == 0.0 and vec.values[3] == 0.0  # padding
+        assert vec.tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert vec[1] == 0.0 and vec[3] == 0.0  # padding
 
     def test_log_gap_normalization(self):
         vec = featurize([pkt(0.0, 750), pkt(59.0, 750)], 2)
         expected_gap = np.log(60.0) / np.log(61.0)  # = log1p(59)/log1p(60)
-        assert vec.values[:2].tolist() == [0.5, 0.5]
-        assert vec.values[2] == 0.0
-        assert vec.values[3] == pytest.approx(expected_gap, abs=1e-9)
-        assert vec.values[3] == pytest.approx(0.99596, abs=1e-4)
+        assert vec[:2].tolist() == [0.5, 0.5]
+        assert vec[2] == 0.0
+        assert vec[3] == pytest.approx(expected_gap, abs=1e-9)
+        assert vec[3] == pytest.approx(0.99596, abs=1e-4)
 
     def test_truncates_to_first_r(self):
         packets = [pkt(float(i), 100 + i) for i in range(30)]
         vec = featurize(packets, 10)
-        assert vec.values.shape == (20,)
-        assert vec.values.tolist() == \
-            featurize(packets[:10], 10).values.tolist()
+        assert vec.shape == (20,)
+        assert vec.tolist() == featurize(packets[:10], 10).tolist()
 
     def test_clipping(self):
         vec = featurize([pkt(0.0, 9000), pkt(500.0, 9000)], 2)  # jumbo
-        assert vec.values[0] == 1.0 and vec.values[3] == 1.0
+        assert vec[0] == 1.0 and vec[3] == 1.0
 
     def test_empty_flow(self):
         with pytest.raises(EmptyFlow):
@@ -55,11 +54,11 @@ class TestFeaturize:
         raw.sort()
         packets = [pkt(ts, length) for ts, length in raw]
         vec = featurize(packets, r)
-        assert vec.values.shape == (2 * r,)
-        assert np.all(vec.values >= 0.0) and np.all(vec.values <= 1.0)
+        assert vec.shape == (2 * r,)
+        assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
         n = min(len(packets), r)
-        assert np.all(vec.values[n:r] == 0.0)
-        assert np.all(vec.values[r + n:] == 0.0)
+        assert np.all(vec[n:r] == 0.0)
+        assert np.all(vec[r + n:] == 0.0)
 
     def test_r_below_one(self):
         with pytest.raises(ValueError, match="r must be >= 1"):
