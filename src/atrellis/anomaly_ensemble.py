@@ -266,7 +266,7 @@ def verdict_line(v: Verdict) -> str:
 
 
 # The lines verdict_line writes, and no others: the fields in its order,
-# strings as _PACKET_LINE takes them, ports, counts and key positions
+# strings as _STRING takes them, ports, counts and key positions
 # unsigned integers without leading zeros, and the score an unsigned JSON
 # number with a fraction or an exponent, so that each group converts to
 # the value and type the JSON parse would give.  A line in any other form

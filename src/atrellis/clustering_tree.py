@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
 from .traffic_model import (BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS, REMOTE_IP,
@@ -65,11 +65,10 @@ def tree_path_of(key: FlowKey) -> TreePath:
     return TreePath(key.proto, key.remote.kind, src_bucket, dst_bucket)
 
 
-def jaccard(s1: FrozenSet, s2) -> float:
+def jaccard(s1: AbstractSet, s2: AbstractSet) -> float:
     """|intersection| / |union|; two empty sets count as identical (1.0)."""
     if not s1 and not s2:
         return 1.0
-    s1, s2 = set(s1), set(s2)
     return len(s1 & s2) / len(s1 | s2)
 
 
@@ -141,11 +140,11 @@ class ActivityProfile:
 
 
 def _domain_suffix(a: str, b: str) -> Optional[str]:
-    """Longest shared dot-separated tail of two domains, or None if fewer
-    than two labels are shared."""
+    """Longest shared tail of non-empty dot-separated labels of two
+    domains, or None if fewer than two labels are shared."""
     la, lb = a.split("."), b.split(".")
     shared = []
-    while la and lb and la[-1] == lb[-1]:
+    while la and lb and la[-1] and la[-1] == lb[-1]:
         shared.append(la.pop())
         lb.pop()
     if len(shared) < 2:
@@ -315,12 +314,24 @@ def activity_key_to_dict(k: ActivityKey) -> dict:
                                   "dst_port_pattern")}}
 
 
+def _is_wildcard(value: str) -> bool:
+    """Whether ``value`` is a wildcard _generalize writes: a dot, then two
+    or more non-empty labels."""
+    dot, *labels = value.split(".")
+    return dot == "" and len(labels) >= 2 and all(labels)
+
+
 def activity_key_from_dict(d, what: str) -> ActivityKey:
     """The key, without member flows, whose four patterns ``d`` holds."""
     check(d, _KEY_FIELDS, what)
     remote = d["remote_pattern"]
     check(remote, {"value": _REMOTE_VALUE_BY_KIND[remote["kind"]]},
           f"{what} remote_pattern")
+    value = remote["value"]
+    if remote["kind"] == WILDCARD_DOMAIN and not _is_wildcard(value):
+        # the suffix test of RemotePattern.matches would accept more
+        raise SchemaError(f"{what} remote_pattern: wildcard value "
+                          f"{value!r:.30} is not a dot and two or more labels")
     src, dst = (check(d[name], {"port": _PORT_BY_KIND[d[name]["kind"]]},
                       f"{what} {name}")
                 for name in ("src_port_pattern", "dst_port_pattern"))

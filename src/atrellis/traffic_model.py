@@ -316,32 +316,90 @@ def _packet_line(pkt: PacketRecord) -> str:
 # JSON number, and ports and length unsigned integers without leading
 # zeros, so that each group converts to the value the JSON parse would
 # give.  A line in any other form ("-0", an escape, other spacing or key
-# order, a duplicated key) is left to the JSON parse.
+# order, a duplicated key) is left to the JSON parse.  As no string of
+# that form holds '"', its first ', "length": ' splits it into a head, a
+# middle and a tail, and the three patterns laid end to end match the
+# whole line.
 _STRING = r'"([ !#-\[\]-~]*)"'
 _UINT = r'(0|[1-9][0-9]*)'
-_PACKET_LINE = re.compile(
+_HEAD = re.compile(
     r'\{"ts": ((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?), '
-    rf'"src_ip": {_STRING}, "dst_ip": {_STRING}, "src_port": {_UINT}, '
-    rf'"dst_port": {_UINT}, "proto": {_STRING}, "length": {_UINT}'
-    rf'(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
+    r'"src_ip": ')
+_LENGTH_KEY = ', "length": '
+_MIDDLE = re.compile(
+    rf'{_STRING}, "dst_ip": {_STRING}, "src_port": {_UINT}, '
+    rf'"dst_port": {_UINT}, "proto": {_STRING}{_LENGTH_KEY}')
+_TAIL = re.compile(
+    rf'{_UINT}(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
 
 
-def _packet_of_line(line: str) -> Optional[PacketRecord]:
-    """The packet of a stripped line in _packet_line's form, or None if
-    the line is in another form or a value fails its conversion or the
-    record's checks; the JSON parse then reads the line and alone raises,
-    so each error keeps its message."""
-    m = _PACKET_LINE.fullmatch(line)
-    if m is None:
+def _packet_reader() -> Callable[[str], Optional[PacketRecord]]:
+    """A function, for one read, that gives the packet of a stripped line
+    in _packet_line's form, or None if the line is in another form or a
+    value fails its conversion or the record's checks; the JSON parse then
+    reads the line and alone raises, so each error keeps its message.
+
+    Only ts is converted on every line.  Each distinct middle (addresses,
+    ports, protocol) and tail (length, domain, label) is matched, converted
+    and checked once, or refused once as (), and equal strings among them
+    are one object, so the packets of a flow share their fields."""
+    middles: dict = {}
+    tails: dict = {}
+    share = {}.setdefault
+
+    def middle_of(text):
+        m = _MIDDLE.fullmatch(text)
+        if m is None:
+            return ()
+        src_ip, dst_ip, src_port, dst_port, proto = m.groups()
+        try:
+            src_port, dst_port = int(src_port), int(dst_port)
+        except ValueError:  # more digits than int() converts
+            return ()
+        if src_port > 65535 or dst_port > 65535 or proto not in PROTOCOLS:
+            return ()
+        return (share(src_ip, src_ip), share(dst_ip, dst_ip), src_port,
+                dst_port, share(proto, proto))
+
+    def tail_of(text):
+        m = _TAIL.fullmatch(text)
+        if m is None:
+            return ()
+        length, dns_name, label = m.groups()
+        try:
+            length = int(length)
+        except ValueError:
+            return ()
+        if not 1 <= length <= 65535:
+            return ()
+        if dns_name is not None:
+            dns_name = normalize_domain(dns_name)
+            dns_name = share(dns_name, dns_name)
+        return length, dns_name, share(label, label)
+
+    def packet_of_line(line):
+        head = _HEAD.match(line)
+        if head is None:
+            return None
+        start = head.end()
+        cut = line.find(_LENGTH_KEY, start)
+        if cut < 0:
+            return None
+        cut += len(_LENGTH_KEY)
+        text = line[start:cut]
+        middle = middles.get(text)
+        if middle is None:
+            middle = middles[text] = middle_of(text)
+        text = line[cut:]
+        tail = tails.get(text)
+        if tail is None:
+            tail = tails[text] = tail_of(text)
+        ts = float(head[1])
+        if middle and tail and ts < math.inf:
+            return tuple.__new__(PacketRecord, (ts, *middle, *tail))
         return None
-    ts, src_ip, dst_ip, src_port, dst_port, proto, length, dns_name, \
-        label = m.groups()
-    try:
-        return PacketRecord(float(ts), src_ip, dst_ip, int(src_port),
-                            int(dst_port), proto, int(length), dns_name,
-                            label)
-    except ValueError:
-        return None
+
+    return packet_of_line
 
 
 def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
@@ -409,8 +467,9 @@ def line_of_object(path, index: int) -> Optional[int]:
 
 def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
     """Yield the packets of a JSON-lines trace.  A line in the form that
-    write_packets_jsonl writes is read without the JSON parse.  A line that
+    write_packets_jsonl writes is read without the JSON parse, and the
+    packets of one read share their equal strings.  A line that
     is not one valid packet object raises SchemaError("PATH:LINE:
     reason")."""
     yield from read_jsonl(path, lambda obj: packet_from_dict(obj, strict),
-                          _packet_of_line)
+                          _packet_reader())

@@ -480,6 +480,22 @@ class TestSerialization:
             assert set(entry["model"]) == {"seed", "weights"}
             assert ct.activity_key_from_dict(entry, "key") == key
 
+    @pytest.mark.parametrize("value", ["vendor.com", "", ".com"])
+    def test_wildcard_that_would_fail_open_is_refused(
+            self, camera_setup, tmp_path, value):
+        """``vendor.com`` would accept ``evilvendor.com``, ``""`` every
+        domain, ``.com`` a whole top-level domain."""
+        _, ensemble, _, _ = camera_setup
+        doc = ens.ensemble_to_dict(ensemble)
+        doc["submodels"][1]["remote_pattern"] = {"kind": "wildcard",
+                                                 "value": value}
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(
+                "ensemble submodel 1 remote_pattern: wildcard value "
+                f"{value!r} is not a dot and two or more labels")):
+            ens.load_ensemble(path)
+
     def test_round_trip(self, camera_setup, tmp_path):
         _, ensemble, keys, table = camera_setup
         path = tmp_path / "ensemble.json"

@@ -278,6 +278,21 @@ class TestCorruptEnsemble:
         assert rc == 1
         assert_one_error_line(capsys, names)
 
+    def test_wildcard_value_without_its_dot_exits_1(self, small_run,
+                                                    tmp_path, capsys):
+        """A wildcard ``vendor.com`` would match ``evilvendor.com``."""
+        trace, _, ensemble, _, _ = small_run
+        doc = json.loads(Path(ensemble).read_text())
+        doc["submodels"][0]["remote_pattern"] = {"kind": "wildcard",
+                                                 "value": "vendor.com"}
+        bad = str(tmp_path / "ensemble.json")
+        Path(bad).write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
+        assert rc == 1
+        assert_one_error_line(capsys, "submodel 0 remote_pattern: wildcard "
+                              "value 'vendor.com'")
+
     def test_holds_no_member_flows(self, small_run):
         ensemble = small_run[2]
         text = Path(ensemble).read_text()

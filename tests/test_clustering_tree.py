@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -287,6 +288,16 @@ class TestMergeActivities:
         }
         assert len(merge_activities(entries, MergeConfig(0.0))) == 2
 
+    def test_empty_labels_are_not_a_shared_suffix(self):
+        """Names with an empty label share no suffix through it, so no
+        key holds a wildcard that the loader refuses."""
+        entries = {
+            domain_flow("x.a..com", 40000): frozenset({512}),
+            domain_flow("y.a..com", 40001): frozenset({512}),
+        }
+        keys = merge_activities(entries, MergeConfig(0.0))
+        assert [k.remote_pattern.kind for k in keys] == ["domain", "domain"]
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(0)
         entries = {
@@ -380,6 +391,39 @@ class TestBuildProfile:
         with pytest.raises(SchemaError, match=message) as info:
             profile_from_dict(doc)
         assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("value", [
+        "example.com", "", ".", ".com", "..com", ".example..com",
+        ".example.com.", "example.com."])
+    def test_wildcard_value_generalize_cannot_write_is_refused(
+            self, tmp_path, value):
+        """A wildcard is a dot and two or more labels; any other value
+        would let the suffix match accept more (``example.com`` accepts
+        ``evilexample.com``, ``""`` every domain)."""
+        doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
+                                            MergeConfig(0.5)))
+        doc["keys"][1]["remote_pattern"] = {"kind": "wildcard",
+                                            "value": value}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="profile key 1 remote_pattern: "
+                           "wildcard value") as info:
+            load_profile(path)
+        assert "\n" not in str(info.value) and len(str(info.value)) < 120
+
+    def test_written_wildcard_loads_and_matches_only_its_suffix(
+            self, tmp_path):
+        tree = ClusterTree(DEVICE)
+        for i, name in enumerate(["cam1.vendor.com", "cam2.vendor.com"]):
+            tree.insert(pkt(dst_ip="198.51.100.1", src_port=40000 + i,
+                            dst_port=443, proto="TCP", dns_name=name))
+        path = tmp_path / "profile.json"
+        save_profile(path, build_profile(tree, MergeConfig(0.5)))
+        (key,) = load_profile(path).keys
+        assert key.remote_pattern.value == ".vendor.com"
+        assert key.remote_pattern.matches(Remote("domain", "vendor.com"))
+        assert not key.remote_pattern.matches(Remote("domain",
+                                                     "evilvendor.com"))
 
     def test_round_trip_keeps_local_prefixes(self, tmp_path):
         tree = ClusterTree(DEVICE, ["192.168.1.0/24", "10.0.0.0/8"])

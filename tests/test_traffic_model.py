@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -615,6 +617,31 @@ EDGE_LINES = [
 ]
 
 
+@st.composite
+def shared_middle_traces(draw):
+    """The text of written packets that share one middle (addresses,
+    ports, protocol), one of whose lines has a span of its head or its
+    tail replaced by ASCII text."""
+    base = draw(valid_packets)
+    names = st.none() | awkward_text | st.just("Cam.Example.com.")
+    labels = st.none() | awkward_text | st.just("benign")
+    packets = [base._replace(ts=ts, length=length, dns_name=name,
+                             label=label)
+               for ts, length, name, label in draw(st.lists(st.tuples(
+                   st.floats(0, 1e6), st.integers(1, 65535), names, labels),
+                   min_size=3, max_size=6))]
+    lines = [json.dumps(packet_to_dict(p)) for p in packets]
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    head_end = line.index('"src_ip": ') + len('"src_ip": ')
+    tail_start = line.index(', "length": ') + len(', "length": ')
+    lo, hi = draw(st.sampled_from([(0, head_end), (tail_start, len(line))]))
+    a = draw(st.integers(lo, hi))
+    b = draw(st.integers(a, hi))
+    lines[i] = line[:a] + draw(ascii_text) + line[b:]
+    return "\n".join(lines) + "\n"
+
+
 class TestReaderFastPath:
     """The reader matches each line against the writer's own form before it
     parses JSON.  What it reads must not depend on which path a line
@@ -639,3 +666,99 @@ class TestReaderFastPath:
         got = read_outcome(read_packets_jsonl(path, strict))
         assert got == json_path_outcome(path, strict)
         assert got == ([record_fields(p) for p in packets], None)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("bad_line", [
+        lambda ts: packet_text(ts=ts, src_port="70000"),
+        lambda ts: packet_text(ts=ts, src_port=DIGITS_4301),
+        lambda ts: packet_text(ts=ts).replace('"UDP"', '"ICMP"'),
+        lambda ts: packet_text(ts=ts, src_ip='"192.168.1.1\\u0030"'),
+        lambda ts: packet_text(ts=ts, length="0"),
+        lambda ts: packet_text(ts=ts, length=DIGITS_4301),
+        lambda ts: packet_text(ts=ts, tail=', "label": "ben\\u0069gn"'),
+        lambda ts: packet_text(ts="1e999"),
+    ], ids=["port-70000", "port-4301-digits", "proto-icmp", "escaped-src-ip",
+            "length-0", "length-4301-digits", "escaped-label", "ts-inf"])
+    def test_repeated_refused_part_reads_as_the_json_path(
+            self, tmp_path, bad_line, strict):
+        """A line whose middle or tail the reader refuses, the same part
+        again, then valid lines that share the line's other part: the
+        cached refusal and the cached other part change nothing."""
+        path = tmp_path / "trace.jsonl"
+        lines = [packet_text(ts="1.5"), bad_line("2.5"), bad_line("3.5"),
+                 packet_text(ts="4.5"), packet_text(ts="5.5")]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert read_outcome(read_packets_jsonl(path, strict)) == \
+            json_path_outcome(path, strict)
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=shared_middle_traces(), strict=st.booleans())
+    def test_mutated_line_among_a_shared_middle_reads_as_the_json_path(
+            self, tmp_path_factory, trace, strict):
+        path = tmp_path_factory.getbasetemp() / "shared.jsonl"
+        path.write_text(trace, encoding="utf-8")
+        assert read_outcome(read_packets_jsonl(path, strict)) == \
+            json_path_outcome(path, strict)
+
+    def test_no_part_outlives_its_read(self, tmp_path):
+        """Two reads of one trace give equal packets, none of whose strings
+        is an object of the other read."""
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, [
+            pkt(ts=float(i), length=70 + i % 2, label="benign")
+            for i in range(6)])
+        first = list(read_packets_jsonl(path))
+        second = list(read_packets_jsonl(path, strict=True))
+        for packets in (first, second):
+            assert read_outcome(packets) == json_path_outcome(path, False)
+        first_ids = {id(v) for p in first
+                     for v in (p.src_ip, p.dst_ip, p.proto, p.label)}
+        assert not any(id(v) in first_ids for p in second
+                       for v in (p.src_ip, p.dst_ip, p.proto, p.label))
+
+
+class TestReaderMemory:
+    """The packets of a flow share the objects of their fields, so a
+    packet read costs little more than its tuple and its ts."""
+
+    @pytest.fixture(scope="class")
+    def watched_trace(self, tmp_path_factory):
+        """A 4 h camera trace with a masquerading C&C and a flood: the
+        judged trace of the camera-watch benchmark at seed 4."""
+        trace = sim.generate(sim.FIXTURES["camera"], 14400.0, seed=4)
+        for atk in (sim.AttackSpec("HttpMasqCnc", start=100, rate=0.05,
+                                   duration=13000,
+                                   target={"domain": "api.cam-vendor.com",
+                                           "ip": "203.0.113.11"}),
+                    sim.AttackSpec("Flood", start=9000, rate=1,
+                                   duration=500,
+                                   target={"ip": "203.0.113.10",
+                                           "dst_port": 443,
+                                           "domain": "upload.cam-vendor.com"})):
+            trace = sim.inject_attack(trace, atk, seed=4)
+        path = tmp_path_factory.mktemp("watch") / "trace.jsonl"
+        write_packets_jsonl(path, trace)
+        return path, len(trace)
+
+    def test_retained_bytes_per_packet(self, watched_trace):
+        """Measured on this trace: 454 B a packet when each line made its
+        own strings and ints, 159 B with shared fields."""
+        path, n_packets = watched_trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            packets = list(read_packets_jsonl(path))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(packets) == n_packets > 40_000
+        assert retained / n_packets < 300
+
+    def test_packets_of_a_flow_share_their_fields(self, watched_trace):
+        packets = list(read_packets_jsonl(watched_trace[0]))
+        _, flows = flows_of_trace(packets, sim.FIXTURES["camera"].device_ip)
+        for flow in flows.values():
+            for name in ("src_ip", "dst_ip", "proto", "label"):
+                values = [getattr(p, name) for p in flow]
+                assert len(set(map(id, values))) == len(set(values)), name
