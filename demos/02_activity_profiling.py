@@ -20,7 +20,7 @@ for pkt in trace:
 print(f"table holds {sum(map(len, tree.flows.values()))} packets in "
       f"{len(tree.flows)} flows and {len(ct.leaves_of(tree))} leaves")
 
-profile = ct.build_profile(tree, ct.MergeConfig(h_s=0.5))
+profile = ct.build_profile(tree, h_s=0.5)
 print(f"\nprofile for {profile.device_ip}: {len(profile.keys)} "
       "activity keys")
 for i, key in enumerate(profile.keys):

@@ -9,9 +9,8 @@ error doubles as an anomaly score.
 
 import numpy as np
 
-from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig, fit,
-                                         grad_check, init_model,
-                                         reconstruction_error)
+from atrellis.neural_autoencoder import (AEArchitecture, fit, grad_check,
+                                         init_model, reconstruction_error)
 
 rng = np.random.default_rng(0)
 
@@ -25,7 +24,7 @@ arch = AEArchitecture(r)
 model = init_model(arch, seed=3)
 
 before = float(np.mean([reconstruction_error(model, x) for x in data]))
-model, train_errors = fit(model, data, TrainConfig(epochs=60))
+model, train_errors = fit(model, data, epochs=60)
 after = float(np.mean(train_errors))
 print(f"mean reconstruction error: {before:.5f} -> {after:.5f}")
 

@@ -12,7 +12,7 @@ from collections import Counter
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
-from atrellis.neural_autoencoder import AEArchitecture, TrainConfig
+from atrellis.neural_autoencoder import AEArchitecture
 from atrellis.traffic_model import flows_of_trace
 
 spec = sim.FIXTURES["camera"]
@@ -22,9 +22,9 @@ train_trace = sim.generate(spec, duration=7200.0, seed=7)
 tree = ct.ClusterTree(spec.device_ip)
 for pkt in train_trace:
     tree.insert(pkt)
-profile = ct.build_profile(tree, ct.MergeConfig(0.5))
+profile = ct.build_profile(tree, h_s=0.5)
 ensemble = ens.train_ensemble(profile, tree.flows, AEArchitecture(r=10),
-                              TrainConfig(epochs=30), seed=0)
+                              epochs=30, q=0.995, seed=0)
 print(f"trained {len(ensemble.submodels)} per-activity submodels")
 
 # Held-out benign hours plus two very different attacks: a noisy port

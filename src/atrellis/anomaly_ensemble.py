@@ -25,11 +25,11 @@ from .clustering_tree import (_REMOTE_KINDS, ActivityProfile,
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
-from .neural_autoencoder import (AEArchitecture, AEModel, TrainConfig, fit,
-                                 init_model, model_from_dict, model_to_dict,
+from .neural_autoencoder import (AEArchitecture, AEModel, fit, init_model,
+                                 model_from_dict, model_to_dict,
                                  reconstruction_error)
 from .traffic_model import (_STRING, _UINT, PROTOCOLS, FlowKey, PacketRecord,
-                            Remote, read_json, read_jsonl)
+                            Remote, _json_str, read_json, read_jsonl)
 
 ENSEMBLE_SCHEMA_VERSION = "4.0"
 
@@ -40,15 +40,6 @@ VERDICT_KINDS = (STAGE1_MALICIOUS, ANOMALOUS, BENIGN)
 _VERDICT_FIELDS = {"kind": frozenset(VERDICT_KINDS), "flow_key": dict,
                    "models_triggered": int}
 _OPTIONAL_VERDICT_FIELDS = {"activity": int, "score": float, "reason": str}
-
-
-@dataclass(frozen=True)
-class ThresholdConfig:
-    q: float = 0.995
-
-    def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise ValueError(f"quantile must be in (0,1), got {self.q}")
 
 
 class Verdict(NamedTuple):
@@ -107,9 +98,7 @@ def calibrate_threshold(errors: Sequence[float], q: float) -> float:
 
 def train_ensemble(profile: ActivityProfile,
                    training_flows: Dict[FlowKey, List[PacketRecord]],
-                   arch: AEArchitecture,
-                   tcfg: TrainConfig = TrainConfig(),
-                   thcfg: ThresholdConfig = ThresholdConfig(),
+                   arch: AEArchitecture, epochs: int, q: float,
                    seed: int = 0) -> Ensemble:
     """Fit one autoencoder per activity key on its member flows and
     calibrate its threshold on the training reconstruction errors."""
@@ -120,8 +109,8 @@ def train_ensemble(profile: ActivityProfile,
         if not flows:
             raise EmptyActivity(f"activity key {i} has no trainable flows")
         model = init_model(arch, seed + i)
-        model, errors = fit(model, featurize_many(flows, arch.r), tcfg)
-        submodels.append((model, calibrate_threshold(errors, thcfg.q)))
+        model, errors = fit(model, featurize_many(flows, arch.r), epochs)
+        submodels.append((model, calibrate_threshold(errors, q)))
     return Ensemble(profile, submodels, arch)
 
 
@@ -237,9 +226,6 @@ def evaluate(verdicts: Sequence[Verdict],
 
 
 # --- serialization --------------------------------------------------------
-
-_json_str = json.encoder.encode_basestring_ascii
-
 
 def verdict_line(v: Verdict) -> str:
     """``json.dumps`` of the verdict's object plus a newline: its flow key,

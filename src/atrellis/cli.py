@@ -19,10 +19,11 @@ from typing import List, Optional
 from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
+from .clustering_tree import _PORT
 from .errors import (AtrellisError, EmptyTree, NonMonotonicTimestamp,
                      SchemaError, check)
 from .feature_pipeline import featurize_many
-from .neural_autoencoder import AEArchitecture, TrainConfig
+from .neural_autoencoder import AEArchitecture
 from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
                             line_of_object, parse_prefixes, read_json,
                             read_packets_jsonl, write_packets_jsonl)
@@ -78,7 +79,6 @@ def _infer_device_ip(packets: List[PacketRecord]) -> str:
 
 
 _NUMBER = (int, float)
-_PORT = range(65536)
 _ATTACK_FIELDS = {"kind": frozenset(sim.ATTACK_KINDS)}
 _OPTIONAL_ATTACK_FIELDS = {"start": _NUMBER, "rate": _NUMBER,
                            "duration": _NUMBER, "target": dict}
@@ -89,19 +89,20 @@ _OPTIONAL_TARGET_FIELDS = {"ip": str, "n_ports": int, "dst_port": _PORT,
                            "packets_per_flow": int, "beacon_gap": _NUMBER}
 
 
+def _known(doc: dict, *fields: dict) -> dict:
+    """The entries of ``doc`` that one of ``fields`` names."""
+    return {n: doc[n] for names in fields for n in names if n in doc}
+
+
 def _attack_spec(text: str) -> sim.AttackSpec:
     """The attack that an ``--attack`` JSON value describes; a bad value
     raises a ValueError."""
     obj = check(json.loads(text), _ATTACK_FIELDS, "spec",
                 _OPTIONAL_ATTACK_FIELDS)
-    target = obj.get("target", {})
-    check(target, _TARGET_FIELDS.get(obj["kind"], {}), "target",
-          _OPTIONAL_TARGET_FIELDS)
-    return sim.AttackSpec(kind=obj["kind"],
-                          start=float(obj.get("start", 0.0)),
-                          rate=float(obj.get("rate", 1.0)),
-                          duration=float(obj.get("duration", 60.0)),
-                          target=target)
+    check(obj.get("target", {}), _TARGET_FIELDS.get(obj["kind"], {}),
+          "target", _OPTIONAL_TARGET_FIELDS)
+    return sim.AttackSpec(**_known(obj, _ATTACK_FIELDS,
+                                   _OPTIONAL_ATTACK_FIELDS))
 
 
 _ACTIVITY_FIELDS = {"name": str, "remote_ip": str, "dst_port": int,
@@ -124,16 +125,9 @@ def _device_spec_from_file(path: str) -> sim.DeviceSpec:
                    for v in a[name]):
                 raise SchemaError(f"{what}: {name} holds a value of the "
                                   f"wrong type")
-        activities.append(sim.ActivitySpec(
-            name=a["name"], remote_ip=a["remote_ip"],
-            dst_port=a["dst_port"], proto=a["proto"],
-            period=float(a["period"]), sizes=tuple(a["sizes"]),
-            size_probs=tuple(a["size_probs"]),
-            packets_per_burst=a.get("packets_per_burst", 4),
-            jitter=float(a.get("jitter", 1.0)),
-            intra_gap=float(a.get("intra_gap", 0.05)),
-            domain=a.get("domain"),
-            bidirectional=a.get("bidirectional", True)))
+        activities.append(sim.ActivitySpec(**{
+            **_known(a, _ACTIVITY_FIELDS, _OPTIONAL_ACTIVITY_FIELDS),
+            "sizes": tuple(a["sizes"]), "size_probs": tuple(a["size_probs"])}))
     return sim.DeviceSpec(doc["device_ip"], tuple(activities))
 
 
@@ -178,13 +172,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_profile(args) -> int:
     prefixes = _local_prefixes(args.local_prefix)
-    mcfg = _option("--h-s", ct.MergeConfig, h_s=args.h_s)
+    if not 0.0 <= args.h_s <= 1.0:
+        raise UsageError(f"--h-s: h_s must be in [0,1], got {args.h_s}")
     packets = list(read_packets_jsonl(args.trace, args.strict))
     device_ip = args.device_ip or _infer_device_ip(packets)
     tree = ct.ClusterTree(device_ip, prefixes)
     for pkt in packets:
         tree.insert(pkt)
-    profile = ct.build_profile(tree, mcfg)
+    profile = ct.build_profile(tree, args.h_s)
     ct.save_profile(args.out, profile)
     print(f"{len(profile.keys)} activity keys for device {device_ip}")
     for i, key in enumerate(profile.keys):
@@ -197,14 +192,17 @@ def cmd_profile(args) -> int:
 
 def cmd_train(args) -> int:
     arch = _option("--r", AEArchitecture, r=args.r)
-    tcfg = _option("--epochs", TrainConfig, epochs=args.epochs)
-    thcfg = _option("--quantile", ens.ThresholdConfig, q=args.quantile)
+    if args.epochs < 1:
+        raise UsageError(f"--epochs: epochs must be >= 1, got {args.epochs}")
+    if not 0.0 < args.quantile < 1.0:
+        raise UsageError(f"--quantile: quantile must be in (0,1), got "
+                         f"{args.quantile}")
     packets = list(read_packets_jsonl(args.trace, args.strict))
     profile = ct.load_profile(args.profile)
     _, table = flows_of_trace(packets, profile.device_ip,
                               profile.local_prefixes)
-    ensemble = ens.train_ensemble(profile, table, arch, tcfg, thcfg,
-                                  seed=args.seed)
+    ensemble = ens.train_ensemble(profile, table, arch, args.epochs,
+                                  args.quantile, seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
     print(f"trained {len(ensemble.submodels)} submodels")
     return 0
@@ -356,7 +354,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {_where(args.trace, exc.index)}: {exc}",
               file=sys.stderr)
         return 1
-    except (AtrellisError, SchemaError, OSError) as exc:
+    except (AtrellisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -119,15 +119,6 @@ class ActivityKey:
                                               repr=False)
 
 
-@dataclass(frozen=True)
-class MergeConfig:
-    h_s: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.h_s <= 1.0:
-            raise ValueError(f"h_s must be in [0,1], got {self.h_s}")
-
-
 @dataclass
 class ActivityProfile:
     """The device's activity keys, with the device IP and local prefixes
@@ -201,7 +192,7 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
 
 
 def merge_activities(leaf_entries: Dict[FlowKey, FrozenSet],
-                     cfg: MergeConfig) -> List[ActivityKey]:
+                     h_s: float) -> List[ActivityKey]:
     """Single-linkage agglomeration of one leaf's flows, each given with
     its set of packet lengths.
 
@@ -225,7 +216,7 @@ def merge_activities(leaf_entries: Dict[FlowKey, FrozenSet],
                 continue
             if _mergeable(flows[i], flows[j]) and \
                     jaccard(leaf_entries[flows[i]],
-                            leaf_entries[flows[j]]) >= cfg.h_s:
+                            leaf_entries[flows[j]]) >= h_s:
                 parent[find(j)] = find(i)
 
     groups: Dict[int, List[FlowKey]] = {}
@@ -250,7 +241,7 @@ def leaves_of(tree: ClusterTree) -> Dict[TreePath, Dict[FlowKey, FrozenSet]]:
     return leaves
 
 
-def build_profile(tree: ClusterTree, cfg: MergeConfig) -> ActivityProfile:
+def build_profile(tree: ClusterTree, h_s: float) -> ActivityProfile:
     """Merge every leaf and concatenate the resulting activity keys.
 
     Keys whose patterns coincide (possible across groups of one leaf)
@@ -261,7 +252,7 @@ def build_profile(tree: ClusterTree, cfg: MergeConfig) -> ActivityProfile:
     leaves = leaves_of(tree)
     merged: Dict[Tuple, ActivityKey] = {}
     for path in sorted(leaves, key=_path_sort_key):
-        for key in merge_activities(leaves[path], cfg):
+        for key in merge_activities(leaves[path], h_s):
             ident = (key.proto, key.remote_pattern, key.src_port_pattern,
                      key.dst_port_pattern)
             if ident in merged:

@@ -261,16 +261,7 @@ def _batch_errors(arch: AEArchitecture, flat: np.ndarray,
     return np.mean((_forward(_gather(arch, flat), X) - X) ** 2, axis=1)
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 50
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-
-
-def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
+def fit(model: AEModel, data: Sequence, epochs: int
         ) -> Tuple[AEModel, List[float]]:
     """Train on benign feature vectors with Adam; returns the trained model
     and its final per-sample reconstruction errors on the training set.
@@ -306,7 +297,7 @@ def fit(model: AEModel, data: Sequence, cfg: TrainConfig = TrainConfig()
     best_flat = flat.copy()
     stale = 0
 
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(X.shape[0])
         for start in range(0, X.shape[0], BATCH_SIZE):
             batch = X[order[start:start + BATCH_SIZE]]

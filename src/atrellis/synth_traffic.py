@@ -95,7 +95,7 @@ class DeviceSpec:
 @dataclass(frozen=True)
 class AttackSpec:
     kind: str
-    start: float
+    start: float = 0.0
     rate: float = 1.0             # flows per second
     duration: float = 60.0
     target: dict = field(default_factory=dict)
@@ -174,22 +174,24 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                     seed: int) -> List[PacketRecord]:
     rng = np.random.default_rng([seed, 1000 + ATTACK_KINDS.index(atk.kind)])
     label = f"attack:{atk.kind}"
-    n_flows = max(int(atk.rate * atk.duration), 0)
+    n_flows = int(atk.rate * atk.duration)
     if atk.kind == PORT_SCAN:
         n_flows = int(atk.target.get("n_ports", n_flows or 100))
+    if n_flows < 1:
+        raise BadSpec(f"attack {atk.kind}: it gives {n_flows} flows, so it "
+                      f"would inject nothing")
     top = _ATTACK_PORT_BASE + n_flows - 1
     if top > 65535:
         raise BadSpec(f"attack {atk.kind}: its {n_flows} flows would use "
                       f"source ports up to {top}, past 65535")
 
+    target_ip = atk.target.get("ip", "198.51.100.99")
     if atk.kind == PORT_SCAN:
-        target_ip = atk.target.get("ip", "198.51.100.99")
         return [PacketRecord(atk.start + i / atk.rate, device_ip, target_ip,
                              _ATTACK_PORT_BASE + i, 1 + i, TCP, 60,
                              label=label)
                 for i in range(n_flows)]
     if atk.kind == TELNET_BRUTE:
-        target_ip = atk.target.get("ip", "198.51.100.99")
         act = ActivitySpec("telnet-brute", target_ip, 23, TCP,
                            period=1.0, sizes=(91, 97, 105),
                            size_probs=(0.4, 0.4, 0.2), packets_per_burst=6,

@@ -16,8 +16,8 @@ from atrellis import synth_traffic as sim
 from atrellis.cli import main as cli_main
 from atrellis.cluster_metrics import dunn_index, kmeans, purity
 from atrellis.feature_pipeline import featurize
-from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
-                                         grad_check, init_model)
+from atrellis.neural_autoencoder import (AEArchitecture, grad_check,
+                                         init_model)
 from atrellis.traffic_model import PacketRecord, flows_of_trace
 
 DEVICE = "192.168.0.2"
@@ -184,7 +184,7 @@ def test_criterion_5_clustering_purity():
         tree = ct.ClusterTree(spec.device_ip)
         for p in trace:
             tree.insert(p)
-        profile = ct.build_profile(tree, ct.MergeConfig(0.5))
+        profile = ct.build_profile(tree, 0.5)
         keys, table = flows_of_trace(trace, spec.device_ip)
         cluster_of = {f: i for i, key in enumerate(profile.keys)
                       for f in key.member_flows}
@@ -204,6 +204,9 @@ def test_criterion_5_clustering_purity():
 
 # --- shared rig for criteria 6-8 --------------------------------------------
 
+RIG_Q = 0.995   # the quantile that calibrates the rig's thresholds
+
+
 @pytest.fixture(scope="module")
 def camera_rig():
     spec = sim.FIXTURES["camera"]
@@ -212,10 +215,10 @@ def camera_rig():
     t0 = time.perf_counter()
     for p in trace:
         tree.insert(p)
-    profile = ct.build_profile(tree, ct.MergeConfig(0.5))
+    profile = ct.build_profile(tree, 0.5)
     keys, table = flows_of_trace(trace, spec.device_ip)
     ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                  TrainConfig(epochs=30), seed=0)
+                                  30, RIG_Q, seed=0)
     elapsed = time.perf_counter() - t0
     return spec, ensemble, keys, table, elapsed
 
@@ -306,7 +309,7 @@ def test_criterion_7_stage_2_evasion(camera_rig):
 
 def test_criterion_8_calibration(camera_rig):
     spec, ensemble, _, table, _ = camera_rig
-    q = ens.ThresholdConfig().q
+    q = RIG_Q
     fractions = []
     for key in ensemble.profile.keys:
         members = [f for f in key.member_flows if f in table]

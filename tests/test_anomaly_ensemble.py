@@ -15,8 +15,7 @@ from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
 from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
                              LengthMismatch, SchemaError, check)
 from atrellis.feature_pipeline import featurize
-from atrellis.neural_autoencoder import (AEArchitecture, TrainConfig,
-                                         reconstruction_error)
+from atrellis.neural_autoencoder import AEArchitecture, reconstruction_error
 from atrellis.traffic_model import (FlowKey, PacketRecord, Remote,
                                     flows_of_trace, read_jsonl)
 
@@ -90,7 +89,7 @@ class TestFuzzyMatch:
                 ts += 1.0
                 tree.insert(PacketRecord(ts, DEVICE, "198.51.100.7", sport,
                                          dport, "TCP", length, name))
-        profile = ct.build_profile(tree, ct.MergeConfig(h_s))
+        profile = ct.build_profile(tree, h_s)
         for j, activity in enumerate(profile.keys):
             for member in activity.member_flows:
                 assert j in ens.fuzzy_match(profile, member), (activity,
@@ -131,10 +130,10 @@ def camera_setup():
     tree = ct.ClusterTree(spec.device_ip)
     for p in trace:
         tree.insert(p)
-    profile = ct.build_profile(tree, ct.MergeConfig(0.5))
+    profile = ct.build_profile(tree, 0.5)
     keys, table = flows_of_trace(trace, spec.device_ip)
     ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                  TrainConfig(epochs=80), seed=0)
+                                  80, 0.995, seed=0)
     return spec, ensemble, keys, table
 
 
@@ -147,12 +146,13 @@ class TestTrainEnsemble:
     def test_empty_activity(self):
         profile = ActivityProfile(DEVICE, [key(members=(flow(),))])
         with pytest.raises(EmptyActivity):
-            ens.train_ensemble(profile, {}, AEArchitecture(r=4))
+            ens.train_ensemble(profile, {}, AEArchitecture(r=4),
+                               50, 0.995)
 
     def test_deterministic(self, camera_setup):
         spec, ensemble, _, table = camera_setup
         again = ens.train_ensemble(ensemble.profile, table,
-                                   ensemble.arch, TrainConfig(epochs=80),
+                                   ensemble.arch, 80, 0.995,
                                    seed=0)
         assert ens.ensemble_to_dict(again) == ens.ensemble_to_dict(ensemble)
 

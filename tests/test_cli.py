@@ -11,10 +11,9 @@ from pathlib import Path
 import pytest
 
 from atrellis import anomaly_ensemble as ens
-from atrellis import clustering_tree as ct
 from atrellis import traffic_model as tm
 from atrellis.cli import build_parser, main
-from atrellis.neural_autoencoder import AEArchitecture, TrainConfig
+from atrellis.neural_autoencoder import AEArchitecture
 
 SEED = ["--seed", "3"]
 
@@ -92,6 +91,34 @@ class TestSimulate:
         assert rc == 2
         assert_one_error_line(capsys, f"error: --attack: {names}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("spec, n_flows", [
+        ({"kind": "PortScan", "target": {"n_ports": 0}}, 0),
+        ({"kind": "PortScan", "target": {"n_ports": -5}}, -5),
+        ({"kind": "TelnetBrute", "start": 10, "rate": 0.001,
+          "duration": 60}, 0),
+    ], ids=["no-ports", "negative-ports", "rate-times-duration-below-1"])
+    def test_attack_that_injects_no_flow_exits_1(self, tmp_path, capsys,
+                                                 spec, n_flows):
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--fixture", "hub", "--duration", "120",
+                   "--attack", json.dumps(spec), "-o", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: attack {spec['kind']}: ",
+                              f" {n_flows} flows")
+        assert not out.exists()
+        assert not (tmp_path / "t.jsonl.manifest.json").exists()
+
+    def test_unknown_attack_and_activity_fields_are_ignored(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"device_ip": "10.0.0.5", "activities": [
+            dict(TestSpecFile.ACTIVITY, note="not read")]}))
+        atk = {"kind": "PortScan", "note": "not read"}
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "--spec", str(spec), "--duration", "120",
+                     "--attack", json.dumps(atk), "-o", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["label_counts"]["attack:PortScan"] == 60
 
 
 class TestProfile:
@@ -339,8 +366,9 @@ class TestTruncatedArtifact:
 
 
 class TestBadOptionValues:
-    """The config class, or ipaddress, decides; the CLI turns its
-    ValueError into a usage error that names the flag."""
+    """Each option value is checked before any file is read, by the CLI
+    itself, the architecture class or ipaddress; a bad one is a usage
+    error that names the flag."""
 
     @pytest.mark.parametrize("option, reason", [
         (["--quantile", "1.5"], "quantile must be in (0,1), got 1.5"),
@@ -357,16 +385,24 @@ class TestBadOptionValues:
         assert_one_error_line(capsys, f"error: {option[0]}: {reason}")
         assert not (tmp_path / "e.json").exists()
 
-    @pytest.mark.parametrize("r", ["1", "2"])
+    @pytest.mark.parametrize("command, option, reason", [
+        ("train", ["--r", "1"], "r must be >= 3, the kernel size, got 1"),
+        ("train", ["--r", "2"], "r must be >= 3, the kernel size, got 2"),
+        ("train", ["--quantile", "1.5"],
+         "quantile must be in (0,1), got 1.5"),
+        ("train", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+        ("profile", ["--h-s", "2"], "h_s must be in [0,1], got 2.0"),
+    ], ids=["1", "2", "quantile", "epochs", "profile-h-s"])
     def test_train_r_below_the_kernel_exits_2_before_reading(
-            self, small_run, tmp_path, capsys, r):
-        profile = small_run[1]
+            self, small_run, tmp_path, capsys, command, option, reason):
+        """Each option is checked before the missing trace is opened."""
+        inputs = [str(tmp_path / "missing.jsonl")]
+        if command == "train":
+            inputs.append(small_run[1])
         capsys.readouterr()
-        rc = main(["train", str(tmp_path / "missing.jsonl"), profile,
-                   "--r", r, "-o", str(tmp_path / "e.json")])
+        rc = main([command, *inputs, *option, "-o", str(tmp_path / "out")])
         assert rc == 2
-        assert_one_error_line(
-            capsys, f"error: --r: r must be >= 3, the kernel size, got {r}")
+        assert_one_error_line(capsys, f"error: {option[0]}: {reason}")
 
     @pytest.mark.parametrize("option, names", [
         (["--h-s", "2"], ["error: --h-s: h_s must be in [0,1], got 2.0"]),
@@ -623,23 +659,21 @@ SETTABLE = [
     "train.epochs",
     "detect.out", "detect.strict", "detect.dump_features",
     "eval.out", "eval.strict", "eval.local_prefix",
-    "MergeConfig.h_s", "TrainConfig.epochs", "ThresholdConfig.q",
     "AEArchitecture.r",
 ]
 
 
 def test_settable_values_are_pinned():
     """Every optional argument of every subcommand, once per dest, and
-    every config field: a new setting has to be added to SETTABLE."""
+    every field of the architecture: a new setting has to be added to
+    SETTABLE."""
     found = [f"{name}.{a.dest}" for name, sub in subcommands().items()
              for a in sub._actions
              if a.option_strings and not isinstance(a, argparse._HelpAction)]
-    found += [f"{cls.__name__}.{field.name}"
-              for cls in (ct.MergeConfig, TrainConfig, ens.ThresholdConfig,
-                          AEArchitecture)
-              for field in dataclasses.fields(cls)]
+    found += [f"AEArchitecture.{field.name}"
+              for field in dataclasses.fields(AEArchitecture)]
     assert sorted(found) == sorted(SETTABLE)
-    assert len(SETTABLE) == 27
+    assert len(SETTABLE) == 24
 
 
 def edited(doc, path, value=None):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
-                                      ClusterTree, MergeConfig,
+                                      ClusterTree,
                                       _flow_sort_key, _path_sort_key,
                                       build_profile, jaccard, leaves_of,
                                       load_profile, merge_activities,
@@ -84,12 +84,12 @@ class ReferenceClusterTree:
         return key
 
 
-def reference_build_profile(tree, cfg):
+def reference_build_profile(tree, h_s):
     """build_profile as it read the reference tree's leaves."""
     merged = {}
     for path in sorted(tree.leaves, key=_path_sort_key):
         sizes = {k: s.sizes for k, s in tree.leaves[path].items()}
-        for key in merge_activities(sizes, cfg):
+        for key in merge_activities(sizes, h_s):
             ident = (key.proto, key.remote_pattern, key.src_port_pattern,
                      key.dst_port_pattern)
             if ident in merged:
@@ -147,8 +147,8 @@ class TestAgainstReferenceTree:
             ReferenceClusterTree(DEVICE, prefixes)
         for p in packets:
             assert tree.insert(p) == ref.insert(p)
-        assert profile_to_dict(build_profile(tree, MergeConfig(h_s))) == \
-            profile_to_dict(reference_build_profile(ref, MergeConfig(h_s)))
+        assert profile_to_dict(build_profile(tree, h_s)) == \
+            profile_to_dict(reference_build_profile(ref, h_s))
 
     @settings(max_examples=30, deadline=None)
     @given(multi_flow_traces())
@@ -245,7 +245,7 @@ class TestMergeActivities:
             domain_flow("cam1.vendor.com", 40000): frozenset({512, 1024}),
             domain_flow("cam2.vendor.com", 40001): frozenset({512, 1024}),
         }
-        keys = merge_activities(entries, MergeConfig(0.5))
+        keys = merge_activities(entries, 0.5)
         assert len(keys) == 1
         assert keys[0].remote_pattern.kind == "wildcard"
         assert keys[0].remote_pattern.value == ".vendor.com"
@@ -256,7 +256,7 @@ class TestMergeActivities:
             domain_flow("cam1.vendor.com", 40000): frozenset({512}),
             domain_flow("cam2.vendor.com", 40001): frozenset({1024}),
         }
-        keys = merge_activities(entries, MergeConfig(0.5))
+        keys = merge_activities(entries, 0.5)
         assert len(keys) == 2
         assert all(k.remote_pattern.kind == "domain" for k in keys)
 
@@ -265,28 +265,28 @@ class TestMergeActivities:
             domain_flow("cam1.vendor.com", 40000 + i): frozenset({100 + i})
             for i in range(4)
         }
-        assert len(merge_activities(entries, MergeConfig(0.0))) == 1
+        assert len(merge_activities(entries, 0.0)) == 1
 
     def test_unrelated_domains_never_merge(self):
         entries = {
             domain_flow("a.one.org", 40000): frozenset({512}),
             domain_flow("b.two.net", 40001): frozenset({512}),
         }
-        assert len(merge_activities(entries, MergeConfig(0.0))) == 2
+        assert len(merge_activities(entries, 0.0)) == 2
 
     def test_system_src_port_never_generalizes(self):
         entries = {
             domain_flow("a.example.com", 22): frozenset({512}),
             domain_flow("a.example.com", 40001): frozenset({512}),
         }
-        assert len(merge_activities(entries, MergeConfig(0.0))) == 2
+        assert len(merge_activities(entries, 0.0)) == 2
 
     def test_differing_dst_ports_never_merge(self):
         entries = {
             domain_flow("a.example.com", 40000, dport=80): frozenset({512}),
             domain_flow("a.example.com", 40001, dport=81): frozenset({512}),
         }
-        assert len(merge_activities(entries, MergeConfig(0.0))) == 2
+        assert len(merge_activities(entries, 0.0)) == 2
 
     def test_empty_labels_are_not_a_shared_suffix(self):
         """Names with an empty label share no suffix through it, so no
@@ -295,7 +295,7 @@ class TestMergeActivities:
             domain_flow("x.a..com", 40000): frozenset({512}),
             domain_flow("y.a..com", 40001): frozenset({512}),
         }
-        keys = merge_activities(entries, MergeConfig(0.0))
+        keys = merge_activities(entries, 0.0)
         assert [k.remote_pattern.kind for k in keys] == ["domain", "domain"]
 
     def test_threshold_monotonicity(self):
@@ -305,7 +305,7 @@ class TestMergeActivities:
                 frozenset(set(rng.choice(20, size=5) + 1))
             for i in range(12)
         }
-        counts = [len(merge_activities(entries, MergeConfig(h)))
+        counts = [len(merge_activities(entries, h))
                   for h in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert counts == sorted(counts)
 
@@ -315,7 +315,7 @@ class TestMergeActivities:
             domain_flow("cam2.vendor.com", 40001): frozenset({512, 1024}),
             domain_flow("cam2.vendor.com", 40002, dport=80): frozenset({99}),
         }
-        for key in merge_activities(entries, MergeConfig(0.5)):
+        for key in merge_activities(entries, 0.5):
             for f in key.member_flows:
                 assert key.proto == f.proto
                 assert key.remote_pattern.matches(f.remote)
@@ -335,16 +335,16 @@ class TestBuildProfile:
 
     def test_one_key_per_isolated_flow(self):
         profile = build_profile(self._tree_with_three_leaves(),
-                                MergeConfig(0.5))
+                                0.5)
         assert len(profile.keys) == 3
 
     def test_empty_tree(self):
         with pytest.raises(EmptyTree):
-            build_profile(ClusterTree(DEVICE), MergeConfig(0.5))
+            build_profile(ClusterTree(DEVICE), 0.5)
 
     def test_round_trip(self, tmp_path):
         profile = build_profile(self._tree_with_three_leaves(),
-                                MergeConfig(0.5))
+                                0.5)
         path = tmp_path / "profile.json"
         save_profile(path, profile)
         loaded = load_profile(path)
@@ -386,7 +386,7 @@ class TestBuildProfile:
     ])
     def test_corrupt_profile_is_a_short_schema_error(self, corrupt, message):
         doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
-                                            MergeConfig(0.5)))
+                                            0.5))
         corrupt(doc)
         with pytest.raises(SchemaError, match=message) as info:
             profile_from_dict(doc)
@@ -401,7 +401,7 @@ class TestBuildProfile:
         would let the suffix match accept more (``example.com`` accepts
         ``evilexample.com``, ``""`` every domain)."""
         doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
-                                            MergeConfig(0.5)))
+                                            0.5))
         doc["keys"][1]["remote_pattern"] = {"kind": "wildcard",
                                             "value": value}
         path = tmp_path / "profile.json"
@@ -418,7 +418,7 @@ class TestBuildProfile:
             tree.insert(pkt(dst_ip="198.51.100.1", src_port=40000 + i,
                             dst_port=443, proto="TCP", dns_name=name))
         path = tmp_path / "profile.json"
-        save_profile(path, build_profile(tree, MergeConfig(0.5)))
+        save_profile(path, build_profile(tree, 0.5))
         (key,) = load_profile(path).keys
         assert key.remote_pattern.value == ".vendor.com"
         assert key.remote_pattern.matches(Remote("domain", "vendor.com"))
@@ -428,7 +428,7 @@ class TestBuildProfile:
     def test_round_trip_keeps_local_prefixes(self, tmp_path):
         tree = ClusterTree(DEVICE, ["192.168.1.0/24", "10.0.0.0/8"])
         tree.insert(pkt(dst_ip="192.168.1.50", dst_port=8080, proto="TCP"))
-        profile = build_profile(tree, MergeConfig(0.5))
+        profile = build_profile(tree, 0.5)
         assert profile.local_prefixes == ("192.168.1.0/24", "10.0.0.0/8")
         assert profile.keys[0].remote_pattern.kind == "local_ip"
         path = tmp_path / "profile.json"
@@ -437,7 +437,7 @@ class TestBuildProfile:
 
     def test_key_repr_leaves_out_member_flows(self):
         profile = build_profile(self._tree_with_three_leaves(),
-                                MergeConfig(0.5))
+                                0.5)
         for key in profile.keys:
             assert key.member_flows
             assert "member_flows" not in repr(key)

@@ -9,9 +9,8 @@ from scipy.special import expit
 from atrellis import neural_autoencoder as na
 from atrellis.errors import (BadArchitecture, DivergedLoss, EmptyData,
                              SchemaError, ShapeMismatch)
-from atrellis.neural_autoencoder import (AEArchitecture, AEModel,
-                                         TrainConfig, fit, forward,
-                                         grad_check, init_model,
+from atrellis.neural_autoencoder import (AEArchitecture, AEModel, fit,
+                                         forward, grad_check, init_model,
                                          model_from_dict, model_to_dict,
                                          reconstruction_error)
 
@@ -82,7 +81,7 @@ class TestFit:
     def test_memorizes_single_vector(self):
         model = init_model(ARCH, 1)
         data = [np.full(20, 0.7)] * 200
-        trained, errors = fit(model, data, TrainConfig())
+        trained, errors = fit(model, data, 50)
         assert max(errors) < 1e-3
 
     def test_loss_drops_on_learnable_data(self):
@@ -90,7 +89,7 @@ class TestFit:
         data = [np.full(20, 0.7)] * 200
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        trained, errors = fit(model, data, TrainConfig())
+        trained, errors = fit(model, data, 50)
         assert float(np.mean(errors)) < 0.1 * initial
 
     def test_final_loss_never_exceeds_initial(self):
@@ -99,7 +98,7 @@ class TestFit:
         data = [rng.uniform(0, 1, 20) for _ in range(50)]
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        _, errors = fit(model, data, TrainConfig(epochs=10))
+        _, errors = fit(model, data, 10)
         assert float(np.mean(errors)) <= initial + 1e-12
 
     def test_huge_learning_rate_diverges_or_aborts(self, monkeypatch):
@@ -109,7 +108,7 @@ class TestFit:
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
         try:
-            _, errors = fit(model, data)
+            _, errors = fit(model, data, 50)
         except DivergedLoss:
             return
         # early abort keeps the best weights, never worse than the start
@@ -117,13 +116,13 @@ class TestFit:
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            fit(init_model(ARCH, 0), [])
+            fit(init_model(ARCH, 0), [], 50)
 
     def test_reproducible(self):
         rng = np.random.default_rng(4)
         data = [rng.uniform(0, 1, 20) for _ in range(60)]
-        t1, e1 = fit(init_model(ARCH, 9), data, TrainConfig(epochs=8))
-        t2, e2 = fit(init_model(ARCH, 9), data, TrainConfig(epochs=8))
+        t1, e1 = fit(init_model(ARCH, 9), data, 8)
+        t2, e2 = fit(init_model(ARCH, 9), data, 8)
         assert e1 == e2
         for name in t1.params:
             assert np.array_equal(t1.params[name], t2.params[name])
@@ -132,7 +131,7 @@ class TestFit:
         data = [np.full(20, 0.5)] * 40
         data[7] = np.full(20, np.nan)
         with pytest.raises(DivergedLoss, match="non-finite gradient in w1"):
-            fit(init_model(ARCH, 1), data, TrainConfig(epochs=2))
+            fit(init_model(ARCH, 1), data, 2)
 
 
 class TestGradCheck:
@@ -159,7 +158,7 @@ class TestSerialization:
     def test_round_trip_exact(self):
         model = init_model(ARCH, 11)
         data = [np.random.default_rng(0).uniform(0, 1, 20) for _ in range(30)]
-        trained, _ = fit(model, data, TrainConfig(epochs=5))
+        trained, _ = fit(model, data, 5)
         text = json.dumps(model_to_dict(trained))
         loaded = model_from_dict(json.loads(text), ARCH)
         for name, w in trained.params.items():

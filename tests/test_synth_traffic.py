@@ -176,10 +176,12 @@ class TestInjectAttack:
         assert injected
         assert all(p.label == "attack:TelnetBrute" for p in injected)
 
-    def test_empty_window_leaves_trace_unchanged(self):
+    def test_empty_window_is_refused(self):
         trace = sim.generate(one_shot_spec(), 60.0, seed=0)
         atk = sim.AttackSpec("TelnetBrute", start=5.0, rate=0.5, duration=0)
-        assert sim.inject_attack(trace, atk, seed=0) == trace
+        with pytest.raises(BadSpec, match="attack TelnetBrute: it gives 0 "
+                                          "flows, so it would inject nothing"):
+            sim.inject_attack(trace, atk, seed=0)
 
     def test_masquerade_uses_port_80(self):
         atk = sim.AttackSpec("HttpMasqCnc", start=0.0, rate=0.1, duration=100,
