@@ -19,12 +19,10 @@ from typing import List, Optional
 from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
-from .clustering_tree import _PORT
-from .errors import (AtrellisError, EmptyTree, NonMonotonicTimestamp,
-                     SchemaError, check)
+from .errors import AtrellisError, EmptyTree, PacketError, SchemaError, check
 from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture
-from .traffic_model import (PROTOCOLS, PacketRecord, flows_of_trace,
+from .traffic_model import (_PORT, PROTOCOLS, PacketRecord, flows_of_trace,
                             line_of_object, parse_prefixes, read_json,
                             read_packets_jsonl, write_packets_jsonl)
 
@@ -82,27 +80,26 @@ _NUMBER = (int, float)
 _ATTACK_FIELDS = {"kind": frozenset(sim.ATTACK_KINDS)}
 _OPTIONAL_ATTACK_FIELDS = {"start": _NUMBER, "rate": _NUMBER,
                            "duration": _NUMBER, "target": dict}
-_TARGET_FIELDS = {sim.FLOOD: {"ip": str, "dst_port": _PORT},
-                  sim.HTTP_MASQ_CNC: {"ip": str, "domain": str}}
-_OPTIONAL_TARGET_FIELDS = {"ip": str, "n_ports": int, "dst_port": _PORT,
-                           "proto": frozenset(PROTOCOLS), "domain": str,
-                           "packets_per_flow": int, "beacon_gap": _NUMBER}
-
-
-def _known(doc: dict, *fields: dict) -> dict:
-    """The entries of ``doc`` that one of ``fields`` names."""
-    return {n: doc[n] for names in fields for n in names if n in doc}
+# the (required, optional) target fields that each kind of attack reads
+_TARGET_FIELDS = {
+    sim.PORT_SCAN: ({}, {"ip": str, "n_ports": int}),
+    sim.TELNET_BRUTE: ({}, {"ip": str}),
+    sim.FLOOD: ({"ip": str, "dst_port": _PORT},
+                {"proto": frozenset(PROTOCOLS), "domain": str,
+                 "packets_per_flow": int}),
+    sim.HTTP_MASQ_CNC: ({"ip": str, "domain": str},
+                        {"packets_per_flow": int, "beacon_gap": _NUMBER}),
+}
 
 
 def _attack_spec(text: str) -> sim.AttackSpec:
     """The attack that an ``--attack`` JSON value describes; a bad value
     raises a ValueError."""
     obj = check(json.loads(text), _ATTACK_FIELDS, "spec",
-                _OPTIONAL_ATTACK_FIELDS)
-    check(obj.get("target", {}), _TARGET_FIELDS.get(obj["kind"], {}),
-          "target", _OPTIONAL_TARGET_FIELDS)
-    return sim.AttackSpec(**_known(obj, _ATTACK_FIELDS,
-                                   _OPTIONAL_ATTACK_FIELDS))
+                _OPTIONAL_ATTACK_FIELDS, closed=True)
+    fields, optional = _TARGET_FIELDS[obj["kind"]]
+    check(obj.get("target", {}), fields, "target", optional, closed=True)
+    return sim.AttackSpec(**obj)
 
 
 _ACTIVITY_FIELDS = {"name": str, "remote_ip": str, "dst_port": int,
@@ -115,19 +112,20 @@ _OPTIONAL_ACTIVITY_FIELDS = {"packets_per_burst": int, "jitter": _NUMBER,
 
 def _device_spec_from_file(path: str) -> sim.DeviceSpec:
     doc = check(read_json(path), {"device_ip": str, "activities": list},
-                path)
+                path, closed=True)
     activities = []
     for i, a in enumerate(doc["activities"]):
         what = f"{path} activity {i}"
-        check(a, _ACTIVITY_FIELDS, what, _OPTIONAL_ACTIVITY_FIELDS)
+        check(a, _ACTIVITY_FIELDS, what, _OPTIONAL_ACTIVITY_FIELDS,
+              closed=True)
         for name, kind in (("sizes", int), ("size_probs", _NUMBER)):
             if any(isinstance(v, bool) or not isinstance(v, kind)
                    for v in a[name]):
                 raise SchemaError(f"{what}: {name} holds a value of the "
                                   f"wrong type")
         activities.append(sim.ActivitySpec(**{
-            **_known(a, _ACTIVITY_FIELDS, _OPTIONAL_ACTIVITY_FIELDS),
-            "sizes": tuple(a["sizes"]), "size_probs": tuple(a["size_probs"])}))
+            **a, "sizes": tuple(a["sizes"]),
+            "size_probs": tuple(a["size_probs"])}))
     return sim.DeviceSpec(doc["device_ip"], tuple(activities))
 
 
@@ -174,7 +172,7 @@ def cmd_profile(args) -> int:
     prefixes = _local_prefixes(args.local_prefix)
     if not 0.0 <= args.h_s <= 1.0:
         raise UsageError(f"--h-s: h_s must be in [0,1], got {args.h_s}")
-    packets = list(read_packets_jsonl(args.trace, args.strict))
+    packets = list(read_packets_jsonl(args.trace))
     device_ip = args.device_ip or _infer_device_ip(packets)
     tree = ct.ClusterTree(device_ip, prefixes)
     for pkt in packets:
@@ -197,7 +195,7 @@ def cmd_train(args) -> int:
     if not 0.0 < args.quantile < 1.0:
         raise UsageError(f"--quantile: quantile must be in (0,1), got "
                          f"{args.quantile}")
-    packets = list(read_packets_jsonl(args.trace, args.strict))
+    packets = list(read_packets_jsonl(args.trace))
     profile = ct.load_profile(args.profile)
     _, table = flows_of_trace(packets, profile.device_ip,
                               profile.local_prefixes)
@@ -210,7 +208,7 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
-    packets = list(read_packets_jsonl(args.trace, args.strict))
+    packets = list(read_packets_jsonl(args.trace))
     keys, table = flows_of_trace(packets, ensemble.profile.device_ip,
                                  ensemble.profile.local_prefixes)
     verdicts = ens.detect_flows(ensemble, keys, table)
@@ -229,7 +227,7 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     prefixes = _local_prefixes(args.local_prefix)
-    packets = list(read_packets_jsonl(args.trace, args.strict))
+    packets = list(read_packets_jsonl(args.trace))
     if any(p.label is None for p in packets):
         raise UsageError("eval requires a fully labeled trace")
     lines = ens.read_verdicts_jsonl(args.verdicts)
@@ -286,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, keying=False):
-        """The trace, output and parse options; with ``keying``, also the
-        local prefixes that flows are keyed by.  profile also takes the
-        device IP, eval takes it from the verdicts, and train and detect
-        take both from the profile or ensemble."""
+        """The trace and output options; with ``keying``, also the local
+        prefixes that flows are keyed by.  profile also takes the device
+        IP, eval takes it from the verdicts, and train and detect take
+        both from the profile or ensemble."""
         p.add_argument("trace", help="packet trace (JSON-lines)")
         p.add_argument("-o", "--out", required=True)
-        p.add_argument("--strict", action="store_true",
-                       help="reject unknown packet fields")
         if keying:
             p.add_argument("--local-prefix", action="append", metavar="CIDR")
 
@@ -349,7 +345,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonMonotonicTimestamp as exc:
+    except PacketError as exc:
         # every stage that keys flows inserts its whole trace, in order
         print(f"error: {_where(args.trace, exc.index)}: {exc}",
               file=sys.stderr)

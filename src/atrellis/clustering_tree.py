@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
-from .traffic_model import (BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS, REMOTE_IP,
-                            SYSTEM, FlowKey, Remote, classify_port,
+from .traffic_model import (_PORT, BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS,
+                            REMOTE_IP, SYSTEM, FlowKey, Remote, classify_port,
                             parse_prefixes, read_json)
 # bench/stage.py wraps ClusterTree.insert by name and its tests count calls
 from .traffic_model import FlowTable as ClusterTree
@@ -268,7 +268,6 @@ def build_profile(tree: ClusterTree, h_s: float) -> ActivityProfile:
 
 # --- serialization --------------------------------------------------------
 
-_PORT = range(65536)
 _REMOTE_KINDS = frozenset({DOMAIN, REMOTE_IP, LOCAL_IP, BC_MC})
 _FLOW_KEY_FIELDS = {
     "device_ip": str, "remote": {"kind": _REMOTE_KINDS, "value": str},

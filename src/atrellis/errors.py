@@ -9,45 +9,56 @@ class AtrellisError(ValueError):
 
 # --- packet / flow domain ---
 
-class MalformedAddress(AtrellisError):
+class PacketError(AtrellisError):
+    """A packet that flow keying refuses; a FlowTable sets ``index`` to
+    its position among the packets inserted into the table."""
+
+    index = -1
+
+
+class MalformedAddress(PacketError):
     """An address string did not parse as IPv4."""
 
 
-class ForeignPacket(AtrellisError):
+class ForeignPacket(PacketError):
     """Neither endpoint of the packet is the monitored device."""
 
 
-class NonMonotonicTimestamp(AtrellisError):
-    """A packet is earlier than the last packet of its flow; ``index`` is
-    its position among the packets inserted into the flow table."""
-
-    def __init__(self, message: str, index: int = -1):
-        super().__init__(message)
-        self.index = index
+class NonMonotonicTimestamp(PacketError):
+    """A packet is earlier than the last packet of its flow."""
 
 
 class SchemaError(AtrellisError):
     """A serialized artifact violates its schema (unknown field, bad version)."""
 
 
-def check(doc, fields: dict, what: str, optional: Optional[dict] = None
-          ) -> dict:
+def check(doc, fields: dict, what: str, optional: Optional[dict] = None,
+          closed: bool = False) -> dict:
     """``doc``, checked to be an object holding each of ``fields``: a dict
     of nested fields, a frozenset of strings, a range of ints, or a type or
     tuple of types (a bool counts only as a bool, never as a number).  Each
     of ``optional`` that ``doc`` holds is then checked the same way.  A
-    miss is a one-line SchemaError."""
+    ``closed`` object, nested ones included, holds no other field: input
+    from outside the program is closed (trace lines, ``--spec`` files and
+    their activities, ``--attack`` values and their targets), while
+    verdicts and the artifacts that carry a ``schema_version`` stay open
+    to the optional fields a minor version may add.  A miss is a one-line
+    SchemaError."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{what}: not a JSON object")
     specs = fields.items()
     if optional:
         specs = [*specs, *((n, s) for n, s in optional.items() if n in doc)]
+    if closed:
+        for name in doc:
+            if name not in fields and name not in (optional or ()):
+                raise SchemaError(f"{what}: unknown field {name!r:.30}")
     for name, spec in specs:
         if name not in doc:
             raise SchemaError(f"{what}: missing field {name}")
         value = doc[name]
         if isinstance(spec, dict):
-            check(value, spec, f"{what} {name}")
+            check(value, spec, f"{what} {name}", closed=closed)
         elif isinstance(spec, frozenset):
             if not isinstance(value, str) or value not in spec:
                 raise SchemaError(f"{what}: unknown {name} {value!r:.20}")

@@ -14,6 +14,7 @@ hub.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -31,6 +32,9 @@ TELNET_BRUTE = "TelnetBrute"
 FLOOD = "Flood"
 HTTP_MASQ_CNC = "HttpMasqCnc"
 ATTACK_KINDS = (PORT_SCAN, TELNET_BRUTE, FLOOD, HTTP_MASQ_CNC)
+
+# float arithmetic on an int above this raises OverflowError
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -51,13 +55,14 @@ class ActivitySpec:
     _size_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise BadSpec(f"activity {self.name}: period must be > 0")
+        if not (0 < self.period <= _FLOAT_MAX or self.period == math.inf):
+            raise BadSpec(f"activity {self.name}: period must be > 0 and "
+                          f"fit a float, got {self.period!r:.20}")
         if len(self.sizes) != len(self.size_probs):
             raise BadSpec(f"activity {self.name}: sizes/probs mismatch")
-        if not all(p >= 0 for p in self.size_probs):
+        if not all(0 <= p <= 1 for p in self.size_probs):
             raise BadSpec(f"activity {self.name}: probabilities must be "
-                          f">= 0, got {self.size_probs}")
+                          f">= 0 and <= 1, got {self.size_probs!r:.60}")
         if abs(sum(self.size_probs) - 1.0) > 1e-9:
             raise BadSpec(f"activity {self.name}: probabilities must sum to 1")
         for size in self.sizes:
@@ -67,9 +72,9 @@ class ActivitySpec:
         if self.packets_per_burst < 1:
             raise BadSpec(f"activity {self.name}: need >= 1 packet per burst")
         for name in ("jitter", "intra_gap"):
-            if not 0 <= getattr(self, name) < math.inf:
+            if not 0 <= getattr(self, name) <= _FLOAT_MAX:
                 raise BadSpec(f"activity {self.name}: {name} must be finite "
-                              f"and >= 0, got {getattr(self, name)}")
+                              f"and >= 0, got {getattr(self, name)!r:.20}")
         if not 0 <= self.dst_port <= 65535:
             raise BadSpec(f"activity {self.name}: dst_port {self.dst_port} "
                           f"is not in 0-65535")
@@ -103,9 +108,10 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise BadSpec(f"unknown attack kind {self.kind!r}")
-        if not (0 <= self.start < math.inf and 0 < self.rate < math.inf
-                and 0 <= self.duration < math.inf):
-            raise BadSpec("attack start/rate/duration out of range")
+        if not (0 <= self.start <= _FLOAT_MAX and 0 < self.rate <= _FLOAT_MAX
+                and 0 <= self.duration <= _FLOAT_MAX):
+            raise BadSpec(f"attack {self.kind}: start/rate/duration out of "
+                          f"range")
 
 
 # source-port blocks: one per activity so every burst is a distinct flow
@@ -174,9 +180,12 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                     seed: int) -> List[PacketRecord]:
     rng = np.random.default_rng([seed, 1000 + ATTACK_KINDS.index(atk.kind)])
     label = f"attack:{atk.kind}"
-    n_flows = int(atk.rate * atk.duration)
-    if atk.kind == PORT_SCAN:
-        n_flows = int(atk.target.get("n_ports", n_flows or 100))
+    if atk.kind == PORT_SCAN and "n_ports" in atk.target:
+        n_flows = int(atk.target["n_ports"])
+    else:
+        n_flows = float(atk.rate) * atk.duration
+        if n_flows < 65536:  # int() refuses an infinite product
+            n_flows = int(n_flows) or (100 if atk.kind == PORT_SCAN else 0)
     if n_flows < 1:
         raise BadSpec(f"attack {atk.kind}: it gives {n_flows} flows, so it "
                       f"would inject nothing")
@@ -209,7 +218,7 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
                            size_probs=(0.6, 0.4),
                            packets_per_burst=int(atk.target.get(
                                "packets_per_flow", 12)),
-                           intra_gap=float(atk.target.get("beacon_gap", 2.0)),
+                           intra_gap=atk.target.get("beacon_gap", 2.0),
                            domain=atk.target["domain"])
     packets: List[PacketRecord] = []
     for i in range(n_flows):

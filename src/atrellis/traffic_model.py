@@ -11,16 +11,13 @@ from __future__ import annotations
 import functools
 import ipaddress
 import json
-import logging
 import math
 import re
 from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence)
 
 from .errors import (ForeignPacket, MalformedAddress, NonMonotonicTimestamp,
-                     SchemaError)
-
-log = logging.getLogger("atrellis")
+                     PacketError, SchemaError, check)
 
 TCP = "TCP"
 UDP = "UDP"
@@ -40,12 +37,6 @@ DOMAIN = "domain"
 REMOTE_IP = "remote_ip"
 LOCAL_IP = "local_ip"
 BC_MC = "bc_mc"
-
-PACKET_FIELDS = frozenset(
-    {"ts", "src_ip", "dst_ip", "src_port", "dst_port", "proto", "length",
-     "dns_name", "label"}
-)
-_REQUIRED_FIELDS = PACKET_FIELDS - {"dns_name", "label"}
 
 
 @functools.lru_cache(maxsize=4096)
@@ -221,21 +212,26 @@ class FlowTable:
 
     def insert(self, pkt: PacketRecord) -> FlowKey:
         """Append ``pkt`` to its flow and return the flow's key.  A packet
-        earlier than the last packet of its flow raises
-        NonMonotonicTimestamp with the number of packets inserted before
-        it."""
+        that cannot be keyed (MalformedAddress, ForeignPacket) or that is
+        earlier than the last packet of its flow (NonMonotonicTimestamp)
+        raises a PacketError whose ``index`` is the number of packets
+        inserted before it."""
         raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
                pkt.dns_name)
-        entry = self._by_raw.get(raw)
-        if entry is None:
-            key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
-            entry = self._by_raw[raw] = (key, self.flows.setdefault(key, []))
-        key, flow = entry
-        if flow and pkt.ts < flow[-1].ts:
-            raise NonMonotonicTimestamp(
-                f"flow {key}: packet at ts {pkt.ts} is earlier than the "
-                f"flow's last packet at ts {flow[-1].ts}",
-                sum(map(len, self.flows.values())))
+        try:
+            entry = self._by_raw.get(raw)
+            if entry is None:
+                key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
+                entry = self._by_raw[raw] = (key,
+                                             self.flows.setdefault(key, []))
+            key, flow = entry
+            if flow and pkt.ts < flow[-1].ts:
+                raise NonMonotonicTimestamp(
+                    f"flow {key}: packet at ts {pkt.ts} is earlier than the "
+                    f"flow's last packet at ts {flow[-1].ts}")
+        except PacketError as exc:
+            exc.index = sum(map(len, self.flows.values()))
+            raise
         flow.append(pkt)
         return key
 
@@ -257,38 +253,26 @@ def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
 
 # --- JSON-lines packet format -------------------------------------------
 
-_NUMERIC_FIELDS = (("ts", float), ("src_port", int), ("dst_port", int),
-                   ("length", int))
+_PORT = range(65536)
+_PACKET_FIELDS = {"ts": (int, float), "src_ip": str, "dst_ip": str,
+                  "src_port": _PORT, "dst_port": _PORT,
+                  "proto": frozenset(PROTOCOLS), "length": int}
+_OPTIONAL_PACKET_FIELDS = dict.fromkeys(("dns_name", "label"),
+                                        (str, type(None)))
 
 
-def packet_from_dict(obj: dict, strict: bool = False) -> PacketRecord:
-    """Build a packet from its JSON object; a bad field raises SchemaError."""
-    unknown = set(obj) - PACKET_FIELDS
-    if unknown:
-        if strict:
-            raise SchemaError(f"unknown packet fields: {sorted(unknown)}")
-        log.warning("ignoring unknown packet fields: %s", sorted(unknown))
-    missing = _REQUIRED_FIELDS - set(obj)
-    if missing:
-        raise SchemaError(f"missing packet fields: {sorted(missing)}")
-    dns_name = obj.get("dns_name")
-    label = obj.get("label")
-    if not (dns_name is None or isinstance(dns_name, str)) \
-            or not (label is None or isinstance(label, str)):
-        raise SchemaError(f"packet fields dns_name and label must be "
-                          f"strings, got {dns_name!r} and {label!r}")
+def packet_from_dict(obj: dict) -> PacketRecord:
+    """Build a packet from its JSON object, which holds no other field; a
+    missing, unknown or ill-typed field raises SchemaError."""
+    check(obj, _PACKET_FIELDS, "packet", _OPTIONAL_PACKET_FIELDS, closed=True)
     try:
-        return PacketRecord(float(obj["ts"]), str(obj["src_ip"]),
-                            str(obj["dst_ip"]), int(obj["src_port"]),
-                            int(obj["dst_port"]), str(obj["proto"]),
-                            int(obj["length"]), dns_name, label)
-    except (TypeError, ValueError, OverflowError) as exc:
-        for name, convert in _NUMERIC_FIELDS:
-            try:
-                convert(obj[name])
-            except (TypeError, ValueError, OverflowError) as bad:
-                raise SchemaError(f"packet field {name!r}: {bad}") from None
-        raise SchemaError(str(exc)) from None
+        ts = float(obj["ts"])
+    except OverflowError:
+        raise SchemaError(f"packet: ts {obj['ts']!r:.20} is too large "
+                          f"for a float") from None
+    return PacketRecord(ts, obj["src_ip"], obj["dst_ip"], obj["src_port"],
+                        obj["dst_port"], obj["proto"], obj["length"],
+                        obj.get("dns_name"), obj.get("label"))
 
 
 _json_str = json.encoder.encode_basestring_ascii
@@ -465,11 +449,10 @@ def line_of_object(path, index: int) -> Optional[int]:
     return None
 
 
-def read_packets_jsonl(path, strict: bool = False) -> Iterator[PacketRecord]:
+def read_packets_jsonl(path) -> Iterator[PacketRecord]:
     """Yield the packets of a JSON-lines trace.  A line in the form that
     write_packets_jsonl writes is read without the JSON parse, and the
     packets of one read share their equal strings.  A line that
     is not one valid packet object raises SchemaError("PATH:LINE:
     reason")."""
-    yield from read_jsonl(path, lambda obj: packet_from_dict(obj, strict),
-                          _packet_reader())
+    yield from read_jsonl(path, packet_from_dict, _packet_reader())

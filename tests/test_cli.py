@@ -81,8 +81,16 @@ class TestSimulate:
         ({"kind": "PortScan", "rate": "x"},
          "spec: field rate has the wrong type str"),
         ({"kind": "PortScan", "rate": float("nan")},
-         "attack start/rate/duration out of range"),
-    ], ids=["target-str", "target-no-ip", "rate-str", "rate-nan"])
+         "attack PortScan: start/rate/duration out of range"),
+        ({"kind": "TelnetBrute", "start": 10 ** 400},
+         "attack TelnetBrute: start/rate/duration out of range"),
+        ({"kind": "TelnetBrute", "durattion": 5},
+         "spec: unknown field 'durattion'"),
+        ({"kind": "Flood", "target": {"ip": "203.0.113.5", "dst_port": 443,
+                                      "n_ports": 3}},
+         "target: unknown field 'n_ports'"),
+    ], ids=["target-str", "target-no-ip", "rate-str", "rate-nan",
+            "start-401-digits", "unknown-field", "unknown-target-field"])
     def test_bad_attack_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                 spec, names):
         out = tmp_path / "t.jsonl"
@@ -90,6 +98,26 @@ class TestSimulate:
                    "--attack", json.dumps(spec), "-o", str(out)])
         assert rc == 2
         assert_one_error_line(capsys, f"error: --attack: {names}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec, reason", [
+        ({"kind": "TelnetBrute", "rate": 1e300, "duration": 1e300},
+         "attack TelnetBrute: its inf flows would use source ports up to "
+         "inf"),
+        ({"kind": "HttpMasqCnc", "target": {
+            "ip": "203.0.113.5", "domain": "a.example",
+            "beacon_gap": 10 ** 400}},
+         "activity http-masq-cnc: intra_gap must be finite and >= 0"),
+    ], ids=["rate-times-duration-inf", "beacon-gap-401-digits"])
+    def test_number_too_large_for_the_simulator_exits_1(
+            self, tmp_path, capsys, spec, reason):
+        """Numbers are checked before float or int arithmetic meets them,
+        so an infinite product or a 401-digit integer is one error line."""
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--fixture", "hub", "--duration", "60",
+                   "--attack", json.dumps(spec), "-o", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {reason}")
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, n_flows", [
@@ -108,17 +136,6 @@ class TestSimulate:
                               f" {n_flows} flows")
         assert not out.exists()
         assert not (tmp_path / "t.jsonl.manifest.json").exists()
-
-    def test_unknown_attack_and_activity_fields_are_ignored(self, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"device_ip": "10.0.0.5", "activities": [
-            dict(TestSpecFile.ACTIVITY, note="not read")]}))
-        atk = {"kind": "PortScan", "note": "not read"}
-        out = tmp_path / "t.jsonl"
-        assert main(["simulate", "--spec", str(spec), "--duration", "120",
-                     "--attack", json.dumps(atk), "-o", str(out)]) == 0
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        assert manifest["label_counts"]["attack:PortScan"] == 60
 
 
 class TestProfile:
@@ -462,8 +479,12 @@ class TestSpecFile:
         ("jitter", -1.0, "jitter must be finite and >= 0"),
         ("intra_gap", -5.0, "intra_gap must be finite and >= 0"),
         ("period", math.nan, "period must be > 0"),
+        ("period", 10 ** 400, "period must be > 0"),
+        ("intra_gap", 10 ** 400, "intra_gap must be finite and >= 0"),
+        ("size_probs", [10 ** 400, 0.5], "probabilities must be >= 0"),
     ], ids=["negative-prob", "nan-prob", "size-0", "size-70000",
-            "negative-jitter", "negative-gap", "nan-period"])
+            "negative-jitter", "negative-gap", "nan-period",
+            "period-401-digits", "gap-401-digits", "prob-401-digits"])
     def test_activity_the_simulator_cannot_draw_exits_1(
             self, tmp_path, capsys, field, value, reason):
         activity = dict(self.ACTIVITY, sizes=[100, 200],
@@ -488,6 +509,30 @@ class TestSpecFile:
             capsys, "error: no burst starts within the duration of 60.0 s; "
             f"the shortest period is {shortest} s")
         assert not (tmp_path / "t.jsonl").exists()
+
+    @pytest.mark.parametrize("doc, atk, rc, reason", [
+        ({"device_ip": "10.0.0.5", "activities": [
+            dict(ACTIVITY, note="not read")]},
+         {"kind": "PortScan"}, 1, "activity 0: unknown field 'note'"),
+        ({"device_ip": "10.0.0.5", "note": "not read",
+          "activities": [ACTIVITY]},
+         {"kind": "PortScan"}, 1, "spec.json: unknown field 'note'"),
+        ({"device_ip": "10.0.0.5", "activities": [ACTIVITY]},
+         {"kind": "PortScan", "note": "not read"}, 2,
+         "--attack: spec: unknown field 'note'"),
+        ({"device_ip": "10.0.0.5", "activities": [ACTIVITY]},
+         {"kind": "PortScan", "target": {"n_port": 5}}, 2,
+         "--attack: target: unknown field 'n_port'"),
+    ], ids=["activity", "spec", "attack", "target"])
+    def test_unknown_attack_and_spec_fields_exit_naming_the_field(
+            self, tmp_path, capsys, doc, atk, rc, reason):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "t.jsonl"
+        assert main(["simulate", "--spec", str(spec), "--duration", "120",
+                     "--attack", json.dumps(atk), "-o", str(out)]) == rc
+        assert_one_error_line(capsys, "error: ", reason)
+        assert not out.exists()
 
     def test_spec_that_is_not_json_exits_1_naming_the_spec(self, tmp_path,
                                                            capsys):
@@ -653,12 +698,11 @@ def test_every_declared_option_is_read():
 SETTABLE = [
     "simulate.fixture", "simulate.spec", "simulate.duration", "simulate.seed",
     "simulate.attack", "simulate.out",
-    "profile.out", "profile.strict", "profile.local_prefix",
-    "profile.device_ip", "profile.h_s",
-    "train.out", "train.strict", "train.r", "train.quantile", "train.seed",
-    "train.epochs",
-    "detect.out", "detect.strict", "detect.dump_features",
-    "eval.out", "eval.strict", "eval.local_prefix",
+    "profile.out", "profile.local_prefix", "profile.device_ip",
+    "profile.h_s",
+    "train.out", "train.r", "train.quantile", "train.seed", "train.epochs",
+    "detect.out", "detect.dump_features",
+    "eval.out", "eval.local_prefix",
     "AEArchitecture.r",
 ]
 
@@ -673,7 +717,7 @@ def test_settable_values_are_pinned():
     found += [f"AEArchitecture.{field.name}"
               for field in dataclasses.fields(AEArchitecture)]
     assert sorted(found) == sorted(SETTABLE)
-    assert len(SETTABLE) == 24
+    assert len(SETTABLE) == 20
 
 
 def edited(doc, path, value=None):
@@ -753,11 +797,22 @@ class TestMalformedTrace:
         (GOOD[:40], "Unterminated string"),
         ("[1, 2]", "not a JSON object"),
         (GOOD + " {}", "data after the JSON object"),
-        (GOOD.replace("40000", "70000"), "port out of range: 70000"),
-        (GOOD.replace("1.0", '"noon"'), "'ts'"),
-        (GOOD.replace(', "proto": "TCP"', ""), "missing packet fields"),
+        (GOOD.replace("40000", "70000"),
+         "packet: src_port 70000 is not an integer in 0-65535"),
+        (GOOD.replace("1.0", '"noon"'), "packet: field ts has the wrong type"),
+        (GOOD.replace(', "proto": "TCP"', ""), "packet: missing field proto"),
+        (GOOD.replace("}", ', "bogus": 1}'), "packet: unknown field 'bogus'"),
+        (GOOD.replace("60", "99.9"),
+         "packet: field length has the wrong type float"),
+        (GOOD.replace("40000", "true"),
+         "packet: src_port True is not an integer in 0-65535"),
+        (GOOD.replace("443", '"443"'),
+         "packet: dst_port '443' is not an integer in 0-65535"),
+        (GOOD.replace('"192.168.1.10"', "5"),
+         "packet: field src_ip has the wrong type int"),
     ], ids=["truncated", "not-object", "trailing-data", "port-70000",
-            "non-numeric-ts", "missing-field"])
+            "non-numeric-ts", "missing-field", "unknown-field", "float-length",
+            "bool-port", "string-port", "int-address"])
     def test_bad_line_exits_1_naming_path_and_line(self, tmp_path, capsys,
                                                    line, reason):
         trace = str(tmp_path / "t.jsonl")
@@ -766,6 +821,22 @@ class TestMalformedTrace:
         rc = main(["profile", trace, "-o", str(tmp_path / "p.json")])
         assert rc == 1
         assert_one_error_line(capsys, f"{trace}:3: ", reason)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda line: line.replace("203.0.113.5", "203.0.113.999"),
+         "not an IPv4 address: '203.0.113.999'"),
+        (lambda line: line.replace("192.168.1.10", "192.168.1.77"),
+         "device 192.168.1.10 is neither endpoint of 192.168.1.77->"),
+    ], ids=["malformed-address", "foreign-packet"])
+    def test_packet_that_cannot_be_keyed_names_path_and_line(
+            self, tmp_path, capsys, edit, reason):
+        trace = str(tmp_path / "t.jsonl")
+        with open(trace, "w") as fh:
+            fh.write(f"{self.GOOD}\n\n{edit(self.GOOD)}\n{self.GOOD}\n")
+        rc = main(["profile", trace, "--device-ip", "192.168.1.10",
+                   "-o", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {trace}:3: {reason}")
 
     def test_bytes_that_are_not_utf8_name_path_and_line(self, tmp_path,
                                                        capsys):

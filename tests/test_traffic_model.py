@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from atrellis import synth_traffic as sim
 from atrellis.errors import ForeignPacket, MalformedAddress, SchemaError
 from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
-                                    OUT, PACKET_FIELDS, PROTOCOLS,
+                                    OUT, PROTOCOLS,
                                     REGISTERED, REMOTE_IP, SYSTEM, FlowKey,
                                     PacketRecord, PortClass, Remote,
                                     classify_address, classify_port,
@@ -207,6 +207,7 @@ class ReferencePacketRecord:
 
 RECORD_FIELDS = ("ts", "src_ip", "dst_ip", "src_port", "dst_port", "proto",
                  "length", "dns_name", "label")
+PACKET_FIELDS = frozenset(RECORD_FIELDS)
 ports = st.sampled_from([-1, 0, 1023, 65535, 65536]) | st.integers(-9, 70000)
 record_values = {
     "ts": st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0,
@@ -292,6 +293,15 @@ class TestPacketRecordOracle:
         assert back == p and type(back) is PacketRecord
 
 
+# a value of each JSON type, and the types that each packet field takes
+JSON_VALUES = {"bool": True, "int": 5, "float": 5.5, "str": "5",
+               "null": None, "list": [5], "object": {"5": 5}}
+FIELD_TYPES = {"ts": {"int", "float"}, "src_ip": {"str"}, "dst_ip": {"str"},
+               "src_port": {"int"}, "dst_port": {"int"}, "proto": {"str"},
+               "length": {"int"}, "dns_name": {"str", "null"},
+               "label": {"str", "null"}}
+
+
 class TestJsonLines:
     def test_round_trip(self, tmp_path):
         packets = [pkt(), pkt(ts=2.0, dns_name="dns.google", label="benign")]
@@ -315,16 +325,11 @@ class TestJsonLines:
         assert [line_of_object(path, i) for i in range(4)] == [1, 4, 5, None]
         assert line_of_object(tmp_path / "gone.jsonl", 0) is None
 
-    def test_strict_rejects_unknown_field(self):
+    def test_unknown_field_is_rejected(self):
         obj = packet_to_dict(pkt())
         obj["bogus"] = 1
-        with pytest.raises(SchemaError):
-            packet_from_dict(obj, strict=True)
-
-    def test_lenient_ignores_unknown_field(self):
-        obj = packet_to_dict(pkt())
-        obj["bogus"] = 1
-        assert packet_from_dict(obj, strict=False) == pkt()
+        with pytest.raises(SchemaError, match="unknown field 'bogus'"):
+            packet_from_dict(obj)
 
     def test_missing_field(self):
         obj = packet_to_dict(pkt())
@@ -334,11 +339,25 @@ class TestJsonLines:
 
     @pytest.mark.parametrize("field, value", [
         ("dns_name", 5), ("label", ["benign"]), ("ts", "soon"),
-        ("src_port", None), ("length", 1e400),
+        ("src_port", None), ("length", 1e400), ("length", 99.9),
+        ("src_port", 70000), ("ts", "12.5"), ("proto", "tcp"),
+        ("ts", 10 ** 400),
     ])
     def test_bad_field_value_names_the_field(self, field, value):
         obj = dict(packet_to_dict(pkt()), **{field: value})
         with pytest.raises(SchemaError, match=field):
+            packet_from_dict(obj)
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}-{json_type}")
+        for field, types in FIELD_TYPES.items()
+        for json_type, value in JSON_VALUES.items() if json_type not in types
+    ])
+    def test_value_of_another_json_type_is_refused(self, field, value):
+        """No field coerces: a bool is not a number, "5" is not 5 and 5.5
+        is not an integer."""
+        obj = dict(packet_to_dict(pkt()), **{field: value})
+        with pytest.raises(SchemaError, match=f"^packet: .*{field}"):
             packet_from_dict(obj)
 
 
@@ -411,28 +430,37 @@ class TestFlowsOfTrace:
 
 # --- reader fuzz ----------------------------------------------------------
 
-def reference_reader_fields(line, strict):
+def reference_reader_fields(line):
     """The reader that used json.loads, kept as an oracle: the field
-    values it made of one stripped line, or None where it raised."""
+    values it made of one stripped line, or None where it raised.  A
+    packet object holds the fields of PACKET_FIELDS and no other, each of
+    its exact JSON type: ts a number, ports and length integers (a bool is
+    none of these), addresses strings, dns_name and label strings or
+    null."""
     try:
         obj = json.loads(line)
-        unknown = set(obj) - PACKET_FIELDS
-        if unknown and strict:
+        if set(obj) - PACKET_FIELDS \
+                or PACKET_FIELDS - {"dns_name", "label"} - set(obj):
             return None
-        if PACKET_FIELDS - {"dns_name", "label"} - set(obj):
+        ts, length, proto = obj["ts"], obj["length"], obj["proto"]
+        ips = obj["src_ip"], obj["dst_ip"]
+        ports = obj["src_port"], obj["dst_port"]
+        dns_name, label = obj.get("dns_name"), obj.get("label")
+        if type(ts) not in (int, float) or type(length) is not int \
+                or not all(type(p) is int for p in ports) \
+                or not all(type(v) is str for v in ips) \
+                or not all(v is None or type(v) is str
+                           for v in (dns_name, label)):
             return None
-        ts, length = float(obj["ts"]), int(obj["length"])
-        ports = int(obj["src_port"]), int(obj["dst_port"])
-        proto = str(obj["proto"])
-        dns_name = obj.get("dns_name")
-        if ts < 0 or not 1 <= length <= 65535 or proto not in PROTOCOLS \
+        ts = float(ts)
+        if not 0 <= ts < math.inf or not 1 <= length <= 65535 \
+                or proto not in PROTOCOLS \
                 or not all(0 <= p <= 65535 for p in ports):
             return None
         if dns_name is not None:
             dns_name = dns_name.lower().rstrip(".")
-        return record_fields((ts, str(obj["src_ip"]), str(obj["dst_ip"]),
-                              *ports, proto, length, dns_name,
-                              obj.get("label")))
+        return record_fields((ts, *ips, *ports, proto, length, dns_name,
+                              label))
     except Exception:
         return None
 
@@ -511,35 +539,36 @@ def fuzz_path(tmp_path_factory):
 
 class TestReaderFuzz:
     @settings(max_examples=300, deadline=None)
-    @given(line=mutated_lines(TEXT_MUTATIONS), strict=st.booleans())
+    @given(line=mutated_lines(TEXT_MUTATIONS))
     def test_mutated_line_parses_as_before_or_names_path_and_line(
-            self, fuzz_path, line, strict):
-        self.check(fuzz_path, line, strict)
+            self, fuzz_path, line):
+        self.check(fuzz_path, line)
 
     @settings(max_examples=300, deadline=None)
-    @given(line=mutated_lines(FIELD_MUTATIONS), strict=st.booleans())
+    @given(line=mutated_lines(FIELD_MUTATIONS))
     def test_field_of_any_type_parses_as_before_or_names_path_and_line(
-            self, fuzz_path, line, strict):
-        self.check(fuzz_path, line, strict)
+            self, fuzz_path, line):
+        self.check(fuzz_path, line)
 
     @staticmethod
-    def check(fuzz_path, line, strict):
+    def check(fuzz_path, line):
         """For a file whose second line is ``line``, the reader gives the
         reference reader's records, or stops at line 2 with a one-line
         SchemaError that names the file and the line."""
         good = json.dumps(packet_to_dict(pkt()))
         with open(fuzz_path, "w") as fh:
             fh.write(f"{good}\n{line}\n{good}\n")
-        expected = [reference_reader_fields(text.strip(), strict)
+        expected = [reference_reader_fields(text.strip())
                      for text in (good, line, good) if text.strip()]
         got = []
         try:
-            for p in read_packets_jsonl(fuzz_path, strict=strict):
+            for p in read_packets_jsonl(fuzz_path):
                 got.append(record_fields(p))
         except SchemaError as exc:
             assert str(exc).startswith(f"{fuzz_path}:2: ")
             assert "\n" not in str(exc)
             assert got == expected[:len(got)] and len(got) == 1
+            assert expected[1] is None
         else:
             assert got == expected
 
@@ -558,11 +587,10 @@ def read_outcome(packets):
     return got, None
 
 
-def json_path_outcome(path, strict):
+def json_path_outcome(path):
     """read_outcome of the JSON parse alone: the reader before it matched
     the writer's lines, kept as the oracle of the fast path."""
-    return read_outcome(read_jsonl(
-        path, lambda obj: packet_from_dict(obj, strict)))
+    return read_outcome(read_jsonl(path, packet_from_dict))
 
 
 def packet_text(ts="1.5", src_ip='"192.168.1.10"', src_port="50001",
@@ -647,27 +675,25 @@ class TestReaderFastPath:
     parses JSON.  What it reads must not depend on which path a line
     takes."""
 
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("line", EDGE_LINES)
-    def test_edge_line_reads_as_the_json_path(self, tmp_path, line, strict):
+    def test_edge_line_reads_as_the_json_path(self, tmp_path, line):
         path = tmp_path / "trace.jsonl"
         path.write_text(f"{packet_text()}\n{line}\n{packet_text()}\n",
                         encoding="utf-8")
-        assert read_outcome(read_packets_jsonl(path, strict)) == \
-            json_path_outcome(path, strict)
+        assert read_outcome(read_packets_jsonl(path)) == \
+            json_path_outcome(path)
 
     @settings(max_examples=300, deadline=None)
     @given(packets=st.lists(st.deferred(lambda: written_packets),
-                            max_size=4), strict=st.booleans())
+                            max_size=4))
     def test_written_trace_reads_as_the_json_path(self, tmp_path_factory,
-                                                  packets, strict):
+                                                  packets):
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
         write_packets_jsonl(path, packets)
-        got = read_outcome(read_packets_jsonl(path, strict))
-        assert got == json_path_outcome(path, strict)
+        got = read_outcome(read_packets_jsonl(path))
+        assert got == json_path_outcome(path)
         assert got == ([record_fields(p) for p in packets], None)
 
-    @pytest.mark.parametrize("strict", [False, True])
     @pytest.mark.parametrize("bad_line", [
         lambda ts: packet_text(ts=ts, src_port="70000"),
         lambda ts: packet_text(ts=ts, src_port=DIGITS_4301),
@@ -680,7 +706,7 @@ class TestReaderFastPath:
     ], ids=["port-70000", "port-4301-digits", "proto-icmp", "escaped-src-ip",
             "length-0", "length-4301-digits", "escaped-label", "ts-inf"])
     def test_repeated_refused_part_reads_as_the_json_path(
-            self, tmp_path, bad_line, strict):
+            self, tmp_path, bad_line):
         """A line whose middle or tail the reader refuses, the same part
         again, then valid lines that share the line's other part: the
         cached refusal and the cached other part change nothing."""
@@ -688,17 +714,17 @@ class TestReaderFastPath:
         lines = [packet_text(ts="1.5"), bad_line("2.5"), bad_line("3.5"),
                  packet_text(ts="4.5"), packet_text(ts="5.5")]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert read_outcome(read_packets_jsonl(path, strict)) == \
-            json_path_outcome(path, strict)
+        assert read_outcome(read_packets_jsonl(path)) == \
+            json_path_outcome(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(trace=shared_middle_traces(), strict=st.booleans())
+    @given(trace=shared_middle_traces())
     def test_mutated_line_among_a_shared_middle_reads_as_the_json_path(
-            self, tmp_path_factory, trace, strict):
+            self, tmp_path_factory, trace):
         path = tmp_path_factory.getbasetemp() / "shared.jsonl"
         path.write_text(trace, encoding="utf-8")
-        assert read_outcome(read_packets_jsonl(path, strict)) == \
-            json_path_outcome(path, strict)
+        assert read_outcome(read_packets_jsonl(path)) == \
+            json_path_outcome(path)
 
     def test_no_part_outlives_its_read(self, tmp_path):
         """Two reads of one trace give equal packets, none of whose strings
@@ -708,9 +734,9 @@ class TestReaderFastPath:
             pkt(ts=float(i), length=70 + i % 2, label="benign")
             for i in range(6)])
         first = list(read_packets_jsonl(path))
-        second = list(read_packets_jsonl(path, strict=True))
+        second = list(read_packets_jsonl(path))
         for packets in (first, second):
-            assert read_outcome(packets) == json_path_outcome(path, False)
+            assert read_outcome(packets) == json_path_outcome(path)
         first_ids = {id(v) for p in first
                      for v in (p.src_ip, p.dst_ip, p.proto, p.label)}
         assert not any(id(v) in first_ids for p in second
