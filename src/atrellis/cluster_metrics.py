@@ -7,8 +7,9 @@ Points are real-valued row vectors in a 2-D numpy array; a clustering is a
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import BadK, DegenerateDiameter, LengthMismatch, NeedTwoClusters
 
@@ -20,6 +21,25 @@ def _as_points(points) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise ValueError("points must be a non-empty 2-D array")
     return pts
+
+
+# rows of the first point set whose distances are summed together; their
+# sums then stay in the CPU cache across the dimensions
+_ROWS = 64
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The squared Euclidean distance from each row of ``a`` to each row
+    of ``b``, summed one dimension at a time as scipy's ``cdist`` does, so
+    that no (n, m, d) array is built."""
+    d2 = np.zeros((a.shape[0], b.shape[0]))
+    for start in range(0, a.shape[0], _ROWS):
+        rows, sums = a[start:start + _ROWS], d2[start:start + _ROWS]
+        for k in range(a.shape[1]):
+            diff = np.subtract.outer(rows[:, k], b[:, k])
+            diff *= diff
+            sums += diff
+    return d2
 
 
 def dunn_index(points, assignment) -> float:
@@ -38,13 +58,12 @@ def dunn_index(points, assignment) -> float:
     if ids.size < 2:
         raise NeedTwoClusters(f"need k >= 2 clusters, got {ids.size}")
 
-    dist = cdist(pts, pts)
+    d2 = _squared_distances(pts, pts)
     same = labels[:, None] == labels[None, :]
-    max_diam = float(np.max(dist[same]))
+    max_diam = math.sqrt(np.max(d2[same]))
     if max_diam == 0.0:
         raise DegenerateDiameter("every cluster has zero diameter")
-    min_between = float(np.min(dist[~same]))
-    return min_between / max_diam
+    return math.sqrt(np.min(d2[~same])) / max_diam
 
 
 def kmeans(points, k: int, seed: int = 0, max_iters: int = 100,
@@ -87,7 +106,7 @@ def _lloyd_once(pts: np.ndarray, k: int, rng, max_iters: int):
 
     assignment = np.zeros(n, dtype=int)
     for _ in range(max_iters):
-        d2 = cdist(pts, centroids, "sqeuclidean")
+        d2 = _squared_distances(pts, centroids)
         new_assignment = np.argmin(d2, axis=1)
         for cid in range(k):
             members = new_assignment == cid

@@ -11,7 +11,8 @@ channel) so the convolution correlates a packet's length with its gap at
 the same position.  Encoder: stride-2 same-padded conv (2 -> 8 channels,
 kernel 3), ReLU, dense to an 8-unit bottleneck.  Decoder mirrors it, with
 the transposed convolution realized as the exact adjoint of a stride-2
-conv, and a sigmoid output.
+conv, and a sigmoid output 1 / (1 + exp(-y)), computed with numpy's exp;
+for y below about -709, exp overflows to inf and the output is exactly 0.
 
 Every layer is one matmul of a (B, ...) batch by a dense matrix, so the
 activations stay (B, width) throughout.  The conv is a banded (2r, C * L)
@@ -41,7 +42,6 @@ from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (BadArchitecture, DivergedLoss, EmptyData, SchemaError,
                      ShapeMismatch, check)
@@ -189,6 +189,16 @@ def _fold(arch: AEArchitecture, dense_grad: np.ndarray) -> np.ndarray:
     return np.bincount(_dense_index(arch), weights=dense_grad)[:-1]
 
 
+def _sigmoid(y: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-y)), in place; where exp overflows to inf, the result
+    is exactly 0."""
+    np.negative(y, out=y)
+    with np.errstate(over="ignore"):
+        np.exp(y, out=y)
+    y += 1.0
+    return np.reciprocal(y, out=y)
+
+
 def _forward(layers: Sequence[np.ndarray], x: np.ndarray,
              want_cache: bool = False):
     """x: (B, input_len) -> reconstruction (B, input_len), through the
@@ -205,7 +215,7 @@ def _forward(layers: Sequence[np.ndarray], x: np.ndarray,
     np.maximum(g, 0.0, out=g)
     y = g @ w4
     y += b4
-    expit(y, out=y)
+    _sigmoid(y)
     if not want_cache:
         return y
     return y, (x, h1, z, g, y)

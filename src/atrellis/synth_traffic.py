@@ -35,6 +35,12 @@ ATTACK_KINDS = (PORT_SCAN, TELNET_BRUTE, FLOOD, HTTP_MASQ_CNC)
 
 # float arithmetic on an int above this raises OverflowError
 _FLOAT_MAX = sys.float_info.max
+# The longest duration, jitter, packet gap, attack start and gap between
+# attack flows, in seconds (about 31.7 years), and the most packets in one
+# burst or attack flow.  Every timestamp is then below 1e14 s, so finite,
+# and a burst draws at most 2 * MAX_PACKETS numbers.
+MAX_SECONDS = 1e9
+MAX_PACKETS = 10_000
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,15 @@ class ActivitySpec:
             if not 1 <= size <= 65535:
                 raise BadSpec(f"activity {self.name}: size {size} is not in "
                               f"1-65535")
-        if self.packets_per_burst < 1:
-            raise BadSpec(f"activity {self.name}: need >= 1 packet per burst")
+        if not 1 <= self.packets_per_burst <= MAX_PACKETS:
+            raise BadSpec(f"activity {self.name}: packets per burst must be "
+                          f"in 1-{MAX_PACKETS}, got "
+                          f"{self.packets_per_burst!r:.20}")
         for name in ("jitter", "intra_gap"):
-            if not 0 <= getattr(self, name) <= _FLOAT_MAX:
+            if not 0 <= getattr(self, name) <= MAX_SECONDS:
                 raise BadSpec(f"activity {self.name}: {name} must be finite "
-                              f"and >= 0, got {getattr(self, name)!r:.20}")
+                              f"and >= 0, at most {MAX_SECONDS:g} s, got "
+                              f"{getattr(self, name)!r:.20}")
         if not 0 <= self.dst_port <= 65535:
             raise BadSpec(f"activity {self.name}: dst_port {self.dst_port} "
                           f"is not in 0-65535")
@@ -108,10 +117,14 @@ class AttackSpec:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise BadSpec(f"unknown attack kind {self.kind!r}")
-        if not (0 <= self.start <= _FLOAT_MAX and 0 < self.rate <= _FLOAT_MAX
+        # the duration only counts flows; start and the gap between flows,
+        # 1 / rate, are added to timestamps
+        if not (0 <= self.start <= MAX_SECONDS
+                and 1 / MAX_SECONDS <= self.rate <= _FLOAT_MAX
                 and 0 <= self.duration <= _FLOAT_MAX):
             raise BadSpec(f"attack {self.kind}: start/rate/duration out of "
-                          f"range")
+                          f"range: start must be at most {MAX_SECONDS:g} s "
+                          f"and rate at least {1 / MAX_SECONDS:g} per s")
 
 
 # source-port blocks: one per activity so every burst is a distinct flow
@@ -148,8 +161,9 @@ def generate(spec: DeviceSpec, duration: float,
              seed: int = 0) -> List[PacketRecord]:
     """Time-ordered benign trace for one device, reproducible per seed.
     A spec and duration that would give no packet raise BadSpec."""
-    if duration <= 0:
-        raise BadSpec(f"duration must be > 0, got {duration}")
+    if not 0 < duration <= MAX_SECONDS:
+        raise BadSpec(f"duration must be > 0 and at most {MAX_SECONDS:g} s, "
+                      f"got {duration}")
     for idx, act in enumerate(spec.activities):
         n_bursts = min(int(duration / act.period), _PORT_BLOCK_SIZE)
         top = _PORT_BLOCK_BASE + idx * _PORT_BLOCK_SIZE + n_bursts - 1

@@ -89,8 +89,11 @@ class TestSimulate:
         ({"kind": "Flood", "target": {"ip": "203.0.113.5", "dst_port": 443,
                                       "n_ports": 3}},
          "target: unknown field 'n_ports'"),
+        ({"kind": "PortScan", "rate": 5e-324},
+         "attack PortScan: start/rate/duration out of range"),
     ], ids=["target-str", "target-no-ip", "rate-str", "rate-nan",
-            "start-401-digits", "unknown-field", "unknown-target-field"])
+            "start-401-digits", "unknown-field", "unknown-target-field",
+            "gap-between-flows-inf"])
     def test_bad_attack_exits_2_naming_the_flag(self, tmp_path, capsys,
                                                 spec, names):
         out = tmp_path / "t.jsonl"
@@ -108,7 +111,15 @@ class TestSimulate:
             "ip": "203.0.113.5", "domain": "a.example",
             "beacon_gap": 10 ** 400}},
          "activity http-masq-cnc: intra_gap must be finite and >= 0"),
-    ], ids=["rate-times-duration-inf", "beacon-gap-401-digits"])
+        ({"kind": "HttpMasqCnc", "target": {
+            "ip": "203.0.113.5", "domain": "a.example", "beacon_gap": 1e308}},
+         "activity http-masq-cnc: intra_gap must be finite and >= 0, at "
+         "most 1e+09 s"),
+        ({"kind": "Flood", "target": {"ip": "203.0.113.5", "dst_port": 443,
+                                      "packets_per_flow": 10 ** 400}},
+         "activity flood: packets per burst must be in 1-10000"),
+    ], ids=["rate-times-duration-inf", "beacon-gap-401-digits",
+            "beacon-gap-1e308", "packets-per-flow-401-digits"])
     def test_number_too_large_for_the_simulator_exits_1(
             self, tmp_path, capsys, spec, reason):
         """Numbers are checked before float or int arithmetic meets them,
@@ -118,6 +129,17 @@ class TestSimulate:
                    "--attack", json.dumps(spec), "-o", str(out)])
         assert rc == 1
         assert_one_error_line(capsys, f"error: {reason}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("duration", ["inf", "nan", "0"])
+    def test_duration_out_of_range_exits_1(self, tmp_path, capsys,
+                                           duration):
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--fixture", "hub", "--duration", duration,
+                   "-o", str(out)])
+        assert rc == 1
+        assert_one_error_line(
+            capsys, "error: duration must be > 0 and at most 1e+09 s, got ")
         assert not out.exists()
 
     @pytest.mark.parametrize("spec, n_flows", [
@@ -482,9 +504,15 @@ class TestSpecFile:
         ("period", 10 ** 400, "period must be > 0"),
         ("intra_gap", 10 ** 400, "intra_gap must be finite and >= 0"),
         ("size_probs", [10 ** 400, 0.5], "probabilities must be >= 0"),
+        ("jitter", 1e308, "jitter must be finite and >= 0, at most 1e+09 s"),
+        ("packets_per_burst", 0, "packets per burst must be in 1-10000"),
+        ("packets_per_burst", 10 ** 400,
+         "packets per burst must be in 1-10000"),
     ], ids=["negative-prob", "nan-prob", "size-0", "size-70000",
             "negative-jitter", "negative-gap", "nan-period",
-            "period-401-digits", "gap-401-digits", "prob-401-digits"])
+            "period-401-digits", "gap-401-digits", "prob-401-digits",
+            "jitter-1e308", "no-packet-per-burst",
+            "packets-per-burst-401-digits"])
     def test_activity_the_simulator_cannot_draw_exits_1(
             self, tmp_path, capsys, field, value, reason):
         activity = dict(self.ACTIVITY, sizes=[100, 200],

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from itertools import combinations
+from scipy.spatial.distance import cdist
 
-from atrellis.cluster_metrics import dunn_index, kmeans, purity
+from atrellis.cluster_metrics import (_squared_distances, dunn_index, kmeans,
+                                      purity)
 from atrellis.errors import (BadK, DegenerateDiameter, LengthMismatch,
                              NeedTwoClusters)
 
@@ -64,6 +66,20 @@ class TestDunnIndex:
             labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
             assert dunn_index(points, labels) == pytest.approx(
                 brute_force_dunn(points, labels), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, m, d", [(1, 1, 1), (7, 7, 1), (30, 4, 3),
+                                     (12, 40, 8), (150, 9, 20)])
+@pytest.mark.parametrize("seed", range(3))
+def test_squared_distances_match_cdist(n, m, d, seed):
+    rng = np.random.default_rng([seed, n, m, d])
+    a = rng.normal(0, 10, (n, d))
+    b = rng.normal(0, 10, (m, d))
+    d2 = _squared_distances(a, b)
+    np.testing.assert_allclose(d2, cdist(a, b, "sqeuclidean"), rtol=1e-12,
+                               atol=0)
+    np.testing.assert_allclose(np.sqrt(d2), cdist(a, b), rtol=1e-12, atol=0)
+    assert np.all(np.diag(_squared_distances(a, a)) == 0.0)
 
 
 def exhaustive_two_partition(points):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -61,6 +62,21 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             forward(init_model(ARCH, 0), np.zeros(19))
+
+    @settings(max_examples=200, deadline=None)
+    @given(y=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=64))
+    def test_sigmoid_matches_scipy_expit(self, y):
+        """numpy's exp may differ from libm's by 1 ulp, which moves the
+        output by at most about one ulp of 1 (2.2e-16)."""
+        y = np.array(y)
+        want = expit(y)
+        assert np.max(np.abs(na._sigmoid(y) - want)) <= 2.3e-16
+
+    def test_sigmoid_saturates_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = na._sigmoid(np.array([-1000.0, -750.0, 750.0, 1000.0]))
+        assert got.tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 class TestReconstructionError:

@@ -1,10 +1,13 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "atrellis")
-                 .glob("*.py"))
+SRC = Path(__file__).parent.parent / "src"
+SOURCES = sorted((SRC / "atrellis").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,3 +36,20 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_module_loads_scipy():
+    """The pipeline runs on numpy alone; scipy is only the tests' oracle.
+    A fresh interpreter imports the CLI and every module of the package."""
+    code = ("import importlib, pkgutil, sys\n"
+            "import atrellis.cli\n"
+            "for module in pkgutil.iter_modules(atrellis.__path__):\n"
+            "    importlib.import_module('atrellis.' + module.name)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

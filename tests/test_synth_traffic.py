@@ -44,6 +44,19 @@ class TestGenerate:
         with pytest.raises(BadSpec):
             sim.generate(one_shot_spec(), 0.0, seed=0)
 
+    def test_duration_past_the_time_bound_rejected(self):
+        with pytest.raises(BadSpec, match=r"at most 1e\+09 s"):
+            sim.generate(one_shot_spec(), 1.5 * sim.MAX_SECONDS, seed=0)
+
+    def test_activity_at_every_bound_has_finite_timestamps(self):
+        m = sim.MAX_SECONDS
+        spec = sim.DeviceSpec("10.0.0.5", (
+            sim.ActivitySpec("a", "203.0.113.1", 443, "TCP", period=m,
+                             sizes=(100,), size_probs=(1.0,),
+                             packets_per_burst=sim.MAX_PACKETS, jitter=m,
+                             intra_gap=m),))
+        assert max(p.ts for p in sim.generate(spec, m, seed=0)) < 1e14
+
     def test_source_ports_past_65535_rejected_before_generating(
             self, monkeypatch):
         spec = sim.DeviceSpec("10.0.0.5", tuple(
@@ -208,6 +221,21 @@ class TestInjectAttack:
                              target={"n_ports": 19536})
         packets = sim.inject_attack([], atk, device_ip="10.0.0.5")
         assert max(p.src_port for p in packets) == 65535
+
+    @pytest.mark.parametrize("kind, target", [
+        ("PortScan", {"n_ports": 19536}),
+        ("HttpMasqCnc", {"ip": "203.0.113.5", "domain": "a.example",
+                         "packets_per_flow": 10_000, "beacon_gap": 1e9}),
+    ])
+    def test_attack_at_every_bound_has_finite_timestamps(self, kind, target):
+        """Start, gap between flows, packet gap and packets per flow all
+        at their bounds; PacketRecord refuses a timestamp that is not
+        finite."""
+        m = sim.MAX_SECONDS
+        atk = sim.AttackSpec(kind, start=m, rate=1 / m, duration=2 * m,
+                             target=target)
+        packets = sim.inject_attack([], atk, device_ip="10.0.0.5")
+        assert max(p.ts for p in packets) < 1e14
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(BadSpec):
