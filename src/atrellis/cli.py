@@ -22,7 +22,7 @@ from . import synth_traffic as sim
 from .errors import AtrellisError, EmptyTree, PacketError, SchemaError, check
 from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture
-from .traffic_model import (_PORT, PROTOCOLS, PacketRecord, flows_of_trace,
+from .traffic_model import (_PORT, PROTOCOLS, FlowTable, PacketRecord,
                             line_of_object, parse_prefixes, read_json,
                             read_packets_jsonl, write_packets_jsonl)
 
@@ -74,6 +74,19 @@ def _infer_device_ip(packets: List[PacketRecord]) -> str:
     if not found:
         raise AtrellisError("could not infer device IP; pass --device-ip")
     return found[0]
+
+
+def _truth(flow: List[PacketRecord]) -> str:
+    """The first attack label among a flow's packets, or "benign"; a
+    packet without a label raises a UsageError."""
+    found = "benign"
+    for p in flow:
+        label = p.label
+        if label is None:
+            raise UsageError("eval requires a fully labeled trace")
+        if found == "benign" and label.startswith("attack:"):
+            found = label
+    return found
 
 
 _NUMBER = (int, float)
@@ -195,10 +208,9 @@ def cmd_train(args) -> int:
     if not 0.0 < args.quantile < 1.0:
         raise UsageError(f"--quantile: quantile must be in (0,1), got "
                          f"{args.quantile}")
-    packets = list(read_packets_jsonl(args.trace))
     profile = ct.load_profile(args.profile)
-    _, table = flows_of_trace(packets, profile.device_ip,
-                              profile.local_prefixes)
+    table = FlowTable.read(args.trace, profile.device_ip,
+                           profile.local_prefixes).flows
     ensemble = ens.train_ensemble(profile, table, arch, args.epochs,
                                   args.quantile, seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
@@ -208,9 +220,9 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
-    packets = list(read_packets_jsonl(args.trace))
-    keys, table = flows_of_trace(packets, ensemble.profile.device_ip,
-                                 ensemble.profile.local_prefixes)
+    table = FlowTable.read(args.trace, ensemble.profile.device_ip,
+                           ensemble.profile.local_prefixes).flows
+    keys = list(table)
     verdicts = ens.detect_flows(ensemble, keys, table)
     with open(args.out, "w") as fh:
         fh.writelines(map(ens.verdict_line, verdicts))
@@ -227,19 +239,15 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     prefixes = _local_prefixes(args.local_prefix)
-    packets = list(read_packets_jsonl(args.trace))
-    if any(p.label is None for p in packets):
-        raise UsageError("eval requires a fully labeled trace")
     lines = ens.read_verdicts_jsonl(args.verdicts)
     first = next(lines, None)
     if first is None:
         raise AtrellisError(f"{args.verdicts} holds no verdicts, so there is "
                             f"no device IP to key {args.trace} with")
-    _, table = flows_of_trace(packets, first.flow.device_ip, prefixes)
-
-    truth = {key: next((p.label for p in flow
-                        if p.label.startswith("attack:")), "benign")
-             for key, flow in table.items()}
+    # the packets go once their flows' labels are known
+    truth = {key: _truth(flow) for key, flow in FlowTable.read(
+        args.trace, first.flow.device_ip, prefixes).flows.items()}
+    n_flows = len(truth)
 
     verdicts = [first, *lines]
     labels = []
@@ -248,7 +256,7 @@ def cmd_eval(args) -> int:
         if flow in truth:
             labels.append(truth.pop(flow))
             continue
-        if flow in table:
+        if flow in (v.flow for v in verdicts[:i]):
             problem = ("was judged on an earlier line; this is a second "
                        "verdict for it")
         else:
@@ -258,7 +266,7 @@ def cmd_eval(args) -> int:
         raise SchemaError(f"{_where(args.verdicts, i)}: flow {flow} {problem}")
     if truth:
         raise AtrellisError(
-            f"{len(truth)} of the {len(table)} flows of {args.trace} have no "
+            f"{len(truth)} of the {n_flows} flows of {args.trace} have no "
             f"verdict in {args.verdicts}; the first is {next(iter(truth))}")
 
     metrics = ens.evaluate(verdicts, labels)

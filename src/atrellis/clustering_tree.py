@@ -277,10 +277,12 @@ _REMOTE_VALUE_BY_KIND = {EXACT_DOMAIN: str, WILDCARD_DOMAIN: str,
                          REMOTE_IP_CLASS: _NONE, LOCAL_IP_CLASS: _NONE,
                          BC_MC_CLASS: _NONE}
 _PORT_BY_KIND = {EXACT: _PORT, REGDYN: _NONE}
+# _generalize gives every key an exact destination port; a reg/dyn one
+# would match any destination port from 1024 up
 _KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
                "remote_pattern": {"kind": frozenset(_REMOTE_VALUE_BY_KIND)},
                "src_port_pattern": {"kind": frozenset(_PORT_BY_KIND)},
-               "dst_port_pattern": {"kind": frozenset(_PORT_BY_KIND)}}
+               "dst_port_pattern": {"kind": frozenset({EXACT})}}
 
 
 def flow_key_to_dict(f: FlowKey) -> dict:

@@ -41,6 +41,10 @@ _FLOAT_MAX = sys.float_info.max
 # and a burst draws at most 2 * MAX_PACKETS numbers.
 MAX_SECONDS = 1e9
 MAX_PACKETS = 10_000
+# The most packets that the bursts of one generated trace may hold, about
+# 18 times a 7-day camera trace (552,384); generate refuses a longer trace
+# before it draws anything, as it builds the whole trace in memory.
+MAX_TRACE_PACKETS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -164,17 +168,24 @@ def generate(spec: DeviceSpec, duration: float,
     if not 0 < duration <= MAX_SECONDS:
         raise BadSpec(f"duration must be > 0 and at most {MAX_SECONDS:g} s, "
                       f"got {duration}")
-    for idx, act in enumerate(spec.activities):
-        n_bursts = min(int(duration / act.period), _PORT_BLOCK_SIZE)
-        top = _PORT_BLOCK_BASE + idx * _PORT_BLOCK_SIZE + n_bursts - 1
+    # the bursts of each activity, cut to one past the bound (a quotient
+    # may be inf) so that the total below still exceeds it
+    bursts = [int(min(duration / act.period, MAX_TRACE_PACKETS + 1))
+              for act in spec.activities]
+    if sum(n * act.packets_per_burst
+           for n, act in zip(bursts, spec.activities)) > MAX_TRACE_PACKETS:
+        raise BadSpec(f"the bursts of {duration:g} s of this device would "
+                      f"hold more than {MAX_TRACE_PACKETS:,} packets")
+    for idx, (act, n_bursts) in enumerate(zip(spec.activities, bursts)):
+        top = _PORT_BLOCK_BASE + idx * _PORT_BLOCK_SIZE \
+            + min(n_bursts, _PORT_BLOCK_SIZE) - 1
         if n_bursts > 0 and top > 65535:
             raise BadSpec(f"activity {act.name}: its bursts would use source "
                           f"ports up to {top}, past 65535")
     packets: List[PacketRecord] = []
-    for idx, act in enumerate(spec.activities):
+    for idx, (act, n_bursts) in enumerate(zip(spec.activities, bursts)):
         rng = np.random.default_rng([seed, idx])
         base = _PORT_BLOCK_BASE + idx * _PORT_BLOCK_SIZE
-        n_bursts = int(duration / act.period)
         for i in range(n_bursts):
             t0 = i * act.period + rng.uniform(-act.jitter, act.jitter)
             if t0 < 0 or t0 >= duration:

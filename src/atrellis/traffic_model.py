@@ -9,6 +9,7 @@ port, protocol).  Request and reply packets map to the same key.
 from __future__ import annotations
 
 import functools
+import gc
 import ipaddress
 import json
 import math
@@ -199,9 +200,10 @@ class FlowTable:
     """The one place where packets become flows: a single-writer table from
     flow key to the flow's time-ordered packets, in first-packet order.
 
-    The key is computed once per distinct raw (addresses, ports, protocol,
-    domain) tuple, so a request and its replies cost one key each and every
-    later packet one lookup.
+    ``insert`` computes the key once per distinct raw (addresses, ports,
+    protocol, domain) tuple, so a request and its replies cost one key each
+    and every later packet one lookup.  ``read`` fills a table from a trace
+    file in one pass.
     """
 
     def __init__(self, device_ip: str, local_prefixes: Sequence[str] = ()):
@@ -226,14 +228,46 @@ class FlowTable:
                                              self.flows.setdefault(key, []))
             key, flow = entry
             if flow and pkt.ts < flow[-1].ts:
-                raise NonMonotonicTimestamp(
-                    f"flow {key}: packet at ts {pkt.ts} is earlier than the "
-                    f"flow's last packet at ts {flow[-1].ts}")
+                raise _late(key, pkt, flow)
         except PacketError as exc:
-            exc.index = sum(map(len, self.flows.values()))
+            exc.index = self._count()
             raise
         flow.append(pkt)
         return key
+
+    def _count(self) -> int:
+        return sum(map(len, self.flows.values()))
+
+    @classmethod
+    def read(cls, path, device_ip: str,
+             local_prefixes: Sequence[str] = ()) -> "FlowTable":
+        """The table of the JSON-lines trace at ``path``, filled in one
+        pass with no list of its packets: a line in write_packets_jsonl's
+        form goes from _packet_reader straight to its flow, and any other
+        line through the JSON parse and ``insert``.  The flows and their
+        packets, and every error, are those of ``flows_of_trace(
+        read_packets_jsonl(path), ...)``.  Python's cyclic GC is paused for
+        the read, which makes only acyclic records."""
+        table = cls(device_ip, local_prefixes)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for _ in read_jsonl(path, lambda obj: table.insert(
+                    packet_from_dict(obj)), _packet_reader(table)):
+                pass
+        except PacketError as exc:
+            exc.index = table._count()
+            raise
+        finally:
+            if enabled:
+                gc.enable()
+        return table
+
+
+def _late(key: FlowKey, pkt: PacketRecord, flow) -> NonMonotonicTimestamp:
+    return NonMonotonicTimestamp(
+        f"flow {key}: packet at ts {pkt.ts} is earlier than the flow's "
+        f"last packet at ts {flow[-1].ts}")
 
 
 def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
@@ -317,7 +351,17 @@ _TAIL = re.compile(
     rf'{_UINT}(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
 
 
-def _packet_reader() -> Callable[[str], Optional[PacketRecord]]:
+# the domain in a middle's entry before its first packet is keyed
+_UNKEYED = object()
+# The most middles, and tails, that a read keeps; at this many it starts
+# afresh.  The middles of a flow come close together, so this bounds the
+# memory of a trace whose middles are all distinct, a port scan say, and
+# costs others a few middles matched again.
+_PARTS_KEPT = 4096
+
+
+def _packet_reader(table: Optional[FlowTable] = None
+                   ) -> Callable[[str], Optional[PacketRecord]]:
     """A function, for one read, that gives the packet of a stripped line
     in _packet_line's form, or None if the line is in another form or a
     value fails its conversion or the record's checks; the JSON parse then
@@ -325,11 +369,23 @@ def _packet_reader() -> Callable[[str], Optional[PacketRecord]]:
 
     Only ts is converted on every line.  Each distinct middle (addresses,
     ports, protocol) and tail (length, domain, label) is matched, converted
-    and checked once, or refused once as (), and equal strings among them
-    are one object, so the packets of a flow share their fields."""
+    and checked once while it is kept (see _PARTS_KEPT), or refused as (),
+    and equal strings among them are one object, so the packets of a flow
+    share their fields.
+
+    With a ``table``, the function also appends each packet it gives to
+    its flow there, or raises the PacketError that ``table.insert`` would.
+    A middle's entry holds its five values, then the domain of its last
+    packet and that packet's flow, so a middle is keyed with flow_key_of
+    only when its domain differs from its last packet's."""
     middles: dict = {}
     tails: dict = {}
     share = {}.setdefault
+    unkeyed = ()
+    if table is not None:
+        flows, device_ip = table.flows, table.device_ip
+        prefixes = table.local_prefixes
+        unkeyed = (_UNKEYED, None)
 
     def middle_of(text):
         m = _MIDDLE.fullmatch(text)
@@ -343,7 +399,7 @@ def _packet_reader() -> Callable[[str], Optional[PacketRecord]]:
         if src_port > 65535 or dst_port > 65535 or proto not in PROTOCOLS:
             return ()
         return (share(src_ip, src_ip), share(dst_ip, dst_ip), src_port,
-                dst_port, share(proto, proto))
+                dst_port, share(proto, proto), *unkeyed)
 
     def tail_of(text):
         m = _TAIL.fullmatch(text)
@@ -373,15 +429,34 @@ def _packet_reader() -> Callable[[str], Optional[PacketRecord]]:
         text = line[start:cut]
         middle = middles.get(text)
         if middle is None:
+            if len(middles) == _PARTS_KEPT:
+                middles.clear()
             middle = middles[text] = middle_of(text)
-        text = line[cut:]
-        tail = tails.get(text)
+        rest = line[cut:]
+        tail = tails.get(rest)
         if tail is None:
-            tail = tails[text] = tail_of(text)
+            if len(tails) == _PARTS_KEPT:
+                tails.clear()
+            tail = tails[rest] = tail_of(rest)
         ts = float(head[1])
-        if middle and tail and ts < math.inf:
+        if not (middle and tail and ts < math.inf):
+            return None
+        if table is None:
             return tuple.__new__(PacketRecord, (ts, *middle, *tail))
-        return None
+        src_ip, dst_ip, src_port, dst_port, proto, domain, flow = middle
+        length, dns_name, label = tail
+        pkt = tuple.__new__(PacketRecord, (ts, src_ip, dst_ip, src_port,
+                                           dst_port, proto, length, dns_name,
+                                           label))
+        if dns_name is not domain:  # equal domains are one object
+            flow = flows.setdefault(flow_key_of(pkt, device_ip, prefixes),
+                                    [])
+            middles[text] = (src_ip, dst_ip, src_port, dst_port, proto,
+                             dns_name, flow)
+        if flow and ts < flow[-1][0]:
+            raise _late(flow_key_of(pkt, device_ip, prefixes), pkt, flow)
+        flow.append(pkt)
+        return pkt
 
     return packet_of_line
 
@@ -408,17 +483,24 @@ def read_jsonl(path, convert: Callable[[dict], object],
                fast: Optional[Callable[[str], object]] = None) -> Iterator:
     """Yield ``convert(obj)`` for each JSON object line of ``path``.
     ``fast``, if given, makes the item of a stripped line without the JSON
-    parse, or returns None to leave the line to it.  A line that is not
-    UTF-8, not one JSON object, or that ``convert`` rejects with a
-    ValueError raises SchemaError("PATH:LINE: reason")."""
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, 1):
+    parse, or returns None to leave the line to it; it takes only lines of
+    ASCII text, as only the JSON path checks a line's UTF-8.  A line that
+    is not UTF-8, not one JSON object, or that ``convert`` rejects with a
+    ValueError raises SchemaError("PATH:LINE: reason").  A PacketError
+    from keying passes unchanged."""
+    # a byte that is not UTF-8 is read as a lone surrogate
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n") as fh:
+        for lineno, text in enumerate(fh, 1):
+            line = text.strip()
+            if not line:
+                continue
             try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
                 item = fast(line) if fast else None
                 if item is None:
+                    if not line.isascii():
+                        # the line's bytes, refused as bytes.decode does
+                        text.encode("utf-8", "surrogateescape").decode()
                     obj, end = _raw_decode(line)
                     if end != len(line):
                         raise SchemaError(f"data after the JSON object at "
@@ -427,6 +509,8 @@ def read_jsonl(path, convert: Callable[[dict], object],
                         raise SchemaError(f"not a JSON object: "
                                           f"{type(obj).__name__}")
                     item = convert(obj)
+            except PacketError:
+                raise
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None
             yield item

@@ -496,6 +496,20 @@ class TestSerialization:
                 f"{value!r} is not a dot and two or more labels")):
             ens.load_ensemble(path)
 
+    def test_regdyn_destination_port_is_refused(self, camera_setup,
+                                                tmp_path):
+        """A reg/dyn destination would send every flow to a port from 1024
+        up to the submodel; _generalize never writes one."""
+        _, ensemble, _, _ = camera_setup
+        doc = ens.ensemble_to_dict(ensemble)
+        doc["submodels"][1]["dst_port_pattern"] = {"kind": "regdyn",
+                                                   "port": None}
+        path = tmp_path / "ensemble.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^ensemble submodel 1 "
+                           "dst_port_pattern: unknown kind 'regdyn'$"):
+            ens.load_ensemble(path)
+
     def test_round_trip(self, camera_setup, tmp_path):
         _, ensemble, keys, table = camera_setup
         path = tmp_path / "ensemble.json"

@@ -131,6 +131,18 @@ class TestSimulate:
         assert_one_error_line(capsys, f"error: {reason}")
         assert not out.exists()
 
+    def test_trace_past_the_packet_bound_exits_1(self, tmp_path, capsys):
+        """The hub's bursts over 1e9 s hold about 4e8 packets; the
+        simulator refuses them before it draws one."""
+        out = tmp_path / "t.jsonl"
+        rc = main(["simulate", "--fixture", "hub", "--duration", "1e9",
+                   "-o", str(out)])
+        assert rc == 1
+        assert_one_error_line(capsys, "error: the bursts of 1e+09 s of this "
+                              "device would hold more than 10,000,000 "
+                              "packets")
+        assert not out.exists()
+
     @pytest.mark.parametrize("duration", ["inf", "nan", "0"])
     def test_duration_out_of_range_exits_1(self, tmp_path, capsys,
                                            duration):
@@ -232,6 +244,27 @@ class TestEval:
                    "-o", str(tmp_path / "m.json")])
         assert rc == 2
 
+    def test_unlabeled_trace_with_a_foreign_packet_names_the_packet(
+            self, small_run, tmp_path, capsys):
+        """eval keys the whole trace before it looks at labels, so a packet
+        that cannot be keyed is the error (exit 1, its line named) ahead of
+        the missing labels (exit 2)."""
+        trace, _, _, verdicts, _ = small_run
+        packets = [json.loads(line) for line in
+                   Path(trace).read_text().splitlines()]
+        for obj in packets:
+            obj.pop("label", None)
+        packets.append(dict(packets[-1], src_ip="10.1.1.1",
+                            dst_ip="10.2.2.2"))
+        stripped = tmp_path / "unlabeled.jsonl"
+        stripped.write_text("".join(json.dumps(obj) + "\n"
+                                    for obj in packets))
+        rc = main(["eval", str(stripped), verdicts,
+                   "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert_one_error_line(capsys, f"error: {stripped}:{len(packets)}: "
+                              f"device ", " is neither endpoint")
+
     def test_schema_mismatch_exits_1(self, tmp_path, capsys):
         trace, profile, ensemble, verdicts, _ = run_pipeline(
             tmp_path, duration="600", epochs="10")
@@ -318,6 +351,9 @@ class TestCorruptEnsemble:
             "kind", "anycast"), "unknown kind 'anycast'"),
         (lambda d: d["submodels"][0]["dst_port_pattern"].__setitem__(
             "kind", "range"), "unknown kind 'range'"),
+        (lambda d: d["submodels"][0].__setitem__(
+            "dst_port_pattern", {"kind": "regdyn", "port": None}),
+         "submodel 0 dst_port_pattern: unknown kind 'regdyn'"),
         (lambda d: d["submodels"][0].pop("proto"), "missing field proto"),
         (lambda d: d.__setitem__("submodels", {}),
          "field submodels has the wrong type dict"),
@@ -329,7 +365,8 @@ class TestCorruptEnsemble:
         (lambda d: d.__setitem__("local_prefixes", ["garbage"]),
          "ensemble: local_prefixes: "),
     ], ids=["epsilon-str", "epsilon-nan", "epsilon-negative", "no-device-ip",
-            "no-model", "remote-kind", "port-kind", "no-proto",
+            "no-model", "remote-kind", "port-kind", "dst-regdyn",
+            "no-proto",
             "submodels-not-list", "schema-1.0", "schema-2.0",
             "no-local-prefixes", "local-prefix-garbage"])
     def test_bad_document_exits_1_without_traceback(

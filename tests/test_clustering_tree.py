@@ -411,6 +411,18 @@ class TestBuildProfile:
             load_profile(path)
         assert "\n" not in str(info.value) and len(str(info.value)) < 120
 
+    def test_regdyn_destination_port_is_refused(self, tmp_path):
+        """_generalize writes every destination port exact; a reg/dyn one
+        would match every destination port from 1024 up."""
+        doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
+                                            0.5))
+        doc["keys"][1]["dst_port_pattern"] = {"kind": "regdyn", "port": None}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="^profile key 1 "
+                           "dst_port_pattern: unknown kind 'regdyn'$"):
+            load_profile(path)
+
     def test_written_wildcard_loads_and_matches_only_its_suffix(
             self, tmp_path):
         tree = ClusterTree(DEVICE)

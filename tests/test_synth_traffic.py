@@ -67,6 +67,39 @@ class TestGenerate:
         with pytest.raises(BadSpec, match="activity a11: .* up to 65599"):
             sim.generate(spec, 2600.0)
 
+    @pytest.mark.parametrize("spec, duration", [
+        (sim.FIXTURES["hub"], sim.MAX_SECONDS),
+        (sim.DeviceSpec("10.0.0.5", (sim.ActivitySpec(
+            "a", "203.0.113.1", 443, "TCP", period=1e-6, sizes=(100,),
+            size_probs=(1.0,)),)), 3600.0),
+        (sim.DeviceSpec("10.0.0.5", (sim.ActivitySpec(
+            "a", "203.0.113.1", 443, "TCP", period=5e-324, sizes=(100,),
+            size_probs=(1.0,)),)), 1.0),
+    ], ids=["hub-1e9-s", "period-1e-6", "period-5e-324"])
+    def test_trace_past_the_packet_bound_rejected_before_generating(
+            self, monkeypatch, spec, duration):
+        monkeypatch.setattr(sim, "_burst_packets", None)
+        with pytest.raises(BadSpec, match="^the bursts of .* would hold "
+                           "more than 10,000,000 packets$"):
+            sim.generate(spec, duration)
+
+    def test_trace_at_the_packet_bound_is_generated(self, monkeypatch):
+        """one_shot_spec draws 6 one-packet bursts in 60 s: the bound
+        counts the packets that the bursts would hold."""
+        monkeypatch.setattr(sim, "MAX_TRACE_PACKETS", 6)
+        assert sim.generate(one_shot_spec(), 60.0)
+        monkeypatch.setattr(sim, "MAX_TRACE_PACKETS", 5)
+        monkeypatch.setattr(sim, "_burst_packets", None)
+        with pytest.raises(BadSpec, match="more than 5 packets"):
+            sim.generate(one_shot_spec(), 60.0)
+
+    def test_packet_bound_holds_ten_week_long_camera_traces(self):
+        week = 7 * 86400.0
+        packets = sum(int(week / act.period) * act.packets_per_burst
+                      for act in sim.FIXTURES["camera"].activities)
+        assert packets == 552_384
+        assert sim.MAX_TRACE_PACKETS >= 10 * packets
+
     def test_last_block_fits_up_to_65535(self):
         spec = sim.DeviceSpec("10.0.0.5", tuple(
             sim.ActivitySpec(f"a{i}", "203.0.113.1", 443, "TCP", period=1.0,

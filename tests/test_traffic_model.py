@@ -4,16 +4,20 @@ import math
 import tracemalloc
 from dataclasses import dataclass, replace
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atrellis import synth_traffic as sim
-from atrellis.errors import ForeignPacket, MalformedAddress, SchemaError
+from atrellis import traffic_model
+from atrellis.errors import (AtrellisError, ForeignPacket, MalformedAddress,
+                             SchemaError)
 from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
                                     OUT, PROTOCOLS,
                                     REGISTERED, REMOTE_IP, SYSTEM, FlowKey,
-                                    PacketRecord, PortClass, Remote,
+                                    FlowTable, PacketRecord, PortClass,
+                                    Remote,
                                     classify_address, classify_port,
                                     direction_of, flow_key_of,
                                     flows_of_trace, line_of_object,
@@ -558,6 +562,7 @@ class TestReaderFuzz:
         good = json.dumps(packet_to_dict(pkt()))
         with open(fuzz_path, "w") as fh:
             fh.write(f"{good}\n{line}\n{good}\n")
+        assert_loads_as_flows_of_trace(fuzz_path)
         expected = [reference_reader_fields(text.strip())
                      for text in (good, line, good) if text.strip()]
         got = []
@@ -682,6 +687,7 @@ class TestReaderFastPath:
                         encoding="utf-8")
         assert read_outcome(read_packets_jsonl(path)) == \
             json_path_outcome(path)
+        assert_loads_as_flows_of_trace(path)
 
     @settings(max_examples=300, deadline=None)
     @given(packets=st.lists(st.deferred(lambda: written_packets),
@@ -693,6 +699,7 @@ class TestReaderFastPath:
         got = read_outcome(read_packets_jsonl(path))
         assert got == json_path_outcome(path)
         assert got == ([record_fields(p) for p in packets], None)
+        assert_loads_as_flows_of_trace(path)
 
     @pytest.mark.parametrize("bad_line", [
         lambda ts: packet_text(ts=ts, src_port="70000"),
@@ -716,6 +723,7 @@ class TestReaderFastPath:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert read_outcome(read_packets_jsonl(path)) == \
             json_path_outcome(path)
+        assert_loads_as_flows_of_trace(path)
 
     @settings(max_examples=300, deadline=None)
     @given(trace=shared_middle_traces())
@@ -725,6 +733,7 @@ class TestReaderFastPath:
         path.write_text(trace, encoding="utf-8")
         assert read_outcome(read_packets_jsonl(path)) == \
             json_path_outcome(path)
+        assert_loads_as_flows_of_trace(path)
 
     def test_no_part_outlives_its_read(self, tmp_path):
         """Two reads of one trace give equal packets, none of whose strings
@@ -788,3 +797,207 @@ class TestReaderMemory:
             for name in ("src_ip", "dst_ip", "proto", "label"):
                 values = [getattr(p, name) for p in flow]
                 assert len(set(map(id, values))) == len(set(values)), name
+
+
+# --- one-pass loader ------------------------------------------------------
+
+def table_outcome(load):
+    """What a load of a trace into flows gave: the keys in first-packet
+    order, the typed fields of each flow's packets and which of their
+    field objects are one object, numbered in first-seen order; or the
+    type, text and packet index of the error that stopped it."""
+    try:
+        flows = load()
+    except AtrellisError as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+    ids: dict = {}
+    shared = [tuple(ids.setdefault(id(v), len(ids)) for v in p)
+              for flow in flows.values() for p in flow]
+    return (list(flows),
+            [[record_fields(p) for p in flow] for flow in flows.values()],
+            shared)
+
+
+def outcomes(path, prefixes=()):
+    """table_outcome of FlowTable.read and of flows_of_trace over
+    read_packets_jsonl, its oracle."""
+    return (table_outcome(lambda: FlowTable.read(path, DEVICE,
+                                                 prefixes).flows),
+            table_outcome(lambda: flows_of_trace(
+                read_packets_jsonl(path), DEVICE, prefixes)[1]))
+
+
+def assert_loads_as_flows_of_trace(path):
+    new, old = outcomes(path)
+    assert new == old
+
+
+def written_line(p: PacketRecord) -> bytes:
+    return json.dumps(packet_to_dict(p)).encode()
+
+
+# a byte that is not UTF-8 in a string, at the end of a line, after a
+# byte-order mark and in an encoded surrogate
+NOT_UTF_8 = [written_line(pkt()).replace(b"8.8.8.8", b"8.8.8.\xff"),
+             written_line(pkt(label="benign")) + b"\xc3",
+             b"\xef\xbb\xbf\xff" + written_line(pkt()), b"\xed\xa0\x80"]
+
+# lines in other forms than the writer's, each drawn at a position
+ODD_LINES = {
+    "blank": st.sampled_from([b"", b"   ", b"\t", b" \r"]),
+    "json-only": st.deferred(lambda: valid_packets).map(
+        lambda p: json.dumps(packet_to_dict(p), separators=(",", ":"))
+        .encode()) | st.deferred(lambda: valid_packets).map(
+        lambda p: json.dumps(packet_to_dict(p), sort_keys=True).encode()),
+    "foreign": st.just(written_line(pkt(src_ip="10.1.1.1",
+                                        dst_ip="10.2.2.2"))),
+    "malformed-address": st.sampled_from([
+        written_line(pkt(dst_ip="not-an-ip")),
+        written_line(pkt(src_ip="8.8.8.8", dst_ip=DEVICE, src_port=53,
+                         dst_port=50001)).replace(b"8.8.8.8", b"8.8.8")]),
+    "not-utf-8": st.sampled_from(NOT_UTF_8),
+    "edge": st.sampled_from(EDGE_LINES).map(str.encode),
+    "mutated": st.deferred(lambda: mutated_lines(
+        TEXT_MUTATIONS + FIELD_MUTATIONS)).map(str.encode),
+}
+
+
+@st.composite
+def loadable_traces(draw):
+    """The bytes of a written trace of interleaved conversations, in which
+    one middle may come with several domains, with a few of its lines
+    swapped (a packet out of order within its flow) and a few odd lines
+    put in."""
+    lines = [written_line(p) for p in draw(interleaved_traces())]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        lines[i], lines[j] = lines[j], lines[i]
+    for _ in range(draw(st.integers(0, 3))):
+        odd = draw(st.sampled_from(sorted(ODD_LINES)))
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(ODD_LINES[odd]))
+    return b"\n".join(lines) + draw(st.sampled_from([b"\n", b""]))
+
+
+class TestFlowTableRead:
+    """FlowTable.read loads a trace in one pass; it must give what
+    flows_of_trace gives over read_packets_jsonl, error for error."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace=loadable_traces(),
+           prefixes=st.sampled_from([(), ("192.168.1.0/24",)]),
+           kept=st.sampled_from([traffic_model._PARTS_KEPT, 1, 3]))
+    def test_loads_as_flows_of_trace_over_the_reader(
+            self, tmp_path_factory, trace, prefixes, kept):
+        """Also when the reader keeps so few middles and tails that it
+        starts afresh within a flow: then the flows and their packets are
+        those it gives when it keeps them all."""
+        path = tmp_path_factory.getbasetemp() / "load.jsonl"
+        path.write_bytes(trace)
+        with mock.patch.object(traffic_model, "_PARTS_KEPT", kept):
+            new, old = outcomes(path, prefixes)
+        assert new == old
+        assert new[:2] == outcomes(path, prefixes)[0][:2]
+
+    @pytest.mark.parametrize("lines, error", [
+        ([pkt(ts=2.0), pkt(ts=1.0)], "NonMonotonicTimestamp"),
+        ([pkt(), pkt(src_ip="10.1.1.1", dst_ip="10.2.2.2")], "ForeignPacket"),
+        ([pkt(), pkt(ts=2.0, dst_ip="8.8.8")], "MalformedAddress"),
+        ([pkt(), pkt(ts=2.0, dns_name="a.example"),
+          pkt(ts=1.5, dns_name="A.Example.")], "NonMonotonicTimestamp"),
+    ], ids=["out-of-order", "foreign", "malformed-address",
+            "out-of-order-after-a-new-domain"])
+    def test_refused_packet_is_indexed_as_flows_of_trace(
+            self, tmp_path, lines, error):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n\n".join(json.dumps(packet_to_dict(p))
+                                     for p in lines) + "\n")
+        new, old = outcomes(path)
+        assert new == old
+        assert new[0].__name__ == error and new[2] == len(lines) - 1
+
+    @pytest.mark.parametrize("raw", NOT_UTF_8)
+    def test_bytes_that_are_not_utf_8_are_refused_as_bytes_decode_does(
+            self, tmp_path, raw):
+        """The error names the line and the byte's position in it, leading
+        blanks counted, as bytes.decode of the line does."""
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(written_line(pkt()) + b"\n  " + raw + b"\n")
+        with pytest.raises(UnicodeDecodeError) as decode:
+            (b"  " + raw + b"\n").decode("utf-8")
+        for load in (lambda: list(read_packets_jsonl(path)),
+                     lambda: FlowTable.read(path, DEVICE)):
+            with pytest.raises(SchemaError) as info:
+                load()
+            assert str(info.value) == f"{path}:2: {decode.value}"
+
+    def test_one_middle_with_two_domains_gives_two_flows(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, [
+            pkt(ts=float(i), dns_name=name) for i, name in
+            enumerate(["a.example", "b.example", "A.Example.", None,
+                       "b.example"])])
+        new, old = outcomes(path)
+        assert new == old
+        assert [k.remote for k in new[0]] == [
+            Remote(DOMAIN, "a.example"), Remote(DOMAIN, "b.example"),
+            Remote(REMOTE_IP, "8.8.8.8")]
+        assert [len(flow) for flow in new[1]] == [2, 2, 1]
+
+    def test_simulated_trace_loads_as_flows_of_trace(self, tmp_path):
+        spec = sim.FIXTURES["camera"]
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, sim.generate(spec, 900, seed=5))
+        new = FlowTable.read(path, spec.device_ip).flows
+        keys, old = flows_of_trace(read_packets_jsonl(path), spec.device_ip)
+        assert list(new) == keys and new == old
+
+
+class TestFlowTableReadGC:
+    """The load pauses the cyclic GC and gives it back as it found it."""
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, [pkt(ts=float(i), src_port=40000 + i % 50)
+                                   for i in range(3000)])
+        return path
+
+    @pytest.fixture
+    def gc_enabled(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_load_keeps_the_gc_state(self, trace, gc_enabled, enabled):
+        (gc.enable if enabled else gc.disable)()
+        assert len(FlowTable.read(trace, DEVICE).flows) == 50
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("bad_line", [
+        b'{"ts": 1.5}', b"\xff", written_line(pkt(src_ip="10.1.1.1",
+                                                  dst_ip="10.2.2.2"))])
+    def test_load_that_raises_part_way_keeps_the_gc_state(
+            self, trace, gc_enabled, enabled, bad_line):
+        with open(trace, "ab") as fh:
+            fh.write(bad_line + b"\n" + written_line(pkt(ts=1e6)) + b"\n")
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(AtrellisError, match="trace.jsonl:3001: |device"):
+            FlowTable.read(trace, DEVICE)
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_during_a_load(self, trace, gc_enabled):
+        gc.enable()
+        collections = []
+        gc.callbacks.append(lambda phase, info: collections.append(phase))
+        try:
+            gc.collect()
+            collections.clear()
+            FlowTable.read(trace, DEVICE)
+            seen = len(collections)
+        finally:
+            gc.callbacks.pop()
+        assert seen == 0
