@@ -14,11 +14,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (AbstractSet, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .clustering_tree import (_REMOTE_KINDS, ActivityProfile,
+from .clustering_tree import (_REMOTE_KINDS, EXACT, REGDYN, ActivityProfile,
                               activity_key_from_dict, activity_key_to_dict,
                               flow_key_from_dict, keying_from_dict,
                               keying_to_dict)
@@ -28,8 +29,9 @@ from .feature_pipeline import featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, fit, init_model,
                                  model_from_dict, model_to_dict,
                                  reconstruction_error)
-from .traffic_model import (_STRING, _UINT, PROTOCOLS, FlowKey, PacketRecord,
-                            Remote, _json_str, read_json, read_jsonl)
+from .traffic_model import (_STRING, _UINT, DOMAIN, PROTOCOLS, SYSTEM, FlowKey,
+                            PacketRecord, Remote, _json_str, read_json,
+                            read_jsonl)
 
 ENSEMBLE_SCHEMA_VERSION = "4.0"
 
@@ -86,6 +88,15 @@ def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
     return f"no activity key accepts the flow at the {name} level"
 
 
+def _port_token(port: int, named: AbstractSet[int]):
+    """What a port pattern reads of a port: the port where an exact pattern
+    names it, else its side of 1024.  The token is a string, not a bool,
+    since True == 1 would give port 1 the entry of every high port."""
+    if port in named:
+        return port
+    return REGDYN if port >= 1024 else SYSTEM
+
+
 def calibrate_threshold(errors: Sequence[float], q: float) -> float:
     """q-quantile (linear interpolation) of training errors, floored at
     1e-9 so a perfectly memorized activity still has a usable threshold."""
@@ -118,22 +129,41 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
                  table: Dict[FlowKey, Sequence[PacketRecord]]
                  ) -> List[Verdict]:
     """Two-stage verdicts for the flows ``keys`` (packets in ``table``), in
-    that order.  Stage 1 runs per flow.  Stage 2 featurizes every matched
-    flow into one matrix and makes one batched forward per activity key;
-    each flow is judged by its matched key with the least error, the first
-    in profile order on a tie."""
+    that order.  Stage 1 runs once per flow signature (below).  Stage 2
+    featurizes every matched flow into one matrix and makes one batched
+    forward per activity key; each flow is judged by its matched key with
+    the least error, the first in profile order on a tie."""
     profile = ensemble.profile
     verdicts: List[Optional[Verdict]] = [None] * len(keys)
     stage2: List[int] = []
     triggered: List[int] = []
     rows_of: Dict[int, List[int]] = {}
+    # Stage 1 reads a flow only through its signature: the protocol, the
+    # remote (its value only for a domain) and each port's token.  Flows
+    # of one signature get one decision: the matched keys and the reason.
+    src_named = {k.src_port_pattern.port for k in profile.keys
+                 if k.src_port_pattern.kind == EXACT}
+    dst_named = {k.dst_port_pattern.port for k in profile.keys
+                 if k.dst_port_pattern.kind == EXACT}
+    decided: Dict[tuple, Tuple[List[int], Optional[str]]] = {}
     for i, flow_key in enumerate(keys):
         if not table[flow_key]:
             raise EmptyFlow("cannot judge an empty flow")
-        matched = fuzzy_match(profile, flow_key)
+        remote = flow_key.remote
+        signature = (flow_key.proto,
+                     remote if remote.kind == DOMAIN else remote.kind,
+                     _port_token(flow_key.src_port, src_named),
+                     _port_token(flow_key.dst_port, dst_named))
+        decision = decided.get(signature)
+        if decision is None:
+            matched = fuzzy_match(profile, flow_key)
+            decision = decided[signature] = (
+                matched,
+                None if matched else _stage1_reason(profile, flow_key))
+        matched, reason = decision
         if not matched:
             verdicts[i] = Verdict(STAGE1_MALICIOUS, flow_key, 0,
-                                  reason=_stage1_reason(profile, flow_key))
+                                  reason=reason)
             continue
         for j in matched:
             rows_of.setdefault(j, []).append(len(stage2))

@@ -10,6 +10,7 @@ ATRELLIS_LOG={error|info|debug} to control logging.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -233,7 +234,9 @@ def cmd_detect(args) -> int:
                 dump.write(json.dumps(
                     {"flow_key": ct.flow_key_to_dict(key),
                      "values": row.tolist()}) + "\n")
-    print(f"judged {len(keys)} flows")
+    rejected = sum(v.kind == ens.STAGE1_MALICIOUS for v in verdicts)
+    print(f"judged {len(keys)} flows: {rejected} rejected at stage 1, "
+          f"{len(keys) - rejected} scored at stage 2")
     return 0
 
 
@@ -285,7 +288,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse gets a new namespace, and
+    a new parser per call would leave ~200 objects in reference cycles."""
     parser = argparse.ArgumentParser(
         prog="atrellis",
         description="activity-profiling and anomaly-detection pipeline")

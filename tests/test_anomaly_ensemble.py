@@ -239,6 +239,143 @@ def judged_flows(camera_setup):
     return flows_of_trace(trace, spec.device_ip)
 
 
+HUB_LAN = ("192.168.1.0/24",)
+
+
+@pytest.fixture(scope="module")
+def hub_setup():
+    """The hub fixture keyed with its LAN prefix, so that hosts on the LAN
+    are local-IP remotes; SSDP gives a bc_mc key."""
+    spec = sim.FIXTURES["hub"]
+    trace = sim.generate(spec, 1800, seed=7)
+    tree = ct.ClusterTree(spec.device_ip, HUB_LAN)
+    for p in trace:
+        tree.insert(p)
+    profile = ct.build_profile(tree, 0.5)
+    _, table = flows_of_trace(trace, spec.device_ip, HUB_LAN)
+    ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                  20, 0.995, seed=0)
+    return spec, ensemble
+
+
+def hub_attacked(spec, scan_ports):
+    """Flows of an attacked hub trace: a port scan and a telnet brute force
+    against two LAN hosts (local-IP remotes), a masquerading C&C, and a
+    flood to a second multicast group on the SSDP port (a bc_mc remote
+    whose value no key names)."""
+    trace = sim.generate(spec, 900, seed=8)
+    for atk in (sim.AttackSpec("PortScan", start=50, rate=20,
+                               target={"ip": "192.168.1.50",
+                                       "n_ports": scan_ports}),
+                sim.AttackSpec("TelnetBrute", start=200, rate=1,
+                               duration=100, target={"ip": "192.168.1.60"}),
+                sim.AttackSpec("HttpMasqCnc", start=100, rate=0.05,
+                               duration=400,
+                               target={"domain": "hub.smarthome-example.com",
+                                       "ip": "203.0.113.40"}),
+                sim.AttackSpec("Flood", start=300, rate=1, duration=20,
+                               target={"ip": "239.255.255.251",
+                                       "dst_port": 1900, "proto": "UDP",
+                                       "packets_per_flow": 3})):
+        trace = sim.inject_attack(trace, atk, seed=8,
+                                  device_ip=spec.device_ip)
+    return flows_of_trace(trace, spec.device_ip, HUB_LAN)
+
+
+@pytest.fixture(scope="module", params=["camera", "hub"])
+def judge_case(request):
+    """(ensemble, keys, table) of an attacked trace of either fixture."""
+    if request.param == "camera":
+        _, ensemble, _, _ = request.getfixturevalue("camera_setup")
+        return (ensemble, *request.getfixturevalue("judged_flows"))
+    spec, ensemble = request.getfixturevalue("hub_setup")
+    return (ensemble, *hub_attacked(spec, 300))
+
+
+def assert_as_reference(ensemble, keys, table):
+    """detect_flows judges every flow as the per-flow oracle does; the
+    batched score may differ in the last digits."""
+    got = ens.detect_flows(ensemble, keys, table)
+    assert len(got) == len(keys)
+    for v, key in zip(got, keys):
+        ref = reference_detect(ensemble, key, table[key])
+        assert (v.flow, v.kind, v.activity, v.models_triggered,
+                v.reason) == (ref.flow, ref.kind, ref.activity,
+                              ref.models_triggered, ref.reason)
+        if ref.score is None:
+            assert v.score is None
+        else:
+            assert abs(v.score - ref.score) <= 1e-12 * abs(ref.score)
+
+
+def stage1_signature(profile, flow_key):
+    """What stage 1 reads of a flow: the protocol, the remote kind and,
+    for a domain, its value, and each port where an exact pattern of its
+    side names it, else whether it is below 1024."""
+    src_named = {k.src_port_pattern.port for k in profile.keys}
+    dst_named = {k.dst_port_pattern.port for k in profile.keys}
+    remote = flow_key.remote
+    return (flow_key.proto, remote.kind,
+            remote.value if remote.kind == "domain" else None,
+            flow_key.src_port if flow_key.src_port in src_named
+            else ("low", flow_key.src_port < 1024),
+            flow_key.dst_port if flow_key.dst_port in dst_named
+            else ("low", flow_key.dst_port < 1024))
+
+
+PORTS = [0, 1, 22, 1023, 1024, 49151, 49152, 65535]
+KEY_REMOTES = [RemotePattern("domain", "a.vendor.com"),
+               RemotePattern("wildcard", ".vendor.com"),
+               RemotePattern("wildcard", ""),
+               RemotePattern("remote_ip"), RemotePattern("local_ip"),
+               RemotePattern("bc_mc")]
+FLOW_REMOTES = [Remote("domain", "a.vendor.com"),
+                Remote("domain", "b.vendor.com"),
+                Remote("domain", "vendor.com"), Remote("domain", "evil.net"),
+                Remote("remote_ip", "203.0.113.9"),
+                Remote("remote_ip", "203.0.113.10"),
+                Remote("local_ip", "192.168.1.20"),
+                Remote("local_ip", "192.168.1.21"),
+                Remote("bc_mc", "239.255.255.250"),
+                Remote("bc_mc", "255.255.255.255")]
+PROTOS = st.sampled_from(["TCP", "UDP"])
+activity_keys = st.builds(
+    ActivityKey, PROTOS, st.sampled_from(KEY_REMOTES),
+    st.sampled_from([PortPattern("regdyn")]
+                    + [PortPattern("exact", p) for p in PORTS]),
+    st.sampled_from([PortPattern("exact", p) for p in PORTS]))
+
+
+@st.composite
+def profiles_and_flows(draw):
+    """Keys and flows from one pool; half the flow ports are ones that a
+    key names, so that flows often match and miss keys by one field."""
+    keys = draw(st.lists(activity_keys, max_size=6))
+
+    def ports(named):
+        pool = st.sampled_from(PORTS + [80, 5000])
+        return st.sampled_from(sorted(named)) | pool if named else pool
+
+    src = ports({k.src_port_pattern.port for k in keys
+                 if k.src_port_pattern.kind == "exact"})
+    dst = ports({k.dst_port_pattern.port for k in keys})
+    flows = draw(st.lists(st.builds(FlowKey, st.just(DEVICE),
+                                    st.sampled_from(FLOW_REMOTES), src, dst,
+                                    PROTOS),
+                          unique=True, min_size=1, max_size=40))
+    return keys, flows
+
+
+def ensemble_of(keys, camera_setup):
+    """An ensemble over ``keys`` whose submodels are the camera ensemble's,
+    taken in turn."""
+    _, trained, _, _ = camera_setup
+    submodels = [trained.submodels[j % len(trained.submodels)]
+                 for j in range(len(keys))]
+    return ens.Ensemble(ActivityProfile(DEVICE, keys), submodels,
+                        trained.arch)
+
+
 class TestDetectFlows:
     def test_judged_flows_cover_every_verdict_kind(self, camera_setup,
                                                    judged_flows):
@@ -249,24 +386,74 @@ class TestDetectFlows:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_matches_per_flow_oracle(self, camera_setup, judged_flows,
-                                     data):
-        _, ensemble, _, _ = camera_setup
-        all_keys, table = judged_flows
+    def test_matches_per_flow_oracle(self, judge_case, data):
+        ensemble, all_keys, table = judge_case
         picks = data.draw(st.lists(st.integers(0, len(all_keys) - 1),
                                    unique=True, max_size=80))
-        keys = [all_keys[i] for i in picks]
-        got = ens.detect_flows(ensemble, keys, table)
-        assert len(got) == len(keys)
-        for v, key in zip(got, keys):
-            ref = reference_detect(ensemble, key, table[key])
-            assert (v.flow, v.kind, v.activity, v.models_triggered,
-                    v.reason) == (ref.flow, ref.kind, ref.activity,
-                                  ref.models_triggered, ref.reason)
-            if ref.score is None:
-                assert v.score is None
-            else:
-                assert abs(v.score - ref.score) <= 1e-12 * abs(ref.score)
+        assert_as_reference(ensemble, [all_keys[i] for i in picks], table)
+
+    def test_hub_trace_has_the_remotes_whose_values_stage1_drops(
+            self, hub_setup):
+        spec, ensemble = hub_setup
+        keys, table = hub_attacked(spec, 300)
+        verdicts = ens.detect_flows(ensemble, keys, table)
+        by_kind = {}
+        for v in verdicts:
+            by_kind.setdefault(v.flow.remote.kind, set()).add(
+                (v.flow.remote.value, v.kind))
+        assert {value for value, _ in by_kind["local_ip"]} == {
+            "192.168.1.50", "192.168.1.60"}
+        assert {value for value, kind in by_kind["bc_mc"]
+                if kind != ens.STAGE1_MALICIOUS} == {
+            "239.255.255.250", "239.255.255.251"}
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=profiles_and_flows())
+    def test_random_profiles_match_per_flow_oracle(self, camera_setup, case):
+        """Exact, wildcard and class remotes, ports on both sides of 1024
+        and 49152, both protocols: every verdict, reason and tie-break is
+        the per-flow oracle's."""
+        keys, flows = case
+        _, _, _, camera_table = camera_setup
+        packets = list(camera_table.values())
+        table = {f: packets[i % len(packets)] for i, f in enumerate(flows)}
+        assert_as_reference(ensemble_of(keys, camera_setup), flows, table)
+
+    def test_port_1_and_high_ports_are_distinct_signatures(self,
+                                                           camera_setup):
+        """A port token that were a bool would equal port 1 (True == 1),
+        so port 5000 would reuse port 1's decision; and 1023, the last
+        port below the reg/dyn range, must not reuse 5000's."""
+        keys = [key(src=PortPattern("exact", 1)), key()]
+        flows = [flow(sport=1), flow(sport=5000), flow(sport=1023),
+                 flow(sport=1024)]
+        _, _, _, camera_table = camera_setup
+        table = dict.fromkeys(flows, next(iter(camera_table.values())))
+        ensemble = ensemble_of(keys, camera_setup)
+        verdicts = ens.detect_flows(ensemble, flows, table)
+        assert [v.activity for v in verdicts] == [0, 1, None, 1]
+        assert_as_reference(ensemble, flows, table)
+
+    def test_stage1_runs_once_per_signature(self, hub_setup, monkeypatch):
+        """A 1,200-port scan: fuzzy_match and _stage1_reason run once per
+        distinct signature, not once per flow."""
+        spec, ensemble = hub_setup
+        keys, table = hub_attacked(spec, 1200)
+        calls = {"fuzzy_match": 0, "_stage1_reason": 0}
+        for name in calls:
+            original = getattr(ens, name)
+            monkeypatch.setattr(ens, name, lambda p, k, name=name,
+                                original=original:
+                                calls.__setitem__(name, calls[name] + 1)
+                                or original(p, k))
+        verdicts = ens.detect_flows(ensemble, keys, table)
+        signatures = {stage1_signature(ensemble.profile, k) for k in keys}
+        rejected = {stage1_signature(ensemble.profile, v.flow)
+                    for v in verdicts if v.kind == ens.STAGE1_MALICIOUS}
+        assert len(keys) > 1200
+        assert calls == {"fuzzy_match": len(signatures),
+                         "_stage1_reason": len(rejected)}
+        assert len(signatures) < 20
 
     def test_one_forward_per_matched_key(self, camera_setup, judged_flows,
                                          monkeypatch):

@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import textwrap
 from pathlib import Path
 
@@ -214,6 +215,26 @@ class TestPipeline:
         files_b = run_pipeline(b, duration="600", epochs="10")
         for fa, fb in zip(files_a, files_b):
             assert Path(fa).read_bytes() == Path(fb).read_bytes()
+
+    def test_detect_reports_both_stages(self, tmp_path, capsys):
+        attacks = [{"kind": "PortScan", "start": 100, "rate": 5,
+                    "target": {"n_ports": 20}},
+                   {"kind": "HttpMasqCnc", "start": 50, "rate": 0.05,
+                    "duration": 400,
+                    "target": {"domain": "api.cam-vendor.com",
+                               "ip": "203.0.113.11"}}]
+        trace, _, ensemble, verdicts, _ = run_pipeline(
+            tmp_path, attacks, duration="600", epochs="10")
+        capsys.readouterr()
+        assert main(["detect", trace, ensemble, "-o", verdicts]) == 0
+        m = re.fullmatch(r"judged (\d+) flows: (\d+) rejected at stage 1, "
+                         r"(\d+) scored at stage 2\n",
+                         capsys.readouterr().out)
+        n, rejected, scored = map(int, m.groups())
+        kinds = [v.kind for v in ens.read_verdicts_jsonl(verdicts)]
+        assert rejected + scored == n == len(kinds)
+        assert rejected == kinds.count(ens.STAGE1_MALICIOUS) >= 20
+        assert scored == len(kinds) - rejected > 0
 
     def test_dump_features(self, tmp_path):
         trace, profile, ensemble, _, _ = run_pipeline(tmp_path,
@@ -758,6 +779,35 @@ def test_every_declared_option_is_read():
         declared = {a.dest for a in sub._actions
                     if not isinstance(a, argparse._HelpAction)}
         assert declared <= read, (name, sorted(declared - read))
+
+
+def test_main_builds_one_parser_and_no_value_outlives_its_call(
+        tmp_path, monkeypatch):
+    """main parses with one parser per process; an ``append`` option of
+    one call is absent from the next call's arguments."""
+    calls = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *a: calls.append(
+                            (self, parse_args(self, *a))) or calls[-1][1])
+    attacked, clean = str(tmp_path / "a.jsonl"), str(tmp_path / "c.jsonl")
+    atk = json.dumps({"kind": "PortScan", "start": 5,
+                      "target": {"n_ports": 5}})
+    simulate = ["simulate", "--fixture", "hub", "--duration", "120"] + SEED
+    assert main(simulate + ["--attack", atk, "-o", attacked]) == 0
+    assert main(simulate + ["-o", clean]) == 0
+    assert main(["profile", clean, "--local-prefix", "192.168.1.0/24",
+                 "-o", str(tmp_path / "lan.json")]) == 0
+    assert main(["profile", clean, "-o", str(tmp_path / "p.json")]) == 0
+
+    assert len({id(parser) for parser, _ in calls}) == 1 and len(calls) == 4
+    assert [args.attack for _, args in calls[:2]] == [[atk], None]
+    assert [args.local_prefix for _, args in calls[2:]] == [
+        ["192.168.1.0/24"], None]
+    manifest = json.loads(Path(clean + ".manifest.json").read_text())
+    assert list(manifest["label_counts"]) == ["benign"]
+    profile = json.loads((tmp_path / "p.json").read_text())
+    assert profile["local_prefixes"] == []
 
 
 SETTABLE = [
