@@ -25,8 +25,7 @@ print(f"\nprofile for {profile.device_ip}: {len(profile.keys)} "
       "activity keys")
 for i, key in enumerate(profile.keys):
     remote = key.remote_pattern.value or key.remote_pattern.kind
-    dst = key.dst_port_pattern.port
-    print(f"  key {i}: {key.proto} {remote} dst={dst} "
+    print(f"  key {i}: {key.proto} {remote} dst={key.dst_port} "
           f"src={key.src_port_pattern.kind} "
           f"({len(key.member_flows)} member flows)")
 
@@ -40,7 +39,8 @@ labels = sim.flow_activity_labels(spec, keys)
 print(f"\nclustering purity vs ground truth: "
       f"{purity(assignment, labels):.3f}")
 
-# Profiles round-trip through JSON for later reuse.
+# Profiles round-trip through JSON for later reuse; the JSON holds the
+# keys, not the flows they were merged from.
 doc = ct.profile_to_dict(profile)
 restored = ct.profile_from_dict(doc)
 print("JSON round trip preserves the profile:",

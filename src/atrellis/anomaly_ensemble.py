@@ -6,6 +6,8 @@ scores the flow with only the autoencoder submodels of the matched keys
 (trigger-action) and compares the best (minimum) reconstruction error
 against that submodel's calibrated threshold.  A batch of flows is judged
 with one feature matrix and one batched forward per matched key.
+Training routes its flows through the same stage 1, so each submodel
+learns from the flows that stage 1 will send to it.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from .clustering_tree import (_REMOTE_KINDS, EXACT, REGDYN, ActivityProfile,
-                              activity_key_from_dict, activity_key_to_dict,
-                              flow_key_from_dict, keying_from_dict,
-                              keying_to_dict)
+                              _flow_sort_key, activity_key_from_dict,
+                              activity_key_to_dict, flow_key_from_dict,
+                              keying_from_dict, keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
@@ -33,7 +35,7 @@ from .traffic_model import (_STRING, _UINT, DOMAIN, PROTOCOLS, SYSTEM, FlowKey,
                             PacketRecord, Remote, _json_str, read_json,
                             read_jsonl)
 
-ENSEMBLE_SCHEMA_VERSION = "4.0"
+ENSEMBLE_SCHEMA_VERSION = "5.0"
 
 STAGE1_MALICIOUS = "stage1_malicious"
 ANOMALOUS = "anomalous"
@@ -69,7 +71,7 @@ def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[int]:
             if k.proto == key.proto
             and k.remote_pattern.matches(key.remote)
             and k.src_port_pattern.matches(key.src_port)
-            and k.dst_port_pattern.matches(key.dst_port)]
+            and k.dst_port == key.dst_port]
 
 
 def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
@@ -78,7 +80,7 @@ def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
         ("protocol", lambda k: k.proto == key.proto),
         ("remote", lambda k: k.remote_pattern.matches(key.remote)),
         ("src-port", lambda k: k.src_port_pattern.matches(key.src_port)),
-        ("dst-port", lambda k: k.dst_port_pattern.matches(key.dst_port)),
+        ("dst-port", lambda k: k.dst_port == key.dst_port),
     ]
     candidates = profile.keys
     for name, accept in levels:
@@ -89,12 +91,40 @@ def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
 
 
 def _port_token(port: int, named: AbstractSet[int]):
-    """What a port pattern reads of a port: the port where an exact pattern
-    names it, else its side of 1024.  The token is a string, not a bool,
-    since True == 1 would give port 1 the entry of every high port."""
+    """What stage 1 reads of a port: the port where a key names it, else
+    its side of 1024.  The token is a string, not a bool, since True == 1
+    would give port 1 the entry of every high port."""
     if port in named:
         return port
     return REGDYN if port >= 1024 else SYSTEM
+
+
+def stage1(profile: ActivityProfile, keys: Iterable[FlowKey]
+           ) -> List[Tuple[List[int], Optional[str]]]:
+    """Each flow's stage-1 decision: the positions of the keys that accept
+    it (fuzzy_match), and for a flow that no key accepts, the reason
+    (_stage1_reason).  Stage 1 reads a flow only through its signature:
+    the protocol, the remote (its value only for a domain) and each port's
+    token.  Flows of one signature share one decision, made once."""
+    src_named = {k.src_port_pattern.port for k in profile.keys
+                 if k.src_port_pattern.kind == EXACT}
+    dst_named = {k.dst_port for k in profile.keys}
+    decided: Dict[tuple, Tuple[List[int], Optional[str]]] = {}
+    decisions = []
+    for flow_key in keys:
+        remote = flow_key.remote
+        signature = (flow_key.proto,
+                     remote if remote.kind == DOMAIN else remote.kind,
+                     _port_token(flow_key.src_port, src_named),
+                     _port_token(flow_key.dst_port, dst_named))
+        decision = decided.get(signature)
+        if decision is None:
+            matched = fuzzy_match(profile, flow_key)
+            decision = decided[signature] = (
+                matched,
+                None if matched else _stage1_reason(profile, flow_key))
+        decisions.append(decision)
+    return decisions
 
 
 def calibrate_threshold(errors: Sequence[float], q: float) -> float:
@@ -111,14 +141,21 @@ def train_ensemble(profile: ActivityProfile,
                    training_flows: Dict[FlowKey, List[PacketRecord]],
                    arch: AEArchitecture, epochs: int, q: float,
                    seed: int = 0) -> Ensemble:
-    """Fit one autoencoder per activity key on its member flows and
-    calibrate its threshold on the training reconstruction errors."""
+    """Fit one autoencoder per activity key on the training flows that
+    stage 1 accepts on it (a flow that several keys accept trains each of
+    them) and calibrate its threshold on the training reconstruction
+    errors.  A key's flows go in _flow_sort_key order, the order of its
+    member flows."""
+    keys = sorted(training_flows, key=_flow_sort_key)
+    routed: List[List[Sequence[PacketRecord]]] = [[] for _ in profile.keys]
+    for flow_key, (matched, _) in zip(keys, stage1(profile, keys)):
+        for j in matched:
+            routed[j].append(training_flows[flow_key])
     submodels = []
-    for i, key in enumerate(profile.keys):
-        flows = [training_flows[f] for f in key.member_flows
-                 if f in training_flows and training_flows[f]]
+    for i, flows in enumerate(routed):
         if not flows:
-            raise EmptyActivity(f"activity key {i} has no trainable flows")
+            raise EmptyActivity(f"activity key {i} matches no flow of the "
+                                f"training trace")
         model = init_model(arch, seed + i)
         model, errors = fit(model, featurize_many(flows, arch.r), epochs)
         submodels.append((model, calibrate_threshold(errors, q)))
@@ -129,38 +166,18 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
                  table: Dict[FlowKey, Sequence[PacketRecord]]
                  ) -> List[Verdict]:
     """Two-stage verdicts for the flows ``keys`` (packets in ``table``), in
-    that order.  Stage 1 runs once per flow signature (below).  Stage 2
-    featurizes every matched flow into one matrix and makes one batched
-    forward per activity key; each flow is judged by its matched key with
-    the least error, the first in profile order on a tie."""
-    profile = ensemble.profile
+    that order.  Stage 1 decides each flow with stage1.  Stage 2 featurizes
+    every matched flow into one matrix and makes one batched forward per
+    activity key; each flow is judged by its matched key with the least
+    error, the first in profile order on a tie."""
     verdicts: List[Optional[Verdict]] = [None] * len(keys)
     stage2: List[int] = []
     triggered: List[int] = []
     rows_of: Dict[int, List[int]] = {}
-    # Stage 1 reads a flow only through its signature: the protocol, the
-    # remote (its value only for a domain) and each port's token.  Flows
-    # of one signature get one decision: the matched keys and the reason.
-    src_named = {k.src_port_pattern.port for k in profile.keys
-                 if k.src_port_pattern.kind == EXACT}
-    dst_named = {k.dst_port_pattern.port for k in profile.keys
-                 if k.dst_port_pattern.kind == EXACT}
-    decided: Dict[tuple, Tuple[List[int], Optional[str]]] = {}
-    for i, flow_key in enumerate(keys):
+    for i, (flow_key, (matched, reason)) in enumerate(
+            zip(keys, stage1(ensemble.profile, keys))):
         if not table[flow_key]:
             raise EmptyFlow("cannot judge an empty flow")
-        remote = flow_key.remote
-        signature = (flow_key.proto,
-                     remote if remote.kind == DOMAIN else remote.kind,
-                     _port_token(flow_key.src_port, src_named),
-                     _port_token(flow_key.dst_port, dst_named))
-        decision = decided.get(signature)
-        if decision is None:
-            matched = fuzzy_match(profile, flow_key)
-            decision = decided[signature] = (
-                matched,
-                None if matched else _stage1_reason(profile, flow_key))
-        matched, reason = decision
         if not matched:
             verdicts[i] = Verdict(STAGE1_MALICIOUS, flow_key, 0,
                                   reason=reason)

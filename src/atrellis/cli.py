@@ -197,7 +197,7 @@ def cmd_profile(args) -> int:
     for i, key in enumerate(profile.keys):
         remote = key.remote_pattern.value or key.remote_pattern.kind
         print(f"  key {i}: {key.proto} {remote} "
-              f"dst={key.dst_port_pattern.port} "
+              f"dst={key.dst_port} "
               f"({len(key.member_flows)} member flows)")
     return 0
 
@@ -215,7 +215,9 @@ def cmd_train(args) -> int:
     ensemble = ens.train_ensemble(profile, table, arch, args.epochs,
                                   args.quantile, seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
-    print(f"trained {len(ensemble.submodels)} submodels")
+    unmatched = sum(not matched for matched, _ in ens.stage1(profile, table))
+    print(f"trained {len(ensemble.submodels)} submodels on "
+          f"{len(table) - unmatched} flows; {unmatched} flows matched no key")
     return 0
 
 

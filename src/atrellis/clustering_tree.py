@@ -4,13 +4,13 @@ The flows of a FlowTable are routed through four rule levels (protocol,
 address class, source port class, destination port class) into leaves.
 At profiling time, flows within a leaf whose packet-size sets are
 sufficiently similar (Jaccard index >= h_s) are merged into one abstract
-activity key, with wildcarded domains and "reg/dyn" port patterns.
+activity key, with wildcarded domains and "reg/dyn" source ports.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
@@ -20,9 +20,9 @@ from .traffic_model import (_PORT, BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS,
 # bench/stage.py wraps ClusterTree.insert by name and its tests count calls
 from .traffic_model import FlowTable as ClusterTree
 
-PROFILE_SCHEMA_VERSION = "2.0"
+PROFILE_SCHEMA_VERSION = "3.0"
 
-# port pattern kinds for activity keys
+# source port pattern kinds for activity keys
 EXACT = "exact"
 REGDYN = "regdyn"
 
@@ -96,7 +96,8 @@ class RemotePattern:
 
 @dataclass(frozen=True)
 class PortPattern:
-    """Port side of an activity key: an exact port or the reg/dyn range."""
+    """Source port of an activity key: an exact system port or the reg/dyn
+    range."""
 
     kind: str
     port: Optional[int] = None
@@ -109,12 +110,13 @@ class PortPattern:
 
 @dataclass(frozen=True)
 class ActivityKey:
-    """Abstract flow rule identifying one device activity."""
+    """Abstract flow rule identifying one device activity.  The destination
+    port is a port: _mergeable joins only flows of one destination port."""
 
     proto: str
     remote_pattern: RemotePattern
     src_port_pattern: PortPattern
-    dst_port_pattern: PortPattern
+    dst_port: int
     member_flows: Tuple[FlowKey, ...] = field(default=(), compare=False,
                                               repr=False)
 
@@ -181,13 +183,13 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
         remote = RemotePattern(LOCAL_IP_CLASS)
     else:
         remote = RemotePattern(BC_MC_CLASS)
-    src_ports = {f.src_port for f in group}
-    if len(src_ports) == 1:
+    # by the mergeable rule a group holds one system source port or none;
+    # an ephemeral port is not pinned, as stacks randomise it (RFC 6056)
+    if first.src_port < 1024:
         src = PortPattern(EXACT, first.src_port)
     else:
-        src = PortPattern(REGDYN)  # all >= 1024 by the mergeable rule
-    dst = PortPattern(EXACT, first.dst_port)
-    return ActivityKey(first.proto, remote, src, dst,
+        src = PortPattern(REGDYN)
+    return ActivityKey(first.proto, remote, src, first.dst_port,
                        tuple(sorted(group, key=_flow_sort_key)))
 
 
@@ -254,7 +256,7 @@ def build_profile(tree: ClusterTree, h_s: float) -> ActivityProfile:
     for path in sorted(leaves, key=_path_sort_key):
         for key in merge_activities(leaves[path], h_s):
             ident = (key.proto, key.remote_pattern, key.src_port_pattern,
-                     key.dst_port_pattern)
+                     key.dst_port)
             if ident in merged:
                 pooled = tuple(sorted(
                     set(merged[ident].member_flows) | set(key.member_flows),
@@ -277,12 +279,10 @@ _REMOTE_VALUE_BY_KIND = {EXACT_DOMAIN: str, WILDCARD_DOMAIN: str,
                          REMOTE_IP_CLASS: _NONE, LOCAL_IP_CLASS: _NONE,
                          BC_MC_CLASS: _NONE}
 _PORT_BY_KIND = {EXACT: _PORT, REGDYN: _NONE}
-# _generalize gives every key an exact destination port; a reg/dyn one
-# would match any destination port from 1024 up
 _KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
                "remote_pattern": {"kind": frozenset(_REMOTE_VALUE_BY_KIND)},
                "src_port_pattern": {"kind": frozenset(_PORT_BY_KIND)},
-               "dst_port_pattern": {"kind": frozenset({EXACT})}}
+               "dst_port": _PORT}
 
 
 def flow_key_to_dict(f: FlowKey) -> dict:
@@ -300,10 +300,10 @@ def flow_key_from_dict(d, what: str) -> FlowKey:
 
 
 def activity_key_to_dict(k: ActivityKey) -> dict:
-    """The four patterns of a key, as the profile and ensemble store them."""
-    return {"proto": k.proto, **{name: asdict(getattr(k, name)) for name in
-                                 ("remote_pattern", "src_port_pattern",
-                                  "dst_port_pattern")}}
+    """The four fields of a key, as the profile and ensemble store them."""
+    return {"proto": k.proto, "remote_pattern": asdict(k.remote_pattern),
+            "src_port_pattern": asdict(k.src_port_pattern),
+            "dst_port": k.dst_port}
 
 
 def _is_wildcard(value: str) -> bool:
@@ -314,7 +314,7 @@ def _is_wildcard(value: str) -> bool:
 
 
 def activity_key_from_dict(d, what: str) -> ActivityKey:
-    """The key, without member flows, whose four patterns ``d`` holds."""
+    """The key, without member flows, whose four fields ``d`` holds."""
     check(d, _KEY_FIELDS, what)
     remote = d["remote_pattern"]
     check(remote, {"value": _REMOTE_VALUE_BY_KIND[remote["kind"]]},
@@ -324,13 +324,12 @@ def activity_key_from_dict(d, what: str) -> ActivityKey:
         # the suffix test of RemotePattern.matches would accept more
         raise SchemaError(f"{what} remote_pattern: wildcard value "
                           f"{value!r:.30} is not a dot and two or more labels")
-    src, dst = (check(d[name], {"port": _PORT_BY_KIND[d[name]["kind"]]},
-                      f"{what} {name}")
-                for name in ("src_port_pattern", "dst_port_pattern"))
+    src = d["src_port_pattern"]
+    check(src, {"port": _PORT_BY_KIND[src["kind"]]},
+          f"{what} src_port_pattern")
     return ActivityKey(d["proto"],
                        RemotePattern(remote["kind"], remote["value"]),
-                       PortPattern(src["kind"], src["port"]),
-                       PortPattern(dst["kind"], dst["port"]))
+                       PortPattern(src["kind"], src["port"]), d["dst_port"])
 
 
 def keying_to_dict(profile: ActivityProfile) -> dict:
@@ -355,26 +354,20 @@ def keying_from_dict(doc, what: str) -> Tuple[str, Tuple[str, ...]]:
 
 
 def profile_to_dict(profile: ActivityProfile) -> dict:
+    """The keying and each key's four fields; train picks each key's flows
+    with stage 1, so the member flows stay in memory."""
     return {"schema_version": PROFILE_SCHEMA_VERSION,
             **keying_to_dict(profile),
-            "keys": [{**activity_key_to_dict(k),
-                      "member_flows": [flow_key_to_dict(f)
-                                       for f in k.member_flows]}
-                     for k in profile.keys]}
+            "keys": [activity_key_to_dict(k) for k in profile.keys]}
 
 
 def profile_from_dict(doc) -> ActivityProfile:
     check_schema_version(doc, PROFILE_SCHEMA_VERSION, "profile")
     device_ip, prefixes = keying_from_dict(doc, "profile")
     check(doc, {"keys": list}, "profile")
-    keys = []
-    for i, d in enumerate(doc["keys"]):
-        what = f"profile key {i}"
-        key = activity_key_from_dict(d, what)
-        flows = check(d, {"member_flows": list}, what)["member_flows"]
-        keys.append(replace(key, member_flows=tuple(
-            flow_key_from_dict(f, f"{what} member flow") for f in flows)))
-    return ActivityProfile(device_ip, keys, prefixes)
+    return ActivityProfile(device_ip, [
+        activity_key_from_dict(d, f"profile key {i}")
+        for i, d in enumerate(doc["keys"])], prefixes)
 
 
 def save_profile(path, profile: ActivityProfile) -> None:

@@ -135,7 +135,7 @@ class DivergedLoss(AtrellisError):
 # --- ensemble ---
 
 class EmptyActivity(AtrellisError):
-    """An activity key has no trainable member flows."""
+    """An activity key matches no flow of the training trace."""
 
 
 class EmptyErrors(AtrellisError):

@@ -28,7 +28,7 @@ def flow(domain="cam3.vendor.com", sport=41000, dport=443, proto="TCP",
 
 
 def key(remote=RemotePattern("wildcard", ".vendor.com"),
-        src=PortPattern("regdyn"), dst=PortPattern("exact", 443),
+        src=PortPattern("regdyn"), dst=443,
         proto="TCP", members=()):
     return ActivityKey(proto, remote, src, dst, members)
 
@@ -39,7 +39,7 @@ class TestFuzzyMatch:
         assert ens.fuzzy_match(profile, flow()) == [0]
 
     def test_dst_port_mismatch(self):
-        profile = ActivityProfile(DEVICE, [key(dst=PortPattern("exact", 80))])
+        profile = ActivityProfile(DEVICE, [key(dst=80)])
         assert ens.fuzzy_match(profile, flow()) == []
 
     def test_regdyn_rejects_system_src(self):
@@ -143,11 +143,38 @@ class TestTrainEnsemble:
         assert len(ensemble.submodels) == len(ensemble.profile.keys)
         assert all(eps > 0 for _, eps in ensemble.submodels)
 
-    def test_empty_activity(self):
+    def test_empty_activity(self, camera_setup):
+        """A key that no training flow matches has nothing to learn from,
+        though its member flows name one."""
+        _, _, _, table = camera_setup
         profile = ActivityProfile(DEVICE, [key(members=(flow(),))])
-        with pytest.raises(EmptyActivity):
-            ens.train_ensemble(profile, {}, AEArchitecture(r=4),
+        with pytest.raises(EmptyActivity, match="^activity key 0 matches "
+                           "no flow of the training trace$"):
+            ens.train_ensemble(profile, table, AEArchitecture(r=4),
                                50, 0.995)
+
+    def test_a_flow_that_two_keys_match_trains_both(self, camera_setup,
+                                                    monkeypatch):
+        """An exact domain beside a wildcard of the same destination: the
+        a.example.com flow trains both keys, b.example.com only the
+        wildcard."""
+        _, _, _, camera_table = camera_setup
+        packets = iter(camera_table.values())
+        table = {flow("a.example.com"): next(packets),
+                 flow("b.example.com", sport=41001): next(packets)}
+        profile = ActivityProfile(DEVICE, [
+            key(remote=RemotePattern("domain", "a.example.com")),
+            key(remote=RemotePattern("wildcard", ".example.com"))])
+        rows = []
+        original = ens.fit
+        monkeypatch.setattr(ens, "fit", lambda m, X, epochs: rows.append(
+            X.tolist()) or original(m, X, epochs))
+        ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                      2, 0.9)
+        a, b = (featurize(table[f], 10).tolist() for f in table)
+        assert rows == [[a], [a, b]]
+        assert [len(m) for m, _ in ens.stage1(profile, list(table))] == [2, 1]
+        assert len(ensemble.submodels) == 2
 
     def test_deterministic(self, camera_setup):
         spec, ensemble, _, table = camera_setup
@@ -310,10 +337,10 @@ def assert_as_reference(ensemble, keys, table):
 
 def stage1_signature(profile, flow_key):
     """What stage 1 reads of a flow: the protocol, the remote kind and,
-    for a domain, its value, and each port where an exact pattern of its
-    side names it, else whether it is below 1024."""
+    for a domain, its value, and each port where a key names it on its
+    side, else whether it is below 1024."""
     src_named = {k.src_port_pattern.port for k in profile.keys}
-    dst_named = {k.dst_port_pattern.port for k in profile.keys}
+    dst_named = {k.dst_port for k in profile.keys}
     remote = flow_key.remote
     return (flow_key.proto, remote.kind,
             remote.value if remote.kind == "domain" else None,
@@ -343,7 +370,7 @@ activity_keys = st.builds(
     ActivityKey, PROTOS, st.sampled_from(KEY_REMOTES),
     st.sampled_from([PortPattern("regdyn")]
                     + [PortPattern("exact", p) for p in PORTS]),
-    st.sampled_from([PortPattern("exact", p) for p in PORTS]))
+    st.sampled_from(PORTS))
 
 
 @st.composite
@@ -358,7 +385,7 @@ def profiles_and_flows(draw):
 
     src = ports({k.src_port_pattern.port for k in keys
                  if k.src_port_pattern.kind == "exact"})
-    dst = ports({k.dst_port_pattern.port for k in keys})
+    dst = ports({k.dst_port for k in keys})
     flows = draw(st.lists(st.builds(FlowKey, st.just(DEVICE),
                                     st.sampled_from(FLOW_REMOTES), src, dst,
                                     PROTOS),
@@ -477,7 +504,7 @@ class TestDetectFlows:
         [j] = ens.fuzzy_match(ensemble.profile, flow_key)
         key = ensemble.profile.keys[j]
         twin = ActivityKey(key.proto, RemotePattern("wildcard", ""),
-                           key.src_port_pattern, key.dst_port_pattern)
+                           key.src_port_pattern, key.dst_port)
         for order in ([twin, key], [key, twin]):
             tied = ens.Ensemble(ActivityProfile(DEVICE, order),
                                 [ensemble.submodels[j]] * 2,
@@ -614,18 +641,16 @@ class TestSerialization:
             "kind", "anycast"), "remote_pattern: unknown kind 'anycast'"),
         (lambda doc: doc["submodels"][0]["remote_pattern"].__setitem__(
             "value", None), "field value has the wrong type NoneType"),
-        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
-            "kind", "range"), "dst_port_pattern: unknown kind 'range'"),
-        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
-            "port", 70000), "port 70000 is not an integer in 0-65535"),
-        (lambda doc: doc["submodels"][0]["dst_port_pattern"].__setitem__(
-            "port", "443"), "port '443' is not an integer in 0-65535"),
+        (lambda doc: doc["submodels"][0]["src_port_pattern"].__setitem__(
+            "kind", "range"), "src_port_pattern: unknown kind 'range'"),
         (lambda doc: doc["submodels"][0]["src_port_pattern"].__setitem__(
             "port", 1), "field port has the wrong type int"),
         (lambda doc: doc.__setitem__("schema_version", "2.0"),
          "unsupported schema_version '2.0'"),
         (lambda doc: doc.__setitem__("schema_version", "3.0"),
          "unsupported schema_version '3.0'"),
+        (lambda doc: doc.__setitem__("schema_version", "4.0"),
+         "unsupported schema_version '4.0'"),
         (lambda doc: doc.pop("local_prefixes"),
          "ensemble: missing field local_prefixes"),
         (lambda doc: doc.__setitem__("local_prefixes", "10.0.0.0/8"),
@@ -640,8 +665,8 @@ class TestSerialization:
             "r-below-kernel", "schema-1.0", "epsilon-str", "epsilon-nan",
             "epsilon-negative", "no-epsilon", "no-model", "no-proto",
             "proto-icmp", "remote-kind", "domain-without-name",
-            "port-kind", "port-70000", "port-str", "regdyn-with-port",
-            "schema-2.0", "schema-3.0", "no-local-prefixes",
+            "src-port-kind", "regdyn-with-port",
+            "schema-2.0", "schema-3.0", "schema-4.0", "no-local-prefixes",
             "local-prefixes-not-list", "local-prefix-not-network",
             "local-prefix-not-str", "no-weights"])
     def test_corrupt_document_is_a_short_schema_error(
@@ -662,7 +687,7 @@ class TestSerialization:
                             "r", "submodels"}
         for entry, key in zip(doc["submodels"], ensemble.profile.keys):
             assert set(entry) == {"proto", "remote_pattern",
-                                  "src_port_pattern", "dst_port_pattern",
+                                  "src_port_pattern", "dst_port",
                                   "model", "epsilon"}
             assert set(entry["model"]) == {"seed", "weights"}
             assert ct.activity_key_from_dict(entry, "key") == key
@@ -683,18 +708,20 @@ class TestSerialization:
                 f"{value!r} is not a dot and two or more labels")):
             ens.load_ensemble(path)
 
-    def test_regdyn_destination_port_is_refused(self, camera_setup,
-                                                tmp_path):
-        """A reg/dyn destination would send every flow to a port from 1024
-        up to the submodel; _generalize never writes one."""
+    @pytest.mark.parametrize("value", [
+        {"kind": "regdyn", "port": None}, -1, 70000, "443", True],
+        ids=["regdyn", "negative", "70000", "str", "bool"])
+    def test_destination_port_that_is_not_a_port_is_refused(
+            self, camera_setup, tmp_path, value):
+        """A key's destination is one port; a reg/dyn pattern there would
+        send every flow to a port from 1024 up to the submodel."""
         _, ensemble, _, _ = camera_setup
         doc = ens.ensemble_to_dict(ensemble)
-        doc["submodels"][1]["dst_port_pattern"] = {"kind": "regdyn",
-                                                   "port": None}
+        doc["submodels"][1]["dst_port"] = value
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="^ensemble submodel 1 "
-                           "dst_port_pattern: unknown kind 'regdyn'$"):
+        with pytest.raises(SchemaError, match=r"^ensemble submodel 1: "
+                           r"dst_port .* is not an integer in 0-65535$"):
             ens.load_ensemble(path)
 
     def test_round_trip(self, camera_setup, tmp_path):

@@ -184,6 +184,19 @@ class TestProfile:
         assert len(doc["keys"]) >= 3
         assert "activity keys" in capsys.readouterr().out
 
+    def test_profile_does_not_grow_with_the_trace(self, tmp_path):
+        """The profile holds keys, not flows: an hour more of the same
+        device gives the same bytes."""
+        docs = []
+        for duration in ("3600", "7200"):
+            trace = str(tmp_path / f"t{duration}.jsonl")
+            profile = tmp_path / f"p{duration}.json"
+            assert main(["simulate", "--fixture", "camera", "--duration",
+                         duration, "-o", trace] + SEED) == 0
+            assert main(["profile", trace, "-o", str(profile)]) == 0
+            docs.append(profile.read_bytes())
+        assert docs[0] == docs[1] and len(docs[0]) < 2000
+
     def test_empty_trace_exits_1(self, tmp_path):
         trace = tmp_path / "empty.jsonl"
         trace.write_text("")
@@ -235,6 +248,30 @@ class TestPipeline:
         assert rejected + scored == n == len(kinds)
         assert rejected == kinds.count(ens.STAGE1_MALICIOUS) >= 20
         assert scored == len(kinds) - rejected > 0
+
+    def test_train_reports_the_flows_that_match_no_key(self, tmp_path,
+                                                       capsys):
+        """Training on an attacked trace trains on the flows that stage 1
+        accepts and counts the others: as many as detect rejects there."""
+        attacks = [{"kind": "PortScan", "start": 100, "rate": 5,
+                    "target": {"n_ports": 20}}]
+        trace, profile, _, _, _ = run_pipeline(tmp_path, attacks,
+                                               duration="600", epochs="1")
+        ensemble = str(tmp_path / "e.json")
+        capsys.readouterr()
+        assert main(["train", trace, profile, "--epochs", "1",
+                     "-o", ensemble]) == 0
+        m = re.fullmatch(r"trained (\d+) submodels on (\d+) flows; (\d+) "
+                         r"flows matched no key\n", capsys.readouterr().out)
+        keys, trained, unmatched = map(int, m.groups())
+        assert keys == len(json.loads(Path(profile).read_text())["keys"])
+        assert main(["detect", trace, ensemble, "-o",
+                     str(tmp_path / "v.jsonl")]) == 0
+        m = re.fullmatch(r"judged (\d+) flows: (\d+) rejected at stage 1, "
+                         r"(\d+) scored at stage 2\n",
+                         capsys.readouterr().out)
+        assert (trained, unmatched) == (int(m[3]), int(m[2]))
+        assert unmatched >= 20
 
     def test_dump_features(self, tmp_path):
         trace, profile, ensemble, _, _ = run_pipeline(tmp_path,
@@ -370,11 +407,19 @@ class TestCorruptEnsemble:
         (lambda d: d["submodels"][0].pop("model"), "missing field model"),
         (lambda d: d["submodels"][0]["remote_pattern"].__setitem__(
             "kind", "anycast"), "unknown kind 'anycast'"),
-        (lambda d: d["submodels"][0]["dst_port_pattern"].__setitem__(
+        (lambda d: d["submodels"][0]["src_port_pattern"].__setitem__(
             "kind", "range"), "unknown kind 'range'"),
         (lambda d: d["submodels"][0].__setitem__(
-            "dst_port_pattern", {"kind": "regdyn", "port": None}),
-         "submodel 0 dst_port_pattern: unknown kind 'regdyn'"),
+            "dst_port", {"kind": "regdyn", "port": None}),
+         "submodel 0: dst_port {'kind': 'regdyn'"),
+        (lambda d: d["submodels"][0].__setitem__("dst_port", -1),
+         "submodel 0: dst_port -1 is not an integer"),
+        (lambda d: d["submodels"][0].__setitem__("dst_port", 70000),
+         "submodel 0: dst_port 70000 is not an integer"),
+        (lambda d: d["submodels"][0].__setitem__("dst_port", "443"),
+         "submodel 0: dst_port '443' is not an integer"),
+        (lambda d: d["submodels"][0].__setitem__("dst_port", True),
+         "submodel 0: dst_port True is not an integer"),
         (lambda d: d["submodels"][0].pop("proto"), "missing field proto"),
         (lambda d: d.__setitem__("submodels", {}),
          "field submodels has the wrong type dict"),
@@ -382,13 +427,16 @@ class TestCorruptEnsemble:
          "unsupported schema_version '1.0'"),
         (lambda d: d.__setitem__("schema_version", "2.0"),
          "unsupported schema_version '2.0'"),
+        (lambda d: d.__setitem__("schema_version", "4.0"),
+         "unsupported schema_version '4.0'"),
         (lambda d: d.pop("local_prefixes"), "missing field local_prefixes"),
         (lambda d: d.__setitem__("local_prefixes", ["garbage"]),
          "ensemble: local_prefixes: "),
     ], ids=["epsilon-str", "epsilon-nan", "epsilon-negative", "no-device-ip",
             "no-model", "remote-kind", "port-kind", "dst-regdyn",
+            "dst-negative", "dst-70000", "dst-str", "dst-bool",
             "no-proto",
-            "submodels-not-list", "schema-1.0", "schema-2.0",
+            "submodels-not-list", "schema-1.0", "schema-2.0", "schema-4.0",
             "no-local-prefixes", "local-prefix-garbage"])
     def test_bad_document_exits_1_without_traceback(
             self, small_run, tmp_path, capsys, corrupt, names):
@@ -1025,8 +1073,8 @@ class TestPinnedBytes:
 
     TRACE_SHA256 = ("42a7f1153b86bbc7b7d12e949a55c0f0"
                     "4d53c256dc6f9d372718f74d9b96679b")
-    PROFILE_SHA256 = ("4716ec28b18237e017d54953df6b2128"
-                      "cc858cdef28f9fe0b652d0c3f578244b")
+    PROFILE_SHA256 = ("8b04c7e2c50242aee41154fe1e7d7acf"
+                      "9a58830ab237256585590705c3169ba5")
 
     def test_simulated_trace_and_its_profile(self, tmp_path):
         trace, profile = str(tmp_path / "t.jsonl"), str(tmp_path / "p.json")

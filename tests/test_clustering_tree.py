@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atrellis.anomaly_ensemble import stage1
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       ClusterTree,
                                       _flow_sort_key, _path_sort_key,
@@ -91,7 +92,7 @@ def reference_build_profile(tree, h_s):
         sizes = {k: s.sizes for k, s in tree.leaves[path].items()}
         for key in merge_activities(sizes, h_s):
             ident = (key.proto, key.remote_pattern, key.src_port_pattern,
-                     key.dst_port_pattern)
+                     key.dst_port)
             if ident in merged:
                 pooled = tuple(sorted(
                     set(merged[ident].member_flows) | set(key.member_flows),
@@ -160,6 +161,41 @@ class TestAgainstReferenceTree:
         assert leaves_of(tree) == {
             path: {k: frozenset(s.sizes) for k, s in leaf.items()}
             for path, leaf in ref.leaves.items()}
+
+
+def routed(profile, flows):
+    """Each key's flows as train routes them: stage 1's matches, the flows
+    taken in _flow_sort_key order."""
+    flows = sorted(flows, key=_flow_sort_key)
+    by_key = [[] for _ in profile.keys]
+    for f, (matched, _) in zip(flows, stage1(profile, flows)):
+        for j in matched:
+            by_key[j].append(f)
+    return by_key, flows
+
+
+class TestRouting:
+    @settings(max_examples=80, deadline=None)
+    @given(multi_flow_traces(), st.sampled_from([(), ("192.168.1.0/24",)]),
+           st.sampled_from([0.0, 0.5, 1.0]))
+    def test_stage1_routing_reproduces_membership(self, packets, prefixes,
+                                                  h_s):
+        """Stage 1 accepts every flow on the key it is a member of; where
+        no flow matches two keys, each key's routed flows are its member
+        flows, in order."""
+        tree = ClusterTree(DEVICE, prefixes)
+        for p in packets:
+            tree.insert(p)
+        profile = build_profile(tree, h_s)
+        by_key, flows = routed(profile, tree.flows)
+        owner = {f: j for j, k in enumerate(profile.keys)
+                 for f in k.member_flows}
+        assert sorted(owner, key=_flow_sort_key) == flows
+        decisions = stage1(profile, flows)
+        for f, (matched, _) in zip(flows, decisions):
+            assert owner[f] in matched
+        if all(len(matched) == 1 for matched, _ in decisions):
+            assert by_key == [list(k.member_flows) for k in profile.keys]
 
 
 class TestInsert:
@@ -309,6 +345,34 @@ class TestMergeActivities:
                   for h in (0.0, 0.25, 0.5, 0.75, 1.0)]
         assert counts == sorted(counts)
 
+    def test_ephemeral_source_port_is_never_pinned(self):
+        """A one-flow group on source port 36002 beside a reg/dyn group of
+        the same domain and destination, with sizes disjoint from it, gets
+        the reg/dyn source too, so build_profile pools them into one key
+        and stage 1 routes every flow to it."""
+        tree = ClusterTree(DEVICE)
+        for ts, (sport, length) in enumerate(
+                [(40000, 512), (40000, 1024), (40001, 512), (40001, 1024),
+                 (36002, 99)]):
+            tree.insert(pkt(ts=float(ts), dst_ip="198.51.100.1",
+                            src_port=sport, dst_port=443, proto="TCP",
+                            dns_name="cam1.vendor.com", length=length))
+        groups = merge_activities(leaves_of(tree)[tree_path_of(
+            domain_flow("cam1.vendor.com"))], 0.5)
+        assert [len(k.member_flows) for k in groups] == [1, 2]
+        assert {k.src_port_pattern.kind for k in groups} == {"regdyn"}
+        profile = build_profile(tree, 0.5)
+        (key,) = profile.keys
+        assert key.src_port_pattern.kind == "regdyn"
+        assert [f.src_port for f in key.member_flows] == [36002, 40000, 40001]
+        assert routed(profile, tree.flows)[0] == [list(key.member_flows)]
+
+    def test_system_source_port_stays_exact(self):
+        entries = {domain_flow("a.example.com", 123): frozenset({512})}
+        (key,) = merge_activities(entries, 0.5)
+        assert (key.src_port_pattern.kind, key.src_port_pattern.port) == \
+            ("exact", 123)
+
     def test_members_match_own_key(self):
         entries = {
             domain_flow("cam1.vendor.com", 40000): frozenset({512, 1024}),
@@ -320,7 +384,7 @@ class TestMergeActivities:
                 assert key.proto == f.proto
                 assert key.remote_pattern.matches(f.remote)
                 assert key.src_port_pattern.matches(f.src_port)
-                assert key.dst_port_pattern.matches(f.dst_port)
+                assert key.dst_port == f.dst_port
 
 
 class TestBuildProfile:
@@ -350,8 +414,10 @@ class TestBuildProfile:
         loaded = load_profile(path)
         assert loaded.device_ip == profile.device_ip
         assert loaded.keys == profile.keys
-        assert [k.member_flows for k in loaded.keys] == \
-            [k.member_flows for k in profile.keys]
+        # the file holds the keys and not the flows they were merged from
+        assert all(k.member_flows for k in profile.keys)
+        assert all(not k.member_flows for k in loaded.keys)
+        assert "member_flows" not in path.read_text()
         # serialization is stable
         assert profile_to_dict(loaded) == profile_to_dict(profile)
 
@@ -363,17 +429,12 @@ class TestBuildProfile:
             "kind", "anycast"), "key 1 remote_pattern: unknown kind"),
         (lambda doc: doc["keys"][0]["src_port_pattern"].__setitem__(
             "kind", "any"), "key 0 src_port_pattern: unknown kind 'any'"),
-        (lambda doc: doc["keys"][0].pop("member_flows"),
-         "key 0: missing field member_flows"),
-        (lambda doc: doc["keys"][0]["member_flows"][0].__setitem__(
-            "src_port", -1),
-         "member flow: src_port -1 is not an integer in 0-65535"),
-        (lambda doc: doc["keys"][0]["member_flows"][0]["remote"].pop(
-            "value"), "member flow remote: missing field value"),
-        (lambda doc: doc["keys"][0]["member_flows"][0].__setitem__(
-            "proto", "SCTP"), "unknown proto 'SCTP'"),
+        (lambda doc: doc["keys"][0].__setitem__("proto", "SCTP"),
+         "key 0: unknown proto 'SCTP'"),
         (lambda doc: doc.__setitem__("schema_version", "1.0"),
          "unsupported schema_version '1.0'"),
+        (lambda doc: doc.__setitem__("schema_version", "2.0"),
+         "unsupported schema_version '2.0'"),
         (lambda doc: doc.pop("local_prefixes"),
          "profile: missing field local_prefixes"),
         (lambda doc: doc.__setitem__("local_prefixes", {}),
@@ -411,16 +472,20 @@ class TestBuildProfile:
             load_profile(path)
         assert "\n" not in str(info.value) and len(str(info.value)) < 120
 
-    def test_regdyn_destination_port_is_refused(self, tmp_path):
-        """_generalize writes every destination port exact; a reg/dyn one
-        would match every destination port from 1024 up."""
+    @pytest.mark.parametrize("value", [
+        {"kind": "regdyn", "port": None}, -1, 70000, "443", True],
+        ids=["regdyn", "negative", "70000", "str", "bool"])
+    def test_destination_port_that_is_not_a_port_is_refused(self, tmp_path,
+                                                            value):
+        """A key's destination is one port; a reg/dyn pattern there would
+        match every destination port from 1024 up."""
         doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
                                             0.5))
-        doc["keys"][1]["dst_port_pattern"] = {"kind": "regdyn", "port": None}
+        doc["keys"][1]["dst_port"] = value
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="^profile key 1 "
-                           "dst_port_pattern: unknown kind 'regdyn'$"):
+        with pytest.raises(SchemaError, match=r"^profile key 1: dst_port "
+                           r".* is not an integer in 0-65535$"):
             load_profile(path)
 
     def test_written_wildcard_loads_and_matches_only_its_suffix(
