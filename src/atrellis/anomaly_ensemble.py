@@ -21,9 +21,8 @@ from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple,
 
 import numpy as np
 
-from .clustering_tree import (_REMOTE_KINDS, EXACT, REGDYN, ActivityProfile,
-                              _flow_sort_key, activity_key_from_dict,
-                              activity_key_to_dict, flow_key_from_dict,
+from .clustering_tree import (EXACT, REGDYN, ActivityProfile, _flow_sort_key,
+                              activity_key_from_dict, activity_key_to_dict,
                               keying_from_dict, keying_to_dict)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
@@ -31,7 +30,8 @@ from .feature_pipeline import featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, fit, init_model,
                                  model_from_dict, model_to_dict,
                                  reconstruction_error)
-from .traffic_model import (_STRING, _UINT, DOMAIN, PROTOCOLS, SYSTEM, FlowKey,
+from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, DOMAIN, LOCAL_IP,
+                            PROTOCOLS, REMOTE_IP, SYSTEM, FlowKey,
                             PacketRecord, Remote, _json_str, read_json,
                             read_jsonl)
 
@@ -64,27 +64,28 @@ class Ensemble:
     arch: AEArchitecture
 
 
+# stage 1's four levels, in order: each tests an activity key against a
+# flow key
+_STAGE1_LEVELS = (
+    ("protocol", lambda k, f: k.proto == f.proto),
+    ("remote", lambda k, f: k.remote_pattern.matches(f.remote)),
+    ("src-port", lambda k, f: k.src_port_pattern.matches(f.src_port)),
+    ("dst-port", lambda k, f: k.dst_port == f.dst_port),
+)
+
+
 def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[int]:
     """The positions of every activity key whose fields all accept the
     flow."""
     return [j for j, k in enumerate(profile.keys)
-            if k.proto == key.proto
-            and k.remote_pattern.matches(key.remote)
-            and k.src_port_pattern.matches(key.src_port)
-            and k.dst_port == key.dst_port]
+            if all(accept(k, key) for _, accept in _STAGE1_LEVELS)]
 
 
 def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
     """Name which of the four levels ruled out every key."""
-    levels = [
-        ("protocol", lambda k: k.proto == key.proto),
-        ("remote", lambda k: k.remote_pattern.matches(key.remote)),
-        ("src-port", lambda k: k.src_port_pattern.matches(key.src_port)),
-        ("dst-port", lambda k: k.dst_port == key.dst_port),
-    ]
     candidates = profile.keys
-    for name, accept in levels:
-        candidates = [k for k in candidates if accept(k)]
+    for name, accept in _STAGE1_LEVELS:
+        candidates = [k for k in candidates if accept(k, key)]
         if not candidates:
             break
     return f"no activity key accepts the flow at the {name} level"
@@ -273,6 +274,27 @@ def evaluate(verdicts: Sequence[Verdict],
 
 
 # --- serialization --------------------------------------------------------
+
+_REMOTE_KINDS = frozenset({DOMAIN, REMOTE_IP, LOCAL_IP, BC_MC})
+_FLOW_KEY_FIELDS = {
+    "device_ip": str, "remote": {"kind": _REMOTE_KINDS, "value": str},
+    "src_port": _PORT, "dst_port": _PORT, "proto": frozenset(PROTOCOLS)}
+
+
+def flow_key_to_dict(f: FlowKey) -> dict:
+    """A verdict's flow key as an object, the one verdict_line writes."""
+    return {"device_ip": f.device_ip,
+            "remote": {"kind": f.remote.kind, "value": f.remote.value},
+            "src_port": f.src_port, "dst_port": f.dst_port, "proto": f.proto}
+
+
+def flow_key_from_dict(d, what: str) -> FlowKey:
+    """The flow key that ``d`` holds; ``check`` names its first bad
+    field."""
+    remote = check(d, _FLOW_KEY_FIELDS, what)["remote"]
+    return FlowKey(d["device_ip"], Remote(remote["kind"], remote["value"]),
+                   d["src_port"], d["dst_port"], d["proto"])
+
 
 def verdict_line(v: Verdict) -> str:
     """``json.dumps`` of the verdict's object plus a newline: its flow key,

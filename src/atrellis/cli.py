@@ -234,7 +234,7 @@ def cmd_detect(args) -> int:
         with open(args.dump_features, "w") as dump:
             for key, row in zip(keys, X):
                 dump.write(json.dumps(
-                    {"flow_key": ct.flow_key_to_dict(key),
+                    {"flow_key": ens.flow_key_to_dict(key),
                      "values": row.tolist()}) + "\n")
     rejected = sum(v.kind == ens.STAGE1_MALICIOUS for v in verdicts)
     print(f"judged {len(keys)} flows: {rejected} rejected at stage 1, "

@@ -2,15 +2,18 @@
 
 The flows of a FlowTable are routed through four rule levels (protocol,
 address class, source port class, destination port class) into leaves.
-At profiling time, flows within a leaf whose packet-size sets are
-sufficiently similar (Jaccard index >= h_s) are merged into one abstract
-activity key, with wildcarded domains and "reg/dyn" source ports.
+At profiling time, the distinct packet-size sets of each part of a leaf
+(one destination port, source port class and domain tail) are linked
+when their Jaccard index is >= h_s; each linked group of flows becomes
+one abstract activity key, with wildcarded domains and "reg/dyn" source
+ports, in the order of the groups' first flows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from itertools import combinations
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
@@ -111,7 +114,7 @@ class PortPattern:
 @dataclass(frozen=True)
 class ActivityKey:
     """Abstract flow rule identifying one device activity.  The destination
-    port is a port: _mergeable joins only flows of one destination port."""
+    port is a port: a part (_part_of) holds one destination port."""
 
     proto: str
     remote_pattern: RemotePattern
@@ -145,19 +148,19 @@ def _domain_suffix(a: str, b: str) -> Optional[str]:
     return ".".join(reversed(shared))
 
 
-def _mergeable(f1: FlowKey, f2: FlowKey) -> bool:
-    """Whether two flows of one leaf may generalize into one key:
-    equal dst ports, src ports equal or both reg/dyn, and domains (when
-    present) equal or sharing a suffix of at least two labels."""
-    if f1.dst_port != f2.dst_port:
-        return False
-    if f1.src_port != f2.src_port and (f1.src_port < 1024 or f2.src_port < 1024):
-        return False
-    if f1.remote.kind == DOMAIN:
-        if f1.remote.value != f2.remote.value \
-                and _domain_suffix(f1.remote.value, f2.remote.value) is None:
-            return False
-    return True
+def _part_of(f: FlowKey) -> Tuple:
+    """The part of a leaf that a flow may share a key within: its
+    destination port, its source port below 1024 or else reg/dyn, and for
+    a domain its last two labels.  A name with an empty one among them is
+    its own part, as a one-label name is by its one label.  An IP-class
+    remote adds nothing."""
+    src = f.src_port if f.src_port < 1024 else REGDYN
+    if f.remote.kind != DOMAIN:
+        return f.dst_port, src
+    tail = tuple(f.remote.value.split(".")[-2:])
+    if not all(tail):
+        tail = f.remote.value
+    return f.dst_port, src, tail
 
 
 def _flow_sort_key(f: FlowKey):
@@ -165,6 +168,8 @@ def _flow_sort_key(f: FlowKey):
 
 
 def _generalize(group: List[FlowKey]) -> ActivityKey:
+    """The key, without member flows, that accepts every flow of a group
+    of one part."""
     first = group[0]
     kind = first.remote.kind
     if kind == DOMAIN:
@@ -183,48 +188,47 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
         remote = RemotePattern(LOCAL_IP_CLASS)
     else:
         remote = RemotePattern(BC_MC_CLASS)
-    # by the mergeable rule a group holds one system source port or none;
-    # an ephemeral port is not pinned, as stacks randomise it (RFC 6056)
+    # a part holds one system source port or none; an ephemeral port is
+    # not pinned, as stacks randomise it (RFC 6056)
     if first.src_port < 1024:
         src = PortPattern(EXACT, first.src_port)
     else:
         src = PortPattern(REGDYN)
-    return ActivityKey(first.proto, remote, src, first.dst_port,
-                       tuple(sorted(group, key=_flow_sort_key)))
+    return ActivityKey(first.proto, remote, src, first.dst_port)
 
 
 def merge_activities(leaf_entries: Dict[FlowKey, FrozenSet],
                      h_s: float) -> List[ActivityKey]:
     """Single-linkage agglomeration of one leaf's flows, each given with
-    its set of packet lengths.
+    its set of packet lengths (h_s in [0, 1]).
 
-    Two flows join one activity when their size sets have Jaccard >= h_s
-    and their keys are compatible under the generalization rules; groups
-    chain transitively.  Each group becomes one abstract key; singletons
-    become exact keys.
+    Flows join only within a part (_part_of).  Union-find links two
+    distinct size sets of a part when their Jaccard index is >= h_s, and
+    the flows of linked sets form one group.  The groups' keys come in
+    first-member order (_flow_sort_key); equal keys pool their flows.
     """
     flows = sorted(leaf_entries, key=_flow_sort_key)
-    parent = list(range(len(flows)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(flows)):
-        for j in range(i + 1, len(flows)):
-            if find(i) == find(j):
-                continue
-            if _mergeable(flows[i], flows[j]) and \
-                    jaccard(leaf_entries[flows[i]],
-                            leaf_entries[flows[j]]) >= h_s:
-                parent[find(j)] = find(i)
-
-    groups: Dict[int, List[FlowKey]] = {}
-    for i, f in enumerate(flows):
-        groups.setdefault(find(i), []).append(f)
-    return [_generalize(g) for _, g in sorted(groups.items())]
+    parts: Dict[Tuple, Dict[FrozenSet, List[FlowKey]]] = {}
+    for f in flows:
+        parts.setdefault(_part_of(f), {}).setdefault(
+            leaf_entries[f], []).append(f)
+    key_of: Dict[FlowKey, ActivityKey] = {}
+    for flows_by_sizes in parts.values():
+        sizes = list(flows_by_sizes)
+        root = list(range(len(sizes)))      # quick-find: component labels
+        for i, j in combinations(range(len(sizes)), 2):
+            if root[i] != root[j] and jaccard(sizes[i], sizes[j]) >= h_s:
+                joined = root[j]
+                root = [root[i] if r == joined else r for r in root]
+        groups: Dict[int, List[FlowKey]] = {}
+        for r, s in zip(root, sizes):
+            groups.setdefault(r, []).extend(flows_by_sizes[s])
+        for group in groups.values():
+            key_of.update(dict.fromkeys(group, _generalize(group)))
+    members: Dict[ActivityKey, List[FlowKey]] = {}
+    for f in flows:
+        members.setdefault(key_of[f], []).append(f)
+    return [replace(k, member_flows=tuple(m)) for k, m in members.items()]
 
 
 def _path_sort_key(path: TreePath):
@@ -244,36 +248,20 @@ def leaves_of(tree: ClusterTree) -> Dict[TreePath, Dict[FlowKey, FrozenSet]]:
 
 
 def build_profile(tree: ClusterTree, h_s: float) -> ActivityProfile:
-    """Merge every leaf and concatenate the resulting activity keys.
-
-    Keys whose patterns coincide (possible across groups of one leaf)
-    are collapsed into one, pooling their member flows.
-    """
+    """Merge every leaf, in path order, and concatenate the resulting
+    activity keys (equal keys arise only within one leaf)."""
     if not tree.flows:
         raise EmptyTree("no packets inserted")
     leaves = leaves_of(tree)
-    merged: Dict[Tuple, ActivityKey] = {}
-    for path in sorted(leaves, key=_path_sort_key):
-        for key in merge_activities(leaves[path], h_s):
-            ident = (key.proto, key.remote_pattern, key.src_port_pattern,
-                     key.dst_port)
-            if ident in merged:
-                pooled = tuple(sorted(
-                    set(merged[ident].member_flows) | set(key.member_flows),
-                    key=_flow_sort_key))
-                merged[ident] = ActivityKey(*ident, pooled)
-            else:
-                merged[ident] = key
-    return ActivityProfile(tree.device_ip, list(merged.values()),
-                           tree.local_prefixes)
+    return ActivityProfile(
+        tree.device_ip,
+        [key for path in sorted(leaves, key=_path_sort_key)
+         for key in merge_activities(leaves[path], h_s)],
+        tree.local_prefixes)
 
 
 # --- serialization --------------------------------------------------------
 
-_REMOTE_KINDS = frozenset({DOMAIN, REMOTE_IP, LOCAL_IP, BC_MC})
-_FLOW_KEY_FIELDS = {
-    "device_ip": str, "remote": {"kind": _REMOTE_KINDS, "value": str},
-    "src_port": _PORT, "dst_port": _PORT, "proto": frozenset(PROTOCOLS)}
 _NONE = type(None)
 _REMOTE_VALUE_BY_KIND = {EXACT_DOMAIN: str, WILDCARD_DOMAIN: str,
                          REMOTE_IP_CLASS: _NONE, LOCAL_IP_CLASS: _NONE,
@@ -283,20 +271,6 @@ _KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
                "remote_pattern": {"kind": frozenset(_REMOTE_VALUE_BY_KIND)},
                "src_port_pattern": {"kind": frozenset(_PORT_BY_KIND)},
                "dst_port": _PORT}
-
-
-def flow_key_to_dict(f: FlowKey) -> dict:
-    return {"device_ip": f.device_ip,
-            "remote": {"kind": f.remote.kind, "value": f.remote.value},
-            "src_port": f.src_port, "dst_port": f.dst_port, "proto": f.proto}
-
-
-def flow_key_from_dict(d, what: str) -> FlowKey:
-    """The flow key that ``d`` holds; ``check`` names its first bad
-    field."""
-    remote = check(d, _FLOW_KEY_FIELDS, what)["remote"]
-    return FlowKey(d["device_ip"], Remote(remote["kind"], remote["value"]),
-                   d["src_port"], d["dst_port"], d["proto"])
 
 
 def activity_key_to_dict(k: ActivityKey) -> dict:

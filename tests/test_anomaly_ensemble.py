@@ -745,7 +745,7 @@ class TestSerialization:
 def verdict_to_dict(v: ens.Verdict) -> dict:
     """The JSON object of a verdict, as detect wrote it with ``json.dumps``
     before it formatted lines itself: the oracle of verdict_line."""
-    d = {"flow_key": ct.flow_key_to_dict(v.flow), "kind": v.kind,
+    d = {"flow_key": ens.flow_key_to_dict(v.flow), "kind": v.kind,
          "models_triggered": v.models_triggered}
     d.update((name, getattr(v, name)) for name in ("activity", "score",
                                                    "reason")

@@ -1,15 +1,17 @@
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atrellis import clustering_tree as ct
 from atrellis.anomaly_ensemble import stage1
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       ClusterTree,
-                                      _flow_sort_key, _path_sort_key,
+                                      _flow_sort_key, _generalize,
+                                      _path_sort_key,
                                       build_profile, jaccard, leaves_of,
                                       load_profile, merge_activities,
                                       profile_from_dict, profile_to_dict,
@@ -85,23 +87,93 @@ class ReferenceClusterTree:
         return key
 
 
-def reference_build_profile(tree, h_s):
-    """build_profile as it read the reference tree's leaves."""
+# --- reference: the pairwise merge ----------------------------------------
+
+def reference_domain_suffix(a, b):
+    """Longest shared tail of non-empty labels, or None below two."""
+    la, lb = a.split("."), b.split(".")
+    shared = []
+    while la and lb and la[-1] and la[-1] == lb[-1]:
+        shared.append(la.pop())
+        lb.pop()
+    return ".".join(reversed(shared)) if len(shared) >= 2 else None
+
+
+def reference_mergeable(f1, f2):
+    """The pairwise test the merge once made of every two flows of a leaf:
+    equal dst ports, src ports equal or both reg/dyn, and domains (when
+    present) equal or sharing a suffix of at least two labels."""
+    if f1.dst_port != f2.dst_port:
+        return False
+    if f1.src_port != f2.src_port and (f1.src_port < 1024 or
+                                       f2.src_port < 1024):
+        return False
+    if f1.remote.kind == "domain":
+        if f1.remote.value != f2.remote.value and reference_domain_suffix(
+                f1.remote.value, f2.remote.value) is None:
+            return False
+    return True
+
+
+def reference_merge(leaf_entries, h_s):
+    """The pairwise merge of one leaf: union-find over every two flows
+    that are mergeable and whose size sets have Jaccard >= h_s, each group
+    generalized to one key, the groups in first-member order and not yet
+    pooled."""
+    flows = sorted(leaf_entries, key=_flow_sort_key)
+    parent = list(range(len(flows)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(flows)):
+        for j in range(i + 1, len(flows)):
+            if find(i) == find(j):
+                continue
+            if reference_mergeable(flows[i], flows[j]) and \
+                    jaccard(leaf_entries[flows[i]],
+                            leaf_entries[flows[j]]) >= h_s:
+                parent[find(j)] = find(i)
+
+    groups = {}
+    for i, f in enumerate(flows):
+        groups.setdefault(find(i), []).append(f)
+    return [replace(_generalize(g), member_flows=tuple(g))
+            for g in groups.values()]
+
+
+def reference_pool(keys):
+    """Keys with equal fields collapsed into the first, pooling their
+    member flows."""
     merged = {}
-    for path in sorted(tree.leaves, key=_path_sort_key):
-        sizes = {k: s.sizes for k, s in tree.leaves[path].items()}
-        for key in merge_activities(sizes, h_s):
-            ident = (key.proto, key.remote_pattern, key.src_port_pattern,
-                     key.dst_port)
-            if ident in merged:
-                pooled = tuple(sorted(
-                    set(merged[ident].member_flows) | set(key.member_flows),
-                    key=_flow_sort_key))
-                merged[ident] = ActivityKey(*ident, pooled)
-            else:
-                merged[ident] = key
-    return ActivityProfile(tree.device_ip, list(merged.values()),
+    for key in keys:
+        ident = (key.proto, key.remote_pattern, key.src_port_pattern,
+                 key.dst_port)
+        if ident in merged:
+            pooled = tuple(sorted(
+                set(merged[ident].member_flows) | set(key.member_flows),
+                key=_flow_sort_key))
+            merged[ident] = ActivityKey(*ident, pooled)
+        else:
+            merged[ident] = key
+    return list(merged.values())
+
+
+def reference_build_profile(tree, h_s):
+    """build_profile as it read the reference tree's leaves, with the
+    pairwise merge."""
+    keys = [key for path in sorted(tree.leaves, key=_path_sort_key)
+            for key in reference_merge(
+                {k: s.sizes for k, s in tree.leaves[path].items()}, h_s)]
+    return ActivityProfile(tree.device_ip, reference_pool(keys),
                            tree.local_prefixes)
+
+
+def with_members(keys):
+    return [(k, k.member_flows) for k in keys]
 
 
 REMOTES = [("203.0.113.5", None), ("203.0.113.6", None),
@@ -148,8 +220,10 @@ class TestAgainstReferenceTree:
             ReferenceClusterTree(DEVICE, prefixes)
         for p in packets:
             assert tree.insert(p) == ref.insert(p)
-        assert profile_to_dict(build_profile(tree, h_s)) == \
-            profile_to_dict(reference_build_profile(ref, h_s))
+        profile = build_profile(tree, h_s)
+        expected = reference_build_profile(ref, h_s)
+        assert profile_to_dict(profile) == profile_to_dict(expected)
+        assert with_members(profile.keys) == with_members(expected.keys)
 
     @settings(max_examples=30, deadline=None)
     @given(multi_flow_traces())
@@ -275,6 +349,34 @@ class TestJaccard:
         assert jaccard(a, a) == 1.0
 
 
+LEAF_NAMES = ["cam1.vendor.com", "cam2.vendor.com", "a.cam1.vendor.com",
+              "vendor.com", "ntp.other.org", "other.org", "localhost", "",
+              "x.a..com", "y.a..com", "a.com.", "b.com.", ".", "com"]
+LEAF_IPS = ["203.0.113.5", "203.0.113.6", "198.51.100.7"]
+SIZES = [60, 70, 300, 310, 512, 1024, 1400]
+
+
+@st.composite
+def single_leaf_entries(draw):
+    """One leaf's flows with their size sets: shared-tail, one-label and
+    empty-label names, or one IP class; one system source port or
+    reg/dyn ones; one named destination port or several dynamic ones;
+    many distinct size sets, empty ones among them."""
+    kind = draw(st.sampled_from(["domain", "remote_ip", "local_ip",
+                                 "bc_mc"]))
+    values = LEAF_NAMES if kind == "domain" else LEAF_IPS
+    sources = draw(st.sampled_from([[123], [1024, 36002, 40000, 65535]]))
+    dests = draw(st.sampled_from([[443], [49152, 50001, 65535]]))
+    size_sets = st.frozensets(st.sampled_from(SIZES), max_size=4)
+    entries = {}
+    for _ in range(draw(st.integers(1, 40))):
+        key = FlowKey(DEVICE, Remote(kind, draw(st.sampled_from(values))),
+                      draw(st.sampled_from(sources)),
+                      draw(st.sampled_from(dests)), "TCP")
+        entries[key] = draw(size_sets)
+    return entries
+
+
 class TestMergeActivities:
     def test_wildcard_domain(self):
         entries = {
@@ -348,8 +450,8 @@ class TestMergeActivities:
     def test_ephemeral_source_port_is_never_pinned(self):
         """A one-flow group on source port 36002 beside a reg/dyn group of
         the same domain and destination, with sizes disjoint from it, gets
-        the reg/dyn source too, so build_profile pools them into one key
-        and stage 1 routes every flow to it."""
+        the reg/dyn source too, so the merge pools them into one key and
+        stage 1 routes every flow to it."""
         tree = ClusterTree(DEVICE)
         for ts, (sport, length) in enumerate(
                 [(40000, 512), (40000, 1024), (40001, 512), (40001, 1024),
@@ -359,13 +461,38 @@ class TestMergeActivities:
                             dns_name="cam1.vendor.com", length=length))
         groups = merge_activities(leaves_of(tree)[tree_path_of(
             domain_flow("cam1.vendor.com"))], 0.5)
-        assert [len(k.member_flows) for k in groups] == [1, 2]
+        assert [len(k.member_flows) for k in groups] == [3]
         assert {k.src_port_pattern.kind for k in groups} == {"regdyn"}
         profile = build_profile(tree, 0.5)
         (key,) = profile.keys
         assert key.src_port_pattern.kind == "regdyn"
         assert [f.src_port for f in key.member_flows] == [36002, 40000, 40001]
         assert routed(profile, tree.flows)[0] == [list(key.member_flows)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_leaf_entries(), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+    def test_matches_the_pairwise_merge(self, entries, h_s):
+        """The keys, their member flows and their order are those of the
+        pairwise merge, its groups in first-member order and pooled."""
+        assert with_members(merge_activities(entries, h_s)) == \
+            with_members(reference_pool(reference_merge(entries, h_s)))
+
+    def test_links_size_sets_not_flows(self, monkeypatch):
+        """3,000 flows of one part over 5 disjoint size sets cost at most
+        the 5 * 4 / 2 Jaccard indices of the distinct sets."""
+        sets = [frozenset({10 * k + 1, 10 * k + 2}) for k in range(5)]
+        entries = {domain_flow("cam1.vendor.com", 1024 + i): sets[i % 5]
+                   for i in range(3000)}
+        calls = []
+
+        def counted(s1, s2):
+            calls.append((s1, s2))
+            return jaccard(s1, s2)
+
+        monkeypatch.setattr(ct, "jaccard", counted)
+        keys = merge_activities(entries, 0.5)
+        assert len(calls) <= 10
+        assert [len(k.member_flows) for k in keys] == [3000]
 
     def test_system_source_port_stays_exact(self):
         entries = {domain_flow("a.example.com", 123): frozenset({512})}

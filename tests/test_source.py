@@ -38,6 +38,57 @@ def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_private_names(modules: dict) -> list:
+    """``module.name`` of each private (``_``-prefixed, not dunder) name
+    that a top-level definition or assignment of a package module binds,
+    and that neither its own module reads nor another imports from it
+    (``from .module import name``); an attribute read of the name anywhere
+    counts as a read.  ``modules`` maps each module's name to its
+    source."""
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    read, attributes = set(), set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and \
+                    isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, a.name) for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        bound = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, ast.Assign):
+                bound += [t.id for t in node.targets
+                          if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and \
+                    isinstance(node.target, ast.Name):
+                bound.append(node.target.id)
+        unread += [f"{module}.{name}" for name in bound
+                   if name.startswith("_") and not name.startswith("__")
+                   and (module, name) not in read
+                   and name not in attributes]
+    return unread
+
+
+def test_unread_private_names_are_found():
+    assert unread_private_names({
+        "a": "_A = 1\n_B: int = 2\n_E = 3\n__all__ = []\n"
+             "def _f():\n    return _A\nclass _C:\n    pass\n",
+        "b": "from .a import _E\nimport m\n_A = m._C + _E\n"}) == \
+        ["a._B", "a._f", "b._A"]
+
+
+def test_every_private_name_is_read():
+    """A private helper that nothing in the package reads is dead code."""
+    assert unread_private_names({p.stem: p.read_text()
+                                 for p in SOURCES}) == []
+
+
 def test_no_module_loads_scipy():
     """The pipeline runs on numpy alone; scipy is only the tests' oracle.
     A fresh interpreter imports the CLI and every module of the package."""
