@@ -9,7 +9,7 @@ error doubles as an anomaly score.
 
 import numpy as np
 
-from atrellis.neural_autoencoder import (AEArchitecture, fit, grad_check,
+from atrellis.neural_autoencoder import (AEArchitecture, fit_many, grad_check,
                                          init_model, reconstruction_error)
 
 rng = np.random.default_rng(0)
@@ -24,7 +24,7 @@ arch = AEArchitecture(r)
 model = init_model(arch, seed=3)
 
 before = float(np.mean([reconstruction_error(model, x) for x in data]))
-model, train_errors = fit(model, data, epochs=60)
+[(model, train_errors)] = fit_many([model], [data], epochs=60)
 after = float(np.mean(train_errors))
 print(f"mean reconstruction error: {before:.5f} -> {after:.5f}")
 

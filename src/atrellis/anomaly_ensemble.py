@@ -27,8 +27,8 @@ from .clustering_tree import (EXACT, REGDYN, ActivityProfile, _flow_sort_key,
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
-from .neural_autoencoder import (AEArchitecture, AEModel, fit, init_model,
-                                 model_from_dict, model_to_dict,
+from .neural_autoencoder import (AEArchitecture, AEModel, fit_many,
+                                 init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
 from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, DOMAIN, LOCAL_IP,
                             PROTOCOLS, REMOTE_IP, SYSTEM, FlowKey,
@@ -141,26 +141,30 @@ def calibrate_threshold(errors: Sequence[float], q: float) -> float:
 def train_ensemble(profile: ActivityProfile,
                    training_flows: Dict[FlowKey, List[PacketRecord]],
                    arch: AEArchitecture, epochs: int, q: float,
-                   seed: int = 0) -> Ensemble:
+                   seed: int = 0) -> Tuple[Ensemble, int]:
     """Fit one autoencoder per activity key on the training flows that
     stage 1 accepts on it (a flow that several keys accept trains each of
-    them) and calibrate its threshold on the training reconstruction
-    errors.  A key's flows go in _flow_sort_key order, the order of its
-    member flows."""
+    them), all keys together (fit_many), and calibrate its threshold on the
+    training reconstruction errors.  A key's flows go in _flow_sort_key
+    order, the order of its member flows.  Returns the ensemble and the
+    number of training flows that no key accepts."""
     keys = sorted(training_flows, key=_flow_sort_key)
     routed: List[List[Sequence[PacketRecord]]] = [[] for _ in profile.keys]
+    unmatched = 0
     for flow_key, (matched, _) in zip(keys, stage1(profile, keys)):
+        unmatched += not matched
         for j in matched:
             routed[j].append(training_flows[flow_key])
-    submodels = []
     for i, flows in enumerate(routed):
         if not flows:
             raise EmptyActivity(f"activity key {i} matches no flow of the "
                                 f"training trace")
-        model = init_model(arch, seed + i)
-        model, errors = fit(model, featurize_many(flows, arch.r), epochs)
-        submodels.append((model, calibrate_threshold(errors, q)))
-    return Ensemble(profile, submodels, arch)
+    fitted = fit_many((init_model(arch, seed + i) for i in range(len(routed))),
+                      [featurize_many(flows, arch.r) for flows in routed],
+                      epochs)
+    submodels = [(model, calibrate_threshold(errors, q))
+                 for model, errors in fitted]
+    return Ensemble(profile, submodels, arch), unmatched
 
 
 def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],

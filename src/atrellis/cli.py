@@ -212,10 +212,10 @@ def cmd_train(args) -> int:
     profile = ct.load_profile(args.profile)
     table = FlowTable.read(args.trace, profile.device_ip,
                            profile.local_prefixes).flows
-    ensemble = ens.train_ensemble(profile, table, arch, args.epochs,
-                                  args.quantile, seed=args.seed)
+    ensemble, unmatched = ens.train_ensemble(profile, table, arch,
+                                             args.epochs, args.quantile,
+                                             seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
-    unmatched = sum(not matched for matched, _ in ens.stage1(profile, table))
     print(f"trained {len(ensemble.submodels)} submodels on "
           f"{len(table) - unmatched} flows; {unmatched} flows matched no key")
     return 0

@@ -132,8 +132,8 @@ def camera_setup():
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
     keys, table = flows_of_trace(trace, spec.device_ip)
-    ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                  80, 0.995, seed=0)
+    ensemble, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                     80, 0.995, seed=0)
     return spec, ensemble, keys, table
 
 
@@ -153,6 +153,17 @@ class TestTrainEnsemble:
             ens.train_ensemble(profile, table, AEArchitecture(r=4),
                                50, 0.995)
 
+    def test_first_empty_key_is_named_before_any_fit(self, camera_setup,
+                                                     monkeypatch):
+        _, ensemble, _, table = camera_setup
+        profile = ActivityProfile(DEVICE, [ensemble.profile.keys[0], key(),
+                                           key(dst=8443)])
+        fits = []
+        monkeypatch.setattr(ens, "fit_many", lambda *a: fits.append(a))
+        with pytest.raises(EmptyActivity, match="^activity key 1 matches "):
+            ens.train_ensemble(profile, table, ensemble.arch, 1, 0.995)
+        assert fits == []
+
     def test_a_flow_that_two_keys_match_trains_both(self, camera_setup,
                                                     monkeypatch):
         """An exact domain beside a wildcard of the same destination: the
@@ -166,21 +177,36 @@ class TestTrainEnsemble:
             key(remote=RemotePattern("domain", "a.example.com")),
             key(remote=RemotePattern("wildcard", ".example.com"))])
         rows = []
-        original = ens.fit
-        monkeypatch.setattr(ens, "fit", lambda m, X, epochs: rows.append(
-            X.tolist()) or original(m, X, epochs))
-        ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                      2, 0.9)
+        original = ens.fit_many
+
+        def spy(models, Xs, epochs):
+            rows.extend(X.tolist() for X in Xs)
+            return original(models, Xs, epochs)
+        monkeypatch.setattr(ens, "fit_many", spy)
+        ensemble, unmatched = ens.train_ensemble(
+            profile, table, AEArchitecture(r=10), 2, 0.9)
         a, b = (featurize(table[f], 10).tolist() for f in table)
         assert rows == [[a], [a, b]]
         assert [len(m) for m, _ in ens.stage1(profile, list(table))] == [2, 1]
         assert len(ensemble.submodels) == 2
+        assert unmatched == 0
+
+    def test_counts_the_flows_that_no_key_accepts(self, camera_setup):
+        """The count comes from the routing, and equals stage 1's own."""
+        _, ensemble, _, table = camera_setup
+        packets = next(iter(table.values()))
+        table = {**table, flow("evil.example.net", dport=443): packets,
+                 flow(dport=6667): packets}
+        _, unmatched = ens.train_ensemble(ensemble.profile, table,
+                                          ensemble.arch, 1, 0.995)
+        decisions = ens.stage1(ensemble.profile, list(table))
+        assert unmatched == sum(not m for m, _ in decisions) >= 2
 
     def test_deterministic(self, camera_setup):
         spec, ensemble, _, table = camera_setup
-        again = ens.train_ensemble(ensemble.profile, table,
-                                   ensemble.arch, 80, 0.995,
-                                   seed=0)
+        again, _ = ens.train_ensemble(ensemble.profile, table,
+                                      ensemble.arch, 80, 0.995,
+                                      seed=0)
         assert ens.ensemble_to_dict(again) == ens.ensemble_to_dict(ensemble)
 
 
@@ -280,8 +306,8 @@ def hub_setup():
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
     _, table = flows_of_trace(trace, spec.device_ip, HUB_LAN)
-    ensemble = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                  20, 0.995, seed=0)
+    ensemble, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                     20, 0.995, seed=0)
     return spec, ensemble
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import expit
 from atrellis import neural_autoencoder as na
 from atrellis.errors import (BadArchitecture, DivergedLoss, EmptyData,
                              SchemaError, ShapeMismatch)
-from atrellis.neural_autoencoder import (AEArchitecture, AEModel, fit,
+from atrellis.neural_autoencoder import (AEArchitecture, AEModel, fit_many,
                                          forward, grad_check, init_model,
                                          model_from_dict, model_to_dict,
                                          reconstruction_error)
@@ -97,7 +98,7 @@ class TestFit:
     def test_memorizes_single_vector(self):
         model = init_model(ARCH, 1)
         data = [np.full(20, 0.7)] * 200
-        trained, errors = fit(model, data, 50)
+        trained, errors = fit_many([model], [data], 50)[0]
         assert max(errors) < 1e-3
 
     def test_loss_drops_on_learnable_data(self):
@@ -105,7 +106,7 @@ class TestFit:
         data = [np.full(20, 0.7)] * 200
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        trained, errors = fit(model, data, 50)
+        trained, errors = fit_many([model], [data], 50)[0]
         assert float(np.mean(errors)) < 0.1 * initial
 
     def test_final_loss_never_exceeds_initial(self):
@@ -114,7 +115,7 @@ class TestFit:
         data = [rng.uniform(0, 1, 20) for _ in range(50)]
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        _, errors = fit(model, data, 10)
+        _, errors = fit_many([model], [data], 10)[0]
         assert float(np.mean(errors)) <= initial + 1e-12
 
     def test_huge_learning_rate_diverges_or_aborts(self, monkeypatch):
@@ -124,7 +125,7 @@ class TestFit:
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
         try:
-            _, errors = fit(model, data, 50)
+            _, errors = fit_many([model], [data], 50)[0]
         except DivergedLoss:
             return
         # early abort keeps the best weights, never worse than the start
@@ -132,13 +133,13 @@ class TestFit:
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            fit(init_model(ARCH, 0), [], 50)
+            fit_many([init_model(ARCH, 0)], [[]], 50)
 
     def test_reproducible(self):
         rng = np.random.default_rng(4)
         data = [rng.uniform(0, 1, 20) for _ in range(60)]
-        t1, e1 = fit(init_model(ARCH, 9), data, 8)
-        t2, e2 = fit(init_model(ARCH, 9), data, 8)
+        t1, e1 = fit_many([init_model(ARCH, 9)], [data], 8)[0]
+        t2, e2 = fit_many([init_model(ARCH, 9)], [data], 8)[0]
         assert e1 == e2
         for name in t1.params:
             assert np.array_equal(t1.params[name], t2.params[name])
@@ -147,7 +148,7 @@ class TestFit:
         data = [np.full(20, 0.5)] * 40
         data[7] = np.full(20, np.nan)
         with pytest.raises(DivergedLoss, match="non-finite gradient in w1"):
-            fit(init_model(ARCH, 1), data, 2)
+            fit_many([init_model(ARCH, 1)], [data], 2)
 
 
 class TestGradCheck:
@@ -174,7 +175,7 @@ class TestSerialization:
     def test_round_trip_exact(self):
         model = init_model(ARCH, 11)
         data = [np.random.default_rng(0).uniform(0, 1, 20) for _ in range(30)]
-        trained, _ = fit(model, data, 5)
+        trained, _ = fit_many([model], [data], 5)[0]
         text = json.dumps(model_to_dict(trained))
         loaded = model_from_dict(json.loads(text), ARCH)
         for name, w in trained.params.items():
@@ -308,14 +309,15 @@ class Im2col:
 
 
 def dense_gradients(arch, params, x):
-    """One step's flat gradient through the dense kernel, as fit takes it."""
-    flat = na._flatten(params)
+    """One step's flat gradient through the dense kernel, on a stack of
+    one."""
+    flat = na._flatten(params)[None]
     layers = na._gather(arch, flat)
-    out, cache = na._forward(layers, x, want_cache=True)
-    dense_grad = np.empty(na._dense_index(arch).size)
+    out, cache = na._forward(layers, x[None], want_cache=True)
+    dense_grad = np.empty((1, na._dense_index(arch).size))
     na._backward(layers, cache, 2.0 * (out - x) / out.size,
                  na._split(dense_grad, na._dense_shapes(arch)))
-    return na._fold(arch, dense_grad)
+    return na._fold(arch, dense_grad, na._dense_index(arch))[0]
 
 
 even_lengths = st.integers(3, 32).map(lambda half: 2 * half)
@@ -334,7 +336,8 @@ class TestKernel:
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_forward_matches_both_oracles(self, n, batch, seed):
         arch, model, X = model_and_batch(n, batch, seed)
-        got = na._forward(na._gather(arch, na._flatten(model.params)), X)
+        got = na._forward(na._gather(arch, na._flatten(model.params)[None]),
+                          X[None])[0]
         assert np.max(np.abs(got - reference_forward(model, X))) <= 1e-12
         im2col, _ = Im2col.forward(arch, model.params, X)
         assert np.max(np.abs(got - im2col)) <= 1e-12
@@ -357,7 +360,7 @@ class TestKernel:
         p = np.append(rng.normal(size=index.max()), 0.0)
         d = rng.normal(size=index.size)
         lhs = np.dot(np.take(p, index), d)
-        rhs = np.dot(p[:-1], na._fold(arch, d))
+        rhs = np.dot(p[:-1], na._fold(arch, d[None], index)[0])
         scale = np.dot(np.abs(np.take(p, index)), np.abs(d))
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -370,8 +373,8 @@ class TestKernel:
         params = {name: np.zeros(shape)
                   for name, shape in na._param_shapes(arch).items()}
         params["w1"], params["w4"] = w, w
-        layers = na._gather(arch, na._flatten(params))
-        conv, conv_t = layers[0], layers[6]
+        layers = na._gather(arch, na._flatten(params)[None])
+        conv, conv_t = layers[0][0], layers[6][0]
         assert np.array_equal(conv_t, conv.T)
         # and each matches the im2col oracle's conv or transposed conv
         L, w_cols = arch.conv_len, w.reshape(na.CHANNELS, -1)
@@ -413,3 +416,262 @@ class TestKernel:
         assert not np.allclose(forward(model, x), before)
         model.params["w4"][...] = w4
         assert np.array_equal(forward(model, x), before)
+
+
+# --- the lockstep oracle --------------------------------------------------
+
+def seq_shapes(arch):
+    """The eight dense layer arrays' shapes in the one-key kernel."""
+    n, cl, m = arch.input_len, na.CHANNELS * arch.conv_len, na.BOTTLENECK
+    return (n, cl), (cl,), (cl, m), (m,), (m, cl), (cl,), (cl, n), (n,)
+
+
+def seq_layers(arch, flat):
+    """The dense layer arrays of one flat weight buffer, as the one-key
+    kernel took them."""
+    return na._split(np.take(flat, na._dense_index(arch)), seq_shapes(arch))
+
+
+def seq_forward(layers, x, want_cache=False):
+    """The one-key forward pass: x (B, input_len)."""
+    w1, b1, w2, b2, w3, b3, w4, b4 = layers
+    h1 = x @ w1
+    h1 += b1
+    np.maximum(h1, 0.0, out=h1)
+    z = h1 @ w2
+    z += b2
+    np.maximum(z, 0.0, out=z)
+    g = z @ w3
+    g += b3
+    np.maximum(g, 0.0, out=g)
+    y = g @ w4
+    y += b4
+    na._sigmoid(y)
+    return (y, (x, h1, z, g, y)) if want_cache else y
+
+
+def seq_backward(layers, cache, d_out, grads):
+    """The one-key backward pass."""
+    *acts, y = cache
+    d = d_out * y
+    d *= 1.0 - y
+    for j in (3, 2, 1, 0):
+        np.matmul(acts[j].T, d, out=grads[2 * j])
+        d.sum(axis=0, out=grads[2 * j + 1])
+        if j:
+            d = d @ layers[2 * j].T
+            d *= acts[j] > 0
+
+
+def sequential_fit(model, data, epochs):
+    """The one-key training loop that fit_many replaced, with the one-key
+    kernel: Adam on 32-row batches of the key's own shuffle, the best-loss
+    weights kept, and a stop after PATIENCE epochs without a better loss.
+    Returns the trained weights, the training errors under them and the
+    epochs run."""
+    arch = model.arch
+    X = np.stack([np.asarray(v, dtype=float).ravel() for v in data])
+    rng = np.random.default_rng(model.rng_seed)
+    flat = na._flatten(model.params)
+    flat_params = flat[:-1]
+    adam_m = np.zeros_like(flat_params)
+    adam_v = np.zeros_like(flat_params)
+    step_size = np.empty_like(flat_params)
+    denom = np.empty_like(flat_params)
+    index = na._dense_index(arch)
+    dense = np.empty(index.size)
+    dense_grad = np.empty_like(dense)
+    layers = na._split(dense, seq_shapes(arch))
+    grads = na._split(dense_grad, seq_shapes(arch))
+    beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
+    step = 0
+
+    def batch_errors(weights):
+        return np.mean((seq_forward(seq_layers(arch, weights), X) - X) ** 2,
+                       axis=1)
+
+    best_loss = float(np.mean(batch_errors(flat)))
+    best_flat = flat.copy()
+    stale = 0
+    run = 0
+    for _ in range(epochs):
+        run += 1
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], na.BATCH_SIZE):
+            batch = X[order[start:start + na.BATCH_SIZE]]
+            np.take(flat, index, out=dense, mode="clip")
+            out, cache = seq_forward(layers, batch, want_cache=True)
+            d_out = 2.0 * (out - batch) / out.size
+            seq_backward(layers, cache, d_out, grads)
+            flat_grads = np.bincount(index, weights=dense_grad)[:-1]
+            if not np.isfinite(flat_grads).all():
+                raise DivergedLoss("non-finite gradient")
+            step += 1
+            adam_m *= beta1
+            np.multiply(flat_grads, 1 - beta1, out=step_size)
+            adam_m += step_size
+            adam_v *= beta2
+            np.multiply(flat_grads, 1 - beta2, out=denom)
+            denom *= flat_grads
+            adam_v += denom
+            np.divide(adam_v, 1 - beta2 ** step, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += adam_eps
+            np.divide(adam_m, 1 - beta1 ** step, out=step_size)
+            step_size *= na.LEARNING_RATE
+            step_size /= denom
+            flat_params -= step_size
+
+        loss = float(np.mean(batch_errors(flat)))
+        if not np.isfinite(loss):
+            raise DivergedLoss(f"non-finite training loss {loss}")
+        if loss < best_loss - 1e-15:
+            best_loss = loss
+            best_flat = flat.copy()
+            stale = 0
+        else:
+            stale += 1
+            if stale >= na.PATIENCE:
+                break
+    return (na._flat_views(best_flat[:-1], arch),
+            [float(e) for e in batch_errors(best_flat)], run)
+
+
+def keys_and_data(sizes, r, seed):
+    arch = AEArchitecture(r)
+    rng = np.random.default_rng(seed)
+    models = [init_model(arch, int(s))
+              for s in rng.integers(0, 2 ** 32, size=len(sizes))]
+    return models, [rng.uniform(0, 1, (n, 2 * r)) for n in sizes]
+
+
+def assert_equals_sequential(models, datas, epochs):
+    """fit_many's weights and errors equal the oracle's, bit for bit, per
+    key; returns the epochs each key ran."""
+    runs = []
+    for (model, errors), start, data in zip(
+            fit_many(models, datas, epochs), models, datas):
+        params, want, run = sequential_fit(start, data, epochs)
+        assert errors == want
+        for name in na._PARAM_ORDER:
+            assert np.array_equal(model.params[name], params[name])
+        runs.append(run)
+    return runs
+
+
+row_counts = st.one_of(st.sampled_from([1, 2, 31, 32, 33, 65]),
+                       st.integers(1, 100))
+
+
+class TestFitMany:
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(row_counts, min_size=1, max_size=6),
+           epochs=st.integers(1, 6), r=st.sampled_from([3, 5, 9, 10]),
+           seed=seeds)
+    def test_equals_sequential_fits(self, sizes, epochs, r, seed):
+        assert_equals_sequential(*keys_and_data(sizes, r, seed), epochs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(sizes=st.lists(row_counts, min_size=2, max_size=6),
+           epochs=st.integers(1, 12), patience=st.integers(1, 2),
+           seed=seeds)
+    def test_equals_sequential_fits_with_early_stops(self, sizes, epochs,
+                                                     patience, seed):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(na, "PATIENCE", patience)
+            mp.setattr(na, "LEARNING_RATE", 0.03)
+            assert_equals_sequential(*keys_and_data(sizes, 10, seed), epochs)
+
+    def test_keys_that_stop_early_leave_the_others_exact(self, monkeypatch):
+        """A larger step makes losses stall: keys stop at epochs 2 to 24
+        while one runs all 40."""
+        monkeypatch.setattr(na, "PATIENCE", 1)
+        monkeypatch.setattr(na, "LEARNING_RATE", 0.03)
+        runs = assert_equals_sequential(
+            *keys_and_data([90, 65, 33, 33, 7, 1], 10, 0), 40)
+        assert runs == [24, 2, 9, 4, 40, 21]
+
+    def test_stacks_hold_at_most_64_keys(self, monkeypatch):
+        stacks = []
+        original = na._fit_stack
+
+        def counting(arch, flat, *args):
+            stacks.append(len(flat))
+            return original(arch, flat, *args)
+        monkeypatch.setattr(na, "_fit_stack", counting)
+        sizes = [1 + i % 3 for i in range(65)]
+        assert_equals_sequential(*keys_and_data(sizes, 10, 0), 2)
+        assert stacks == [64, 1]
+
+    def test_one_step_per_batch_position(self, monkeypatch):
+        """Keys of 119, 179, 239 and 143 rows take ceil(239 / 32) = 8
+        stacked steps an epoch, where one key at a time takes 23; at each
+        position, the keys with as many rows run as one batch."""
+        shapes = []
+        original = na._Stack.step
+
+        def counting(stack, batches):
+            shapes.append([b.shape[:2] for b in batches])
+            return original(stack, batches)
+        monkeypatch.setattr(na._Stack, "step", counting)
+        models, datas = keys_and_data([119, 179, 239, 143], 10, 1)
+        fit_many(models, datas, 1)
+        assert len(shapes) == 8
+        assert shapes[0] == [(4, 32)]
+        assert shapes[3] == [(3, 32), (1, 23)]
+        assert shapes[7] == [(1, 15)]
+
+    def test_results_come_back_in_input_order(self):
+        models, datas = keys_and_data([3, 40, 1, 40], 10, 2)
+        fitted = fit_many(models, datas, 2)
+        assert [len(errors) for _, errors in fitted] == [3, 40, 1, 40]
+        assert [m.rng_seed for m, _ in fitted] == \
+            [m.rng_seed for m in models]
+
+    def test_diverged_key_is_named(self):
+        models, datas = keys_and_data([40, 90, 10, 65], 10, 3)
+        datas[2][4] = np.nan
+        with pytest.raises(DivergedLoss, match="^activity key 2: non-finite "
+                           "gradient in w1$"):
+            fit_many(models, datas, 3)
+
+    def test_non_finite_loss_names_the_key(self):
+        models, datas = keys_and_data([40, 90, 10], 10, 4)
+        datas[1] *= 1e200       # its squared errors overflow to inf
+        with pytest.raises(DivergedLoss, match="^activity key 1: non-finite "
+                           "training loss inf$"), np.errstate(over="ignore"):
+            fit_many(models, datas, 3)
+
+    def test_huge_learning_rate_on_several_keys(self, monkeypatch):
+        monkeypatch.setattr(na, "LEARNING_RATE", 1e6)
+        models, datas = keys_and_data([64, 20, 33], 10, 6)
+        try:
+            fitted = fit_many(models, datas, 30)
+        except DivergedLoss as exc:
+            assert re.match(r"activity key \d: non-finite", str(exc))
+            return
+        for model, data, (_, errors) in zip(models, datas, fitted):
+            initial = float(np.mean(reconstruction_error(model, data)))
+            assert float(np.mean(errors)) <= initial + 1e-12
+
+    def test_first_empty_key_is_named(self):
+        models, datas = keys_and_data([5, 0, 0], 10, 0)
+        with pytest.raises(EmptyData, match="^activity key 1: "):
+            fit_many(models, datas, 1)
+
+    def test_models_may_come_from_a_generator(self):
+        models, datas = keys_and_data([5, 40], 10, 0)
+        fitted = fit_many(iter(models), datas, 2)
+        assert [e for _, e in fitted] == \
+            [e for _, e in fit_many(models, datas, 2)]
+
+    def test_models_share_one_architecture(self):
+        models, datas = keys_and_data([5, 5], 10, 0)
+        models[1] = init_model(AEArchitecture(5), 0)
+        with pytest.raises(BadArchitecture, match="^activity key 1: "):
+            fit_many(models, datas, 1)
+
+    def test_one_model_per_training_set(self):
+        models, datas = keys_and_data([5, 5], 10, 0)
+        with pytest.raises(ValueError, match="zip"):
+            fit_many(models, datas[:1], 1)
