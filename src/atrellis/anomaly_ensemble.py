@@ -74,21 +74,18 @@ _STAGE1_LEVELS = (
 )
 
 
-def fuzzy_match(profile: ActivityProfile, key: FlowKey) -> List[int]:
-    """The positions of every activity key whose fields all accept the
-    flow."""
-    return [j for j, k in enumerate(profile.keys)
-            if all(accept(k, key) for _, accept in _STAGE1_LEVELS)]
-
-
-def _stage1_reason(profile: ActivityProfile, key: FlowKey) -> str:
-    """Name which of the four levels ruled out every key."""
-    candidates = profile.keys
+def fuzzy_match(profile: ActivityProfile, key: FlowKey
+                ) -> Tuple[List[int], Optional[str]]:
+    """Stage 1's decision on a flow: the positions of the activity keys
+    that accept it at every level, and, when none does, the reason, which
+    names the level at which the last candidates were ruled out."""
+    keys = profile.keys
+    candidates = range(len(keys))
     for name, accept in _STAGE1_LEVELS:
-        candidates = [k for k in candidates if accept(k, key)]
+        candidates = [j for j in candidates if accept(keys[j], key)]
         if not candidates:
-            break
-    return f"no activity key accepts the flow at the {name} level"
+            return [], f"no activity key accepts the flow at the {name} level"
+    return candidates, None
 
 
 def _port_token(port: int, named: AbstractSet[int]):
@@ -102,11 +99,10 @@ def _port_token(port: int, named: AbstractSet[int]):
 
 def stage1(profile: ActivityProfile, keys: Iterable[FlowKey]
            ) -> List[Tuple[List[int], Optional[str]]]:
-    """Each flow's stage-1 decision: the positions of the keys that accept
-    it (fuzzy_match), and for a flow that no key accepts, the reason
-    (_stage1_reason).  Stage 1 reads a flow only through its signature:
-    the protocol, the remote (its value only for a domain) and each port's
-    token.  Flows of one signature share one decision, made once."""
+    """Each flow's stage-1 decision (fuzzy_match).  Stage 1 reads a flow
+    only through its signature: the protocol, the remote (its value only
+    for a domain) and each port's token.  Flows of one signature share one
+    decision, made once."""
     src_named = {k.src_port_pattern.port for k in profile.keys
                  if k.src_port_pattern.kind == EXACT}
     dst_named = {k.dst_port for k in profile.keys}
@@ -120,10 +116,7 @@ def stage1(profile: ActivityProfile, keys: Iterable[FlowKey]
                      _port_token(flow_key.dst_port, dst_named))
         decision = decided.get(signature)
         if decision is None:
-            matched = fuzzy_match(profile, flow_key)
-            decision = decided[signature] = (
-                matched,
-                None if matched else _stage1_reason(profile, flow_key))
+            decision = decided[signature] = fuzzy_match(profile, flow_key)
         decisions.append(decision)
     return decisions
 
@@ -390,19 +383,6 @@ def read_verdicts_jsonl(path) -> Iterator[Verdict]:
     yield from read_jsonl(path, verdict_from_dict, _verdict_of_line)
 
 
-def ensemble_to_dict(e: Ensemble) -> dict:
-    return {
-        "schema_version": ENSEMBLE_SCHEMA_VERSION,
-        **keying_to_dict(e.profile),
-        "r": e.arch.r,
-        "submodels": [{**activity_key_to_dict(key),
-                       "model": model_to_dict(model),
-                       "epsilon": epsilon}
-                      for key, (model, epsilon)
-                      in zip(e.profile.keys, e.submodels)],
-    }
-
-
 def ensemble_from_dict(doc) -> Ensemble:
     check_schema_version(doc, ENSEMBLE_SCHEMA_VERSION, "ensemble")
     device_ip, prefixes = keying_from_dict(doc, "ensemble")
@@ -424,9 +404,21 @@ def ensemble_from_dict(doc) -> Ensemble:
 
 
 def save_ensemble(path, e: Ensemble) -> None:
+    """Write the ensemble's object as ``json.dump`` would: the keying, r,
+    and one entry per submodel, its key's four fields, model and epsilon.
+    The entries are encoded one at a time, so that only one submodel's
+    weights are held as Python lists at once."""
+    head = json.dumps({"schema_version": ENSEMBLE_SCHEMA_VERSION,
+                       **keying_to_dict(e.profile), "r": e.arch.r,
+                       "submodels": []})
     with open(path, "w") as fh:
-        json.dump(ensemble_to_dict(e), fh)
-        fh.write("\n")
+        fh.write(head[:-len("]}")])     # up to the list's opening "["
+        for j, (key, (model, epsilon)) in enumerate(
+                zip(e.profile.keys, e.submodels)):
+            fh.write(", " * (j > 0) + json.dumps({
+                **activity_key_to_dict(key), "model": model_to_dict(model),
+                "epsilon": epsilon}))
+        fh.write("]}\n")
 
 
 def load_ensemble(path) -> Ensemble:

@@ -1,7 +1,8 @@
 """Tree-structured activity clustering of bidirectional flows.
 
 The flows of a FlowTable are routed through four rule levels (protocol,
-address class, source port class, destination port class) into leaves.
+address class, source port bucket, destination port bucket) into leaves;
+tree_path_of writes out the port buckets.
 At profiling time, the distinct packet-size sets of each part of a leaf
 (one destination port, source port class and domain tail) are linked
 when their Jaccard index is >= h_s; each linked group of flows becomes
@@ -18,7 +19,7 @@ from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
 from .traffic_model import (_PORT, BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS,
-                            REMOTE_IP, SYSTEM, FlowKey, Remote, classify_port,
+                            REMOTE_IP, SYSTEM, FlowKey, Remote,
                             parse_prefixes, read_json)
 # bench/stage.py wraps ClusterTree.insert by name and its tests count calls
 from .traffic_model import FlowTable as ClusterTree
@@ -29,23 +30,22 @@ PROFILE_SCHEMA_VERSION = "3.0"
 EXACT = "exact"
 REGDYN = "regdyn"
 
-# remote pattern kinds for activity keys
-EXACT_DOMAIN = "domain"
+# the remote pattern kind of a domain suffix; the other kinds are the
+# remote kinds
 WILDCARD_DOMAIN = "wildcard"
-REMOTE_IP_CLASS = "remote_ip"
-LOCAL_IP_CLASS = "local_ip"
-BC_MC_CLASS = "bc_mc"
 
 
 @dataclass(frozen=True)
 class TreePath:
     """Routing path of a flow through the four rule levels.
 
-    Source ports route individually only when they are system ports;
-    registered and dynamic source ports share one "reg/dyn" bucket (a
-    client's ephemeral port carries no service information).  Destination
-    system and registered ports route individually (they name services);
-    dynamic destination ports share one bucket.
+    The port buckets follow the IANA ranges (RFC 6335): system ports
+    below 1024, registered ports below 49152, dynamic ports above.  Source
+    ports route individually only when they are system ports; registered
+    and dynamic source ports share one "reg/dyn" bucket (a client's
+    ephemeral port carries no service information).  Destination system
+    and registered ports route individually (they name services); dynamic
+    destination ports share one bucket.
     """
 
     proto: str
@@ -55,17 +55,11 @@ class TreePath:
 
 
 def tree_path_of(key: FlowKey) -> TreePath:
-    src = classify_port(key.src_port)
-    if src.kind == SYSTEM:
-        src_bucket = (SYSTEM, src.port)
-    else:
-        src_bucket = (REGDYN,)
-    dst = classify_port(key.dst_port)
-    if dst.kind in (SYSTEM, "registered"):
-        dst_bucket = (dst.kind, dst.port)
-    else:
-        dst_bucket = ("dynamic",)
-    return TreePath(key.proto, key.remote.kind, src_bucket, dst_bucket)
+    src, dst = key.src_port, key.dst_port
+    return TreePath(key.proto, key.remote.kind,
+                    (SYSTEM, src) if src < 1024 else (REGDYN,),
+                    (SYSTEM, dst) if dst < 1024 else
+                    ("registered", dst) if dst < 49152 else ("dynamic",))
 
 
 def jaccard(s1: AbstractSet, s2: AbstractSet) -> float:
@@ -77,24 +71,19 @@ def jaccard(s1: AbstractSet, s2: AbstractSet) -> float:
 
 @dataclass(frozen=True)
 class RemotePattern:
-    """Remote side of an activity key: exact domain, wildcarded domain
-    suffix, or one of the address classes."""
+    """Remote side of an activity key: a remote kind with, for DOMAIN,
+    its one name (an address class holds no value), or WILDCARD_DOMAIN
+    with a domain suffix."""
 
     kind: str
     value: Optional[str] = None
 
     def matches(self, remote: Remote) -> bool:
-        if self.kind == EXACT_DOMAIN:
-            return remote.kind == DOMAIN and remote.value == self.value
         if self.kind == WILDCARD_DOMAIN:
             # ".example.com" accepts example.com as well as its subdomains
             return remote.kind == DOMAIN and \
                 ("." + remote.value).endswith(self.value)
-        if self.kind == REMOTE_IP_CLASS:
-            return remote.kind == REMOTE_IP
-        if self.kind == LOCAL_IP_CLASS:
-            return remote.kind == LOCAL_IP
-        return remote.kind == BC_MC
+        return remote.kind == self.kind and self.value in (None, remote.value)
 
 
 @dataclass(frozen=True)
@@ -171,23 +160,17 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
     """The key, without member flows, that accepts every flow of a group
     of one part."""
     first = group[0]
-    kind = first.remote.kind
-    if kind == DOMAIN:
-        names = {f.remote.value for f in group}
-        if len(names) == 1:
-            remote = RemotePattern(EXACT_DOMAIN, first.remote.value)
-        else:
-            names = sorted(names)
-            suffix = names[0]
-            for name in names[1:]:
-                suffix = _domain_suffix(suffix, name)
-            remote = RemotePattern(WILDCARD_DOMAIN, "." + suffix)
-    elif kind == REMOTE_IP:
-        remote = RemotePattern(REMOTE_IP_CLASS)
-    elif kind == LOCAL_IP:
-        remote = RemotePattern(LOCAL_IP_CLASS)
+    names = {f.remote.value for f in group}
+    if first.remote.kind != DOMAIN:
+        remote = RemotePattern(first.remote.kind)
+    elif len(names) == 1:
+        remote = RemotePattern(DOMAIN, first.remote.value)
     else:
-        remote = RemotePattern(BC_MC_CLASS)
+        names = sorted(names)
+        suffix = names[0]
+        for name in names[1:]:
+            suffix = _domain_suffix(suffix, name)
+        remote = RemotePattern(WILDCARD_DOMAIN, "." + suffix)
     # a part holds one system source port or none; an ephemeral port is
     # not pinned, as stacks randomise it (RFC 6056)
     if first.src_port < 1024:
@@ -263,9 +246,8 @@ def build_profile(tree: ClusterTree, h_s: float) -> ActivityProfile:
 # --- serialization --------------------------------------------------------
 
 _NONE = type(None)
-_REMOTE_VALUE_BY_KIND = {EXACT_DOMAIN: str, WILDCARD_DOMAIN: str,
-                         REMOTE_IP_CLASS: _NONE, LOCAL_IP_CLASS: _NONE,
-                         BC_MC_CLASS: _NONE}
+_REMOTE_VALUE_BY_KIND = {DOMAIN: str, WILDCARD_DOMAIN: str,
+                         REMOTE_IP: _NONE, LOCAL_IP: _NONE, BC_MC: _NONE}
 _PORT_BY_KIND = {EXACT: _PORT, REGDYN: _NONE}
 _KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
                "remote_pattern": {"kind": frozenset(_REMOTE_VALUE_BY_KIND)},

@@ -201,8 +201,8 @@ def generate(spec: DeviceSpec, duration: float,
     return packets
 
 
-def _attack_packets(device_ip: str, atk: AttackSpec,
-                    seed: int) -> List[PacketRecord]:
+def _attack_packets(device_ip: str, atk: AttackSpec, seed: int,
+                    port_base: int) -> List[PacketRecord]:
     rng = np.random.default_rng([seed, 1000 + ATTACK_KINDS.index(atk.kind)])
     label = f"attack:{atk.kind}"
     if atk.kind == PORT_SCAN and "n_ports" in atk.target:
@@ -214,7 +214,7 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
     if n_flows < 1:
         raise BadSpec(f"attack {atk.kind}: it gives {n_flows} flows, so it "
                       f"would inject nothing")
-    top = _ATTACK_PORT_BASE + n_flows - 1
+    top = port_base + n_flows - 1
     if top > 65535:
         raise BadSpec(f"attack {atk.kind}: its {n_flows} flows would use "
                       f"source ports up to {top}, past 65535")
@@ -222,7 +222,7 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
     target_ip = atk.target.get("ip", "198.51.100.99")
     if atk.kind == PORT_SCAN:
         return [PacketRecord(atk.start + i / atk.rate, device_ip, target_ip,
-                             _ATTACK_PORT_BASE + i, 1 + i, TCP, 60,
+                             port_base + i, 1 + i, TCP, 60,
                              label=label)
                 for i in range(n_flows)]
     if atk.kind == TELNET_BRUTE:
@@ -249,7 +249,7 @@ def _attack_packets(device_ip: str, atk: AttackSpec,
     for i in range(n_flows):
         packets.extend(_burst_packets(rng, device_ip, act,
                                       atk.start + i / atk.rate,
-                                      _ATTACK_PORT_BASE + i, label))
+                                      port_base + i, label))
     return packets
 
 
@@ -259,14 +259,20 @@ def inject_attack(trace: Sequence[PacketRecord], atk: AttackSpec,
     """Merge labeled attack packets into a time-ordered trace.
 
     The device IP defaults to the device side of the first trace packet
-    (benign traces carry it as the source of every outbound packet).
+    (benign traces carry it as the source of every outbound packet).  The
+    attack flows take device ports from 46,000 up, or from one above the
+    highest device port of the trace's benign packets, so that no attack
+    flow shares a 5-tuple with a benign burst.
     """
     trace = list(trace)
     if device_ip is None:
         if not trace:
             raise BadSpec("empty trace and no device_ip given")
         device_ip = trace[0].src_ip
-    merged = trace + _attack_packets(device_ip, atk, seed)
+    benign_top = max((p.src_port if p.src_ip == device_ip else p.dst_port
+                      for p in trace if p.label == BENIGN), default=0)
+    merged = trace + _attack_packets(device_ip, atk, seed,
+                                     max(_ATTACK_PORT_BASE, benign_top + 1))
     merged.sort(key=lambda p: p.ts)
     return merged
 

@@ -1,5 +1,6 @@
 """Canonical domain types for packets, bidirectional flows, and the
-address/port classification rules that drive flow clustering.
+address classification that drives flow clustering (the port buckets
+live in clustering_tree.tree_path_of).
 
 A flow is identified by a canonical bidirectional 5-tuple oriented from the
 monitored device's side: (device IP, remote domain-or-IP, device port, remote
@@ -28,10 +29,8 @@ PROTOCOLS = (TCP, UDP)
 OUT = "out"
 IN = "in"
 
-# IANA port ranges
-SYSTEM = "system"        # 0..1023
-REGISTERED = "registered"  # 1024..49151
-DYNAMIC = "dynamic"      # 49152..65535
+# the IANA system ports, 0..1023
+SYSTEM = "system"
 
 # address classes for the remote endpoint
 DOMAIN = "domain"
@@ -92,14 +91,6 @@ class PacketRecord(_PacketFields):
         return cls(*iterable)
 
 
-class PortClass(NamedTuple):
-    """IANA range of a port.  System and Registered retain the concrete
-    port; Dynamic does not."""
-
-    kind: str
-    port: Optional[int] = None
-
-
 class Remote(NamedTuple):
     """Classified remote endpoint: the address class plus its concrete
     value (the domain name for DOMAIN, the IP text otherwise)."""
@@ -135,17 +126,6 @@ def parse_prefixes(prefixes: tuple) -> tuple:
     """The IPv4 networks that local-prefix strings name; ipaddress raises a
     ValueError on any string that names none."""
     return tuple(ipaddress.IPv4Network(p) for p in prefixes)
-
-
-def classify_port(port: int) -> PortClass:
-    """Classify a port into its IANA range."""
-    if not 0 <= port <= 65535:
-        raise ValueError(f"port out of range: {port}")
-    if port <= 1023:
-        return PortClass(SYSTEM, port)
-    if port <= 49151:
-        return PortClass(REGISTERED, port)
-    return PortClass(DYNAMIC)
 
 
 def classify_address(dst_ip: str, dns_name: Optional[str],

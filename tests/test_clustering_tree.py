@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from atrellis import clustering_tree as ct
 from atrellis.anomaly_ensemble import stage1
 from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
-                                      ClusterTree,
+                                      ClusterTree, RemotePattern,
                                       _flow_sort_key, _generalize,
                                       _path_sort_key,
                                       build_profile, jaccard, leaves_of,
@@ -17,7 +17,8 @@ from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       profile_from_dict, profile_to_dict,
                                       save_profile, tree_path_of)
 from atrellis.errors import EmptyTree, NonMonotonicTimestamp, SchemaError
-from atrellis.traffic_model import (IN, PROTOCOLS, FlowKey,
+from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP,
+                                    PROTOCOLS, REMOTE_IP, FlowKey,
                                     PacketRecord, Remote, direction_of,
                                     flow_key_of)
 
@@ -324,6 +325,68 @@ class TestInsert:
         tree.insert(pkt(ts=5.0))
         with pytest.raises(NonMonotonicTimestamp, match="ts 4.0 .* ts 5.0"):
             tree.insert(pkt(ts=4.0))
+
+
+class TestTreePath:
+    @pytest.mark.parametrize("port,src,dst", [
+        (0, ("system", 0), ("system", 0)),
+        (1023, ("system", 1023), ("system", 1023)),
+        (1024, ("regdyn",), ("registered", 1024)),
+        (49151, ("regdyn",), ("registered", 49151)),
+        (49152, ("regdyn",), ("dynamic",)),
+        (65535, ("regdyn",), ("dynamic",)),
+    ])
+    def test_port_buckets_at_the_iana_boundaries(self, port, src, dst):
+        path = tree_path_of(domain_flow("a.example.com", port, port))
+        assert (path.src_bucket, path.dst_bucket) == (src, dst)
+
+
+def reference_remote_matches(pattern, remote):
+    """RemotePattern.matches as it was, one branch per pattern kind, with
+    the address classes under names of their own."""
+    if pattern.kind == "domain":
+        return remote.kind == "domain" and remote.value == pattern.value
+    if pattern.kind == "wildcard":
+        return remote.kind == "domain" and \
+            ("." + remote.value).endswith(pattern.value)
+    if pattern.kind == "remote_ip":
+        return remote.kind == "remote_ip"
+    if pattern.kind == "local_ip":
+        return remote.kind == "local_ip"
+    return remote.kind == "bc_mc"
+
+
+REMOTE_KINDS = (DOMAIN, REMOTE_IP, LOCAL_IP, BC_MC)
+REMOTE_VALUES = ["a.vendor.com", "vendor.com", "b.a.vendor.com",
+                 "evilvendor.com", "203.0.113.9", "192.168.1.20",
+                 "239.255.255.250"]
+remote_patterns = (
+    st.builds(RemotePattern, st.just(DOMAIN),
+              st.sampled_from(REMOTE_VALUES))
+    | st.builds(RemotePattern, st.just(ct.WILDCARD_DOMAIN),
+                st.sampled_from([".vendor.com", ".a.vendor.com",
+                                 ".com", ""]))
+    | st.builds(RemotePattern, st.sampled_from(REMOTE_KINDS[1:])))
+
+
+class TestRemotePattern:
+    @settings(max_examples=300, deadline=None)
+    @given(pattern=remote_patterns,
+           remote=st.builds(Remote, st.sampled_from(REMOTE_KINDS),
+                            st.sampled_from(REMOTE_VALUES)))
+    def test_matches_as_one_branch_per_kind(self, pattern, remote):
+        assert pattern.matches(remote) == \
+            reference_remote_matches(pattern, remote)
+
+    @pytest.mark.parametrize("remote, pattern", [
+        (Remote(DOMAIN, "a.vendor.com"), RemotePattern(DOMAIN,
+                                                       "a.vendor.com")),
+        (Remote(REMOTE_IP, "203.0.113.9"), RemotePattern(REMOTE_IP)),
+        (Remote(LOCAL_IP, "192.168.1.20"), RemotePattern(LOCAL_IP)),
+        (Remote(BC_MC, "239.255.255.250"), RemotePattern(BC_MC))])
+    def test_a_group_of_one_remote_keys_on_its_kind(self, remote, pattern):
+        f = FlowKey(DEVICE, remote, 40000, 443, "TCP")
+        assert _generalize([f]).remote_pattern == pattern
 
 
 class TestJaccard:

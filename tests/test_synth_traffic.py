@@ -270,6 +270,40 @@ class TestInjectAttack:
         packets = sim.inject_attack([], atk, device_ip="10.0.0.5")
         assert max(p.ts for p in packets) < 1e14
 
+    def test_attack_flows_stay_apart_from_benign_bursts(self):
+        """Activity 5 of a busy device takes device ports 45,000-46,199,
+        past the attack ports' floor of 46,000; a flood on its remote and
+        port must still give flows of attack packets alone."""
+        spec = sim.DeviceSpec("10.0.0.5", tuple(
+            sim.ActivitySpec(f"a{i}", f"203.0.113.{i}", 443, "TCP",
+                             period=1.0, sizes=(100 + i,), size_probs=(1.0,),
+                             packets_per_burst=2, jitter=0.0,
+                             domain=f"a{i}.example.com")
+            for i in range(6)))
+        trace = sim.generate(spec, 1200, seed=0)
+        atk = sim.AttackSpec("Flood", start=10.0, rate=1.0, duration=300,
+                             target={"ip": "203.0.113.5", "dst_port": 443,
+                                     "domain": "a5.example.com"})
+        merged = sim.inject_attack(trace, atk, seed=0)
+        keys, table = flows_of_trace(merged, "10.0.0.5")
+        labels = [{p.label for p in table[k]} for k in keys]
+        assert sum(s == {"attack:Flood"} for s in labels) == 300
+        assert all(len(s) == 1 for s in labels)
+        device_ports = {p.label: set() for p in merged}
+        for p in merged:
+            if p.src_ip == "10.0.0.5":
+                device_ports[p.label].add(p.src_port)
+        assert min(device_ports["attack:Flood"]) == \
+            max(device_ports["benign"]) + 1
+
+    def test_attack_ports_start_at_46000_above_a_quiet_trace(self):
+        trace = sim.generate(one_shot_spec(), 60.0, seed=0)
+        atk = sim.AttackSpec("PortScan", start=10.0, rate=10.0,
+                             target={"n_ports": 3})
+        merged = sim.inject_attack(trace, atk, seed=0)
+        assert sorted(p.src_port for p in merged if p.label != "benign") \
+            == [46000, 46001, 46002]
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(BadSpec):
             sim.AttackSpec("Ransom", start=0.0)

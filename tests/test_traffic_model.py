@@ -13,12 +13,9 @@ from atrellis import synth_traffic as sim
 from atrellis import traffic_model
 from atrellis.errors import (AtrellisError, ForeignPacket, MalformedAddress,
                              SchemaError)
-from atrellis.traffic_model import (BC_MC, DOMAIN, DYNAMIC, IN, LOCAL_IP,
-                                    OUT, PROTOCOLS,
-                                    REGISTERED, REMOTE_IP, SYSTEM, FlowKey,
-                                    FlowTable, PacketRecord, PortClass,
-                                    Remote,
-                                    classify_address, classify_port,
+from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, OUT,
+                                    PROTOCOLS, REMOTE_IP, FlowKey, FlowTable,
+                                    PacketRecord, Remote, classify_address,
                                     direction_of, flow_key_of,
                                     flows_of_trace, line_of_object,
                                     normalize_domain, packet_from_dict,
@@ -47,33 +44,6 @@ def pkt(**kw):
                 dst_port=53, proto="UDP", length=70)
     base.update(kw)
     return PacketRecord(**base)
-
-
-class TestClassifyPort:
-    def test_system(self):
-        c = classify_port(22)
-        assert c.kind == SYSTEM and c.port == 22
-
-    def test_registered_keeps_port(self):
-        c = classify_port(1900)
-        assert c.kind == REGISTERED and c.port == 1900
-
-    def test_dynamic_drops_port(self):
-        c = classify_port(55000)
-        assert c.kind == DYNAMIC and c.port is None
-
-    @pytest.mark.parametrize("port,kind", [
-        (0, SYSTEM), (1023, SYSTEM), (1024, REGISTERED),
-        (49151, REGISTERED), (49152, DYNAMIC), (65535, DYNAMIC),
-    ])
-    def test_boundaries(self, port, kind):
-        assert classify_port(port).kind == kind
-
-    @given(st.integers(0, 65535))
-    def test_total_partition(self, port):
-        kind = classify_port(port).kind
-        assert kind == (SYSTEM if port <= 1023
-                        else REGISTERED if port <= 49151 else DYNAMIC)
 
 
 class TestClassifyAddress:
@@ -279,7 +249,7 @@ class TestPacketRecordOracle:
             with pytest.raises(AttributeError):
                 setattr(p, name, 1)
         key = flow_key_of(p, DEVICE)
-        for record in (key, key.remote, classify_port(80)):
+        for record in (key, key.remote):
             with pytest.raises(AttributeError):
                 record.proto = "UDP"
 
@@ -288,7 +258,6 @@ class TestPacketRecordOracle:
         assert key == (DEVICE, (DOMAIN, "a.example"), 40000, 443, "TCP")
         assert hash(key) == hash(tuple(key))
         assert str(key) == f"TCP {DEVICE}:40000 <-> domain a.example:443"
-        assert PortClass(DYNAMIC) == (DYNAMIC, None)
 
     @settings(max_examples=200, deadline=None)
     @given(st.deferred(lambda: valid_packets))
