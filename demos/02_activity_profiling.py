@@ -26,7 +26,7 @@ print(f"\nprofile for {profile.device_ip}: {len(profile.keys)} "
 for i, key in enumerate(profile.keys):
     remote = key.remote_pattern.value or key.remote_pattern.kind
     print(f"  key {i}: {key.proto} {remote} dst={key.dst_port} "
-          f"src={key.src_port_pattern.kind} "
+          f"src={key.src} "
           f"({len(key.member_flows)} member flows)")
 
 # How well do the discovered keys line up with the simulator's ground

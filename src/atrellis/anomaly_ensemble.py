@@ -1,7 +1,8 @@
 """Two-stage anomaly detector.
 
 Stage 1 fuzzy-matches a flow's 5-tuple against the device's abstract
-activity keys; a flow matching no key is immediately malicious.  Stage 2
+activity keys (protocol, remote pattern, source class and destination
+port); a flow matching no key is immediately malicious.  Stage 2
 scores the flow with only the autoencoder submodels of the matched keys
 (trigger-action) and compares the best (minimum) reconstruction error
 against that submodel's calibrated threshold.  A batch of flows is judged
@@ -16,14 +17,14 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import (AbstractSet, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Dict, Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .clustering_tree import (EXACT, REGDYN, ActivityProfile, _flow_sort_key,
+from .clustering_tree import (ActivityProfile, _flow_sort_key,
                               activity_key_from_dict, activity_key_to_dict,
-                              keying_from_dict, keying_to_dict)
+                              keying_from_dict, keying_to_dict, src_class)
 from .errors import (EmptyActivity, EmptyErrors, EmptyFlow, LengthMismatch,
                      SchemaError, check, check_schema_version)
 from .feature_pipeline import featurize_many
@@ -31,7 +32,7 @@ from .neural_autoencoder import (AEArchitecture, AEModel, fit_many,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
 from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, DOMAIN, LOCAL_IP,
-                            PROTOCOLS, REMOTE_IP, SYSTEM, FlowKey,
+                            PROTOCOLS, REMOTE_IP, FlowKey,
                             PacketRecord, Remote, _json_str, read_json,
                             read_jsonl)
 
@@ -69,7 +70,7 @@ class Ensemble:
 _STAGE1_LEVELS = (
     ("protocol", lambda k, f: k.proto == f.proto),
     ("remote", lambda k, f: k.remote_pattern.matches(f.remote)),
-    ("src-port", lambda k, f: k.src_port_pattern.matches(f.src_port)),
+    ("src-port", lambda k, f: k.src == src_class(f.src_port)),
     ("dst-port", lambda k, f: k.dst_port == f.dst_port),
 )
 
@@ -88,32 +89,24 @@ def fuzzy_match(profile: ActivityProfile, key: FlowKey
     return candidates, None
 
 
-def _port_token(port: int, named: AbstractSet[int]):
-    """What stage 1 reads of a port: the port where a key names it, else
-    its side of 1024.  The token is a string, not a bool, since True == 1
-    would give port 1 the entry of every high port."""
-    if port in named:
-        return port
-    return REGDYN if port >= 1024 else SYSTEM
-
-
 def stage1(profile: ActivityProfile, keys: Iterable[FlowKey]
            ) -> List[Tuple[List[int], Optional[str]]]:
     """Each flow's stage-1 decision (fuzzy_match).  Stage 1 reads a flow
     only through its signature: the protocol, the remote (its value only
-    for a domain) and each port's token.  Flows of one signature share one
-    decision, made once."""
-    src_named = {k.src_port_pattern.port for k in profile.keys
-                 if k.src_port_pattern.kind == EXACT}
-    dst_named = {k.dst_port for k in profile.keys}
+    for a domain), and the src_class of its source port and its
+    destination port, each where a key holds it (else every key fails that
+    level).  Flows of one signature share one decision, made once."""
+    src_held = {k.src for k in profile.keys}
+    dst_held = {k.dst_port for k in profile.keys}
     decided: Dict[tuple, Tuple[List[int], Optional[str]]] = {}
     decisions = []
     for flow_key in keys:
         remote = flow_key.remote
+        src, dst = src_class(flow_key.src_port), flow_key.dst_port
         signature = (flow_key.proto,
                      remote if remote.kind == DOMAIN else remote.kind,
-                     _port_token(flow_key.src_port, src_named),
-                     _port_token(flow_key.dst_port, dst_named))
+                     src if src in src_held else None,
+                     dst if dst in dst_held else None)
         decision = decided.get(signature)
         if decision is None:
             decision = decided[signature] = fuzzy_match(profile, flow_key)

@@ -144,6 +144,8 @@ def _device_spec_from_file(path: str) -> sim.DeviceSpec:
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:       # numpy's generators take no negative seed
+        raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
     if args.fixture:
         if args.fixture not in sim.FIXTURES:
             raise UsageError(
@@ -206,6 +208,8 @@ def cmd_train(args) -> int:
     arch = _option("--r", AEArchitecture, r=args.r)
     if args.epochs < 1:
         raise UsageError(f"--epochs: epochs must be >= 1, got {args.epochs}")
+    if args.seed < 0:
+        raise UsageError(f"--seed: seed must be >= 0, got {args.seed}")
     if not 0.0 < args.quantile < 1.0:
         raise UsageError(f"--quantile: quantile must be in (0,1), got "
                          f"{args.quantile}")

@@ -6,8 +6,8 @@ tree_path_of writes out the port buckets.
 At profiling time, the distinct packet-size sets of each part of a leaf
 (one destination port, source port class and domain tail) are linked
 when their Jaccard index is >= h_s; each linked group of flows becomes
-one abstract activity key, with wildcarded domains and "reg/dyn" source
-ports, in the order of the groups' first flows.
+one abstract activity key, with wildcarded domains and the source class
+of its flows (src_class), in the order of the groups' first flows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from itertools import combinations
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
+from typing import (AbstractSet, Dict, FrozenSet, List, Optional, Tuple,
+                    Union)
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
 from .traffic_model import (_PORT, BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS,
@@ -26,9 +27,8 @@ from .traffic_model import FlowTable as ClusterTree
 
 PROFILE_SCHEMA_VERSION = "3.0"
 
-# source port pattern kinds for activity keys
-EXACT = "exact"
-REGDYN = "regdyn"
+REGDYN = "regdyn"   # the source class of every port but a system port
+EXACT = "exact"     # a key's system source port, as the artifacts write it
 
 # the remote pattern kind of a domain suffix; the other kinds are the
 # remote kinds
@@ -41,11 +41,10 @@ class TreePath:
 
     The port buckets follow the IANA ranges (RFC 6335): system ports
     below 1024, registered ports below 49152, dynamic ports above.  Source
-    ports route individually only when they are system ports; registered
-    and dynamic source ports share one "reg/dyn" bucket (a client's
-    ephemeral port carries no service information).  Destination system
-    and registered ports route individually (they name services); dynamic
-    destination ports share one bucket.
+    ports route by their src_class: a system port individually, every
+    other port to one "reg/dyn" bucket.  Destination system and registered
+    ports route individually (they name services); dynamic destination
+    ports share one bucket.
     """
 
     proto: str
@@ -54,10 +53,17 @@ class TreePath:
     dst_bucket: Tuple
 
 
+def src_class(port: int) -> Union[int, str]:
+    """What an activity key pins of a flow's source port: the port itself
+    when it is a system port, else REGDYN.  A client's ephemeral port
+    carries no service information, as stacks randomise it (RFC 6056)."""
+    return port if port < 1024 else REGDYN
+
+
 def tree_path_of(key: FlowKey) -> TreePath:
-    src, dst = key.src_port, key.dst_port
+    src, dst = src_class(key.src_port), key.dst_port
     return TreePath(key.proto, key.remote.kind,
-                    (SYSTEM, src) if src < 1024 else (REGDYN,),
+                    (REGDYN,) if src == REGDYN else (SYSTEM, src),
                     (SYSTEM, dst) if dst < 1024 else
                     ("registered", dst) if dst < 49152 else ("dynamic",))
 
@@ -87,27 +93,14 @@ class RemotePattern:
 
 
 @dataclass(frozen=True)
-class PortPattern:
-    """Source port of an activity key: an exact system port or the reg/dyn
-    range."""
-
-    kind: str
-    port: Optional[int] = None
-
-    def matches(self, port: int) -> bool:
-        if self.kind == EXACT:
-            return port == self.port
-        return port >= 1024
-
-
-@dataclass(frozen=True)
 class ActivityKey:
-    """Abstract flow rule identifying one device activity.  The destination
-    port is a port: a part (_part_of) holds one destination port."""
+    """Abstract flow rule identifying one device activity.  ``src`` is the
+    src_class of its flows' source port, and the destination port is a
+    port: a part (_part_of) holds one of each."""
 
     proto: str
     remote_pattern: RemotePattern
-    src_port_pattern: PortPattern
+    src: Union[int, str]
     dst_port: int
     member_flows: Tuple[FlowKey, ...] = field(default=(), compare=False,
                                               repr=False)
@@ -124,26 +117,24 @@ class ActivityProfile:
     local_prefixes: Tuple[str, ...] = ()
 
 
-def _domain_suffix(a: str, b: str) -> Optional[str]:
+def _domain_suffix(a: str, b: str) -> str:
     """Longest shared tail of non-empty dot-separated labels of two
-    domains, or None if fewer than two labels are shared."""
+    domains; two names of one part (_part_of) share at least two."""
     la, lb = a.split("."), b.split(".")
     shared = []
     while la and lb and la[-1] and la[-1] == lb[-1]:
         shared.append(la.pop())
         lb.pop()
-    if len(shared) < 2:
-        return None
     return ".".join(reversed(shared))
 
 
 def _part_of(f: FlowKey) -> Tuple:
     """The part of a leaf that a flow may share a key within: its
-    destination port, its source port below 1024 or else reg/dyn, and for
-    a domain its last two labels.  A name with an empty one among them is
-    its own part, as a one-label name is by its one label.  An IP-class
-    remote adds nothing."""
-    src = f.src_port if f.src_port < 1024 else REGDYN
+    destination port, its source class and, for a domain, its last two
+    labels.  A name with an empty one among them is its own part, as a
+    one-label name is by its one label.  An IP-class remote adds
+    nothing."""
+    src = src_class(f.src_port)
     if f.remote.kind != DOMAIN:
         return f.dst_port, src
     tail = tuple(f.remote.value.split(".")[-2:])
@@ -171,13 +162,8 @@ def _generalize(group: List[FlowKey]) -> ActivityKey:
         for name in names[1:]:
             suffix = _domain_suffix(suffix, name)
         remote = RemotePattern(WILDCARD_DOMAIN, "." + suffix)
-    # a part holds one system source port or none; an ephemeral port is
-    # not pinned, as stacks randomise it (RFC 6056)
-    if first.src_port < 1024:
-        src = PortPattern(EXACT, first.src_port)
-    else:
-        src = PortPattern(REGDYN)
-    return ActivityKey(first.proto, remote, src, first.dst_port)
+    return ActivityKey(first.proto, remote, src_class(first.src_port),
+                       first.dst_port)
 
 
 def merge_activities(leaf_entries: Dict[FlowKey, FrozenSet],
@@ -257,9 +243,10 @@ _KEY_FIELDS = {"proto": frozenset(PROTOCOLS),
 
 def activity_key_to_dict(k: ActivityKey) -> dict:
     """The four fields of a key, as the profile and ensemble store them."""
+    src = {"kind": REGDYN, "port": None} if k.src == REGDYN else \
+        {"kind": EXACT, "port": k.src}
     return {"proto": k.proto, "remote_pattern": asdict(k.remote_pattern),
-            "src_port_pattern": asdict(k.src_port_pattern),
-            "dst_port": k.dst_port}
+            "src_port_pattern": src, "dst_port": k.dst_port}
 
 
 def _is_wildcard(value: str) -> bool:
@@ -281,11 +268,14 @@ def activity_key_from_dict(d, what: str) -> ActivityKey:
         raise SchemaError(f"{what} remote_pattern: wildcard value "
                           f"{value!r:.30} is not a dot and two or more labels")
     src = d["src_port_pattern"]
-    check(src, {"port": _PORT_BY_KIND[src["kind"]]},
-          f"{what} src_port_pattern")
+    port = check(src, {"port": _PORT_BY_KIND[src["kind"]]},
+                 f"{what} src_port_pattern")["port"]
+    if src["kind"] == EXACT and src_class(port) != port:
+        raise SchemaError(f"{what} src_port_pattern: exact port {port} is "
+                          f"not a system port")
     return ActivityKey(d["proto"],
                        RemotePattern(remote["kind"], remote["value"]),
-                       PortPattern(src["kind"], src["port"]), d["dst_port"])
+                       REGDYN if port is None else port, d["dst_port"])
 
 
 def keying_to_dict(profile: ActivityProfile) -> dict:

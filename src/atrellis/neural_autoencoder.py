@@ -81,6 +81,12 @@ PATIENCE = 5
 # The most keys that train in one stack: bounds the stacked buffers on a
 # profile with thousands of keys.
 STACK = 64
+# The largest r.  A key's dense layer arrays hold O(r^2) entries, as the
+# conv and its transpose are (2r, C * L) matrices: 70,280 entries at
+# r = 64, 16,074,008 at r = 1000.  A _Stack keeps three buffers of STACK
+# such rows, 8 bytes an entry (dense rows, their gradients and the fold
+# index): about 108 MB at r = 64 and 25 GB at r = 1000.
+MAX_R = 64
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,8 @@ class AEArchitecture:
         if self.r < KERNEL:
             raise BadArchitecture(
                 f"r must be >= {KERNEL}, the kernel size, got {self.r}")
+        if self.r > MAX_R:
+            raise BadArchitecture(f"r must be <= {MAX_R}, got {self.r}")
 
     @property
     def input_len(self) -> int:

@@ -2,6 +2,8 @@ import json
 import math
 import re
 import tracemalloc
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
 from atrellis import neural_autoencoder as na
 from atrellis import synth_traffic as sim
-from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
-                                      PortPattern, RemotePattern)
+from atrellis.clustering_tree import (REGDYN, ActivityKey, ActivityProfile,
+                                      RemotePattern, src_class)
 from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
                              LengthMismatch, SchemaError, check)
 from atrellis.feature_pipeline import featurize
@@ -29,7 +31,7 @@ def flow(domain="cam3.vendor.com", sport=41000, dport=443, proto="TCP",
 
 
 def key(remote=RemotePattern("wildcard", ".vendor.com"),
-        src=PortPattern("regdyn"), dst=443,
+        src=REGDYN, dst=443,
         proto="TCP", members=()):
     return ActivityKey(proto, remote, src, dst, members)
 
@@ -255,18 +257,55 @@ class TestDetect:
             ens.detect(ensemble, keys[0], [])
 
 
+@dataclass(frozen=True)
+class PortPattern:
+    """The source port of an activity key as a pattern, as keys once held
+    it: an exact system port or the reg/dyn range."""
+
+    kind: str
+    port: Optional[int] = None
+
+    @classmethod
+    def of(cls, src):
+        """The pattern of a key's source class."""
+        return cls("regdyn") if src == REGDYN else cls("exact", src)
+
+    def matches(self, port: int) -> bool:
+        if self.kind == "exact":
+            return port == self.port
+        return port >= 1024
+
+
+# stage 1's four levels as they were, the src-port level a pattern match
+REFERENCE_LEVELS = (
+    ("protocol", lambda k, f: k.proto == f.proto),
+    ("remote", lambda k, f: k.remote_pattern.matches(f.remote)),
+    ("src-port", lambda k, f: PortPattern.of(k.src).matches(f.src_port)),
+    ("dst-port", lambda k, f: k.dst_port == f.dst_port),
+)
+
+
+@pytest.mark.parametrize("src", [REGDYN, 0, 1, 22, 1023])
+def test_src_class_equality_is_the_pattern_match(src):
+    """A key's source class equals src_class of a port exactly when the
+    pattern of that class matches the port, on every port."""
+    pattern = PortPattern.of(src)
+    assert [p for p in range(65536) if src == src_class(p)] == \
+        [p for p in range(65536) if pattern.matches(p)]
+
+
 def reference_match(profile, flow_key):
     """The positions of every activity key whose fields all accept the
     flow: the key-by-key scan that fuzzy_match's level pass replaced."""
     return [j for j, k in enumerate(profile.keys)
-            if all(accept(k, flow_key) for _, accept in ens._STAGE1_LEVELS)]
+            if all(accept(k, flow_key) for _, accept in REFERENCE_LEVELS)]
 
 
 def reference_reason(profile, flow_key):
     """Name which of the four levels ruled out every key, by a second pass
     over the levels."""
     candidates = profile.keys
-    for name, accept in ens._STAGE1_LEVELS:
+    for name, accept in REFERENCE_LEVELS:
         candidates = [k for k in candidates if accept(k, flow_key)]
         if not candidates:
             break
@@ -384,17 +423,19 @@ def assert_as_reference(ensemble, keys, table):
 
 def stage1_signature(profile, flow_key):
     """What stage 1 reads of a flow: the protocol, the remote kind and,
-    for a domain, its value, and each port where a key names it on its
-    side, else whether it is below 1024."""
-    src_named = {k.src_port_pattern.port for k in profile.keys}
-    dst_named = {k.dst_port for k in profile.keys}
-    remote = flow_key.remote
+    for a domain, its value, the source port below 1024 if a key pins it,
+    or "high" from 1024 up if a key takes reg/dyn sources, and the
+    destination port if a key names it."""
+    srcs = {k.src for k in profile.keys}
+    dsts = {k.dst_port for k in profile.keys}
+    remote, sport = flow_key.remote, flow_key.src_port
+    if sport < 1024:
+        src = sport if sport in srcs else None
+    else:
+        src = "high" if REGDYN in srcs else None
     return (flow_key.proto, remote.kind,
-            remote.value if remote.kind == "domain" else None,
-            flow_key.src_port if flow_key.src_port in src_named
-            else ("low", flow_key.src_port < 1024),
-            flow_key.dst_port if flow_key.dst_port in dst_named
-            else ("low", flow_key.dst_port < 1024))
+            remote.value if remote.kind == "domain" else None, src,
+            flow_key.dst_port if flow_key.dst_port in dsts else None)
 
 
 PORTS = [0, 1, 22, 1023, 1024, 49151, 49152, 65535]
@@ -413,25 +454,26 @@ FLOW_REMOTES = [Remote("domain", "a.vendor.com"),
                 Remote("bc_mc", "239.255.255.250"),
                 Remote("bc_mc", "255.255.255.255")]
 PROTOS = st.sampled_from(["TCP", "UDP"])
+# a key's source is a source class: REGDYN or a system port
 activity_keys = st.builds(
     ActivityKey, PROTOS, st.sampled_from(KEY_REMOTES),
-    st.sampled_from([PortPattern("regdyn")]
-                    + [PortPattern("exact", p) for p in PORTS]),
+    st.sampled_from([REGDYN] + [p for p in PORTS if p < 1024]),
     st.sampled_from(PORTS))
 
 
 @st.composite
 def profiles_and_flows(draw):
     """Keys and flows from one pool; half the flow ports are ones that a
-    key names, so that flows often match and miss keys by one field."""
+    key names, so that flows often match and miss keys by one field.  The
+    pool holds ports on both sides of 1024 and 49152, and so system source
+    ports that no key pins."""
     keys = draw(st.lists(activity_keys, max_size=6))
 
     def ports(named):
         pool = st.sampled_from(PORTS + [80, 5000])
         return st.sampled_from(sorted(named)) | pool if named else pool
 
-    src = ports({k.src_port_pattern.port for k in keys
-                 if k.src_port_pattern.kind == "exact"})
+    src = ports({k.src for k in keys if k.src != REGDYN})
     dst = ports({k.dst_port for k in keys})
     flows = draw(st.lists(st.builds(FlowKey, st.just(DEVICE),
                                     st.sampled_from(FLOW_REMOTES), src, dst,
@@ -512,7 +554,7 @@ class TestDetectFlows:
         """A port token that were a bool would equal port 1 (True == 1),
         so port 5000 would reuse port 1's decision; and 1023, the last
         port below the reg/dyn range, must not reuse 5000's."""
-        keys = [key(src=PortPattern("exact", 1)), key()]
+        keys = [key(src=1), key()]
         flows = [flow(sport=1), flow(sport=5000), flow(sport=1023),
                  flow(sport=1024)]
         _, _, _, camera_table = camera_setup
@@ -538,6 +580,26 @@ class TestDetectFlows:
         assert len(calls) == len(signatures) < 20
         assert any(v.kind == ens.STAGE1_MALICIOUS for v in verdicts)
 
+    def test_unpinned_system_source_ports_share_one_decision(
+            self, camera_setup, monkeypatch):
+        """A source class that no key holds fails the src-port level for
+        every key, so the 1,023 flows of an inbound scan of the device's
+        system ports make one fuzzy_match call, and each flow gets the
+        per-flow oracle's decision."""
+        _, ensemble, _, _ = camera_setup
+        profile = ensemble.profile
+        assert {k.src for k in profile.keys} == {REGDYN}
+        flows = [flow(domain="203.0.113.9", kind="remote_ip", sport=port,
+                      dport=40000 + port) for port in range(1, 1024)]
+        calls = []
+        original = ens.fuzzy_match
+        monkeypatch.setattr(ens, "fuzzy_match", lambda p, k:
+                            calls.append(k) or original(p, k))
+        decisions = ens.stage1(profile, flows)
+        assert len(calls) == 1
+        assert decisions == [(reference_match(profile, f),
+                              reference_reason(profile, f)) for f in flows]
+
     def test_one_forward_per_matched_key(self, camera_setup, judged_flows,
                                          monkeypatch):
         _, ensemble, _, _ = camera_setup
@@ -561,7 +623,7 @@ class TestDetectFlows:
         [j] = ens.fuzzy_match(ensemble.profile, flow_key)[0]
         key = ensemble.profile.keys[j]
         twin = ActivityKey(key.proto, RemotePattern("wildcard", ""),
-                           key.src_port_pattern, key.dst_port)
+                           key.src, key.dst_port)
         for order in ([twin, key], [key, twin]):
             tied = ens.Ensemble(ActivityProfile(DEVICE, order),
                                 [ensemble.submodels[j]] * 2,
@@ -693,6 +755,8 @@ class TestSerialization:
          "field r has the wrong type float"),
         (lambda doc: doc.__setitem__("r", 2),
          "ensemble: r must be >= 3, the kernel size, got 2"),
+        (lambda doc: doc.__setitem__("r", 65),
+         "ensemble: r must be <= 64, got 65"),
         (lambda doc: doc.__setitem__("schema_version", "1.0"),
          "unsupported schema_version '1.0'"),
         (lambda doc: doc["submodels"][0].__setitem__("epsilon", "x"),
@@ -715,6 +779,10 @@ class TestSerialization:
             "kind", "range"), "src_port_pattern: unknown kind 'range'"),
         (lambda doc: doc["submodels"][0]["src_port_pattern"].__setitem__(
             "port", 1), "field port has the wrong type int"),
+        (lambda doc: doc["submodels"][0].__setitem__(
+            "src_port_pattern", {"kind": "exact", "port": 1024}),
+         "ensemble submodel 0 src_port_pattern: exact port 1024 is not a "
+         "system port"),
         (lambda doc: doc.__setitem__("schema_version", "2.0"),
          "unsupported schema_version '2.0'"),
         (lambda doc: doc.__setitem__("schema_version", "3.0"),
@@ -732,10 +800,11 @@ class TestSerialization:
         (lambda doc: doc["submodels"][0]["model"].pop("weights"),
          "model: missing field weights"),
     ], ids=["no-r", "no-device-ip", "submodels-not-list", "float-r",
-            "r-below-kernel", "schema-1.0", "epsilon-str", "epsilon-nan",
-            "epsilon-negative", "no-epsilon", "no-model", "no-proto",
+            "r-below-kernel", "r-above-bound", "schema-1.0", "epsilon-str",
+            "epsilon-nan", "epsilon-negative", "no-epsilon", "no-model",
+            "no-proto",
             "proto-icmp", "remote-kind", "domain-without-name",
-            "src-port-kind", "regdyn-with-port",
+            "src-port-kind", "regdyn-with-port", "exact-port-1024",
             "schema-2.0", "schema-3.0", "schema-4.0", "no-local-prefixes",
             "local-prefixes-not-list", "local-prefix-not-network",
             "local-prefix-not-str", "no-weights"])

@@ -410,6 +410,12 @@ class TestCorruptEnsemble:
         (lambda d: d["submodels"][0]["src_port_pattern"].__setitem__(
             "kind", "range"), "unknown kind 'range'"),
         (lambda d: d["submodels"][0].__setitem__(
+            "src_port_pattern", {"kind": "exact", "port": 1024}),
+         "submodel 0 src_port_pattern: exact port 1024 is not a system "
+         "port"),
+        (lambda d: d.__setitem__("r", 65), "ensemble: r must be <= 64, got "
+         "65"),
+        (lambda d: d["submodels"][0].__setitem__(
             "dst_port", {"kind": "regdyn", "port": None}),
          "submodel 0: dst_port {'kind': 'regdyn'"),
         (lambda d: d["submodels"][0].__setitem__("dst_port", -1),
@@ -433,7 +439,8 @@ class TestCorruptEnsemble:
         (lambda d: d.__setitem__("local_prefixes", ["garbage"]),
          "ensemble: local_prefixes: "),
     ], ids=["epsilon-str", "epsilon-nan", "epsilon-negative", "no-device-ip",
-            "no-model", "remote-kind", "port-kind", "dst-regdyn",
+            "no-model", "remote-kind", "port-kind", "src-exact-1024",
+            "r-65", "dst-regdyn",
             "dst-negative", "dst-70000", "dst-str", "dst-bool",
             "no-proto",
             "submodels-not-list", "schema-1.0", "schema-2.0", "schema-4.0",
@@ -519,7 +526,10 @@ class TestBadOptionValues:
         (["--quantile", "1.5"], "quantile must be in (0,1), got 1.5"),
         (["--r", "0"], "r must be >= 3, the kernel size, got 0"),
         (["--epochs", "0"], "epochs must be >= 1, got 0"),
-    ], ids=["quantile", "r", "epochs"])
+        (["--r", "65"], "r must be <= 64, got 65"),
+        (["--r", "1000000000000"], "r must be <= 64, got 1000000000000"),
+        (["--seed", "-5"], "seed must be >= 0, got -5"),
+    ], ids=["quantile", "r", "epochs", "r-65", "r-1e12", "seed"])
     def test_train_exits_2(self, small_run, tmp_path, capsys, option,
                            reason):
         trace, profile, _, _, _ = small_run
@@ -536,8 +546,10 @@ class TestBadOptionValues:
         ("train", ["--quantile", "1.5"],
          "quantile must be in (0,1), got 1.5"),
         ("train", ["--epochs", "0"], "epochs must be >= 1, got 0"),
+        ("train", ["--r", "65"], "r must be <= 64, got 65"),
+        ("train", ["--seed", "-5"], "seed must be >= 0, got -5"),
         ("profile", ["--h-s", "2"], "h_s must be in [0,1], got 2.0"),
-    ], ids=["1", "2", "quantile", "epochs", "profile-h-s"])
+    ], ids=["1", "2", "quantile", "epochs", "65", "seed", "profile-h-s"])
     def test_train_r_below_the_kernel_exits_2_before_reading(
             self, small_run, tmp_path, capsys, command, option, reason):
         """Each option is checked before the missing trace is opened."""
@@ -548,6 +560,20 @@ class TestBadOptionValues:
         rc = main([command, *inputs, *option, "-o", str(tmp_path / "out")])
         assert rc == 2
         assert_one_error_line(capsys, f"error: {option[0]}: {reason}")
+
+    @pytest.mark.parametrize("source", [["--fixture", "plug"],
+                                        ["--spec", "missing.json"]],
+                             ids=["fixture", "spec"])
+    def test_simulate_negative_seed_exits_2_before_any_file(
+            self, tmp_path, capsys, monkeypatch, source):
+        """numpy takes no negative seed; the spec file is not read."""
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", *source, "--duration", "60", "--seed", "-1",
+                   "-o", "t.jsonl"])
+        assert rc == 2
+        assert_one_error_line(capsys, "error: --seed: seed must be >= 0, "
+                              "got -1")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("option, names", [
         (["--h-s", "2"], ["error: --h-s: h_s must be in [0,1], got 2.0"]),

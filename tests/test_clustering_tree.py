@@ -151,8 +151,7 @@ def reference_pool(keys):
     member flows."""
     merged = {}
     for key in keys:
-        ident = (key.proto, key.remote_pattern, key.src_port_pattern,
-                 key.dst_port)
+        ident = (key.proto, key.remote_pattern, key.src, key.dst_port)
         if ident in merged:
             pooled = tuple(sorted(
                 set(merged[ident].member_flows) | set(key.member_flows),
@@ -450,7 +449,7 @@ class TestMergeActivities:
         assert len(keys) == 1
         assert keys[0].remote_pattern.kind == "wildcard"
         assert keys[0].remote_pattern.value == ".vendor.com"
-        assert keys[0].src_port_pattern.kind == "regdyn"
+        assert keys[0].src == ct.REGDYN
 
     def test_disjoint_sizes_stay_separate(self):
         entries = {
@@ -525,10 +524,10 @@ class TestMergeActivities:
         groups = merge_activities(leaves_of(tree)[tree_path_of(
             domain_flow("cam1.vendor.com"))], 0.5)
         assert [len(k.member_flows) for k in groups] == [3]
-        assert {k.src_port_pattern.kind for k in groups} == {"regdyn"}
+        assert {k.src for k in groups} == {ct.REGDYN}
         profile = build_profile(tree, 0.5)
         (key,) = profile.keys
-        assert key.src_port_pattern.kind == "regdyn"
+        assert key.src == ct.REGDYN
         assert [f.src_port for f in key.member_flows] == [36002, 40000, 40001]
         assert routed(profile, tree.flows)[0] == [list(key.member_flows)]
 
@@ -560,8 +559,7 @@ class TestMergeActivities:
     def test_system_source_port_stays_exact(self):
         entries = {domain_flow("a.example.com", 123): frozenset({512})}
         (key,) = merge_activities(entries, 0.5)
-        assert (key.src_port_pattern.kind, key.src_port_pattern.port) == \
-            ("exact", 123)
+        assert key.src == 123
 
     def test_members_match_own_key(self):
         entries = {
@@ -573,7 +571,7 @@ class TestMergeActivities:
             for f in key.member_flows:
                 assert key.proto == f.proto
                 assert key.remote_pattern.matches(f.remote)
-                assert key.src_port_pattern.matches(f.src_port)
+                assert key.src == ct.src_class(f.src_port)
                 assert key.dst_port == f.dst_port
 
 
@@ -677,6 +675,36 @@ class TestBuildProfile:
         with pytest.raises(SchemaError, match=r"^profile key 1: dst_port "
                            r".* is not an integer in 0-65535$"):
             load_profile(path)
+
+    @pytest.mark.parametrize("port", [1024, 49152, 65535])
+    def test_exact_source_port_from_1024_up_is_refused(self, tmp_path,
+                                                       port):
+        """No flow's src_class is a port from 1024 up, so a key pinning
+        one would accept no flow; profile never writes one."""
+        doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
+                                            0.5))
+        doc["keys"][1]["src_port_pattern"] = {"kind": "exact", "port": port}
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=rf"^profile key 1 "
+                           rf"src_port_pattern: exact port {port} is not a "
+                           rf"system port$") as info:
+            load_profile(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("port", [0, 123, 1023])
+    def test_system_source_port_keeps_its_bytes(self, tmp_path, port):
+        tree = ClusterTree(DEVICE)
+        tree.insert(pkt(src_port=port))
+        path = tmp_path / "profile.json"
+        save_profile(path, build_profile(tree, 0.5))
+        (key,) = load_profile(path).keys
+        assert key.src == port
+        assert json.loads(path.read_text())["keys"][0][
+            "src_port_pattern"] == {"kind": "exact", "port": port}
+        again = tmp_path / "again.json"
+        save_profile(again, load_profile(path))
+        assert again.read_bytes() == path.read_bytes()
 
     def test_written_wildcard_loads_and_matches_only_its_suffix(
             self, tmp_path):

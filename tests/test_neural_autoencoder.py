@@ -39,6 +39,14 @@ class TestInit:
         with pytest.raises(BadArchitecture, match="r must be >= 3"):
             AEArchitecture(r=2)
 
+    def test_r_above_the_bound_is_refused(self):
+        """A stack of STACK keys keeps three buffers of O(r^2) entries a
+        key; the bound keeps them near 108 MB."""
+        assert AEArchitecture(r=na.MAX_R).r == 64
+        assert na._dense_index(AEArchitecture(r=64)).size == 70_280
+        with pytest.raises(BadArchitecture, match="r must be <= 64, got 65"):
+            AEArchitecture(r=65)
+
     def test_input_is_two_channels_of_r(self):
         assert AEArchitecture(r=3).input_len == 6
         assert AEArchitecture(r=11).input_len == 22
