@@ -23,8 +23,8 @@ tree = ct.ClusterTree(spec.device_ip)
 for pkt in train_trace:
     tree.insert(pkt)
 profile = ct.build_profile(tree, h_s=0.5)
-ensemble, _ = ens.train_ensemble(profile, tree.flows, AEArchitecture(r=10),
-                                 epochs=30, q=0.995, seed=0)
+ensemble, _, _ = ens.train_ensemble(profile, tree.flows, AEArchitecture(r=10),
+                                    epochs=30, q=0.995, seed=0)
 print(f"trained {len(ensemble.submodels)} per-activity submodels")
 
 # Held-out benign hours plus two very different attacks: a noisy port

@@ -114,26 +114,39 @@ def stage1(profile: ActivityProfile, keys: Iterable[FlowKey]
     return decisions
 
 
+def threshold_rank(n: int, q: float) -> int:
+    """The rank k of a key's threshold among its n training errors:
+    min(n, ceil((n + 1)·q)), the split-conformal rank."""
+    return min(n, math.ceil((n + 1) * q))
+
+
 def calibrate_threshold(errors: Sequence[float], q: float) -> float:
-    """q-quantile (linear interpolation) of training errors, floored at
-    1e-9 so a perfectly memorized activity still has a usable threshold."""
+    """The k-th smallest of the n training errors, k = threshold_rank(n,
+    q), floored at 1e-9 so a perfectly memorized activity still has a
+    usable threshold.  A fresh error exchangeable with the training errors
+    exceeds it with probability at most 1 − q whenever ceil((n + 1)·q) <=
+    n.  Otherwise k = n: the threshold is the largest error, and the least
+    such probability is 1/(n + 1)."""
     if len(errors) == 0:
         raise EmptyErrors("no training errors to calibrate on")
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile must be in (0,1), got {q}")
-    return max(float(np.quantile(np.asarray(errors, dtype=float), q)), 1e-9)
+    k = threshold_rank(len(errors), q)
+    ranked = np.partition(np.asarray(errors, dtype=float), k - 1)
+    return max(float(ranked[k - 1]), 1e-9)
 
 
 def train_ensemble(profile: ActivityProfile,
                    training_flows: Dict[FlowKey, List[PacketRecord]],
                    arch: AEArchitecture, epochs: int, q: float,
-                   seed: int = 0) -> Tuple[Ensemble, int]:
+                   seed: int = 0) -> Tuple[Ensemble, int, List[int]]:
     """Fit one autoencoder per activity key on the training flows that
     stage 1 accepts on it (a flow that several keys accept trains each of
     them), all keys together (fit_many), and calibrate its threshold on the
     training reconstruction errors.  A key's flows go in _flow_sort_key
-    order, the order of its member flows.  Returns the ensemble and the
-    number of training flows that no key accepts."""
+    order, the order of its member flows.  Returns the ensemble, the
+    number of training flows that no key accepts and the number of flows
+    each key trained on."""
     keys = sorted(training_flows, key=_flow_sort_key)
     routed: List[List[Sequence[PacketRecord]]] = [[] for _ in profile.keys]
     unmatched = 0
@@ -150,7 +163,8 @@ def train_ensemble(profile: ActivityProfile,
                       epochs)
     submodels = [(model, calibrate_threshold(errors, q))
                  for model, errors in fitted]
-    return Ensemble(profile, submodels, arch), unmatched
+    return (Ensemble(profile, submodels, arch), unmatched,
+            [len(flows) for flows in routed])
 
 
 def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],

@@ -214,21 +214,26 @@ def cmd_train(args) -> int:
         raise UsageError(f"--quantile: quantile must be in (0,1), got "
                          f"{args.quantile}")
     profile = ct.load_profile(args.profile)
+    # featurize reads a flow's first r packets and the order check its last
     table = FlowTable.read(args.trace, profile.device_ip,
-                           profile.local_prefixes).flows
-    ensemble, unmatched = ens.train_ensemble(profile, table, arch,
-                                             args.epochs, args.quantile,
-                                             seed=args.seed)
+                           profile.local_prefixes, keep=arch.r + 1).flows
+    ensemble, unmatched, sizes = ens.train_ensemble(
+        profile, table, arch, args.epochs, args.quantile, seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
     print(f"trained {len(ensemble.submodels)} submodels on "
           f"{len(table) - unmatched} flows; {unmatched} flows matched no key")
+    for j, n in enumerate(sizes):
+        if ens.threshold_rank(n, args.quantile) == n:
+            print(f"  key {j}: eps is the largest of its {n} training "
+                  f"errors; FPR floor 1/{n + 1} = {1 / (n + 1):.4f}")
     return 0
 
 
 def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
     table = FlowTable.read(args.trace, ensemble.profile.device_ip,
-                           ensemble.profile.local_prefixes).flows
+                           ensemble.profile.local_prefixes,
+                           keep=ensemble.arch.r + 1).flows
     keys = list(table)
     verdicts = ens.detect_flows(ensemble, keys, table)
     with open(args.out, "w") as fh:

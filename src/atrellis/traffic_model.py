@@ -184,16 +184,25 @@ class FlowTable:
     protocol, domain) tuple, so a request and its replies cost one key each
     and every later packet one lookup.  ``read`` fills a table from a trace
     file in one pass.
+
+    ``keep`` bounds the packets a flow holds; None keeps them all.  Once a
+    flow holds ``keep`` packets, each new packet replaces its last one, so
+    the flow holds its first ``keep - 1`` packets and its latest.
     """
 
-    def __init__(self, device_ip: str, local_prefixes: Sequence[str] = ()):
+    def __init__(self, device_ip: str, local_prefixes: Sequence[str] = (),
+                 keep: Optional[int] = None):
+        if keep is not None and keep < 1:
+            raise ValueError(f"keep must be >= 1, got {keep}")
         self.device_ip = device_ip
         self.local_prefixes = tuple(local_prefixes)
+        self.keep = keep
         self.flows: Dict[FlowKey, List[PacketRecord]] = {}
         self._by_raw: dict = {}
+        self._inserted = 0  # the packets inserted, replaced ones included
 
     def insert(self, pkt: PacketRecord) -> FlowKey:
-        """Append ``pkt`` to its flow and return the flow's key.  A packet
+        """Add ``pkt`` to its flow and return the flow's key.  A packet
         that cannot be keyed (MalformedAddress, ForeignPacket) or that is
         earlier than the last packet of its flow (NonMonotonicTimestamp)
         raises a PacketError whose ``index`` is the number of packets
@@ -210,25 +219,27 @@ class FlowTable:
             if flow and pkt.ts < flow[-1].ts:
                 raise _late(key, pkt, flow)
         except PacketError as exc:
-            exc.index = self._count()
+            exc.index = self._inserted
             raise
-        flow.append(pkt)
+        if len(flow) == self.keep:
+            flow[-1] = pkt
+        else:
+            flow.append(pkt)
+        self._inserted += 1
         return key
 
-    def _count(self) -> int:
-        return sum(map(len, self.flows.values()))
-
     @classmethod
-    def read(cls, path, device_ip: str,
-             local_prefixes: Sequence[str] = ()) -> "FlowTable":
+    def read(cls, path, device_ip: str, local_prefixes: Sequence[str] = (),
+             keep: Optional[int] = None) -> "FlowTable":
         """The table of the JSON-lines trace at ``path``, filled in one
         pass with no list of its packets: a line in write_packets_jsonl's
         form goes from _packet_reader straight to its flow, and any other
-        line through the JSON parse and ``insert``.  The flows and their
-        packets, and every error, are those of ``flows_of_trace(
-        read_packets_jsonl(path), ...)``.  Python's cyclic GC is paused for
-        the read, which makes only acyclic records."""
-        table = cls(device_ip, local_prefixes)
+        line through the JSON parse and ``insert``.  The flows, each cut
+        to ``keep`` packets as ``insert`` cuts it, and every error, are
+        those of ``flows_of_trace(read_packets_jsonl(path), ...)``.
+        Python's cyclic GC is paused for the read, which makes only acyclic
+        records."""
+        table = cls(device_ip, local_prefixes, keep)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -236,7 +247,7 @@ class FlowTable:
                     packet_from_dict(obj)), _packet_reader(table)):
                 pass
         except PacketError as exc:
-            exc.index = table._count()
+            exc.index = table._inserted
             raise
         finally:
             if enabled:
@@ -353,8 +364,9 @@ def _packet_reader(table: Optional[FlowTable] = None
     and equal strings among them are one object, so the packets of a flow
     share their fields.
 
-    With a ``table``, the function also appends each packet it gives to
-    its flow there, or raises the PacketError that ``table.insert`` would.
+    With a ``table``, the function also adds each packet it gives to its
+    flow there, as ``table.insert`` does, or raises the PacketError that
+    ``table.insert`` would.
     A middle's entry holds its five values, then the domain of its last
     packet and that packet's flow, so a middle is keyed with flow_key_of
     only when its domain differs from its last packet's."""
@@ -364,7 +376,7 @@ def _packet_reader(table: Optional[FlowTable] = None
     unkeyed = ()
     if table is not None:
         flows, device_ip = table.flows, table.device_ip
-        prefixes = table.local_prefixes
+        prefixes, keep = table.local_prefixes, table.keep
         unkeyed = (_UNKEYED, None)
 
     def middle_of(text):
@@ -435,7 +447,11 @@ def _packet_reader(table: Optional[FlowTable] = None
                              dns_name, flow)
         if flow and ts < flow[-1][0]:
             raise _late(flow_key_of(pkt, device_ip, prefixes), pkt, flow)
-        flow.append(pkt)
+        if len(flow) == keep:
+            flow[-1] = pkt
+        else:
+            flow.append(pkt)
+        table._inserted += 1
         return pkt
 
     return packet_of_line

@@ -217,8 +217,8 @@ def camera_rig():
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
     keys, table = flows_of_trace(trace, spec.device_ip)
-    ensemble, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                     30, RIG_Q, seed=0)
+    ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                        30, RIG_Q, seed=0)
     elapsed = time.perf_counter() - t0
     return spec, ensemble, keys, table, elapsed
 

@@ -102,9 +102,12 @@ class TestFuzzyMatch:
 
 
 class TestCalibrateThreshold:
-    def test_linear_interpolation(self):
-        errors = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
-        assert ens.calibrate_threshold(errors, 0.9) == pytest.approx(9.1)
+    def test_rank(self):
+        """The k-th smallest error, k = min(n, ceil((n + 1)·q))."""
+        errors = [10, 9, 8, 7, 6, 5, 4, 3, 2, 1]
+        assert ens.calibrate_threshold(errors, 0.9) == 10
+        assert ens.calibrate_threshold(errors, 0.5) == 6
+        assert ens.calibrate_threshold(errors, 0.05) == 1
 
     def test_constant_errors(self):
         assert ens.calibrate_threshold([0.5] * 100, 0.995) == 0.5
@@ -119,6 +122,22 @@ class TestCalibrateThreshold:
     def test_bad_quantile(self):
         with pytest.raises(ValueError):
             ens.calibrate_threshold([1.0], 1.0)
+
+    @given(errors=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=300),
+           q=st.floats(0.01, 0.999))
+    def test_share_above_is_at_most_one_minus_q(self, errors, q):
+        """Whenever ceil((n + 1)·q) <= n, at most a share 1 − q of the
+        training errors lies above the threshold; otherwise it is the
+        largest error, and none does."""
+        n = len(errors)
+        eps = ens.calibrate_threshold(errors, q)
+        k = min(n, math.ceil((n + 1) * q))
+        assert eps == max(sorted(errors)[k - 1], 1e-9)
+        above = sum(e > eps for e in errors)
+        if math.ceil((n + 1) * q) <= n:
+            assert above / n <= 1 - q
+        else:
+            assert above == 0
 
     def test_exceedance_bound(self):
         rng = np.random.default_rng(0)
@@ -137,8 +156,8 @@ def camera_setup():
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
     keys, table = flows_of_trace(trace, spec.device_ip)
-    ensemble, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                     80, 0.995, seed=0)
+    ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                        80, 0.995, seed=0)
     return spec, ensemble, keys, table
 
 
@@ -188,13 +207,13 @@ class TestTrainEnsemble:
             rows.extend(X.tolist() for X in Xs)
             return original(models, Xs, epochs)
         monkeypatch.setattr(ens, "fit_many", spy)
-        ensemble, unmatched = ens.train_ensemble(
+        ensemble, unmatched, sizes = ens.train_ensemble(
             profile, table, AEArchitecture(r=10), 2, 0.9)
         a, b = (featurize(table[f], 10).tolist() for f in table)
         assert rows == [[a], [a, b]]
         assert [len(m) for m, _ in ens.stage1(profile, list(table))] == [2, 1]
         assert len(ensemble.submodels) == 2
-        assert unmatched == 0
+        assert unmatched == 0 and sizes == [1, 2]
 
     def test_counts_the_flows_that_no_key_accepts(self, camera_setup):
         """The count comes from the routing, and equals stage 1's own."""
@@ -202,16 +221,15 @@ class TestTrainEnsemble:
         packets = next(iter(table.values()))
         table = {**table, flow("evil.example.net", dport=443): packets,
                  flow(dport=6667): packets}
-        _, unmatched = ens.train_ensemble(ensemble.profile, table,
-                                          ensemble.arch, 1, 0.995)
+        _, unmatched, _ = ens.train_ensemble(ensemble.profile, table,
+                                             ensemble.arch, 1, 0.995)
         decisions = ens.stage1(ensemble.profile, list(table))
         assert unmatched == sum(not m for m, _ in decisions) >= 2
 
     def test_deterministic(self, camera_setup):
         spec, ensemble, _, table = camera_setup
-        again, _ = ens.train_ensemble(ensemble.profile, table,
-                                      ensemble.arch, 80, 0.995,
-                                      seed=0)
+        again, _, _ = ens.train_ensemble(ensemble.profile, table,
+                                         ensemble.arch, 80, 0.995, seed=0)
         assert ensemble_to_dict(again) == ensemble_to_dict(ensemble)
 
 
@@ -366,8 +384,8 @@ def hub_setup():
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
     _, table = flows_of_trace(trace, spec.device_ip, HUB_LAN)
-    ensemble, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
-                                     20, 0.995, seed=0)
+    ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
+                                        20, 0.995, seed=0)
     return spec, ensemble
 
 

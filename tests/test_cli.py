@@ -5,13 +5,17 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
 from atrellis import anomaly_ensemble as ens
+from atrellis import clustering_tree as ct
 from atrellis import traffic_model as tm
 from atrellis.cli import build_parser, main
 from atrellis.neural_autoencoder import AEArchitecture
@@ -261,8 +265,8 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["train", trace, profile, "--epochs", "1",
                      "-o", ensemble]) == 0
-        m = re.fullmatch(r"trained (\d+) submodels on (\d+) flows; (\d+) "
-                         r"flows matched no key\n", capsys.readouterr().out)
+        m = re.match(r"trained (\d+) submodels on (\d+) flows; (\d+) "
+                     r"flows matched no key\n", capsys.readouterr().out)
         keys, trained, unmatched = map(int, m.groups())
         assert keys == len(json.loads(Path(profile).read_text())["keys"])
         assert main(["detect", trace, ensemble, "-o",
@@ -272,6 +276,29 @@ class TestPipeline:
                          capsys.readouterr().out)
         assert (trained, unmatched) == (int(m[3]), int(m[2]))
         assert unmatched >= 20
+
+    def test_train_names_each_key_whose_threshold_is_its_largest_error(
+            self, tmp_path, capsys):
+        """A key of n flows whose threshold rank min(n, ceil((n + 1)·q))
+        is n gets a line with n and its FPR floor 1/(n + 1)."""
+        trace, profile, _, _, _ = run_pipeline(tmp_path, duration="600",
+                                               epochs="1")
+        capsys.readouterr()
+        assert main(["train", trace, profile, "--epochs", "1",
+                     "-o", str(tmp_path / "e.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        loaded = ct.load_profile(profile)
+        sizes = [0] * len(loaded.keys)
+        for matched, _ in ens.stage1(loaded, list(tm.FlowTable.read(
+                trace, loaded.device_ip).flows)):
+            for j in matched:
+                sizes[j] += 1
+        # ceil((n + 1)·0.995) >= n, in integers
+        assert lines == [f"  key {j}: eps is the largest of its {n} "
+                         f"training errors; FPR floor 1/{n + 1} = "
+                         f"{1 / (n + 1):.4f}"
+                         for j, n in enumerate(sizes)
+                         if (n + 1) * 995 > (n - 1) * 1000] != []
 
     def test_dump_features(self, tmp_path):
         trace, profile, ensemble, _, _ = run_pipeline(tmp_path,
@@ -1071,6 +1098,36 @@ class TestOutOfOrderFlow:
                               "ts 10.5")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("separators", [(", ", ": "), (",", ":")],
+                             ids=["writer-form", "other-spacing"])
+    def test_detect_names_the_line_that_eval_names(
+            self, small_run, tmp_path, capsys, separators):
+        """detect keeps a flow's first r packets and its latest, eval keeps
+        them all; a late packet after 20 of its flow's, in the writer's
+        form (the reader's fast path) or not (the JSON parse), is on the
+        same line to both, counted over every packet before it."""
+        _, _, ensemble, verdicts, _ = small_run
+        device_ip = json.loads(Path(ensemble).read_text())["device_ip"]
+
+        def line(ts, port, seps=(", ", ": ")):
+            return json.dumps({
+                "ts": ts, "src_ip": device_ip, "dst_ip": "203.0.113.5",
+                "src_port": port, "dst_port": 443, "proto": "TCP",
+                "length": 60, "label": "benign"}, separators=seps)
+
+        lines = [line(float(i), 40000 + i % 2 * 7) for i in range(40)]
+        lines += ["", line(37.5, 40007, separators)]
+        bad = str(tmp_path / "bad.jsonl")
+        Path(bad).write_text("\n".join(lines) + "\n")
+        errors = []
+        for stage, artifact in (("detect", ensemble), ("eval", verdicts)):
+            capsys.readouterr()
+            assert main([stage, bad, artifact, "-o",
+                         str(tmp_path / "out")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith(f"error: {bad}:42: flow TCP ")
+
     def test_line_counts_blank_lines_and_not_an_equal_earlier_packet(
             self, tmp_path, capsys):
         def line(ts):
@@ -1088,6 +1145,61 @@ class TestOutOfOrderFlow:
         assert rc == 1
         assert_one_error_line(capsys, f"error: {bad}:6: flow TCP ",
                               "ts 10.5")
+
+
+class TestBoundedMemory:
+    """train and detect hold a flow as its first r packets and its latest,
+    and load no more of numpy than they use: counted, not timed."""
+
+    @pytest.fixture(scope="class")
+    def flooded(self, tmp_path_factory):
+        flood = {"kind": "Flood", "start": 100, "rate": 1, "duration": 100,
+                 "target": {"ip": "203.0.113.10", "dst_port": 443,
+                            "domain": "upload.cam-vendor.com"}}
+        return run_pipeline(tmp_path_factory.mktemp("flood"), [flood],
+                            duration="600", epochs="1")
+
+    def test_detect_holds_at_most_r_plus_1_packets_a_flow(
+            self, flooded, tmp_path, monkeypatch):
+        trace, _, ensemble, _, _ = flooded
+        tables = []
+        judge = ens.detect_flows
+
+        def spy(ensemble, keys, table):
+            tables.append(table)
+            return judge(ensemble, keys, table)
+        monkeypatch.setattr(ens, "detect_flows", spy)
+        assert main(["detect", trace, ensemble,
+                     "-o", str(tmp_path / "v.jsonl")]) == 0
+        loaded = ens.load_ensemble(ensemble)
+        full = tm.flows_of_trace(tm.read_packets_jsonl(trace),
+                                 loaded.profile.device_ip)[1]
+        (table,) = tables
+        assert list(table) == list(full)
+        assert sum(len(flow) == 40 for flow in full.values()) == 100
+        assert max(map(len, table.values())) == loaded.arch.r + 1
+
+    def test_train_and_detect_leave_numpy_ma_unloaded(self, flooded,
+                                                      tmp_path):
+        """A fresh interpreter runs train, then detect."""
+        trace, profile, _, _, _ = flooded
+        ensemble = str(tmp_path / "e.json")
+        code = textwrap.dedent(f"""\
+            import sys
+            from atrellis.cli import main
+            assert main(["train", {trace!r}, {profile!r}, "--epochs", "1",
+                         "-o", {ensemble!r}]) == 0
+            assert main(["detect", {trace!r}, {ensemble!r},
+                         "-o", {str(tmp_path / "v.jsonl")!r}]) == 0
+            print("numpy.ma" in sys.modules, file=sys.stderr)
+            """)
+        src = str(Path(tm.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == "False\n"
 
 
 class TestPinnedBytes:

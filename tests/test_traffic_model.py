@@ -9,10 +9,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from atrellis import anomaly_ensemble as ens
+from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis import traffic_model
 from atrellis.errors import (AtrellisError, ForeignPacket, MalformedAddress,
                              SchemaError)
+from atrellis.neural_autoencoder import AEArchitecture
 from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, OUT,
                                     PROTOCOLS, REMOTE_IP, FlowKey, FlowTable,
                                     PacketRecord, Remote, classify_address,
@@ -921,6 +924,77 @@ class TestFlowTableRead:
         new = FlowTable.read(path, spec.device_ip).flows
         keys, old = flows_of_trace(read_packets_jsonl(path), spec.device_ip)
         assert list(new) == keys and new == old
+
+
+def first_and_last(flows, keep):
+    """Each of ``flows`` cut to its first keep - 1 packets and its last."""
+    return {key: flow if len(flow) <= keep else flow[:keep - 1] + flow[-1:]
+            for key, flow in flows.items()}
+
+
+class TestBoundedFlowTable:
+    """A table with a bound ``keep`` holds each flow as its first keep - 1
+    packets and its latest, and counts every packet inserted."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(trace=loadable_traces(),
+           prefixes=st.sampled_from([(), ("192.168.1.0/24",)]),
+           keep=st.integers(2, 11))
+    def test_read_gives_the_cut_flows_of_trace(self, tmp_path_factory, trace,
+                                               prefixes, keep):
+        """Error for error too: a refused packet's index counts the
+        packets that the bound replaced."""
+        path = tmp_path_factory.getbasetemp() / "bounded.jsonl"
+        path.write_bytes(trace)
+        bounded = table_outcome(lambda: FlowTable.read(
+            path, DEVICE, prefixes, keep=keep).flows)
+        oracle = table_outcome(lambda: first_and_last(flows_of_trace(
+            read_packets_jsonl(path), DEVICE, prefixes)[1], keep))
+        assert bounded == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(packets=interleaved_traces(), keep=st.integers(1, 11))
+    def test_insert_gives_the_cut_flows_of_trace(self, packets, keep):
+        table = FlowTable(DEVICE, keep=keep)
+        for p in packets:
+            table.insert(p)
+        assert table.flows == first_and_last(
+            flows_of_trace(packets, DEVICE)[1], keep)
+
+    def test_bound_must_keep_a_packet(self):
+        with pytest.raises(ValueError, match="keep must be >= 1, got 0"):
+            FlowTable(DEVICE, keep=0)
+
+    @pytest.fixture(scope="class")
+    def judged(self, tmp_path_factory):
+        """An ensemble trained on 30 clean camera minutes, and a trace of
+        30 more with a Flood of 100 flows of 40 packets."""
+        spec = sim.FIXTURES["camera"]
+        clean = sim.generate(spec, 1800.0, seed=3)
+        tree = ct.ClusterTree(spec.device_ip)
+        for p in clean:
+            tree.insert(p)
+        ensemble = ens.train_ensemble(ct.build_profile(tree, 0.5),
+                                      tree.flows, AEArchitecture(r=10), 2,
+                                      0.995)[0]
+        trace = sim.inject_attack(
+            sim.generate(spec, 1800.0, seed=4),
+            sim.AttackSpec("Flood", start=100, rate=1, duration=100,
+                           target={"ip": "203.0.113.10", "dst_port": 443}),
+            seed=4)
+        path = tmp_path_factory.mktemp("judged") / "trace.jsonl"
+        write_packets_jsonl(path, trace)
+        return ensemble, path
+
+    def test_detect_flows_gives_the_verdicts_of_the_full_table(self, judged):
+        ensemble, path = judged
+        device_ip, r = ensemble.profile.device_ip, ensemble.arch.r
+        full = flows_of_trace(read_packets_jsonl(path), device_ip)[1]
+        bounded = FlowTable.read(path, device_ip, keep=r + 1).flows
+        assert sum(len(flow) == 40 for flow in full.values()) == 100
+        assert max(map(len, bounded.values())) == r + 1
+        assert ens.detect_flows(ensemble, list(bounded), bounded) == \
+            ens.detect_flows(ensemble, list(full), full)
 
 
 class TestFlowTableReadGC:
