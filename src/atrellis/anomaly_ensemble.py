@@ -429,4 +429,4 @@ def save_ensemble(path, e: Ensemble) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    return ensemble_from_dict(read_json(path))
+    return read_json(path, ensemble_from_dict)

@@ -20,7 +20,8 @@ from typing import List, Optional
 from . import anomaly_ensemble as ens
 from . import clustering_tree as ct
 from . import synth_traffic as sim
-from .errors import AtrellisError, EmptyTree, PacketError, SchemaError, check
+from .errors import (AtrellisError, EmptyTree, PacketError, SchemaError,
+                     check, located)
 from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture
 from .traffic_model import (_PORT, PROTOCOLS, FlowTable, PacketRecord,
@@ -124,12 +125,12 @@ _OPTIONAL_ACTIVITY_FIELDS = {"packets_per_burst": int, "jitter": _NUMBER,
                              "bidirectional": bool}
 
 
-def _device_spec_from_file(path: str) -> sim.DeviceSpec:
-    doc = check(read_json(path), {"device_ip": str, "activities": list},
-                path, closed=True)
+def _device_spec(doc) -> sim.DeviceSpec:
+    """The device of a ``--spec`` file's document."""
+    check(doc, {"device_ip": str, "activities": list}, "spec", closed=True)
     activities = []
     for i, a in enumerate(doc["activities"]):
-        what = f"{path} activity {i}"
+        what = f"activity {i}"
         check(a, _ACTIVITY_FIELDS, what, _OPTIONAL_ACTIVITY_FIELDS,
               closed=True)
         for name, kind in (("sizes", int), ("size_probs", _NUMBER)):
@@ -153,7 +154,7 @@ def cmd_simulate(args) -> int:
                 f"choose from {', '.join(sorted(sim.FIXTURES))}")
         spec = sim.FIXTURES[args.fixture]
     elif args.spec:
-        spec = _device_spec_from_file(args.spec)
+        spec = read_json(args.spec, _device_spec)
     else:
         raise UsageError("one of --fixture or --spec is required")
 
@@ -191,8 +192,11 @@ def cmd_profile(args) -> int:
     packets = list(read_packets_jsonl(args.trace))
     device_ip = args.device_ip or _infer_device_ip(packets)
     tree = ct.ClusterTree(device_ip, prefixes)
-    for pkt in packets:
-        tree.insert(pkt)
+    try:
+        for i, pkt in enumerate(packets):
+            tree.insert(pkt)
+    except PacketError as exc:      # keyed after the read: find the line
+        raise located(_where(args.trace, i), exc) from None
     profile = ct.build_profile(tree, args.h_s)
     ct.save_profile(args.out, profile)
     print(f"{len(profile.keys)} activity keys for device {device_ip}")
@@ -370,11 +374,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except PacketError as exc:
-        # every stage that keys flows inserts its whole trace, in order
-        print(f"error: {_where(args.trace, exc.index)}: {exc}",
-              file=sys.stderr)
-        return 1
     except (AtrellisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,11 @@ EXACT = "exact"     # a key's system source port, as the artifacts write it
 # remote kinds
 WILDCARD_DOMAIN = "wildcard"
 
+# two-label public suffixes (a sample, not the Public Suffix List)
+MULTI_LABEL_SUFFIXES = frozenset(
+    "co.uk org.uk ac.uk gov.uk com.au net.au org.au co.jp ne.jp or.jp "
+    "co.nz co.kr co.in com.br com.cn com.mx com.tr co.za".split())
+
 
 @dataclass(frozen=True)
 class TreePath:
@@ -119,7 +124,7 @@ class ActivityProfile:
 
 def _domain_suffix(a: str, b: str) -> str:
     """Longest shared tail of non-empty dot-separated labels of two
-    domains; two names of one part (_part_of) share at least two."""
+    domains; two names of one part (_part_of) share its domain tail."""
     la, lb = a.split("."), b.split(".")
     shared = []
     while la and lb and la[-1] and la[-1] == lb[-1]:
@@ -131,13 +136,15 @@ def _domain_suffix(a: str, b: str) -> str:
 def _part_of(f: FlowKey) -> Tuple:
     """The part of a leaf that a flow may share a key within: its
     destination port, its source class and, for a domain, its last two
-    labels.  A name with an empty one among them is its own part, as a
-    one-label name is by its one label.  An IP-class remote adds
-    nothing."""
+    labels, or three when those two are a MULTI_LABEL_SUFFIXES suffix.  A
+    name with an empty one among them is its own part, as a one-label
+    name is by its one label.  An IP-class remote adds nothing."""
     src = src_class(f.src_port)
     if f.remote.kind != DOMAIN:
         return f.dst_port, src
-    tail = tuple(f.remote.value.split(".")[-2:])
+    labels = f.remote.value.split(".")
+    tail = tuple(labels[-3:] if ".".join(labels[-2:]) in
+                 MULTI_LABEL_SUFFIXES else labels[-2:])
     if not all(tail):
         tail = f.remote.value
     return f.dst_port, src, tail
@@ -251,9 +258,10 @@ def activity_key_to_dict(k: ActivityKey) -> dict:
 
 def _is_wildcard(value: str) -> bool:
     """Whether ``value`` is a wildcard _generalize writes: a dot, then two
-    or more non-empty labels."""
+    or more non-empty labels that are not a MULTI_LABEL_SUFFIXES entry."""
     dot, *labels = value.split(".")
-    return dot == "" and len(labels) >= 2 and all(labels)
+    return dot == "" and len(labels) >= 2 and all(labels) and \
+        value[1:] not in MULTI_LABEL_SUFFIXES
 
 
 def activity_key_from_dict(d, what: str) -> ActivityKey:
@@ -266,7 +274,8 @@ def activity_key_from_dict(d, what: str) -> ActivityKey:
     if remote["kind"] == WILDCARD_DOMAIN and not _is_wildcard(value):
         # the suffix test of RemotePattern.matches would accept more
         raise SchemaError(f"{what} remote_pattern: wildcard value "
-                          f"{value!r:.30} is not a dot and two or more labels")
+                          f"{value!r:.30} is not a dot and two or more labels, "
+                          f"or is a public suffix")
     src = d["src_port_pattern"]
     port = check(src, {"port": _PORT_BY_KIND[src["kind"]]},
                  f"{what} src_port_pattern")["port"]
@@ -323,4 +332,4 @@ def save_profile(path, profile: ActivityProfile) -> None:
 
 
 def load_profile(path) -> ActivityProfile:
-    return profile_from_dict(read_json(path))
+    return read_json(path, profile_from_dict)

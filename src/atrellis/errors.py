@@ -10,10 +10,7 @@ class AtrellisError(ValueError):
 # --- packet / flow domain ---
 
 class PacketError(AtrellisError):
-    """A packet that flow keying refuses; a FlowTable sets ``index`` to
-    its position among the packets inserted into the table."""
-
-    index = -1
+    """A packet that flow keying refuses."""
 
 
 class MalformedAddress(PacketError):
@@ -30,6 +27,13 @@ class NonMonotonicTimestamp(PacketError):
 
 class SchemaError(AtrellisError):
     """A serialized artifact violates its schema (unknown field, bad version)."""
+
+
+def located(where: str, exc: ValueError) -> AtrellisError:
+    """``exc`` named at ``where``, a document's ``PATH`` or a line's
+    ``PATH:LINE``: of its class if an AtrellisError, else a SchemaError."""
+    cls = type(exc) if isinstance(exc, AtrellisError) else SchemaError
+    return cls(f"{where}: {exc}")
 
 
 def check(doc, fields: dict, what: str, optional: Optional[dict] = None,

@@ -226,8 +226,8 @@ def _fold(arch: AEArchitecture, dense_grad: np.ndarray,
           index: np.ndarray) -> np.ndarray:
     """The flat gradients, one _PARAM_ORDER row per model, of stacked
     dense-layer gradients: the adjoint of _gather, less the zero slot.
-    ``index`` is _dense_index for one model, or one per row with each
-    row's slots offset by a flat row, for at least as many rows."""
+    ``index`` holds _dense_index once per row, each row's slots offset by
+    a flat row, for at least as many rows."""
     k, width = dense_grad.shape[0], _flat_len(arch)
     return np.bincount(index[:dense_grad.size], weights=dense_grad.ravel(),
                        minlength=k * width).reshape(k, width)[:, :-1]
@@ -359,10 +359,10 @@ class _Stack:
                                self.steps))
         self.names = [self.names[s] for s in slots]
 
-    def step(self, batches: Sequence[np.ndarray]) -> None:
-        """One Adam step for the first slots, a run of them per batch: a
-        (g, B, input_len) batch holds B rows for each of the next g
-        slots."""
+    def gradients(self, batches: Sequence[np.ndarray]) -> np.ndarray:
+        """The flat MSE gradients of the first slots, a row each and a run
+        of them per batch (a (g, B, input_len) batch holds B rows for each
+        of the next g slots); a non-finite one raises DivergedLoss."""
         arch, live = self.arch, sum(map(len, batches))
         # the index is in range by construction, and "clip" mode writes to
         # ``out`` without take's buffering
@@ -386,6 +386,12 @@ class _Stack:
                         if not np.isfinite(named[w]).all())
             raise DivergedLoss(f"activity key {self.names[s]}: non-finite "
                                f"gradient in {name}")
+        return grads
+
+    def step(self, batches: Sequence[np.ndarray]) -> None:
+        """One Adam step, on their ``gradients``, for the first slots."""
+        grads = self.gradients(batches)
+        live = len(grads)
         beta1, beta2, adam_eps = 0.9, 0.999, 1e-8
         self.steps[:live] += 1
         steps = self.steps[:live].tolist()
@@ -536,26 +542,18 @@ def fit(model: AEModel, data: Sequence, epochs: int
 
 
 def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
-    """Max relative discrepancy between the analytic gradient of the MSE
-    loss and central finite differences, over every weight."""
+    """Max relative discrepancy between a training step's gradient of the
+    MSE loss and central finite differences, over every weight."""
     if not 0 < eps <= 1e-2:
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
     arch = model.arch
     arr = _check_input(model.arch, x)[None, None, :]
     flat = _flatten(model.params)[None]
     params = _flat_views(flat[0, :-1], arch)
-
-    layers = _gather(arch, flat)
-    out, cache = _forward(layers, arr, want_cache=True)
-    d_out = 2.0 * (out - arr) / out.size
-    dense_grad = np.empty((1, _dense_index(arch).size))
-    _backward(layers, cache, d_out, _split(dense_grad, _dense_shapes(arch)))
-    analytic = _flat_views(_fold(arch, dense_grad, _dense_index(arch))[0],
-                           arch)
+    analytic = _flat_views(_Stack(arch, flat, [0]).gradients([arr])[0], arch)
 
     def loss_at():
-        y = _forward(_gather(arch, flat), arr)
-        return float(np.mean((y - arr) ** 2))
+        return float(_batch_errors(arch, flat, arr)[0, 0])
 
     worst = 0.0
     for name in _PARAM_ORDER:

@@ -19,7 +19,7 @@ from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence)
 
 from .errors import (ForeignPacket, MalformedAddress, NonMonotonicTimestamp,
-                     PacketError, SchemaError, check)
+                     SchemaError, check, located)
 
 TCP = "TCP"
 UDP = "UDP"
@@ -199,33 +199,25 @@ class FlowTable:
         self.keep = keep
         self.flows: Dict[FlowKey, List[PacketRecord]] = {}
         self._by_raw: dict = {}
-        self._inserted = 0  # the packets inserted, replaced ones included
 
     def insert(self, pkt: PacketRecord) -> FlowKey:
         """Add ``pkt`` to its flow and return the flow's key.  A packet
         that cannot be keyed (MalformedAddress, ForeignPacket) or that is
         earlier than the last packet of its flow (NonMonotonicTimestamp)
-        raises a PacketError whose ``index`` is the number of packets
-        inserted before it."""
+        raises a PacketError."""
         raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
                pkt.dns_name)
-        try:
-            entry = self._by_raw.get(raw)
-            if entry is None:
-                key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
-                entry = self._by_raw[raw] = (key,
-                                             self.flows.setdefault(key, []))
-            key, flow = entry
-            if flow and pkt.ts < flow[-1].ts:
-                raise _late(key, pkt, flow)
-        except PacketError as exc:
-            exc.index = self._inserted
-            raise
+        entry = self._by_raw.get(raw)
+        if entry is None:
+            key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
+            entry = self._by_raw[raw] = (key, self.flows.setdefault(key, []))
+        key, flow = entry
+        if flow and pkt.ts < flow[-1].ts:
+            raise _late(key, pkt, flow)
         if len(flow) == self.keep:
             flow[-1] = pkt
         else:
             flow.append(pkt)
-        self._inserted += 1
         return key
 
     @classmethod
@@ -236,7 +228,8 @@ class FlowTable:
         form goes from _packet_reader straight to its flow, and any other
         line through the JSON parse and ``insert``.  The flows, each cut
         to ``keep`` packets as ``insert`` cuts it, and every error, are
-        those of ``flows_of_trace(read_packets_jsonl(path), ...)``.
+        those of ``flows_of_trace(read_packets_jsonl(path), ...)``, each
+        error named at its line.
         Python's cyclic GC is paused for the read, which makes only acyclic
         records."""
         table = cls(device_ip, local_prefixes, keep)
@@ -246,9 +239,6 @@ class FlowTable:
             for _ in read_jsonl(path, lambda obj: table.insert(
                     packet_from_dict(obj)), _packet_reader(table)):
                 pass
-        except PacketError as exc:
-            exc.index = table._inserted
-            raise
         finally:
             if enabled:
                 gc.enable()
@@ -451,7 +441,6 @@ def _packet_reader(table: Optional[FlowTable] = None
             flow[-1] = pkt
         else:
             flow.append(pkt)
-        table._inserted += 1
         return pkt
 
     return packet_of_line
@@ -465,14 +454,15 @@ def write_packets_jsonl(path, packets: Iterable[PacketRecord]) -> None:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def read_json(path):
-    """The JSON document in ``path``.  A file that is not one, cut short
-    say, raises SchemaError("PATH: reason at its position")."""
+def read_json(path, parse: Callable[[object], object]):
+    """``parse`` of the JSON document in ``path``.  A file that is not one,
+    cut short say, or a ValueError of ``parse`` raises located(path, exc):
+    "PATH: reason"."""
     with open(path, "rb") as fh:
         try:
-            return json.load(fh)
+            return parse(json.load(fh))
         except ValueError as exc:
-            raise SchemaError(f"{path}: {exc}") from None
+            raise located(path, exc) from None
 
 
 def read_jsonl(path, convert: Callable[[dict], object],
@@ -481,9 +471,9 @@ def read_jsonl(path, convert: Callable[[dict], object],
     ``fast``, if given, makes the item of a stripped line without the JSON
     parse, or returns None to leave the line to it; it takes only lines of
     ASCII text, as only the JSON path checks a line's UTF-8.  A line that
-    is not UTF-8, not one JSON object, or that ``convert`` rejects with a
-    ValueError raises SchemaError("PATH:LINE: reason").  A PacketError
-    from keying passes unchanged."""
+    is not UTF-8, not one JSON object, or that ``fast`` or ``convert``
+    rejects with a ValueError, a PacketError from keying included, raises
+    the error named at its line: located("PATH:LINE", exc)."""
     # a byte that is not UTF-8 is read as a lone surrogate
     with open(path, encoding="utf-8", errors="surrogateescape",
               newline="\n") as fh:
@@ -505,10 +495,8 @@ def read_jsonl(path, convert: Callable[[dict], object],
                         raise SchemaError(f"not a JSON object: "
                                           f"{type(obj).__name__}")
                     item = convert(obj)
-            except PacketError:
-                raise
             except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+                raise located(f"{path}:{lineno}", exc) from None
             yield item
 
 

@@ -850,11 +850,12 @@ class TestSerialization:
             assert set(entry["model"]) == {"seed", "weights"}
             assert ct.activity_key_from_dict(entry, "key") == key
 
-    @pytest.mark.parametrize("value", ["vendor.com", "", ".com"])
+    @pytest.mark.parametrize("value", ["vendor.com", "", ".com", ".co.uk"])
     def test_wildcard_that_would_fail_open_is_refused(
             self, camera_setup, tmp_path, value):
         """``vendor.com`` would accept ``evilvendor.com``, ``""`` every
-        domain, ``.com`` a whole top-level domain."""
+        domain, ``.com`` a whole top-level domain and ``.co.uk`` every
+        registrant under that public suffix."""
         _, ensemble, _, _ = camera_setup
         doc = ensemble_to_dict(ensemble)
         doc["submodels"][1]["remote_pattern"] = {"kind": "wildcard",
@@ -878,8 +879,9 @@ class TestSerialization:
         doc["submodels"][1]["dst_port"] = value
         path = tmp_path / "ensemble.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=r"^ensemble submodel 1: "
-                           r"dst_port .* is not an integer in 0-65535$"):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
+                           r"ensemble submodel 1: dst_port .* is not an "
+                           r"integer in 0-65535$"):
             ens.load_ensemble(path)
 
     @pytest.mark.parametrize("n_keys", [0, 1, 4, 9])

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -420,7 +421,7 @@ class TestCorruptEnsemble:
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
-        assert_one_error_line(capsys, names)
+        assert_one_error_line(capsys, f"error: {bad}: ", names)
 
 
     @pytest.mark.parametrize("corrupt, names", [
@@ -482,7 +483,7 @@ class TestCorruptEnsemble:
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
-        assert_one_error_line(capsys, names)
+        assert_one_error_line(capsys, f"error: {bad}: ", names)
 
     def test_wildcard_value_without_its_dot_exits_1(self, small_run,
                                                     tmp_path, capsys):
@@ -517,8 +518,8 @@ class TestCorruptProfile:
         rc = main(["train", trace, bad, "--epochs", "1",
                    "-o", str(tmp_path / "e.json")])
         assert rc == 1
-        assert_one_error_line(capsys, "profile key 0 remote_pattern: "
-                                      "unknown kind 'anycast'")
+        assert_one_error_line(capsys, f"error: {bad}: profile key 0 "
+                                      "remote_pattern: unknown kind 'anycast'")
 
 
 class TestTruncatedArtifact:
@@ -650,7 +651,7 @@ class TestSpecFile:
         rc, path = self.simulate(tmp_path, json.dumps(
             {"device_ip": "10.0.0.5", "activities": [activity]}))
         assert rc == 1
-        assert_one_error_line(capsys, f"error: {path} {reason}")
+        assert_one_error_line(capsys, f"error: {path}: {reason}")
 
     @pytest.mark.parametrize("field, value, reason", [
         ("size_probs", [1.5, -0.5], "probabilities must be >= 0"),
@@ -677,10 +678,10 @@ class TestSpecFile:
         activity = dict(self.ACTIVITY, sizes=[100, 200],
                         size_probs=[0.5, 0.5])
         activity[field] = value
-        rc, _ = self.simulate(tmp_path, json.dumps(
+        rc, path = self.simulate(tmp_path, json.dumps(
             {"device_ip": "10.0.0.5", "activities": [activity]}))
         assert rc == 1
-        assert_one_error_line(capsys, f"error: activity a: {reason}")
+        assert_one_error_line(capsys, f"error: {path}: activity a: {reason}")
         assert not (tmp_path / "t.jsonl").exists()
 
     @pytest.mark.parametrize("period, shortest", [
@@ -700,10 +701,11 @@ class TestSpecFile:
     @pytest.mark.parametrize("doc, atk, rc, reason", [
         ({"device_ip": "10.0.0.5", "activities": [
             dict(ACTIVITY, note="not read")]},
-         {"kind": "PortScan"}, 1, "activity 0: unknown field 'note'"),
+         {"kind": "PortScan"}, 1, "spec.json: activity 0: unknown field "
+         "'note'"),
         ({"device_ip": "10.0.0.5", "note": "not read",
           "activities": [ACTIVITY]},
-         {"kind": "PortScan"}, 1, "spec.json: unknown field 'note'"),
+         {"kind": "PortScan"}, 1, "spec.json: spec: unknown field 'note'"),
         ({"device_ip": "10.0.0.5", "activities": [ACTIVITY]},
          {"kind": "PortScan", "note": "not read"}, 2,
          "--attack: spec: unknown field 'note'"),
@@ -1145,6 +1147,62 @@ class TestOutOfOrderFlow:
         assert rc == 1
         assert_one_error_line(capsys, f"error: {bad}:6: flow TCP ",
                               "ts 10.5")
+
+
+@contextlib.contextmanager
+def piped(text: str):
+    """The /dev/fd path of a pipe that holds ``text`` and whose write end
+    is closed, as a shell's ``<(cat trace)`` gives; ``text`` fits the
+    pipe's 64 KiB buffer, so no thread need write it."""
+    data = text.encode()
+    assert len(data) < 65536
+    read, write = os.pipe()
+    with os.fdopen(write, "wb") as fh:
+        fh.write(data)
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+
+
+class TestPipedTrace:
+    """A trace on a pipe cannot be read again, so a stage that keys as it
+    reads names a refused packet's line as the reader finds it."""
+
+    @pytest.mark.parametrize("stage", ["train", "detect", "eval"])
+    @pytest.mark.parametrize("bad, reason", [
+        (dict(ts=150.5, src_port=40007),
+         "flow TCP {device}:40007 <-> remote_ip 203.0.113.5:443: packet at "
+         "ts 150.5 is earlier than the flow's last packet at ts 199.0"),
+        (dict(ts=200.0, dst_ip="203.0.113.999", separators=(",", ":")),
+         "not an IPv4 address: '203.0.113.999'"),
+    ], ids=["late-in-writer-form", "address-in-other-spacing"])
+    def test_refused_packet_names_its_line(self, small_run, tmp_path,
+                                           capsys, stage, bad, reason):
+        """200 packets of two flows, a blank line, then line 202: a late
+        packet that the reader's fast path reads, or an address that is
+        not IPv4 on a line that only the JSON parse reads."""
+        _, profile, ensemble, verdicts, _ = small_run
+        device = json.loads(Path(ensemble).read_text())["device_ip"]
+
+        def line(ts, src_port=40000, dst_ip="203.0.113.5",
+                 separators=(", ", ": ")):
+            return json.dumps({
+                "ts": ts, "src_ip": device, "dst_ip": dst_ip,
+                "src_port": src_port, "dst_port": 443, "proto": "TCP",
+                "length": 60, "label": "benign"}, separators=separators)
+
+        lines = [line(float(i), 40000 + i % 2 * 7) for i in range(200)]
+        text = "\n".join([*lines, "", line(**bad)]) + "\n"
+        args = {"train": [profile, "--epochs", "1"], "detect": [ensemble],
+                "eval": [verdicts]}[stage]
+        capsys.readouterr()
+        with piped(text) as path:
+            rc = main([stage, path, *args, "-o", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err == \
+            f"error: {path}:202: {reason.format(device=device)}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestBoundedMemory:

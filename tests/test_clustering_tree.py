@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -498,6 +499,31 @@ class TestMergeActivities:
         keys = merge_activities(entries, 0.0)
         assert [k.remote_pattern.kind for k in keys] == ["domain", "domain"]
 
+    @pytest.mark.parametrize("suffix", ["co.uk", "com.au"])
+    def test_names_under_a_public_suffix_share_no_wildcard(self, suffix):
+        """a.co.uk and b.co.uk have no owner in common, and a ``.co.uk``
+        key would accept evil.co.uk: each keeps its own name."""
+        entries = {
+            domain_flow(f"a.{suffix}", 40000): frozenset({512, 1024}),
+            domain_flow(f"b.{suffix}", 40001): frozenset({512, 1024}),
+        }
+        keys = merge_activities(entries, 0.5)
+        assert [k.remote_pattern for k in keys] == [
+            RemotePattern("domain", f"a.{suffix}"),
+            RemotePattern("domain", f"b.{suffix}")]
+        assert not any(k.remote_pattern.matches(Remote("domain",
+                                                       f"evil.{suffix}"))
+                       for k in keys)
+
+    def test_names_of_one_domain_under_a_public_suffix_share_it(self):
+        entries = {
+            domain_flow("cam1.vendor.co.uk", 40000): frozenset({512}),
+            domain_flow("cam2.vendor.co.uk", 40001): frozenset({512}),
+        }
+        (key,) = merge_activities(entries, 0.5)
+        assert key.remote_pattern == RemotePattern("wildcard",
+                                                   ".vendor.co.uk")
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(0)
         entries = {
@@ -643,22 +669,25 @@ class TestBuildProfile:
 
     @pytest.mark.parametrize("value", [
         "example.com", "", ".", ".com", "..com", ".example..com",
-        ".example.com.", "example.com."])
+        ".example.com.", "example.com.", ".co.uk", ".com.au"])
     def test_wildcard_value_generalize_cannot_write_is_refused(
             self, tmp_path, value):
-        """A wildcard is a dot and two or more labels; any other value
-        would let the suffix match accept more (``example.com`` accepts
-        ``evilexample.com``, ``""`` every domain)."""
+        """A wildcard is a dot and two or more labels that are not a
+        public suffix; any other value would let the suffix match accept
+        more (``example.com`` accepts ``evilexample.com``, ``""`` every
+        domain, ``.co.uk`` every registrant under it)."""
         doc = profile_to_dict(build_profile(self._tree_with_three_leaves(),
                                             0.5))
         doc["keys"][1]["remote_pattern"] = {"kind": "wildcard",
                                             "value": value}
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match="profile key 1 remote_pattern: "
-                           "wildcard value") as info:
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "
+                           "profile key 1 remote_pattern: wildcard value"
+                           ) as info:
             load_profile(path)
-        assert "\n" not in str(info.value) and len(str(info.value)) < 120
+        reason = str(info.value)[len(f"{path}: "):]
+        assert "\n" not in reason and len(reason) < 120
 
     @pytest.mark.parametrize("value", [
         {"kind": "regdyn", "port": None}, -1, 70000, "443", True],
@@ -672,8 +701,9 @@ class TestBuildProfile:
         doc["keys"][1]["dst_port"] = value
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=r"^profile key 1: dst_port "
-                           r".* is not an integer in 0-65535$"):
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
+                           r"profile key 1: dst_port .* is not an integer in "
+                           r"0-65535$"):
             load_profile(path)
 
     @pytest.mark.parametrize("port", [1024, 49152, 65535])
@@ -686,9 +716,9 @@ class TestBuildProfile:
         doc["keys"][1]["src_port_pattern"] = {"kind": "exact", "port": port}
         path = tmp_path / "profile.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(SchemaError, match=rf"^profile key 1 "
-                           rf"src_port_pattern: exact port {port} is not a "
-                           rf"system port$") as info:
+        with pytest.raises(SchemaError, match=rf"^{re.escape(str(path))}: "
+                           rf"profile key 1 src_port_pattern: exact port "
+                           rf"{port} is not a system port$") as info:
             load_profile(path)
         assert "\n" not in str(info.value)
 

@@ -317,15 +317,10 @@ class Im2col:
 
 
 def dense_gradients(arch, params, x):
-    """One step's flat gradient through the dense kernel, on a stack of
-    one."""
-    flat = na._flatten(params)[None]
-    layers = na._gather(arch, flat)
-    out, cache = na._forward(layers, x[None], want_cache=True)
-    dense_grad = np.empty((1, na._dense_index(arch).size))
-    na._backward(layers, cache, 2.0 * (out - x) / out.size,
-                 na._split(dense_grad, na._dense_shapes(arch)))
-    return na._fold(arch, dense_grad, na._dense_index(arch))[0]
+    """One training step's flat gradient through the dense kernel, on a
+    stack of one."""
+    return na._Stack(arch, na._flatten(params)[None], [0]).gradients(
+        [x[None]])[0]
 
 
 even_lengths = st.integers(3, 32).map(lambda half: 2 * half)

@@ -164,6 +164,53 @@ def test_every_cross_module_private_name_is_pinned():
         CROSS_MODULE_PRIVATE_NAMES
 
 
+# Each top-level function of the package that reads a name that finds a
+# line of a file by reading the file again, with its reason.  A reader
+# names the lines of the errors it finds as it reads; these are the
+# checks made after a read that must still name a line.  A new one fails
+# here until it is listed, so that an error found after the read does not
+# lose its line unseen on a pipe, which cannot be read again.
+REREADERS = {
+    "line_of_object": {("cli", "_where")},
+    "_where": {
+        # profile keys its listed packets only once it has inferred the
+        # device IP; it goes once profile keys as it reads
+        ("cli", "cmd_profile"),
+        # eval joins the verdicts to the trace's flows after reading both
+        ("cli", "cmd_eval"),
+    },
+}
+
+
+def readers(modules: dict, name: str) -> set:
+    """(module, function) of each top-level function of the package that
+    reads ``name``: calls it, or takes it as a value.  ``modules`` maps
+    each module's name to its source."""
+    found = set()
+    for module, source in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and any(
+                    isinstance(n, ast.Name) and n.id == name
+                    and isinstance(n.ctx, ast.Load) for n in ast.walk(node)):
+                found.add((module, node.name))
+    return found
+
+
+def test_readers_are_found():
+    modules = {"a": "def f():\n    return g(1)\n"
+                    "def g(x):\n    return x\n"
+                    "def h():\n    return list(map(g, []))\n"
+                    "class C:\n    def m(self):\n        g = 1\n",
+               "b": "from .a import g\ndef k():\n    return g\n"}
+    assert readers(modules, "g") == {("a", "f"), ("a", "h"), ("b", "k")}
+
+
+@pytest.mark.parametrize("name", sorted(REREADERS))
+def test_every_reread_is_listed(name):
+    assert readers({p.stem: p.read_text() for p in SOURCES}, name) == \
+        REREADERS[name]
+
+
 def test_no_module_loads_scipy():
     """The pipeline runs on numpy alone; scipy is only the tests' oracle.
     A fresh interpreter imports the CLI and every module of the package."""

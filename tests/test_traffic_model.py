@@ -14,7 +14,7 @@ from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis import traffic_model
 from atrellis.errors import (AtrellisError, ForeignPacket, MalformedAddress,
-                             SchemaError)
+                             PacketError, SchemaError)
 from atrellis.neural_autoencoder import AEArchitecture
 from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, OUT,
                                     PROTOCOLS, REMOTE_IP, FlowKey, FlowTable,
@@ -777,11 +777,11 @@ def table_outcome(load):
     """What a load of a trace into flows gave: the keys in first-packet
     order, the typed fields of each flow's packets and which of their
     field objects are one object, numbered in first-seen order; or the
-    type, text and packet index of the error that stopped it."""
+    type and text of the error that stopped it."""
     try:
         flows = load()
     except AtrellisError as exc:
-        return type(exc), str(exc), getattr(exc, "index", None)
+        return type(exc), str(exc)
     ids: dict = {}
     shared = [tuple(ids.setdefault(id(v), len(ids)) for v in p)
               for flow in flows.values() for p in flow]
@@ -790,13 +790,31 @@ def table_outcome(load):
             shared)
 
 
+def oracle_flows(path, prefixes=()):
+    """The flows of flows_of_trace over read_packets_jsonl, FlowTable.read's
+    oracle.  A packet that keying refuses is named as the reader names a
+    line's error, at the line that line_of_object finds for the packet's
+    index among those read."""
+    read = 0
+
+    def counted():
+        nonlocal read
+        for p in read_packets_jsonl(path):
+            read += 1
+            yield p
+
+    try:
+        return flows_of_trace(counted(), DEVICE, prefixes)[1]
+    except PacketError as exc:
+        line = line_of_object(path, read - 1)
+        raise type(exc)(f"{path}:{line}: {exc}") from None
+
+
 def outcomes(path, prefixes=()):
-    """table_outcome of FlowTable.read and of flows_of_trace over
-    read_packets_jsonl, its oracle."""
+    """table_outcome of FlowTable.read and of its oracle."""
     return (table_outcome(lambda: FlowTable.read(path, DEVICE,
                                                  prefixes).flows),
-            table_outcome(lambda: flows_of_trace(
-                read_packets_jsonl(path), DEVICE, prefixes)[1]))
+            table_outcome(lambda: oracle_flows(path, prefixes)))
 
 
 def assert_loads_as_flows_of_trace(path):
@@ -880,14 +898,15 @@ class TestFlowTableRead:
           pkt(ts=1.5, dns_name="A.Example.")], "NonMonotonicTimestamp"),
     ], ids=["out-of-order", "foreign", "malformed-address",
             "out-of-order-after-a-new-domain"])
-    def test_refused_packet_is_indexed_as_flows_of_trace(
+    def test_refused_packet_names_its_line_as_flows_of_trace(
             self, tmp_path, lines, error):
         path = tmp_path / "trace.jsonl"
         path.write_text("\n\n".join(json.dumps(packet_to_dict(p))
                                      for p in lines) + "\n")
         new, old = outcomes(path)
         assert new == old
-        assert new[0].__name__ == error and new[2] == len(lines) - 1
+        assert new[0].__name__ == error
+        assert new[1].startswith(f"{path}:{2 * len(lines) - 1}: ")
 
     @pytest.mark.parametrize("raw", NOT_UTF_8)
     def test_bytes_that_are_not_utf_8_are_refused_as_bytes_decode_does(
@@ -934,7 +953,7 @@ def first_and_last(flows, keep):
 
 class TestBoundedFlowTable:
     """A table with a bound ``keep`` holds each flow as its first keep - 1
-    packets and its latest, and counts every packet inserted."""
+    packets and its latest."""
 
     @settings(max_examples=300, deadline=None)
     @given(trace=loadable_traces(),
@@ -942,14 +961,14 @@ class TestBoundedFlowTable:
            keep=st.integers(2, 11))
     def test_read_gives_the_cut_flows_of_trace(self, tmp_path_factory, trace,
                                                prefixes, keep):
-        """Error for error too: a refused packet's index counts the
-        packets that the bound replaced."""
+        """Error for error too: a refused packet's line counts the lines
+        whose packets the bound replaced."""
         path = tmp_path_factory.getbasetemp() / "bounded.jsonl"
         path.write_bytes(trace)
         bounded = table_outcome(lambda: FlowTable.read(
             path, DEVICE, prefixes, keep=keep).flows)
-        oracle = table_outcome(lambda: first_and_last(flows_of_trace(
-            read_packets_jsonl(path), DEVICE, prefixes)[1], keep))
+        oracle = table_outcome(lambda: first_and_last(
+            oracle_flows(path, prefixes), keep))
         assert bounded == oracle
 
     @settings(max_examples=100, deadline=None)
