@@ -10,6 +10,7 @@ uploads to *.cam-vendor.com from dynamic source ports become one key.
 from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis.cluster_metrics import purity
+from atrellis.traffic_model import COUNT
 
 spec = sim.FIXTURES["camera"]
 trace = sim.generate(spec, duration=3600.0, seed=7)
@@ -17,8 +18,10 @@ trace = sim.generate(spec, duration=3600.0, seed=7)
 tree = ct.ClusterTree(spec.device_ip)
 for pkt in trace:
     tree.insert(pkt)
-print(f"table holds {sum(map(len, tree.flows.values()))} packets in "
-      f"{len(tree.flows)} flows and {len(ct.leaves_of(tree))} leaves")
+# each flow is a record of its packets: count, last time, label, sizes
+packets = sum(flow[COUNT] for flow in tree.flows.values())
+print(f"table summarises {packets} packets in {len(tree.flows)} flows and "
+      f"{len(ct.leaves_of(tree))} leaves")
 
 profile = ct.build_profile(tree, h_s=0.5)
 print(f"\nprofile for {profile.device_ip}: {len(profile.keys)} "

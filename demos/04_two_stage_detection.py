@@ -13,13 +13,14 @@ from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
 from atrellis import synth_traffic as sim
 from atrellis.neural_autoencoder import AEArchitecture
-from atrellis.traffic_model import flows_of_trace
+from atrellis.traffic_model import LABEL, flows_of_trace
 
 spec = sim.FIXTURES["camera"]
 
-# Profile and train on two clean simulated hours.
+# Profile and train on two clean simulated hours.  The table keeps each
+# flow's first r = 10 (time, length) pairs, which the autoencoders read.
 train_trace = sim.generate(spec, duration=7200.0, seed=7)
-tree = ct.ClusterTree(spec.device_ip)
+tree = ct.ClusterTree(spec.device_ip, r=10)
 for pkt in train_trace:
     tree.insert(pkt)
 profile = ct.build_profile(tree, h_s=0.5)
@@ -39,19 +40,16 @@ cnc = sim.AttackSpec("HttpMasqCnc", start=50.0, rate=0.05, duration=1200.0,
 attacked = sim.inject_attack(holdout, scan, seed=1)
 attacked = sim.inject_attack(attacked, cnc, seed=1)
 
-keys, table = flows_of_trace(attacked, spec.device_ip)
+keys, table = flows_of_trace(attacked, spec.device_ip, r=10)
 verdicts = ens.detect_flows(ensemble, keys, table)
 print("\nverdicts:", dict(Counter(v.kind for v in verdicts)))
 
 sample = next(v for v in verdicts if v.kind == ens.STAGE1_MALICIOUS)
 print("example stage-1 reason:", sample.reason)
 
-# Score against ground truth labels carried by the simulator.
-truth = []
-for key in keys:
-    attack = next((p.label for p in table[key]
-                   if p.label and p.label.startswith("attack:")), None)
-    truth.append(attack or "benign")
+# Score against ground truth labels carried by the simulator: a flow's
+# record holds its first attack label, or "benign".
+truth = [table[key][LABEL] for key in keys]
 report = ens.evaluate(verdicts, truth)
 print(f"\noverall: TPR {report['tpr']:.2f}  FPR {report['fpr']:.3f}  "
       f"AUC {report['auc']:.2f}")

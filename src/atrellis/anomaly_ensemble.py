@@ -31,10 +31,9 @@ from .feature_pipeline import featurize_many
 from .neural_autoencoder import (AEArchitecture, AEModel, fit_many,
                                  init_model, model_from_dict, model_to_dict,
                                  reconstruction_error)
-from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, DOMAIN, LOCAL_IP,
-                            PROTOCOLS, REMOTE_IP, FlowKey,
-                            PacketRecord, Remote, _json_str, read_json,
-                            read_jsonl)
+from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, COUNT, DOMAIN,
+                            LOCAL_IP, PROTOCOLS, REMOTE_IP, FlowKey, Remote,
+                            _json_str, read_json, read_jsonl)
 
 ENSEMBLE_SCHEMA_VERSION = "5.0"
 
@@ -137,7 +136,7 @@ def calibrate_threshold(errors: Sequence[float], q: float) -> float:
 
 
 def train_ensemble(profile: ActivityProfile,
-                   training_flows: Dict[FlowKey, List[PacketRecord]],
+                   training_flows: Dict[FlowKey, list],
                    arch: AEArchitecture, epochs: int, q: float,
                    seed: int = 0) -> Tuple[Ensemble, int, List[int]]:
     """Fit one autoencoder per activity key on the training flows that
@@ -148,7 +147,7 @@ def train_ensemble(profile: ActivityProfile,
     number of training flows that no key accepts and the number of flows
     each key trained on."""
     keys = sorted(training_flows, key=_flow_sort_key)
-    routed: List[List[Sequence[PacketRecord]]] = [[] for _ in profile.keys]
+    routed: List[List[list]] = [[] for _ in profile.keys]
     unmatched = 0
     for flow_key, (matched, _) in zip(keys, stage1(profile, keys)):
         unmatched += not matched
@@ -168,9 +167,8 @@ def train_ensemble(profile: ActivityProfile,
 
 
 def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
-                 table: Dict[FlowKey, Sequence[PacketRecord]]
-                 ) -> List[Verdict]:
-    """Two-stage verdicts for the flows ``keys`` (packets in ``table``), in
+                 table: Dict[FlowKey, list]) -> List[Verdict]:
+    """Two-stage verdicts for the flows ``keys`` (records in ``table``), in
     that order.  Stage 1 decides each flow with stage1.  Stage 2 featurizes
     every matched flow into one matrix and makes one batched forward per
     activity key; each flow is judged by its matched key with the least
@@ -181,7 +179,7 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
     rows_of: Dict[int, List[int]] = {}
     for i, (flow_key, (matched, reason)) in enumerate(
             zip(keys, stage1(ensemble.profile, keys))):
-        if not table[flow_key]:
+        if not table[flow_key][COUNT]:
             raise EmptyFlow("cannot judge an empty flow")
         if not matched:
             verdicts[i] = Verdict(STAGE1_MALICIOUS, flow_key, 0,
@@ -213,10 +211,9 @@ def detect_flows(ensemble: Ensemble, keys: Sequence[FlowKey],
     return verdicts
 
 
-def detect(ensemble: Ensemble, flow_key: FlowKey,
-           flow_packets: Sequence[PacketRecord]) -> Verdict:
+def detect(ensemble: Ensemble, flow_key: FlowKey, flow: list) -> Verdict:
     """Two-stage verdict for one flow: the batch of one of detect_flows."""
-    return detect_flows(ensemble, [flow_key], {flow_key: flow_packets})[0]
+    return detect_flows(ensemble, [flow_key], {flow_key: flow})[0]
 
 
 def _auc(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -383,11 +380,14 @@ def verdict_from_dict(d) -> Verdict:
                    *(d.get(name) for name in ("score", "activity", "reason")))
 
 
-def read_verdicts_jsonl(path) -> Iterator[Verdict]:
-    """Yield the verdicts of a verdicts file.  A line in the form that
-    verdict_line writes is read without the JSON parse.  A line that is not
-    one valid verdict object raises SchemaError("PATH:LINE: reason")."""
-    yield from read_jsonl(path, verdict_from_dict, _verdict_of_line)
+def read_verdicts_jsonl(path, join=lambda v: v) -> Iterator[Verdict]:
+    """Yield ``join(verdict)`` for each verdict of a verdicts file.  A line
+    in the form that verdict_line writes is read without the JSON parse.  A
+    line that is not one valid verdict object, or whose verdict ``join``
+    refuses with a ValueError, raises the error named at its line."""
+    yield from read_jsonl(
+        path, lambda obj: join(verdict_from_dict(obj)),
+        lambda line: (v := _verdict_of_line(line)) and join(v))
 
 
 def ensemble_from_dict(doc) -> Ensemble:

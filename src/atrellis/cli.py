@@ -24,7 +24,7 @@ from .errors import (AtrellisError, EmptyTree, PacketError, SchemaError,
                      check, located)
 from .feature_pipeline import featurize_many
 from .neural_autoencoder import AEArchitecture
-from .traffic_model import (_PORT, PROTOCOLS, FlowTable, PacketRecord,
+from .traffic_model import (_PORT, LABEL, PROTOCOLS, FlowTable, PacketRecord,
                             line_of_object, parse_prefixes, read_json,
                             read_packets_jsonl, write_packets_jsonl)
 
@@ -76,19 +76,6 @@ def _infer_device_ip(packets: List[PacketRecord]) -> str:
     if not found:
         raise AtrellisError("could not infer device IP; pass --device-ip")
     return found[0]
-
-
-def _truth(flow: List[PacketRecord]) -> str:
-    """The first attack label among a flow's packets, or "benign"; a
-    packet without a label raises a UsageError."""
-    found = "benign"
-    for p in flow:
-        label = p.label
-        if label is None:
-            raise UsageError("eval requires a fully labeled trace")
-        if found == "benign" and label.startswith("attack:"):
-            found = label
-    return found
 
 
 _NUMBER = (int, float)
@@ -218,9 +205,8 @@ def cmd_train(args) -> int:
         raise UsageError(f"--quantile: quantile must be in (0,1), got "
                          f"{args.quantile}")
     profile = ct.load_profile(args.profile)
-    # featurize reads a flow's first r packets and the order check its last
     table = FlowTable.read(args.trace, profile.device_ip,
-                           profile.local_prefixes, keep=arch.r + 1).flows
+                           profile.local_prefixes, arch.r).flows
     ensemble, unmatched, sizes = ens.train_ensemble(
         profile, table, arch, args.epochs, args.quantile, seed=args.seed)
     ens.save_ensemble(args.out, ensemble)
@@ -237,7 +223,7 @@ def cmd_detect(args) -> int:
     ensemble = ens.load_ensemble(args.ensemble)
     table = FlowTable.read(args.trace, ensemble.profile.device_ip,
                            ensemble.profile.local_prefixes,
-                           keep=ensemble.arch.r + 1).flows
+                           ensemble.arch.r).flows
     keys = list(table)
     verdicts = ens.detect_flows(ensemble, keys, table)
     with open(args.out, "w") as fh:
@@ -257,35 +243,42 @@ def cmd_detect(args) -> int:
 
 def cmd_eval(args) -> int:
     prefixes = _local_prefixes(args.local_prefix)
-    lines = ens.read_verdicts_jsonl(args.verdicts)
-    first = next(lines, None)
-    if first is None:
+    truth = None        # the trace's records of the flows not yet judged
+    judged, labels = set(), []
+
+    def join(verdict):
+        """Take the verdict's flow from ``truth``, which the first verdict
+        keys with its device IP; read_verdicts_jsonl names its line."""
+        nonlocal truth
+        flow = verdict.flow
+        if truth is None:
+            truth = FlowTable.read(args.trace, flow.device_ip,
+                                   prefixes).flows
+            if any(record[LABEL] is None for record in truth.values()):
+                raise UsageError("eval requires a fully labeled trace")
+        record = truth.pop(flow, None)
+        if record is None:
+            if flow in judged:
+                problem = ("was judged on an earlier line; this is a second "
+                           "verdict for it")
+            else:
+                problem = (f"is not in {args.trace}; eval keys the trace "
+                           f"with the verdicts' device IP and its own "
+                           f"--local-prefix, which must match the profile's")
+            raise SchemaError(f"flow {flow} {problem}")
+        judged.add(flow)
+        labels.append(record[LABEL])
+        return verdict
+
+    verdicts = list(ens.read_verdicts_jsonl(args.verdicts, join))
+    if truth is None:
         raise AtrellisError(f"{args.verdicts} holds no verdicts, so there is "
                             f"no device IP to key {args.trace} with")
-    # the packets go once their flows' labels are known
-    truth = {key: _truth(flow) for key, flow in FlowTable.read(
-        args.trace, first.flow.device_ip, prefixes).flows.items()}
-    n_flows = len(truth)
-
-    verdicts = [first, *lines]
-    labels = []
-    for i, verdict in enumerate(verdicts):
-        flow = verdict.flow
-        if flow in truth:
-            labels.append(truth.pop(flow))
-            continue
-        if flow in (v.flow for v in verdicts[:i]):
-            problem = ("was judged on an earlier line; this is a second "
-                       "verdict for it")
-        else:
-            problem = (f"is not in {args.trace}; eval keys the trace with "
-                       f"the verdicts' device IP and its own --local-prefix, "
-                       f"which must match the profile's")
-        raise SchemaError(f"{_where(args.verdicts, i)}: flow {flow} {problem}")
     if truth:
         raise AtrellisError(
-            f"{len(truth)} of the {n_flows} flows of {args.trace} have no "
-            f"verdict in {args.verdicts}; the first is {next(iter(truth))}")
+            f"{len(truth)} of the {len(truth) + len(judged)} flows of "
+            f"{args.trace} have no verdict in {args.verdicts}; the first is "
+            f"{next(iter(truth))}")
 
     metrics = ens.evaluate(verdicts, labels)
     metrics["schema_version"] = METRICS_SCHEMA_VERSION

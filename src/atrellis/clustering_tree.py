@@ -20,7 +20,7 @@ from typing import (AbstractSet, Dict, FrozenSet, List, Optional, Tuple,
 
 from .errors import EmptyTree, SchemaError, check, check_schema_version
 from .traffic_model import (_PORT, BC_MC, DOMAIN, LOCAL_IP, PROTOCOLS,
-                            REMOTE_IP, SYSTEM, FlowKey, Remote,
+                            REMOTE_IP, SIZES, SYSTEM, FlowKey, Remote,
                             parse_prefixes, read_json)
 # bench/stage.py wraps ClusterTree.insert by name and its tests count calls
 from .traffic_model import FlowTable as ClusterTree
@@ -218,8 +218,7 @@ def leaves_of(tree: ClusterTree) -> Dict[TreePath, Dict[FlowKey, FrozenSet]]:
     its packet lengths."""
     leaves: Dict[TreePath, Dict[FlowKey, FrozenSet]] = {}
     for key, flow in tree.flows.items():
-        leaves.setdefault(tree_path_of(key), {})[key] = \
-            frozenset(p.length for p in flow)
+        leaves.setdefault(tree_path_of(key), {})[key] = frozenset(flow[SIZES])
     return leaves
 
 

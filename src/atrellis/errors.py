@@ -31,9 +31,14 @@ class SchemaError(AtrellisError):
 
 def located(where: str, exc: ValueError) -> AtrellisError:
     """``exc`` named at ``where``, a document's ``PATH`` or a line's
-    ``PATH:LINE``: of its class if an AtrellisError, else a SchemaError."""
+    ``PATH:LINE``: of its class if an AtrellisError, else a SchemaError.
+    An error already named, in a file read while reading another, stays."""
+    if getattr(exc, "where", None):
+        return exc
     cls = type(exc) if isinstance(exc, AtrellisError) else SchemaError
-    return cls(f"{where}: {exc}")
+    exc = cls(f"{where}: {exc}")
+    exc.where = where
+    return exc
 
 
 def check(doc, fields: dict, what: str, optional: Optional[dict] = None,

@@ -4,7 +4,8 @@ live in clustering_tree.tree_path_of).
 
 A flow is identified by a canonical bidirectional 5-tuple oriented from the
 monitored device's side: (device IP, remote domain-or-IP, device port, remote
-port, protocol).  Request and reply packets map to the same key.
+port, protocol).  Request and reply packets map to the same key.  A
+FlowTable summarises each flow's packets in one small record.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import ipaddress
 import json
 import math
 import re
-from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence)
+from typing import (Callable, Dict, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 from .errors import (ForeignPacket, MalformedAddress, NonMonotonicTimestamp,
                      SchemaError, check, located)
@@ -176,63 +177,51 @@ def flow_key_of(pkt: PacketRecord, device_ip: str,
     return FlowKey(device_ip, remote, sport, dport, pkt.proto)
 
 
+# The fields of a flow's record, by position: FlowTable's docstring
+COUNT, LAST_TS, LABEL, SIZES, PAIRS = range(5)
+
+
 class FlowTable:
     """The one place where packets become flows: a single-writer table from
-    flow key to the flow's time-ordered packets, in first-packet order.
+    flow key to the flow's record, in first-packet order.
 
-    ``insert`` computes the key once per distinct raw (addresses, ports,
-    protocol, domain) tuple, so a request and its replies cost one key each
-    and every later packet one lookup.  ``read`` fills a table from a trace
-    file in one pass.
+    A record is a list ``[count, last_ts, label, sizes, ts0, length0, ts1,
+    length1, ...]`` (positions COUNT to PAIRS): the number of packets; the
+    latest one's time, which the next may not precede; the first "attack:"
+    label, else "benign", or None once a packet has no label; the set of
+    lengths; and the (ts, length) pairs of the first ``r`` packets.
 
-    ``keep`` bounds the packets a flow holds; None keeps them all.  Once a
-    flow holds ``keep`` packets, each new packet replaces its last one, so
-    the flow holds its first ``keep - 1`` packets and its latest.
+    ``insert`` adds a packet and ``read`` a trace file's packets in one
+    pass, both with _packet_reader, which keys a request and its replies
+    once each and every later packet with one lookup.
     """
 
     def __init__(self, device_ip: str, local_prefixes: Sequence[str] = (),
-                 keep: Optional[int] = None):
-        if keep is not None and keep < 1:
-            raise ValueError(f"keep must be >= 1, got {keep}")
+                 r: int = 0):
+        if r < 0:
+            raise ValueError(f"r must be >= 0, got {r}")
         self.device_ip = device_ip
         self.local_prefixes = tuple(local_prefixes)
-        self.keep = keep
-        self.flows: Dict[FlowKey, List[PacketRecord]] = {}
-        self._by_raw: dict = {}
+        self.r = r
+        self.flows: Dict[FlowKey, list] = {}
+        self._insert = _packet_reader(self)
 
     def insert(self, pkt: PacketRecord) -> FlowKey:
-        """Add ``pkt`` to its flow and return the flow's key.  A packet
-        that cannot be keyed (MalformedAddress, ForeignPacket) or that is
-        earlier than the last packet of its flow (NonMonotonicTimestamp)
-        raises a PacketError."""
-        raw = (pkt.src_ip, pkt.dst_ip, pkt.src_port, pkt.dst_port, pkt.proto,
-               pkt.dns_name)
-        entry = self._by_raw.get(raw)
-        if entry is None:
-            key = flow_key_of(pkt, self.device_ip, self.local_prefixes)
-            entry = self._by_raw[raw] = (key, self.flows.setdefault(key, []))
-        key, flow = entry
-        if flow and pkt.ts < flow[-1].ts:
-            raise _late(key, pkt, flow)
-        if len(flow) == self.keep:
-            flow[-1] = pkt
-        else:
-            flow.append(pkt)
-        return key
+        """Add ``pkt`` to its flow's record and return the flow's key, or
+        raise the PacketError of _packet_reader."""
+        return self._insert(None, pkt)
 
     @classmethod
     def read(cls, path, device_ip: str, local_prefixes: Sequence[str] = (),
-             keep: Optional[int] = None) -> "FlowTable":
+             r: int = 0) -> "FlowTable":
         """The table of the JSON-lines trace at ``path``, filled in one
         pass with no list of its packets: a line in write_packets_jsonl's
-        form goes from _packet_reader straight to its flow, and any other
-        line through the JSON parse and ``insert``.  The flows, each cut
-        to ``keep`` packets as ``insert`` cuts it, and every error, are
-        those of ``flows_of_trace(read_packets_jsonl(path), ...)``, each
-        error named at its line.
-        Python's cyclic GC is paused for the read, which makes only acyclic
-        records."""
-        table = cls(device_ip, local_prefixes, keep)
+        form goes from _packet_reader straight to its flow's record, and
+        any other line through the JSON parse and ``insert``.  The records
+        and every error, named at its line, are those of
+        ``flows_of_trace(read_packets_jsonl(path), ..., r)``.  Python's
+        cyclic GC is paused for the read, which makes only acyclic records."""
+        table = cls(device_ip, local_prefixes, r)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -245,24 +234,17 @@ class FlowTable:
         return table
 
 
-def _late(key: FlowKey, pkt: PacketRecord, flow) -> NonMonotonicTimestamp:
-    return NonMonotonicTimestamp(
-        f"flow {key}: packet at ts {pkt.ts} is earlier than the flow's "
-        f"last packet at ts {flow[-1].ts}")
-
-
 def flows_of_trace(packets: Iterable[PacketRecord], device_ip: str,
-                   local_prefixes: Sequence[str] = ()):
-    """Group a trace into flows with a FlowTable.
+                   local_prefixes: Sequence[str] = (), r: int = 0):
+    """Group a trace into flows with a FlowTable of ``r``.
 
     Returns ``(keys, flows)`` where ``flows`` maps each flow key to its
-    time-ordered packets and ``keys`` lists the flow keys in the order of
-    their first packets.
+    record and ``keys`` lists the flow keys in the order of their first
+    packets.
     """
-    table = FlowTable(device_ip, local_prefixes)
-    insert = table.insert
+    table = FlowTable(device_ip, local_prefixes, r)
     for pkt in packets:
-        insert(pkt)
+        table.insert(pkt)
     return list(table.flows), table.flows
 
 
@@ -332,8 +314,6 @@ _TAIL = re.compile(
     rf'{_UINT}(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
 
 
-# the domain in a middle's entry before its first packet is keyed
-_UNKEYED = object()
 # The most middles, and tails, that a read keeps; at this many it starts
 # afresh.  The middles of a flow come close together, so this bounds the
 # memory of a trace whose middles are all distinct, a port scan say, and
@@ -342,7 +322,7 @@ _PARTS_KEPT = 4096
 
 
 def _packet_reader(table: Optional[FlowTable] = None
-                   ) -> Callable[[str], Optional[PacketRecord]]:
+                   ) -> Callable[..., object]:
     """A function, for one read, that gives the packet of a stripped line
     in _packet_line's form, or None if the line is in another form or a
     value fails its conversion or the record's checks; the JSON parse then
@@ -354,20 +334,22 @@ def _packet_reader(table: Optional[FlowTable] = None
     and equal strings among them are one object, so the packets of a flow
     share their fields.
 
-    With a ``table``, the function also adds each packet it gives to its
-    flow there, as ``table.insert`` does, or raises the PacketError that
-    ``table.insert`` would.
-    A middle's entry holds its five values, then the domain of its last
-    packet and that packet's flow, so a middle is keyed with flow_key_of
-    only when its domain differs from its last packet's."""
+    With a ``table``, the function adds each line's packet, or a packet
+    given in place of a line (insert), to its flow's record there, building
+    no packet but to key one, and gives the flow's key; a packet that cannot
+    be keyed, or that is earlier than the latest of its flow, raises a
+    PacketError.  A middle's entry, a packet's under the tuple of its five
+    fields, holds its five values, then its last packet's domain, flow key
+    and record, so a middle is keyed with flow_key_of only when its domain
+    differs from its last packet's."""
     middles: dict = {}
     tails: dict = {}
     share = {}.setdefault
-    unkeyed = ()
+    flows, unkeyed = None, ()
     if table is not None:
-        flows, device_ip = table.flows, table.device_ip
-        prefixes, keep = table.local_prefixes, table.keep
-        unkeyed = (_UNKEYED, None)
+        flows, device_ip, r = table.flows, table.device_ip, table.r
+        prefixes = table.local_prefixes
+        unkeyed = (object(), None, None)    # a domain that no packet has
 
     def middle_of(text):
         m = _MIDDLE.fullmatch(text)
@@ -399,49 +381,61 @@ def _packet_reader(table: Optional[FlowTable] = None
             dns_name = share(dns_name, dns_name)
         return length, dns_name, share(label, label)
 
-    def packet_of_line(line):
-        head = _HEAD.match(line)
-        if head is None:
-            return None
-        start = head.end()
-        cut = line.find(_LENGTH_KEY, start)
-        if cut < 0:
-            return None
-        cut += len(_LENGTH_KEY)
-        text = line[start:cut]
-        middle = middles.get(text)
-        if middle is None:
-            if len(middles) == _PARTS_KEPT:
-                middles.clear()
-            middle = middles[text] = middle_of(text)
-        rest = line[cut:]
-        tail = tails.get(rest)
-        if tail is None:
-            if len(tails) == _PARTS_KEPT:
-                tails.clear()
-            tail = tails[rest] = tail_of(rest)
-        ts = float(head[1])
-        if not (middle and tail and ts < math.inf):
-            return None
-        if table is None:
-            return tuple.__new__(PacketRecord, (ts, *middle, *tail))
-        src_ip, dst_ip, src_port, dst_port, proto, domain, flow = middle
-        length, dns_name, label = tail
-        pkt = tuple.__new__(PacketRecord, (ts, src_ip, dst_ip, src_port,
-                                           dst_port, proto, length, dns_name,
-                                           label))
-        if dns_name is not domain:  # equal domains are one object
-            flow = flows.setdefault(flow_key_of(pkt, device_ip, prefixes),
-                                    [])
-            middles[text] = (src_ip, dst_ip, src_port, dst_port, proto,
-                             dns_name, flow)
-        if flow and ts < flow[-1][0]:
-            raise _late(flow_key_of(pkt, device_ip, prefixes), pkt, flow)
-        if len(flow) == keep:
-            flow[-1] = pkt
+    def packet_of_line(line, pkt=None):
+        if pkt is None:
+            head = _HEAD.match(line)
+            if head is None:
+                return None
+            start = head.end()
+            cut = line.find(_LENGTH_KEY, start)
+            if cut < 0:
+                return None
+            cut += len(_LENGTH_KEY)
+            text = line[start:cut]
+            middle = middles.get(text)
+            if middle is None:
+                if len(middles) == _PARTS_KEPT:
+                    middles.clear()
+                middle = middles[text] = middle_of(text)
+            rest = line[cut:]
+            tail = tails.get(rest)
+            if tail is None:
+                if len(tails) == _PARTS_KEPT:
+                    tails.clear()
+                tail = tails[rest] = tail_of(rest)
+            ts = float(head[1])
+            if not (middle and tail and ts < math.inf):
+                return None
+            if flows is None:
+                return tuple.__new__(PacketRecord, (ts, *middle, *tail))
+            length, dns_name, label = tail
         else:
-            flow.append(pkt)
-        return pkt
+            ts, _, _, _, _, _, length, dns_name, label = pkt
+            text = pkt[1:6]
+            middle = middles.get(text) or (*text, *unkeyed)
+        src_ip, dst_ip, src_port, dst_port, proto, domain, key, flow = middle
+        if dns_name != domain:  # a line's equal domains are one object
+            key = flow_key_of(pkt or tuple.__new__(PacketRecord, (
+                ts, src_ip, dst_ip, src_port, dst_port, proto, length,
+                dns_name, label)), device_ip, prefixes)
+            flow = flows.setdefault(key, [0, 0.0, "benign", set()])
+            middles[text] = (src_ip, dst_ip, src_port, dst_port, proto,
+                             dns_name, key, flow)
+        # the record's fields at positions COUNT to PAIRS, as literals
+        if ts < flow[1]:
+            raise NonMonotonicTimestamp(
+                f"flow {key}: packet at ts {ts} is earlier than the flow's "
+                f"last packet at ts {flow[1]}")
+        if flow[0] < r:
+            flow += ts, length
+        flow[0] += 1
+        flow[1] = ts
+        flow[3].add(length)
+        if label is not flow[2]:    # a read's "benign" replaces the literal
+            if label is None or flow[2] == "benign" and (
+                    label == "benign" or label.startswith("attack:")):
+                flow[2] = label
+        return key
 
     return packet_of_line
 

@@ -18,7 +18,8 @@ from atrellis.cluster_metrics import dunn_index, kmeans, purity
 from atrellis.feature_pipeline import featurize
 from atrellis.neural_autoencoder import (AEArchitecture, grad_check,
                                          init_model)
-from atrellis.traffic_model import PacketRecord, flows_of_trace
+from atrellis.traffic_model import (PacketRecord, flow_key_of,
+                                    flows_of_trace)
 
 DEVICE = "192.168.0.2"
 
@@ -69,7 +70,7 @@ def test_criterion_1_flow_table_oracle():
     t0 = time.perf_counter()
     for _ in range(100):
         packets = _random_stream(rng)
-        table = ct.ClusterTree(DEVICE)
+        table = ct.ClusterTree(DEVICE, r=len(packets))
         for p in packets:
             table.insert(p)
         naive = {}
@@ -81,10 +82,14 @@ def test_criterion_1_flow_table_oracle():
             naive.setdefault(five, []).append(p)
         as_five = {key: (key.remote.value, key.src_port, key.dst_port,
                          key.proto) for key in table.flows}
-        # the flow order, then each flow's packets in order
+        # the flow order, then each flow's record: its count, last time,
+        # label summary, sizes and every packet's (ts, length) in order
         assert [as_five[key] for key in table.flows] == list(naive)
         for key, flow in table.flows.items():
-            assert flow == naive[as_five[key]]
+            packets = naive[as_five[key]]
+            assert flow == [len(packets), packets[-1].ts, None,
+                            {p.length for p in packets},
+                            *(v for p in packets for v in (p.ts, p.length))]
         # each leaf's size sets
         naive_leaves = {}
         for five, flow in naive.items():
@@ -185,7 +190,7 @@ def test_criterion_5_clustering_purity():
         for p in trace:
             tree.insert(p)
         profile = ct.build_profile(tree, 0.5)
-        keys, table = flows_of_trace(trace, spec.device_ip)
+        keys, table = flows_of_trace(trace, spec.device_ip, r=10)
         cluster_of = {f: i for i, key in enumerate(profile.keys)
                       for f in key.member_flows}
         assignment = [cluster_of[f] for f in keys]
@@ -216,23 +221,21 @@ def camera_rig():
     for p in trace:
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
-    keys, table = flows_of_trace(trace, spec.device_ip)
+    keys, table = flows_of_trace(trace, spec.device_ip, r=10)
     ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
                                         30, RIG_Q, seed=0)
     elapsed = time.perf_counter() - t0
     return spec, ensemble, keys, table, elapsed
 
 
-def _truth_labels(keys, table):
-    labels = []
-    for key in keys:
-        label = "benign"
-        for p in table[key]:
-            if p.label and p.label.startswith("attack:"):
-                label = p.label
-                break
-        labels.append(label)
-    return labels
+def _truth_labels(keys, packets, device_ip):
+    """Each flow's first attack label, or "benign", read from the trace's
+    packets as flow_key_of keys them, not from the flow table."""
+    found = {}
+    for p in packets:
+        if p.label and p.label.startswith("attack:"):
+            found.setdefault(flow_key_of(p, device_ip), p.label)
+    return [found.get(key, "benign") for key in keys]
 
 
 # --- criterion 6: stage-1 behavior -------------------------------------------
@@ -245,7 +248,7 @@ def test_criterion_6_stage_1(camera_rig):
                              target=target)
         packets = sim.inject_attack([], atk, seed=1,
                                     device_ip=spec.device_ip)
-        keys, table = flows_of_trace(packets, spec.device_ip)
+        keys, table = flows_of_trace(packets, spec.device_ip, r=10)
         assert keys
         verdicts = [ens.detect(ensemble, k, table[k]) for k in keys]
         assert all(v.kind == ens.STAGE1_MALICIOUS for v in verdicts), kind
@@ -276,9 +279,9 @@ def test_criterion_7_stage_2_evasion(camera_rig):
     verdicts_by_attack = {}
     for name, atk in (("HttpMasqCnc", masq), ("Flood", flood)):
         trace = sim.inject_attack(holdout, atk, seed=1)
-        keys, table = flows_of_trace(trace, spec.device_ip)
+        keys, table = flows_of_trace(trace, spec.device_ip, r=10)
         verdicts = [ens.detect(ensemble, k, table[k]) for k in keys]
-        labels = _truth_labels(keys, table)
+        labels = _truth_labels(keys, trace, spec.device_ip)
         reports[name] = ens.evaluate(verdicts, labels)
         labels_by_attack[name] = labels
         verdicts_by_attack[name] = verdicts

@@ -19,10 +19,12 @@ from atrellis.errors import (EmptyActivity, EmptyErrors, EmptyFlow,
                              LengthMismatch, SchemaError, check)
 from atrellis.feature_pipeline import featurize
 from atrellis.neural_autoencoder import AEArchitecture, reconstruction_error
-from atrellis.traffic_model import (FlowKey, PacketRecord, Remote,
+from atrellis.traffic_model import (COUNT, FlowKey, PacketRecord, Remote,
                                     flows_of_trace, read_jsonl)
 
 DEVICE = "192.168.1.10"
+# the record of a flow of no packets, which no FlowTable holds
+EMPTY_FLOW = [0, 0.0, "benign", set()]
 
 
 def flow(domain="cam3.vendor.com", sport=41000, dport=443, proto="TCP",
@@ -155,7 +157,7 @@ def camera_setup():
     for p in trace:
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
-    keys, table = flows_of_trace(trace, spec.device_ip)
+    keys, table = flows_of_trace(trace, spec.device_ip, r=10)
     ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
                                         80, 0.995, seed=0)
     return spec, ensemble, keys, table
@@ -264,7 +266,7 @@ class TestDetect:
                                      "ip": "203.0.113.11"})
         packets = sim.inject_attack([], atk, seed=1,
                                     device_ip=spec.device_ip)
-        keys, table = flows_of_trace(packets, spec.device_ip)
+        keys, table = flows_of_trace(packets, spec.device_ip, r=10)
         verdicts = [ens.detect(ensemble, k, table[k]) for k in keys]
         assert all(v.models_triggered >= 1 for v in verdicts)
         assert all(v.kind == ens.ANOMALOUS for v in verdicts)
@@ -272,7 +274,7 @@ class TestDetect:
     def test_empty_flow(self, camera_setup):
         _, ensemble, keys, _ = camera_setup
         with pytest.raises(EmptyFlow):
-            ens.detect(ensemble, keys[0], [])
+            ens.detect(ensemble, keys[0], EMPTY_FLOW)
 
 
 @dataclass(frozen=True)
@@ -330,17 +332,17 @@ def reference_reason(profile, flow_key):
     return f"no activity key accepts the flow at the {name} level"
 
 
-def reference_detect(ensemble, flow_key, flow_packets):
+def reference_detect(ensemble, flow_key, flow):
     """The per-flow detect that detect_flows replaced, kept as an oracle:
     one single-row forward per matched key."""
-    if not flow_packets:
+    if not flow[COUNT]:
         raise EmptyFlow("cannot judge an empty flow")
     matched = reference_match(ensemble.profile, flow_key)
     if not matched:
         return ens.Verdict(ens.STAGE1_MALICIOUS, flow_key, 0,
                            reason=reference_reason(ensemble.profile,
                                                    flow_key))
-    vector = featurize(flow_packets, ensemble.arch.r)
+    vector = featurize(flow, ensemble.arch.r)
     best_score = best_j = None
     for j in matched:
         model, _ = ensemble.submodels[j]
@@ -367,7 +369,7 @@ def judged_flows(camera_setup):
                                target={"n_ports": 20})):
         trace = sim.inject_attack(trace, atk, seed=8,
                                   device_ip=spec.device_ip)
-    return flows_of_trace(trace, spec.device_ip)
+    return flows_of_trace(trace, spec.device_ip, r=10)
 
 
 HUB_LAN = ("192.168.1.0/24",)
@@ -383,7 +385,7 @@ def hub_setup():
     for p in trace:
         tree.insert(p)
     profile = ct.build_profile(tree, 0.5)
-    _, table = flows_of_trace(trace, spec.device_ip, HUB_LAN)
+    _, table = flows_of_trace(trace, spec.device_ip, HUB_LAN, 10)
     ensemble, _, _ = ens.train_ensemble(profile, table, AEArchitecture(r=10),
                                         20, 0.995, seed=0)
     return spec, ensemble
@@ -410,7 +412,7 @@ def hub_attacked(spec, scan_ports):
                                        "packets_per_flow": 3})):
         trace = sim.inject_attack(trace, atk, seed=8,
                                   device_ip=spec.device_ip)
-    return flows_of_trace(trace, spec.device_ip, HUB_LAN)
+    return flows_of_trace(trace, spec.device_ip, HUB_LAN, 10)
 
 
 @pytest.fixture(scope="module", params=["camera", "hub"])
@@ -674,7 +676,8 @@ class TestDetectFlows:
         _, ensemble, _, _ = camera_setup
         keys, table = judged_flows
         with pytest.raises(EmptyFlow):
-            ens.detect_flows(ensemble, keys[:3], {**table, keys[1]: []})
+            ens.detect_flows(ensemble, keys[:3],
+                             {**table, keys[1]: EMPTY_FLOW})
 
 
 class TestEvaluate:

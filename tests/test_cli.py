@@ -1005,6 +1005,33 @@ class TestMalformedVerdicts:
                               "was judged on an earlier line",
                               "a second verdict for it")
 
+    @pytest.mark.parametrize("case", ["second", "not-in-trace", "first"])
+    def test_verdict_that_cannot_be_joined_names_its_line_on_a_pipe(
+            self, small_run, lines, tmp_path, capsys, case):
+        """eval joins each verdict as it reads it, so a second verdict for
+        a flow, or a verdict for a flow not in the trace, the first one
+        too, is named at its line though a pipe cannot be read again."""
+        trace = small_run[0]
+        foreign = edited(json.loads(lines[2]), ["flow_key", "dst_port"], 9)
+        text, line, verdict, problem = {
+            "second": (lines + [lines[3]], len(lines) + 1, lines[3],
+                       "was judged on an earlier line; this is a second "
+                       "verdict for it"),
+            "not-in-trace": ([lines[0], "", foreign, *lines[1:]], 3, foreign,
+                             f"is not in {trace}; eval keys the trace"),
+            "first": (["", foreign, *lines], 2, foreign,
+                      f"is not in {trace}; eval keys the trace"),
+        }[case]
+        flow = ens.verdict_from_dict(json.loads(verdict)).flow
+        capsys.readouterr()
+        with piped("\n".join(text) + "\n") as path:
+            rc = main(["eval", trace, path, "-o", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: flow {flow} {problem}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestMalformedTrace:
     GOOD = json.dumps({"ts": 1.0, "src_ip": "192.168.1.10",
@@ -1104,8 +1131,8 @@ class TestOutOfOrderFlow:
                              ids=["writer-form", "other-spacing"])
     def test_detect_names_the_line_that_eval_names(
             self, small_run, tmp_path, capsys, separators):
-        """detect keeps a flow's first r packets and its latest, eval keeps
-        them all; a late packet after 20 of its flow's, in the writer's
+        """detect keeps a flow's first r (ts, length) pairs, eval none;
+        a late packet after 20 of its flow's, in the writer's
         form (the reader's fast path) or not (the JSON parse), is on the
         same line to both, counted over every packet before it."""
         _, _, ensemble, verdicts, _ = small_run
@@ -1206,8 +1233,9 @@ class TestPipedTrace:
 
 
 class TestBoundedMemory:
-    """train and detect hold a flow as its first r packets and its latest,
-    and load no more of numpy than they use: counted, not timed."""
+    """train and detect hold a flow as a record of its first r packets'
+    (ts, length) pairs, and load no more of numpy than they use: counted,
+    not timed."""
 
     @pytest.fixture(scope="class")
     def flooded(self, tmp_path_factory):
@@ -1217,8 +1245,8 @@ class TestBoundedMemory:
         return run_pipeline(tmp_path_factory.mktemp("flood"), [flood],
                             duration="600", epochs="1")
 
-    def test_detect_holds_at_most_r_plus_1_packets_a_flow(
-            self, flooded, tmp_path, monkeypatch):
+    def test_detect_holds_r_pairs_a_flow(self, flooded, tmp_path,
+                                         monkeypatch):
         trace, _, ensemble, _, _ = flooded
         tables = []
         judge = ens.detect_flows
@@ -1234,8 +1262,8 @@ class TestBoundedMemory:
                                  loaded.profile.device_ip)[1]
         (table,) = tables
         assert list(table) == list(full)
-        assert sum(len(flow) == 40 for flow in full.values()) == 100
-        assert max(map(len, table.values())) == loaded.arch.r + 1
+        assert sum(flow[tm.COUNT] == 40 for flow in table.values()) == 100
+        assert max(map(len, table.values())) == tm.PAIRS + 2 * loaded.arch.r
 
     def test_train_and_detect_leave_numpy_ma_unloaded(self, flooded,
                                                       tmp_path):

@@ -18,7 +18,7 @@ from atrellis.clustering_tree import (ActivityKey, ActivityProfile,
                                       profile_from_dict, profile_to_dict,
                                       save_profile, tree_path_of)
 from atrellis.errors import EmptyTree, NonMonotonicTimestamp, SchemaError
-from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP,
+from atrellis.traffic_model import (BC_MC, COUNT, DOMAIN, IN, LOCAL_IP,
                                     PROTOCOLS, REMOTE_IP, FlowKey,
                                     PacketRecord, Remote, direction_of,
                                     flow_key_of)
@@ -280,7 +280,8 @@ class TestInsert:
         path = tree_path_of(key)
         assert path.proto == "UDP" and path.addr_class == "bc_mc"
         assert path.dst_bucket == ("registered", 1900)
-        assert tree.flows == {key: [pkt()]}
+        # one packet: its count, time, missing label and size
+        assert tree.flows == {key: [1, 1.0, None, {310}]}
 
     def test_reply_reuses_entry(self):
         tree = ClusterTree(DEVICE)
@@ -295,7 +296,7 @@ class TestInsert:
     def test_conservation_against_oracle(self):
         # recompute every flow naively from the raw packet list
         rng = np.random.default_rng(3)
-        tree = ClusterTree(DEVICE)
+        tree = ClusterTree(DEVICE, r=1000)
         raw = {}
         ts = 0.0
         for _ in range(1000):
@@ -313,8 +314,11 @@ class TestInsert:
                         dst_port=40000 + fi, proto="TCP", length=length)
             key = tree.insert(p)
             raw.setdefault(key, []).append(p)
-        assert sum(len(flow) for flow in tree.flows.values()) == 1000
-        assert tree.flows == raw
+        assert sum(flow[COUNT] for flow in tree.flows.values()) == 1000
+        assert tree.flows == {
+            key: [len(ps), ps[-1].ts, None, {p.length for p in ps},
+                  *(v for p in ps for v in (p.ts, p.length))]
+            for key, ps in raw.items()}
         assert list(tree.flows) == list(raw)
         for leaf in leaves_of(tree).values():
             for key, sizes in leaf.items():

@@ -176,8 +176,6 @@ REREADERS = {
         # profile keys its listed packets only once it has inferred the
         # device IP; it goes once profile keys as it reads
         ("cli", "cmd_profile"),
-        # eval joins the verdicts to the trace's flows after reading both
-        ("cli", "cmd_eval"),
     },
 }
 

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from atrellis import synth_traffic as sim
 from atrellis.clustering_tree import jaccard
 from atrellis.errors import BadSpec
-from atrellis.traffic_model import PacketRecord, flows_of_trace
+from atrellis.traffic_model import (PacketRecord, flow_key_of,
+                                    flows_of_trace)
 
 
 def one_shot_spec():
@@ -200,14 +201,22 @@ class TestBurstDraw:
         assert got_rng.random() == want_rng.random()
 
 
+def packets_by_flow(packets, device_ip):
+    """Each flow's packets, in first-packet order, keyed per packet."""
+    flows = {}
+    for p in packets:
+        flows.setdefault(flow_key_of(p, device_ip), []).append(p)
+    return flows
+
+
 class TestInjectAttack:
     def test_port_scan_flow_count(self):
         trace = sim.generate(one_shot_spec(), 60.0, seed=0)
         atk = sim.AttackSpec("PortScan", start=10.0, rate=10.0,
                              target={"n_ports": 100})
         merged = sim.inject_attack(trace, atk, seed=0)
-        keys, table = flows_of_trace(merged, "10.0.0.5")
-        scan_keys = [k for k in keys
+        table = packets_by_flow(merged, "10.0.0.5")
+        scan_keys = [k for k in table
                      if table[k][0].label == "attack:PortScan"]
         assert len(scan_keys) == 100
         assert len(set(scan_keys)) == 100
@@ -285,8 +294,8 @@ class TestInjectAttack:
                              target={"ip": "203.0.113.5", "dst_port": 443,
                                      "domain": "a5.example.com"})
         merged = sim.inject_attack(trace, atk, seed=0)
-        keys, table = flows_of_trace(merged, "10.0.0.5")
-        labels = [{p.label for p in table[k]} for k in keys]
+        table = packets_by_flow(merged, "10.0.0.5")
+        labels = [{p.label for p in flow} for flow in table.values()]
         assert sum(s == {"attack:Flood"} for s in labels) == 300
         assert all(len(s) == 1 for s in labels)
         device_ports = {p.label: set() for p in merged}

@@ -16,8 +16,9 @@ from atrellis import traffic_model
 from atrellis.errors import (AtrellisError, ForeignPacket, MalformedAddress,
                              PacketError, SchemaError)
 from atrellis.neural_autoencoder import AEArchitecture
-from atrellis.traffic_model import (BC_MC, DOMAIN, IN, LOCAL_IP, OUT,
-                                    PROTOCOLS, REMOTE_IP, FlowKey, FlowTable,
+from atrellis.traffic_model import (BC_MC, COUNT, DOMAIN, IN, LOCAL_IP, OUT,
+                                    PAIRS, PROTOCOLS, REMOTE_IP, FlowKey,
+                                    FlowTable,
                                     PacketRecord, Remote, classify_address,
                                     direction_of, flow_key_of,
                                     flows_of_trace, line_of_object,
@@ -352,6 +353,22 @@ def reference_flows_of_trace(packets, device_ip, local_prefixes=()):
     return keys, table
 
 
+def summary(packets, r):
+    """The record of a flow of ``packets`` in a table of ``r``, worked out
+    from the packets themselves: the oracle of FlowTable's records."""
+    labels = [p.label for p in packets]
+    label = None if None in labels else next(
+        (lab for lab in labels if lab.startswith("attack:")), "benign")
+    return [len(packets), packets[-1].ts, label, {p.length for p in packets},
+            *(v for p in packets[:r] for v in (p.ts, p.length))]
+
+
+def reference_records(packets, device_ip, local_prefixes=(), r=0):
+    """reference_flows_of_trace with each flow's packets summarised."""
+    keys, table = reference_flows_of_trace(packets, device_ip, local_prefixes)
+    return keys, {key: summary(table[key], r) for key in keys}
+
+
 REMOTES = ["203.0.113.5", "203.0.113.6", "192.168.1.7", "239.255.255.250",
            "192.168.1.255"]
 
@@ -360,8 +377,11 @@ REMOTES = ["203.0.113.5", "203.0.113.6", "192.168.1.7", "239.255.255.250",
 def interleaved_traces(draw):
     """Packets of a few request/reply conversations, interleaved: each
     packet goes either way, and the remote's name may be missing or differ
-    in case and trailing dot between request and reply."""
+    in case and trailing dot between request and reply.  A trace's packets
+    are all unlabeled, or each takes a label, an attack's among them."""
     n = draw(st.integers(1, 60))
+    labels = st.just(None) if draw(st.booleans()) else st.sampled_from(
+        [None, "benign", "benign", "attack:Flood", "attack:PortScan", "x"])
     packets = []
     for i in range(n):
         remote = draw(st.sampled_from(REMOTES))
@@ -371,7 +391,8 @@ def interleaved_traces(draw):
                                      "CAM.Example.com.", "other.example"]))
         fields = dict(ts=float(i), src_port=sport, dst_port=dport,
                       proto=draw(st.sampled_from(PROTOCOLS)),
-                      length=draw(st.integers(40, 1500)), dns_name=name)
+                      length=draw(st.integers(40, 1500)), dns_name=name,
+                      label=draw(labels))
         if draw(st.booleans()):
             packets.append(PacketRecord(src_ip=DEVICE, dst_ip=remote,
                                         **fields))
@@ -383,20 +404,33 @@ def interleaved_traces(draw):
 
 
 class TestFlowsOfTrace:
-    @settings(max_examples=150, deadline=None)
-    @given(interleaved_traces(), st.sampled_from([(), ("192.168.1.0/24",)]))
-    def test_matches_per_packet_keying(self, packets, prefixes):
-        keys, table = flows_of_trace(packets, DEVICE, prefixes)
-        ref_keys, ref_table = reference_flows_of_trace(packets, DEVICE,
-                                                       prefixes)
-        assert keys == ref_keys
-        assert table == ref_table
+    @settings(max_examples=300, deadline=None)
+    @given(interleaved_traces(), st.sampled_from([(), ("192.168.1.0/24",)]),
+           st.integers(0, 12))
+    def test_each_record_summarises_its_flows_packets(self, packets,
+                                                      prefixes, r):
+        """For r from 0 to 12: the first r (ts, length) pairs, the last ts,
+        the count, the sizes and the label summary of each flow's packets,
+        as per-packet keying groups them."""
+        assert flows_of_trace(packets, DEVICE, prefixes, r) == \
+            reference_records(packets, DEVICE, prefixes, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 30), r=st.integers(0, 12), data=st.data())
+    def test_flow_longer_or_shorter_than_r(self, n, r, data):
+        packets = [pkt(ts=float(i), length=data.draw(st.integers(40, 45)),
+                       label=data.draw(st.sampled_from(
+                           ["benign", "attack:Flood", "attack:PortScan"])))
+                   for i in range(n)]
+        (record,) = flows_of_trace(packets, DEVICE, r=r)[1].values()
+        assert record == summary(packets, r)
+        assert len(record) == PAIRS + 2 * min(n, r)
 
     def test_matches_per_packet_keying_on_simulated_trace(self):
         spec = sim.FIXTURES["camera"]
         trace = sim.generate(spec, 900, seed=5)
-        assert flows_of_trace(trace, spec.device_ip) == \
-            reference_flows_of_trace(trace, spec.device_ip)
+        assert flows_of_trace(trace, spec.device_ip, r=10) == \
+            reference_records(trace, spec.device_ip, r=10)
 
     def test_foreign_packet(self):
         with pytest.raises(ForeignPacket):
@@ -762,9 +796,31 @@ class TestReaderMemory:
         assert len(packets) == n_packets > 40_000
         assert retained / n_packets < 300
 
+    @pytest.mark.parametrize("r, bound", [(0, 825), (10, 1220)])
+    def test_retained_bytes_per_flow_of_a_table(self, watched_trace, r,
+                                                bound):
+        """A flow costs its record, key and table entry, not its packets.
+        Measured on this trace (3,886 flows): 551 B a flow at r = 0 and 812
+        at r = 10, against 1,937 and 1,333 when a flow was the list of its
+        packets, whole or cut to its first 10 and its latest; the bounds
+        are 1.5 times the measured values."""
+        path, _ = watched_trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            flows = FlowTable.read(path, sim.FIXTURES["camera"].device_ip,
+                                   r=r).flows
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(flows) > 3_800
+        assert retained / len(flows) < bound
+
     def test_packets_of_a_flow_share_their_fields(self, watched_trace):
         packets = list(read_packets_jsonl(watched_trace[0]))
-        _, flows = flows_of_trace(packets, sim.FIXTURES["camera"].device_ip)
+        _, flows = reference_flows_of_trace(
+            packets, sim.FIXTURES["camera"].device_ip)
         for flow in flows.values():
             for name in ("src_ip", "dst_ip", "proto", "label"):
                 values = [getattr(p, name) for p in flow]
@@ -775,22 +831,18 @@ class TestReaderMemory:
 
 def table_outcome(load):
     """What a load of a trace into flows gave: the keys in first-packet
-    order, the typed fields of each flow's packets and which of their
-    field objects are one object, numbered in first-seen order; or the
-    type and text of the error that stopped it."""
+    order and the typed fields of each flow's record, its sizes sorted; or
+    the type and text of the error that stopped it."""
     try:
         flows = load()
     except AtrellisError as exc:
         return type(exc), str(exc)
-    ids: dict = {}
-    shared = [tuple(ids.setdefault(id(v), len(ids)) for v in p)
-              for flow in flows.values() for p in flow]
     return (list(flows),
-            [[record_fields(p) for p in flow] for flow in flows.values()],
-            shared)
+            [record_fields([*flow[:3], sorted(flow[3]), *flow[4:]])
+             for flow in flows.values()])
 
 
-def oracle_flows(path, prefixes=()):
+def oracle_flows(path, prefixes=(), r=0):
     """The flows of flows_of_trace over read_packets_jsonl, FlowTable.read's
     oracle.  A packet that keying refuses is named as the reader names a
     line's error, at the line that line_of_object finds for the packet's
@@ -804,22 +856,43 @@ def oracle_flows(path, prefixes=()):
             yield p
 
     try:
-        return flows_of_trace(counted(), DEVICE, prefixes)[1]
+        return flows_of_trace(counted(), DEVICE, prefixes, r)[1]
     except PacketError as exc:
         line = line_of_object(path, read - 1)
         raise type(exc)(f"{path}:{line}: {exc}") from None
 
 
-def outcomes(path, prefixes=()):
+def outcomes(path, prefixes=(), r=0):
     """table_outcome of FlowTable.read and of its oracle."""
-    return (table_outcome(lambda: FlowTable.read(path, DEVICE,
-                                                 prefixes).flows),
-            table_outcome(lambda: oracle_flows(path, prefixes)))
+    return (table_outcome(lambda: FlowTable.read(path, DEVICE, prefixes,
+                                                 r).flows),
+            table_outcome(lambda: oracle_flows(path, prefixes, r)))
+
+
+def assert_read_shares_equal_strings(path):
+    """The packets that one read gives of lines that the reader's fast path
+    takes, up to any error, hold one object for each string value."""
+    packets = []
+    try:
+        for p in read_packets_jsonl(path):
+            packets.append(p)
+    except AtrellisError:
+        pass
+    with open(path, encoding="utf-8", errors="surrogateescape",
+              newline="\n") as fh:
+        lines = [text.strip() for text in fh if text.strip()]
+    fast, objects = traffic_model._packet_reader(), {}
+    for p, line in zip(packets, lines):
+        if fast(line):
+            for v in (p.src_ip, p.dst_ip, p.proto, p.dns_name, p.label):
+                assert v is None or objects.setdefault(v, v) is v
 
 
 def assert_loads_as_flows_of_trace(path):
-    new, old = outcomes(path)
-    assert new == old
+    for r in (0, 2):
+        new, old = outcomes(path, r=r)
+        assert new == old
+    assert_read_shares_equal_strings(path)
 
 
 def written_line(p: PacketRecord) -> bytes:
@@ -931,58 +1004,53 @@ class TestFlowTableRead:
                        "b.example"])])
         new, old = outcomes(path)
         assert new == old
-        assert [k.remote for k in new[0]] == [
+        flows = FlowTable.read(path, DEVICE).flows
+        assert [k.remote for k in flows] == [
             Remote(DOMAIN, "a.example"), Remote(DOMAIN, "b.example"),
             Remote(REMOTE_IP, "8.8.8.8")]
-        assert [len(flow) for flow in new[1]] == [2, 2, 1]
+        assert [flow[COUNT] for flow in flows.values()] == [2, 2, 1]
 
-    def test_simulated_trace_loads_as_flows_of_trace(self, tmp_path):
+    @pytest.mark.parametrize("r", [0, 10])
+    def test_simulated_trace_loads_as_flows_of_trace(self, tmp_path, r):
         spec = sim.FIXTURES["camera"]
         path = tmp_path / "trace.jsonl"
         write_packets_jsonl(path, sim.generate(spec, 900, seed=5))
-        new = FlowTable.read(path, spec.device_ip).flows
-        keys, old = flows_of_trace(read_packets_jsonl(path), spec.device_ip)
+        new = FlowTable.read(path, spec.device_ip, r=r).flows
+        keys, old = flows_of_trace(read_packets_jsonl(path), spec.device_ip,
+                                   r=r)
         assert list(new) == keys and new == old
 
 
-def first_and_last(flows, keep):
-    """Each of ``flows`` cut to its first keep - 1 packets and its last."""
-    return {key: flow if len(flow) <= keep else flow[:keep - 1] + flow[-1:]
-            for key, flow in flows.items()}
-
-
 class TestBoundedFlowTable:
-    """A table with a bound ``keep`` holds each flow as its first keep - 1
-    packets and its latest."""
+    """A table of ``r`` holds each flow's (ts, length) pairs of its first r
+    packets and no more."""
 
     @settings(max_examples=300, deadline=None)
     @given(trace=loadable_traces(),
            prefixes=st.sampled_from([(), ("192.168.1.0/24",)]),
-           keep=st.integers(2, 11))
-    def test_read_gives_the_cut_flows_of_trace(self, tmp_path_factory, trace,
-                                               prefixes, keep):
-        """Error for error too: a refused packet's line counts the lines
-        whose packets the bound replaced."""
+           r=st.integers(0, 12))
+    def test_read_gives_the_records_of_flows_of_trace(
+            self, tmp_path_factory, trace, prefixes, r):
+        """Error for error too."""
         path = tmp_path_factory.getbasetemp() / "bounded.jsonl"
         path.write_bytes(trace)
-        bounded = table_outcome(lambda: FlowTable.read(
-            path, DEVICE, prefixes, keep=keep).flows)
-        oracle = table_outcome(lambda: first_and_last(
-            oracle_flows(path, prefixes), keep))
-        assert bounded == oracle
+        new, old = outcomes(path, prefixes, r)
+        assert new == old
 
-    @settings(max_examples=100, deadline=None)
-    @given(packets=interleaved_traces(), keep=st.integers(1, 11))
-    def test_insert_gives_the_cut_flows_of_trace(self, packets, keep):
-        table = FlowTable(DEVICE, keep=keep)
-        for p in packets:
-            table.insert(p)
-        assert table.flows == first_and_last(
-            flows_of_trace(packets, DEVICE)[1], keep)
+    def test_r_must_not_be_negative(self):
+        with pytest.raises(ValueError, match="r must be >= 0, got -1"):
+            FlowTable(DEVICE, r=-1)
 
-    def test_bound_must_keep_a_packet(self):
-        with pytest.raises(ValueError, match="keep must be >= 1, got 0"):
-            FlowTable(DEVICE, keep=0)
+    def test_long_flow_keeps_r_pairs(self, tmp_path):
+        """Counted, not timed: a 10,000-packet flow read at r = 10."""
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, [pkt(ts=float(i), length=60 + i % 7)
+                                   for i in range(10_000)])
+        (flow,) = FlowTable.read(path, DEVICE, r=10).flows.values()
+        assert flow[COUNT] == 10_000 and flow[1] == 9999.0
+        assert flow[PAIRS:] == [v for i in range(10)
+                                for v in (float(i), 60 + i % 7)]
+        assert len(flow[3]) == 7
 
     @pytest.fixture(scope="class")
     def judged(self, tmp_path_factory):
@@ -990,7 +1058,7 @@ class TestBoundedFlowTable:
         30 more with a Flood of 100 flows of 40 packets."""
         spec = sim.FIXTURES["camera"]
         clean = sim.generate(spec, 1800.0, seed=3)
-        tree = ct.ClusterTree(spec.device_ip)
+        tree = ct.ClusterTree(spec.device_ip, r=10)
         for p in clean:
             tree.insert(p)
         ensemble = ens.train_ensemble(ct.build_profile(tree, 0.5),
@@ -1005,15 +1073,17 @@ class TestBoundedFlowTable:
         write_packets_jsonl(path, trace)
         return ensemble, path
 
-    def test_detect_flows_gives_the_verdicts_of_the_full_table(self, judged):
+    def test_detect_flows_gives_the_verdicts_of_the_whole_flows(self,
+                                                               judged):
+        """A table of the model's r judges as one that holds every pair."""
         ensemble, path = judged
         device_ip, r = ensemble.profile.device_ip, ensemble.arch.r
-        full = flows_of_trace(read_packets_jsonl(path), device_ip)[1]
-        bounded = FlowTable.read(path, device_ip, keep=r + 1).flows
-        assert sum(len(flow) == 40 for flow in full.values()) == 100
-        assert max(map(len, bounded.values())) == r + 1
+        whole = FlowTable.read(path, device_ip, r=1000).flows
+        bounded = FlowTable.read(path, device_ip, r=r).flows
+        assert sum(flow[COUNT] == 40 for flow in whole.values()) == 100
+        assert max(len(flow) for flow in bounded.values()) == PAIRS + 2 * r
         assert ens.detect_flows(ensemble, list(bounded), bounded) == \
-            ens.detect_flows(ensemble, list(full), full)
+            ens.detect_flows(ensemble, list(whole), whole)
 
 
 class TestFlowTableReadGC:
