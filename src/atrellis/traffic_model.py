@@ -114,14 +114,6 @@ class FlowKey(NamedTuple):
                 f"{self.remote.kind} {self.remote.value}:{self.dst_port}")
 
 
-@functools.lru_cache(maxsize=65536)
-def _parse_ipv4(text: str) -> ipaddress.IPv4Address:
-    try:
-        return ipaddress.IPv4Address(text)
-    except (ipaddress.AddressValueError, ValueError) as exc:
-        raise MalformedAddress(f"not an IPv4 address: {text!r}") from exc
-
-
 @functools.lru_cache(maxsize=256)
 def parse_prefixes(prefixes: tuple) -> tuple:
     """The IPv4 networks that local-prefix strings name; ipaddress raises a
@@ -137,12 +129,10 @@ def classify_address(dst_ip: str, dns_name: Optional[str],
     Multicast outranks a resolved name so that mDNS/SSDP replies carrying
     names for multicast groups stay in the bc/mc class.
     """
-    return _classify_address(dst_ip, dns_name, tuple(local_prefixes))
-
-
-@functools.lru_cache(maxsize=65536)
-def _classify_address(dst_ip, dns_name, local_prefixes) -> Remote:
-    addr = _parse_ipv4(dst_ip)
+    try:
+        addr = ipaddress.IPv4Address(dst_ip)
+    except (ipaddress.AddressValueError, ValueError) as exc:
+        raise MalformedAddress(f"not an IPv4 address: {dst_ip!r}") from exc
     networks = parse_prefixes(tuple(local_prefixes))
     if addr.is_multicast or addr == ipaddress.IPv4Address("255.255.255.255") \
             or any(addr == net.broadcast_address for net in networks):
@@ -193,7 +183,8 @@ class FlowTable:
 
     ``insert`` adds a packet and ``read`` a trace file's packets in one
     pass, both with _packet_reader, which keys a request and its replies
-    once each and every later packet with one lookup.
+    once each, from their side of the conversation, and every later
+    packet with one lookup.
     """
 
     def __init__(self, device_ip: str, local_prefixes: Sequence[str] = (),
@@ -314,10 +305,10 @@ _TAIL = re.compile(
     rf'{_UINT}(?:, "dns_name": {_STRING})?(?:, "label": {_STRING})?\}}')
 
 
-# The most middles, and tails, that a read keeps; at this many it starts
-# afresh.  The middles of a flow come close together, so this bounds the
-# memory of a trace whose middles are all distinct, a port scan say, and
-# costs others a few middles matched again.
+# The most middles, tails and sides that a read keeps; at this many it
+# starts afresh.  The middles of a flow come close together, so this
+# bounds the memory of a trace whose middles are all distinct, a port scan
+# say, and costs others a few middles matched again.
 _PARTS_KEPT = 4096
 
 
@@ -340,10 +331,15 @@ def _packet_reader(table: Optional[FlowTable] = None
     be keyed, or that is earlier than the latest of its flow, raises a
     PacketError.  A middle's entry, a packet's under the tuple of its five
     fields, holds its five values, then its last packet's domain, flow key
-    and record, so a middle is keyed with flow_key_of only when its domain
-    differs from its last packet's."""
+    and record, so a middle is keyed again only when its domain differs
+    from its last packet's.  Its key is then built from its side, the
+    (source, destination, domain) of the packet: flow_key_of classifies
+    each side once while it is kept, and raises for it, and its entry
+    holds the remote endpoint and whether the device is the source.  A
+    middle of insert's packets is kept as a line's is."""
     middles: dict = {}
     tails: dict = {}
+    sides: dict = {}
     share = {}.setdefault
     flows, unkeyed = None, ()
     if table is not None:
@@ -412,13 +408,29 @@ def _packet_reader(table: Optional[FlowTable] = None
         else:
             ts, _, _, _, _, _, length, dns_name, label = pkt
             text = pkt[1:6]
-            middle = middles.get(text) or (*text, *unkeyed)
+            middle = middles.get(text)
+            if middle is None:
+                if len(middles) == _PARTS_KEPT:
+                    middles.clear()
+                middle = (*text, *unkeyed)
         src_ip, dst_ip, src_port, dst_port, proto, domain, key, flow = middle
         if dns_name != domain:  # a line's equal domains are one object
-            key = flow_key_of(pkt or tuple.__new__(PacketRecord, (
-                ts, src_ip, dst_ip, src_port, dst_port, proto, length,
-                dns_name, label)), device_ip, prefixes)
-            flow = flows.setdefault(key, [0, 0.0, "benign", set()])
+            side = src_ip, dst_ip, dns_name
+            keyed = sides.get(side)
+            if keyed is None:
+                if len(sides) == _PARTS_KEPT:
+                    sides.clear()
+                keyed = sides[side] = (flow_key_of(pkt or tuple.__new__(
+                    PacketRecord, (ts, src_ip, dst_ip, src_port, dst_port,
+                                   proto, length, dns_name, label)),
+                    device_ip, prefixes).remote, src_ip == device_ip)
+            remote, out = keyed
+            key = tuple.__new__(FlowKey, (
+                device_ip, remote, src_port, dst_port, proto) if out else (
+                device_ip, remote, dst_port, src_port, proto))
+            flow = flows.get(key)
+            if flow is None:
+                flow = flows[key] = [0, 0.0, "benign", set()]
             middles[text] = (src_ip, dst_ip, src_port, dst_port, proto,
                              dns_name, key, flow)
         # the record's fields at positions COUNT to PAIRS, as literals

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import json
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ from typing import Optional
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
@@ -1084,6 +1085,137 @@ class TestBoundedFlowTable:
         assert max(len(flow) for flow in bounded.values()) == PAIRS + 2 * r
         assert ens.detect_flows(ensemble, list(bounded), bounded) == \
             ens.detect_flows(ensemble, list(whole), whole)
+
+
+def keyed_outcome(data: bytes, prefixes):
+    """The oracle of a trace's flows that shares no code with the reader:
+    each line parsed by json.loads, each packet keyed by flow_key_of.  The
+    flow keys in first-packet order and each flow's count, last ts, label
+    summary and sizes; or None if a line is not a valid packet, cannot be
+    keyed or is earlier than the latest packet of its flow."""
+    flows = {}
+    try:
+        for raw in data.split(b"\n"):
+            text = raw.decode("utf-8").strip()
+            if not text:
+                continue
+            obj = json.loads(text)
+            if not isinstance(obj, dict):
+                return None
+            p = packet_from_dict(obj)
+            packets = flows.setdefault(flow_key_of(p, DEVICE, prefixes), [])
+            if packets and p.ts < packets[-1].ts:
+                return None
+            packets.append(p)
+    except ValueError:  # AtrellisError and UnicodeDecodeError among them
+        return None
+    return list(flows), [summary(packets, 0)[:4] for packets in
+                         flows.values()]
+
+
+# both directions of one address pair, a middle whose domain changes and
+# changes back, and a remote in the local prefix
+SIDES_TRACE = b"\n".join(written_line(p) for p in [
+    pkt(ts=1.0, dns_name="a.example", label="benign"),
+    pkt(ts=2.0, src_ip="8.8.8.8", dst_ip=DEVICE, src_port=53,
+        dst_port=50001, dns_name="A.Example.", label="benign"),
+    pkt(ts=3.0, dns_name="b.example", label="attack:Flood"),
+    pkt(ts=4.0, label="benign"),
+    pkt(ts=5.0, dns_name="a.example", label="attack:PortScan"),
+    pkt(ts=6.0, src_ip="192.168.1.7", dst_ip=DEVICE, src_port=80,
+        dst_port=40000, proto="TCP", label="benign"),
+    pkt(ts=7.0, dst_ip="192.168.1.7", src_port=40000, dst_port=80,
+        proto="TCP", dns_name="nas.lan", label="benign"),
+])
+
+
+class TestSideKeying:
+    """A new middle's key is built from its side (source, destination,
+    domain), which flow_key_of classifies once while the read keeps it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace=loadable_traces(),
+           prefixes=st.sampled_from([(), ("192.168.1.0/24",)]),
+           kept=st.sampled_from([traffic_model._PARTS_KEPT, 1, 3]))
+    @example(trace=SIDES_TRACE, prefixes=("192.168.1.0/24",), kept=1)
+    @example(trace=SIDES_TRACE, prefixes=(), kept=3)
+    def test_records_are_those_of_per_packet_keying(
+            self, tmp_path_factory, trace, prefixes, kept):
+        """Over the traces whose every line is a valid packet, in order
+        within its flow; the read refuses every other."""
+        path = tmp_path_factory.getbasetemp() / "sides.jsonl"
+        path.write_bytes(trace)
+        expected = keyed_outcome(trace, prefixes)
+        with mock.patch.object(traffic_model, "_PARTS_KEPT", kept):
+            if expected is None:
+                with pytest.raises(ValueError):
+                    FlowTable.read(path, DEVICE, prefixes)
+                return
+            flows = FlowTable.read(path, DEVICE, prefixes).flows
+        assert (list(flows), [flow[:4] for flow in flows.values()]) == \
+            expected
+
+    def test_sides_trace_gives_a_flow_per_key(self):
+        """SIDES_TRACE's example is what the property above claims it is."""
+        keys, _ = keyed_outcome(SIDES_TRACE, ("192.168.1.0/24",))
+        assert [k.remote for k in keys] == [
+            Remote(DOMAIN, "a.example"), Remote(DOMAIN, "b.example"),
+            Remote(REMOTE_IP, "8.8.8.8"), Remote(LOCAL_IP, "192.168.1.7"),
+            Remote(DOMAIN, "nas.lan")]
+
+    @pytest.fixture(scope="class")
+    def scanned_hub(self):
+        """20 hub minutes with a scan of 2,000 ports."""
+        spec = sim.FIXTURES["hub"]
+        trace = sim.inject_attack(
+            sim.generate(spec, 1200.0, seed=3),
+            sim.AttackSpec("PortScan", start=60, rate=20, duration=100,
+                           target={"ip": "203.0.113.50"}), seed=3)
+        return spec.device_ip, trace
+
+    def count_keyings(self, load):
+        with mock.patch.object(traffic_model, "flow_key_of",
+                               wraps=flow_key_of) as keying:
+            flows = load()
+        return keying.call_count, flows
+
+    def test_read_keys_each_side_once(self, tmp_path, scanned_hub):
+        """Counted, not timed."""
+        device_ip, trace = scanned_hub
+        path = tmp_path / "trace.jsonl"
+        write_packets_jsonl(path, trace)
+        sides = {(p.src_ip, p.dst_ip, p.dns_name) for p in trace}
+        middles = {p[1:6] for p in trace}
+        keyings, flows = self.count_keyings(
+            lambda: FlowTable.read(path, device_ip).flows)
+        assert keyings == len(sides) < 20
+        assert len(middles) > len(flows) > 2_000
+        assert flows == flows_of_trace(trace, device_ip)[1]
+
+    def test_insert_keys_each_side_once(self, scanned_hub):
+        device_ip, trace = scanned_hub
+        sides = {(p.src_ip, p.dst_ip, p.dns_name) for p in trace}
+        table = FlowTable(device_ip)
+        keyings, _ = self.count_keyings(
+            lambda: [table.insert(p) for p in trace])
+        assert keyings == len(sides) < 20
+        assert len(table.flows) > 2_000
+
+    def test_insert_keeps_at_most_parts_kept_middles_and_sides(self):
+        """3 * _PARTS_KEPT scan packets, each to its own port and remote."""
+        n = 3 * traffic_model._PARTS_KEPT
+        packets = [pkt(ts=float(i), dst_ip=f"203.0.{i // 256 % 256}.{i % 256}",
+                       src_port=40000, dst_port=1 + i, proto="TCP",
+                       length=60, label="attack:PortScan")
+                   for i in range(n)]
+        table = FlowTable(DEVICE)
+        for p in packets:
+            table.insert(p)
+        kept = inspect.getclosurevars(table._insert).nonlocals
+        assert 0 < len(kept["middles"]) <= traffic_model._PARTS_KEPT
+        assert 0 < len(kept["sides"]) <= traffic_model._PARTS_KEPT
+        keys, records = reference_records(packets, DEVICE)
+        assert list(table.flows) == keys and table.flows == records
 
 
 class TestFlowTableReadGC:
