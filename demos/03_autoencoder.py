@@ -24,7 +24,8 @@ arch = AEArchitecture(r)
 model = init_model(arch, seed=3)
 
 before = float(np.mean([reconstruction_error(model, x) for x in data]))
-[(model, train_errors)] = fit_many([model], [data], epochs=60)
+# each model trains with the seed of its own shuffles beside it
+[(model, train_errors)] = fit_many([(model, 3)], [data], epochs=60)
 after = float(np.mean(train_errors))
 print(f"mean reconstruction error: {before:.5f} -> {after:.5f}")
 

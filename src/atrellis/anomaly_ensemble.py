@@ -35,7 +35,7 @@ from .traffic_model import (_PORT, _STRING, _UINT, BC_MC, COUNT, DOMAIN,
                             LOCAL_IP, PROTOCOLS, REMOTE_IP, FlowKey, Remote,
                             _json_str, read_json, read_jsonl)
 
-ENSEMBLE_SCHEMA_VERSION = "5.0"
+ENSEMBLE_SCHEMA_VERSION = "6.0"
 
 STAGE1_MALICIOUS = "stage1_malicious"
 ANOMALOUS = "anomalous"
@@ -157,7 +157,8 @@ def train_ensemble(profile: ActivityProfile,
         if not flows:
             raise EmptyActivity(f"activity key {i} matches no flow of the "
                                 f"training trace")
-    fitted = fit_many((init_model(arch, seed + i) for i in range(len(routed))),
+    fitted = fit_many(((init_model(arch, seed + i), seed + i)
+                       for i in range(len(routed))),
                       [featurize_many(flows, arch.r) for flows in routed],
                       epochs)
     submodels = [(model, calibrate_threshold(errors, q))
@@ -405,7 +406,7 @@ def ensemble_from_dict(doc) -> Ensemble:
         eps = check(entry, {"model": dict, "epsilon": float}, what)["epsilon"]
         if not 0 < eps < math.inf:
             raise SchemaError(f"{what}: epsilon {eps} is not in (0, inf)")
-        submodels.append((model_from_dict(entry["model"], arch), eps))
+        submodels.append((model_from_dict(entry["model"], arch, what), eps))
     return Ensemble(ActivityProfile(device_ip, keys, prefixes), submodels,
                     arch)
 
@@ -414,7 +415,7 @@ def save_ensemble(path, e: Ensemble) -> None:
     """Write the ensemble's object as ``json.dump`` would: the keying, r,
     and one entry per submodel, its key's four fields, model and epsilon.
     The entries are encoded one at a time, so that only one submodel's
-    weights are held as Python lists at once."""
+    encoded weights are held at once."""
     head = json.dumps({"schema_version": ENSEMBLE_SCHEMA_VERSION,
                        **keying_to_dict(e.profile), "r": e.arch.r,
                        "submodels": []})

@@ -56,6 +56,7 @@ share one stacked forward.
 
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -122,25 +123,16 @@ def _param_shapes(arch: AEArchitecture) -> Dict[str, Tuple[int, ...]]:
 @dataclass(frozen=True)
 class AEModel:
     arch: AEArchitecture
-    params: Dict[str, np.ndarray]
-    rng_seed: int
+    weights: np.ndarray     # one float64 row, in _PARAM_ORDER layout
 
     def __post_init__(self):
-        shapes = _param_shapes(self.arch)
-        missing = [n for n in _PARAM_ORDER if n not in self.params]
-        unknown = sorted(set(self.params) - set(shapes))
-        if missing or unknown:
-            raise SchemaError(
-                f"model weights missing: {', '.join(missing) or '-'}; "
-                f"unknown: {', '.join(unknown) or '-'}")
-        for name in _PARAM_ORDER:
-            w = self.params[name]
-            if w.shape != shapes[name]:
-                raise ShapeMismatch(
-                    f"weight {name} has shape {w.shape}, "
-                    f"architecture needs {shapes[name]}")
-            if not np.all(np.isfinite(w)):
-                raise SchemaError(f"non-finite values in weight {name}")
+        n = _n_weights(self.arch)
+        if self.weights.shape != (n,):
+            raise ShapeMismatch(f"weights have shape {self.weights.shape}, "
+                                f"architecture needs ({n},)")
+        if not np.isfinite(self.weights).all():
+            raise SchemaError(f"non-finite value in weight "
+                              f"{_non_finite_weight(self.weights, self.arch)}")
 
 
 def init_model(arch: AEArchitecture, seed: int) -> AEModel:
@@ -149,11 +141,11 @@ def init_model(arch: AEArchitecture, seed: int) -> AEModel:
     c, k, m, L = CHANNELS, KERNEL, BOTTLENECK, arch.conv_len
     fan_in = {"w1": 2 * k, "b1": 2 * k, "w2": c * L, "b2": c * L,
               "w3": m, "b3": m, "w4": c * k, "b4": c * k}
-    params = {}
-    for name, shape in _param_shapes(arch).items():
+    weights = np.empty(_n_weights(arch))
+    for name, w in _flat_views(weights, arch).items():
         bound = 1.0 / np.sqrt(fan_in[name])
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    return AEModel(arch, params, seed)
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return AEModel(arch, weights)
 
 
 def _split(buf: np.ndarray, shapes) -> List[np.ndarray]:
@@ -173,16 +165,17 @@ def _flat_views(buf: np.ndarray, arch: AEArchitecture
     return dict(zip(_PARAM_ORDER, _split(buf, _param_shapes(arch).values())))
 
 
-def _flatten(params: Dict[str, np.ndarray]) -> np.ndarray:
-    """The weights laid out in _PARAM_ORDER, then the zero slot."""
-    return np.concatenate([*(params[name].ravel() for name in _PARAM_ORDER),
-                           [0.0]])
+def _non_finite_weight(row: np.ndarray, arch: AEArchitecture) -> str:
+    """The name of the first weight of a _PARAM_ORDER row that holds a
+    non-finite value."""
+    return next(name for name, w in _flat_views(row, arch).items()
+                if not np.isfinite(w).all())
 
 
 @lru_cache(maxsize=None)
-def _flat_len(arch: AEArchitecture) -> int:
-    """The length of a _flatten buffer: every weight, then the zero slot."""
-    return sum(math.prod(s) for s in _param_shapes(arch).values()) + 1
+def _n_weights(arch: AEArchitecture) -> int:
+    """The length of a model's weight row."""
+    return sum(math.prod(s) for s in _param_shapes(arch).values())
 
 
 def _dense_shapes(arch: AEArchitecture) -> Tuple[Tuple[int, ...], ...]:
@@ -192,10 +185,11 @@ def _dense_shapes(arch: AEArchitecture) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _dense_index(arch: AEArchitecture) -> np.ndarray:
-    """The flat-buffer slot of each entry of the eight dense layer arrays,
-    laid end to end; an entry that no weight feeds reads the zero slot."""
+    """The slot of each entry of the eight dense layer arrays, laid end to
+    end, in a kernel row: a weight row, then one slot that holds 0, which
+    every entry that no weight feeds reads."""
     c, L, r = CHANNELS, arch.conv_len, arch.r
-    zero = _flat_len(arch) - 1
+    zero = _n_weights(arch)
     slot = _flat_views(np.arange(zero), arch)
     # w1[co, ci, k] links input position i = STRIDE * l + k - 1 of channel
     # ci to output position l of channel co; w4[co, ci, k] links them back.
@@ -217,7 +211,7 @@ def _dense_index(arch: AEArchitecture) -> np.ndarray:
 
 def _gather(arch: AEArchitecture, flat: np.ndarray) -> List[np.ndarray]:
     """The eight stacked dense layer arrays of the weights in ``flat``, one
-    _flatten row per model."""
+    kernel row (see _dense_index) per model."""
     return _split(np.take(flat, _dense_index(arch), axis=1),
                   _dense_shapes(arch))
 
@@ -227,8 +221,8 @@ def _fold(arch: AEArchitecture, dense_grad: np.ndarray,
     """The flat gradients, one _PARAM_ORDER row per model, of stacked
     dense-layer gradients: the adjoint of _gather, less the zero slot.
     ``index`` holds _dense_index once per row, each row's slots offset by
-    a flat row, for at least as many rows."""
-    k, width = dense_grad.shape[0], _flat_len(arch)
+    a kernel row, for at least as many rows."""
+    k, width = dense_grad.shape[0], _n_weights(arch) + 1
     return np.bincount(index[:dense_grad.size], weights=dense_grad.ravel(),
                        minlength=k * width).reshape(k, width)[:, :-1]
 
@@ -299,7 +293,7 @@ def forward(model: AEModel, x) -> np.ndarray:
     """Reconstruct one feature vector, or each row of a 2-D batch; outputs
     lie in (0, 1)."""
     arr = _check_input(model.arch, x)
-    out = _forward(_gather(model.arch, _flatten(model.params)[None]),
+    out = _forward(_gather(model.arch, np.append(model.weights, 0.0)[None]),
                    np.atleast_2d(arr)[None])[0]
     return out if arr.ndim == 2 else out[0]
 
@@ -314,7 +308,7 @@ def reconstruction_error(model: AEModel, x):
 
 def _batch_errors(arch: AEArchitecture, flat: np.ndarray,
                   X: np.ndarray) -> np.ndarray:
-    """(k, N) errors of k flat rows, row i on the N rows of X[i]."""
+    """(k, N) errors of k kernel rows, row i on the N rows of X[i]."""
     return np.mean((_forward(_gather(arch, flat), X) - X) ** 2, axis=-1)
 
 
@@ -331,7 +325,7 @@ def _error_runs(arch: AEArchitecture, flat: np.ndarray,
 
 
 class _Stack:
-    """The flat weights, Adam moments and Adam step counts of up to STACK
+    """The kernel rows, Adam moments and Adam step counts of up to STACK
     models, one row (slot) per model, and the buffers that a step gathers
     them into and folds their gradients out of.  ``names`` gives the key
     of each slot, for errors."""
@@ -346,7 +340,7 @@ class _Stack:
         self.step_size = np.empty_like(self.adam_m)
         self.denom = np.empty_like(self.adam_m)
         self.fold_index = (_dense_index(arch)
-                           + _flat_len(arch) * np.arange(k)[:, None]).ravel()
+                           + flat.shape[1] * np.arange(k)[:, None]).ravel()
         self.dense = np.empty((k, _dense_index(arch).size))
         self.dense_grad = np.empty_like(self.dense)
         self.layers = _split(self.dense, _dense_shapes(arch))
@@ -381,11 +375,9 @@ class _Stack:
         finite = np.isfinite(grads)
         if not finite.all():
             s = int(np.argmin(finite.all(axis=1)))
-            named = _flat_views(grads[s], arch)
-            name = next(w for w in _PARAM_ORDER
-                        if not np.isfinite(named[w]).all())
             raise DivergedLoss(f"activity key {self.names[s]}: non-finite "
-                               f"gradient in {name}")
+                               f"gradient in "
+                               f"{_non_finite_weight(grads[s], arch)}")
         return grads
 
     def step(self, batches: Sequence[np.ndarray]) -> None:
@@ -488,34 +480,36 @@ def _fit_stack(arch: AEArchitecture, flat: np.ndarray, seeds: List[int],
                   for e in run]
 
 
-def fit_many(models: Iterable[AEModel], datas: Sequence[Sequence],
+def fit_many(starts: Iterable[Tuple[AEModel, int]], datas: Sequence[Sequence],
              epochs: int) -> List[Tuple[AEModel, List[float]]]:
     """Train each model on its own benign feature vectors with Adam, all
     in lockstep; returns each trained model and its final per-sample
     reconstruction errors on its training set, in the order of
-    ``models``.
+    ``starts``.
 
-    Each model trains as it would alone: it keeps the best-loss weights
-    seen (including the initial ones), so its final mean training loss
-    never exceeds the initial one.  Raises EmptyData for the first model
-    without vectors, before any training, and DivergedLoss naming the
-    model's position ("activity key j") on a non-finite loss or gradient.
-    ``models`` holds one model per training set and is read once, in
-    order, so it may be a generator: only each model's seed and weights
-    are kept, as a row of one buffer that the trained weights replace.
+    ``starts`` holds, per training set, a starting model and the seed of
+    its shuffles.  Each model trains as it would alone: it keeps the
+    best-loss weights seen (including the initial ones), so its final mean
+    training loss never exceeds the initial one.  Raises EmptyData for the
+    first model without vectors, before any training, and DivergedLoss
+    naming the model's position ("activity key j") on a non-finite loss or
+    gradient.  ``starts`` is read once, in order, so it may be a generator:
+    only each seed and weight row are kept, as a row of one buffer that the
+    trained weights replace.
     """
     seeds, Xs = [], []
-    for j, (model, data) in enumerate(zip(models, datas, strict=True)):
+    for j, ((model, seed), data) in enumerate(zip(starts, datas,
+                                                  strict=True)):
         if j == 0:
             arch = model.arch
-            weights = np.empty((len(datas), _flat_len(arch)))
+            weights = np.zeros((len(datas), _n_weights(arch) + 1))
         elif model.arch != arch:
             raise BadArchitecture(f"activity key {j}: every model must "
                                   f"share one architecture")
         if len(data) == 0:
             raise EmptyData(f"activity key {j}: no training vectors")
-        weights[j] = _flatten(model.params)
-        seeds.append(model.rng_seed)
+        weights[j, :-1] = model.weights
+        seeds.append(seed)
         Xs.append(_check_input(arch, data)
                   if isinstance(data, np.ndarray) and data.ndim == 2
                   else np.stack([_check_input(arch, v) for v in data]))
@@ -530,15 +524,15 @@ def fit_many(models: Iterable[AEModel], datas: Sequence[Sequence],
             [Xs[j] for j in names], names, epochs)
         for j, e in zip(names, stack_errors):
             errors[j] = e
-    return [(AEModel(arch, _flat_views(weights[j, :-1], arch), seeds[j]),
-             errors[j]) for j in range(len(Xs))]
+    return [(AEModel(arch, weights[j, :-1]), errors[j])
+            for j in range(len(Xs))]
 
 
-def fit(model: AEModel, data: Sequence, epochs: int
+def fit(model: AEModel, data: Sequence, epochs: int, seed: int
         ) -> Tuple[AEModel, List[float]]:
     """fit_many of one model.  No stage calls it; the traced benchmark
     (bench/stage.py) wraps it by name."""
-    return fit_many([model], [data], epochs)[0]
+    return fit_many([(model, seed)], [data], epochs)[0]
 
 
 def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
@@ -548,48 +542,49 @@ def grad_check(model: AEModel, x, eps: float = 1e-5) -> float:
         raise ValueError(f"eps must be in (0, 1e-2], got {eps}")
     arch = model.arch
     arr = _check_input(model.arch, x)[None, None, :]
-    flat = _flatten(model.params)[None]
-    params = _flat_views(flat[0, :-1], arch)
-    analytic = _flat_views(_Stack(arch, flat, [0]).gradients([arr])[0], arch)
+    flat = np.append(model.weights, 0.0)[None]
+    analytic = _Stack(arch, flat, [0]).gradients([arr])[0]
 
     def loss_at():
         return float(_batch_errors(arch, flat, arr)[0, 0])
 
     worst = 0.0
-    for name in _PARAM_ORDER:
-        w = params[name]
-        it = np.nditer(w, flags=["multi_index"])
-        for _ in it:
-            i = it.multi_index
-            orig = w[i]
-            w[i] = orig + eps
-            up = loss_at()
-            w[i] = orig - eps
-            down = loss_at()
-            w[i] = orig
-            numeric = (up - down) / (2 * eps)
-            a = analytic[name][i]
-            denom = max(abs(a) + abs(numeric), 1e-8)
-            worst = max(worst, abs(a - numeric) / denom)
+    for i, a in enumerate(analytic.tolist()):
+        orig = flat[0, i]
+        flat[0, i] = orig + eps
+        up = loss_at()
+        flat[0, i] = orig - eps
+        down = loss_at()
+        flat[0, i] = orig
+        numeric = (up - down) / (2 * eps)
+        denom = max(abs(a) + abs(numeric), 1e-8)
+        worst = max(worst, abs(a - numeric) / denom)
     return worst
 
 
 # --- serialization --------------------------------------------------------
 
 def model_to_dict(model: AEModel) -> dict:
-    """The seed and the weights; the architecture is the reader's to give."""
-    return {"seed": model.rng_seed,
-            "weights": {k: v.tolist() for k, v in model.params.items()}}
+    """The weight row as base64 of its little-endian float64 bytes; the
+    architecture is the reader's to give."""
+    raw = model.weights.astype("<f8", copy=False).tobytes()
+    return {"weights": base64.b64encode(raw).decode("ascii")}
 
 
-def model_from_dict(doc: dict, arch: AEArchitecture) -> AEModel:
-    """The model that ``model_to_dict`` wrote, given its architecture."""
-    check(doc, {"seed": int, "weights": dict}, "model")
-    params = {}
-    for name, value in doc["weights"].items():
-        try:
-            params[name] = np.asarray(value, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise SchemaError(f"weight {name} is not a numeric array: "
-                              f"{exc}") from None
-    return AEModel(arch, params, doc["seed"])
+def model_from_dict(doc: dict, arch: AEArchitecture,
+                    what: str = "model") -> AEModel:
+    """The model that ``model_to_dict`` wrote, given its architecture; each
+    error starts with ``what``.  The string's length is checked before it
+    is decoded, so a file cannot make the reader hold more than one row.
+    A string of that length decodes to the bytes of n float64 values or to
+    a count of bytes that is not a multiple of 8."""
+    text = check(doc, {"weights": str}, what)["weights"]
+    size = 4 * math.ceil(8 * _n_weights(arch) / 3)  # base64 of n float64s
+    if len(text) != size:
+        raise SchemaError(f"{what}: weights hold {len(text)} base64 "
+                          f"characters; r = {arch.r} needs {size}")
+    try:
+        weights = np.frombuffer(base64.b64decode(text, validate=True), "<f8")
+        return AEModel(arch, weights.astype(float))
+    except ValueError as exc:
+        raise SchemaError(f"{what}: bad weights: {exc}") from None

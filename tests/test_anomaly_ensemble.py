@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from atrellis import anomaly_ensemble as ens
 from atrellis import clustering_tree as ct
@@ -205,9 +206,9 @@ class TestTrainEnsemble:
         rows = []
         original = ens.fit_many
 
-        def spy(models, Xs, epochs):
+        def spy(starts, Xs, epochs):
             rows.extend(X.tolist() for X in Xs)
-            return original(models, Xs, epochs)
+            return original(starts, Xs, epochs)
         monkeypatch.setattr(ens, "fit_many", spy)
         ensemble, unmatched, sizes = ens.train_ensemble(
             profile, table, AEArchitecture(r=10), 2, 0.9)
@@ -754,6 +755,19 @@ class TestAucAgainstTieLoop:
         assert ens._auc(scores, positive) == reference_auc(scores, positive)
 
 
+# every finite float64, and the values at its edges drawn often
+weight_values = st.floats(allow_nan=False, allow_infinity=False) | \
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                     1.7e308, -1.7e308])
+
+
+def weight_rows(arch):
+    """Weight rows of the architecture: a drawn fill value, with drawn
+    values at drawn positions."""
+    return arrays(np.float64, na._n_weights(arch), elements=weight_values,
+                  fill=weight_values)
+
+
 def ensemble_to_dict(e):
     """The ensemble's object, built whole as save_ensemble once built it
     before ``json.dump`` wrote it: the oracle of save_ensemble's bytes."""
@@ -818,8 +832,10 @@ class TestSerialization:
          "ensemble: local_prefixes: "),
         (lambda doc: doc.__setitem__("local_prefixes", [10]),
          "local_prefixes holds a value that is not a string"),
+        (lambda doc: doc.__setitem__("schema_version", "5.0"),
+         "unsupported schema_version '5.0'"),
         (lambda doc: doc["submodels"][0]["model"].pop("weights"),
-         "model: missing field weights"),
+         "ensemble submodel 0: missing field weights"),
     ], ids=["no-r", "no-device-ip", "submodels-not-list", "float-r",
             "r-below-kernel", "r-above-bound", "schema-1.0", "epsilon-str",
             "epsilon-nan", "epsilon-negative", "no-epsilon", "no-model",
@@ -828,7 +844,7 @@ class TestSerialization:
             "src-port-kind", "regdyn-with-port", "exact-port-1024",
             "schema-2.0", "schema-3.0", "schema-4.0", "no-local-prefixes",
             "local-prefixes-not-list", "local-prefix-not-network",
-            "local-prefix-not-str", "no-weights"])
+            "local-prefix-not-str", "schema-5.0", "no-weights"])
     def test_corrupt_document_is_a_short_schema_error(
             self, camera_setup, corrupt, message):
         _, ensemble, _, _ = camera_setup
@@ -850,8 +866,20 @@ class TestSerialization:
             assert set(entry) == {"proto", "remote_pattern",
                                   "src_port_pattern", "dst_port",
                                   "model", "epsilon"}
-            assert set(entry["model"]) == {"seed", "weights"}
             assert ct.activity_key_from_dict(entry, "key") == key
+
+    def test_each_model_is_one_weights_string_of_exact_size(
+            self, camera_setup, tmp_path):
+        """8n bytes of float64 take 4 * ceil(8n / 3) base64 characters:
+        8,472 for the 794 weights of r = 10."""
+        _, ensemble, _, _ = camera_setup
+        ens.save_ensemble(tmp_path / "ensemble.json", ensemble)
+        doc = json.loads((tmp_path / "ensemble.json").read_text())
+        n = na._n_weights(ensemble.arch)
+        assert n == 794
+        for entry in doc["submodels"]:
+            assert list(entry["model"]) == ["weights"]
+            assert len(entry["model"]["weights"]) == 4 * math.ceil(8 * n / 3)
 
     @pytest.mark.parametrize("value", ["vendor.com", "", ".com", ".co.uk"])
     def test_wildcard_that_would_fail_open_is_refused(
@@ -930,10 +958,38 @@ class TestSerialization:
         for (model, eps), (orig, orig_eps) in zip(loaded.submodels,
                                                   ensemble.submodels):
             assert eps == orig_eps
-            assert all(np.array_equal(model.params[n], w)
-                       for n, w in orig.params.items())
+            assert np.array_equal(model.weights.view(np.uint64),
+                                  orig.weights.view(np.uint64))
         assert ens.detect_flows(loaded, keys, table) == \
             ens.detect_flows(ensemble, keys, table)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_any_finite_weights_round_trip_bit_for_bit(
+            self, camera_setup, tmp_path_factory, data):
+        """-0.0, subnormals and the largest magnitudes come back with the
+        same bits, through model_to_dict and its JSON text, and through
+        the saved ensemble."""
+        _, ensemble, _, _ = camera_setup
+        arch = ensemble.arch
+        rows = [data.draw(weight_rows(arch)) for _ in ensemble.submodels]
+        for row in rows:
+            text = json.dumps(na.model_to_dict(na.AEModel(arch, row)))
+            loaded = na.model_from_dict(json.loads(text), arch)
+            assert np.array_equal(loaded.weights.view(np.uint64),
+                                  row.view(np.uint64))
+        drawn = ens.Ensemble(ensemble.profile, [
+            (na.AEModel(arch, row), eps)
+            for row, (_, eps) in zip(rows, ensemble.submodels)], arch)
+        path = tmp_path_factory.mktemp("drawn") / "ensemble.json"
+        ens.save_ensemble(path, drawn)
+        loaded = ens.load_ensemble(path)
+        for (model, eps), row, (_, want) in zip(
+                loaded.submodels, rows, ensemble.submodels, strict=True):
+            assert model.weights.dtype == np.float64
+            assert np.array_equal(model.weights.view(np.uint64),
+                                  row.view(np.uint64))
+            assert eps == want
 
 
 # --- verdict reader ---------------------------------------------------------

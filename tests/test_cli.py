@@ -1,5 +1,6 @@
 import argparse
 import ast
+import base64
 import contextlib
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from atrellis import anomaly_ensemble as ens
@@ -403,25 +405,51 @@ def assert_one_error_line(capsys, *names):
         assert name in err
 
 
+def reweigh(model, change):
+    """Set a model's weights string to the base64 of ``change`` of its
+    decoded row."""
+    row = np.frombuffer(base64.b64decode(model["weights"]), "<f8").copy()
+    model["weights"] = base64.b64encode(change(row).tobytes()).decode()
+
+
+def with_value(i, value):
+    def change(row):
+        row[i] = value
+        return row
+    return change
+
+
 class TestCorruptEnsemble:
     @pytest.mark.parametrize("corrupt, names", [
-        (lambda m: m["weights"]["w1"][0][0].__setitem__(0, float("nan")),
-         "w1"),
-        (lambda m: [row.pop() for row in m["weights"]["w2"]], "w2"),
-        (lambda m: m.pop("weights"), "model: missing field weights"),
-        (lambda m: m.pop("seed"), "seed"),
-    ])
+        (lambda m: reweigh(m, with_value(5, math.nan)),
+         "bad weights: non-finite value in weight w1"),
+        (lambda m: reweigh(m, with_value(700, -math.inf)),
+         "bad weights: non-finite value in weight w3"),
+        (lambda m: reweigh(m, lambda row: row[:-1]),
+         "weights hold 8460 base64 characters; r = 10 needs 8472"),
+        (lambda m: m.__setitem__("weights", "*" + m["weights"][1:]),
+         "bad weights: Only base64 data is allowed"),
+        (lambda m: m.__setitem__("weights", [0.0] * 794),
+         "field weights has the wrong type list"),
+        (lambda m: m.__setitem__("weights", True),
+         "field weights has the wrong type bool"),
+        (lambda m: m.pop("weights"), "missing field weights"),
+    ], ids=["nan", "minus-inf", "one-value-short", "not-base64", "json-list",
+            "json-true", "no-weights"])
     def test_bad_weights_exit_1_without_traceback(self, small_run, tmp_path,
                                                   capsys, corrupt, names):
+        """Each error names the submodel whose weights are bad."""
         trace, _, ensemble, _, _ = small_run
         doc = json.loads(Path(ensemble).read_text())
-        corrupt(doc["submodels"][0]["model"])
+        assert len(doc["submodels"]) == 4
+        corrupt(doc["submodels"][2]["model"])
         bad = str(tmp_path / "ensemble.json")
         Path(bad).write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
-        assert_one_error_line(capsys, f"error: {bad}: ", names)
+        assert_one_error_line(capsys, f"error: {bad}: ensemble submodel 2: ",
+                              names)
 
 
     @pytest.mark.parametrize("corrupt, names", [
@@ -463,6 +491,8 @@ class TestCorruptEnsemble:
          "unsupported schema_version '2.0'"),
         (lambda d: d.__setitem__("schema_version", "4.0"),
          "unsupported schema_version '4.0'"),
+        (lambda d: d.__setitem__("schema_version", "5.0"),
+         "unsupported schema_version '5.0'"),
         (lambda d: d.pop("local_prefixes"), "missing field local_prefixes"),
         (lambda d: d.__setitem__("local_prefixes", ["garbage"]),
          "ensemble: local_prefixes: "),
@@ -472,7 +502,7 @@ class TestCorruptEnsemble:
             "dst-negative", "dst-70000", "dst-str", "dst-bool",
             "no-proto",
             "submodels-not-list", "schema-1.0", "schema-2.0", "schema-4.0",
-            "no-local-prefixes", "local-prefix-garbage"])
+            "schema-5.0", "no-local-prefixes", "local-prefix-garbage"])
     def test_bad_document_exits_1_without_traceback(
             self, small_run, tmp_path, capsys, corrupt, names):
         trace, _, ensemble, _, _ = small_run
@@ -536,13 +566,17 @@ class TestTruncatedArtifact:
 
     def test_detect_with_a_truncated_ensemble_exits_1(self, small_run,
                                                       tmp_path, capsys):
+        """Cut after the first model, outside any string: the parse stops
+        where the file ends."""
         trace, _, ensemble, _, _ = small_run
         bad = str(tmp_path / "ensemble.json")
-        Path(bad).write_bytes(Path(ensemble).read_bytes()[:500])
+        text = Path(ensemble).read_bytes()
+        cut = text.index(b', "epsilon"')
+        Path(bad).write_bytes(text[:cut])
         capsys.readouterr()
         rc = main(["detect", trace, bad, "-o", str(tmp_path / "v.jsonl")])
         assert rc == 1
-        assert_one_error_line(capsys, f"error: {bad}: ", "(char 500)")
+        assert_one_error_line(capsys, f"error: {bad}: ", f"(char {cut})")
 
 
 class TestBadOptionValues:

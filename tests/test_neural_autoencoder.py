@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 import warnings
@@ -20,20 +21,42 @@ ARCH = AEArchitecture(r=10)
 
 
 def zero_model():
-    model = init_model(ARCH, 0)
-    return AEModel(ARCH, {k: np.zeros_like(v) for k, v in model.params.items()}, 0)
+    return AEModel(ARCH, np.zeros_like(init_model(ARCH, 0).weights))
+
+
+def params(model):
+    """The model's weights by name: views into its row."""
+    return na._flat_views(model.weights, model.arch)
+
+
+def kernel_rows(model):
+    """The (1, n + 1) kernel rows of a model: its weights, then 0."""
+    return np.append(model.weights, 0.0)[None]
 
 
 class TestInit:
     def test_same_seed_identical(self):
         a, b = init_model(ARCH, 7), init_model(ARCH, 7)
-        for name in a.params:
-            assert np.array_equal(a.params[name], b.params[name])
+        assert np.array_equal(a.weights, b.weights)
 
     def test_different_seed_differs(self):
         a, b = init_model(ARCH, 7), init_model(ARCH, 8)
-        assert any(not np.array_equal(a.params[n], b.params[n])
-                   for n in a.params)
+        assert not np.array_equal(a.weights, b.weights)
+
+    def test_row_holds_each_weights_draws_in_order(self):
+        """The row holds, in _PARAM_ORDER, the draws of one generator:
+        one uniform array per weight, bounded by 1/sqrt(its fan-in)."""
+        rng = np.random.default_rng(5)
+        c, k, m, L = na.CHANNELS, na.KERNEL, na.BOTTLENECK, ARCH.conv_len
+        fan_in = {"w1": 2 * k, "b1": 2 * k, "w2": c * L, "b2": c * L,
+                  "w3": m, "b3": m, "w4": c * k, "b4": c * k}
+        want = np.concatenate([
+            rng.uniform(-1.0 / np.sqrt(fan_in[n]), 1.0 / np.sqrt(fan_in[n]),
+                        size=shape).ravel()
+            for n, shape in na._param_shapes(ARCH).items()])
+        got = init_model(ARCH, 5).weights
+        assert got.shape == (794,)
+        assert np.array_equal(got, want)
 
     def test_kernel_too_large(self):
         with pytest.raises(BadArchitecture, match="r must be >= 3"):
@@ -106,7 +129,7 @@ class TestFit:
     def test_memorizes_single_vector(self):
         model = init_model(ARCH, 1)
         data = [np.full(20, 0.7)] * 200
-        trained, errors = fit_many([model], [data], 50)[0]
+        trained, errors = fit_many([(model, 1)], [data], 50)[0]
         assert max(errors) < 1e-3
 
     def test_loss_drops_on_learnable_data(self):
@@ -114,7 +137,7 @@ class TestFit:
         data = [np.full(20, 0.7)] * 200
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        trained, errors = fit_many([model], [data], 50)[0]
+        trained, errors = fit_many([(model, 1)], [data], 50)[0]
         assert float(np.mean(errors)) < 0.1 * initial
 
     def test_final_loss_never_exceeds_initial(self):
@@ -123,7 +146,7 @@ class TestFit:
         data = [rng.uniform(0, 1, 20) for _ in range(50)]
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
-        _, errors = fit_many([model], [data], 10)[0]
+        _, errors = fit_many([(model, 2)], [data], 10)[0]
         assert float(np.mean(errors)) <= initial + 1e-12
 
     def test_huge_learning_rate_diverges_or_aborts(self, monkeypatch):
@@ -133,7 +156,7 @@ class TestFit:
         initial = float(np.mean([reconstruction_error(model, v)
                                  for v in data]))
         try:
-            _, errors = fit_many([model], [data], 50)[0]
+            _, errors = fit_many([(model, 1)], [data], 50)[0]
         except DivergedLoss:
             return
         # early abort keeps the best weights, never worse than the start
@@ -141,22 +164,21 @@ class TestFit:
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
-            fit_many([init_model(ARCH, 0)], [[]], 50)
+            fit_many([(init_model(ARCH, 0), 0)], [[]], 50)
 
     def test_reproducible(self):
         rng = np.random.default_rng(4)
         data = [rng.uniform(0, 1, 20) for _ in range(60)]
-        t1, e1 = fit_many([init_model(ARCH, 9)], [data], 8)[0]
-        t2, e2 = fit_many([init_model(ARCH, 9)], [data], 8)[0]
+        t1, e1 = fit_many([(init_model(ARCH, 9), 9)], [data], 8)[0]
+        t2, e2 = fit_many([(init_model(ARCH, 9), 9)], [data], 8)[0]
         assert e1 == e2
-        for name in t1.params:
-            assert np.array_equal(t1.params[name], t2.params[name])
+        assert np.array_equal(t1.weights, t2.weights)
 
     def test_non_finite_gradient_names_weight(self):
         data = [np.full(20, 0.5)] * 40
         data[7] = np.full(20, np.nan)
         with pytest.raises(DivergedLoss, match="non-finite gradient in w1"):
-            fit_many([init_model(ARCH, 1)], [data], 2)
+            fit_many([(init_model(ARCH, 1), 1)], [data], 2)
 
 
 class TestGradCheck:
@@ -179,45 +201,77 @@ class TestGradCheck:
         assert grad_check(model, x, eps=1e-5) <= 1e-5
 
 
+def encode(row):
+    """The weights string of a row: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(row, "<f8").tobytes()).decode()
+
+
+def with_value(row, i, value):
+    row = row.copy()
+    row[i] = value
+    return row
+
+
 class TestSerialization:
     def test_round_trip_exact(self):
         model = init_model(ARCH, 11)
         data = [np.random.default_rng(0).uniform(0, 1, 20) for _ in range(30)]
-        trained, _ = fit_many([model], [data], 5)[0]
+        trained, _ = fit_many([(model, 11)], [data], 5)[0]
         text = json.dumps(model_to_dict(trained))
         loaded = model_from_dict(json.loads(text), ARCH)
-        for name, w in trained.params.items():
-            assert np.array_equal(loaded.params[name], w)
+        assert np.array_equal(loaded.weights.view(np.uint64),
+                              trained.weights.view(np.uint64))
         x = np.random.default_rng(1).uniform(0, 1, 20)
         assert np.array_equal(forward(loaded, x), forward(trained, x))
 
-    def test_holds_only_seed_and_weights(self):
-        doc = model_to_dict(init_model(ARCH, 0))
-        assert set(doc) == {"seed", "weights"}
-        for name in ("seed", "weights"):
-            with pytest.raises(SchemaError, match=f"missing field {name}"):
-                model_from_dict({k: v for k, v in doc.items() if k != name},
-                                ARCH)
-
     def test_architecture_comes_from_the_reader(self):
         doc = model_to_dict(init_model(ARCH, 0))
-        with pytest.raises(ShapeMismatch, match="weight w2"):
+        with pytest.raises(SchemaError, match="^model: weights hold 8472 "
+                           "base64 characters; r = 12 needs 9920$"):
             model_from_dict(doc, AEArchitecture(r=12))
 
-    @pytest.mark.parametrize("corrupt, error, names", [
-        (lambda w: w["w1"][0][0].__setitem__(0, float("nan")),
-         SchemaError, "weight w1"),
-        (lambda w: [row.pop() for row in w["w2"]], ShapeMismatch,
-         "weight w2"),
-        (lambda w: w["w3"][0].pop(), SchemaError, "weight w3"),
-        (lambda w: w.pop("b4"), SchemaError, "missing: b4"),
-        (lambda w: w.__setitem__("w9", [0.0]), SchemaError, "unknown: w9"),
-    ])
-    def test_corrupt_weights_rejected(self, corrupt, error, names):
-        doc = model_to_dict(init_model(ARCH, 0))
-        corrupt(doc["weights"])
-        with pytest.raises(error, match=names):
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda w: {}, "model: missing field weights"),
+        (lambda w: encode(with_value(w, 400, np.nan)),
+         "model: bad weights: non-finite value in weight w3"),
+        (lambda w: encode(with_value(w, 0, np.nan)),
+         "model: bad weights: non-finite value in weight w1"),
+        (lambda w: encode(with_value(w, 793, -np.inf)),
+         "model: bad weights: non-finite value in weight b4"),
+        (lambda w: encode(with_value(w, 60, np.inf)),
+         "model: bad weights: non-finite value in weight w2"),
+        (lambda w: encode(w[:-1]),
+         "model: weights hold 8460 base64 characters; r = 10 needs 8472"),
+        (lambda w: "!" + encode(w)[1:],
+         "model: bad weights: Only base64 data is allowed"),
+        (lambda w: "\u00e9" + encode(w)[1:],
+         "model: bad weights: string argument should contain only ASCII"),
+        (lambda w: encode(w)[:-2] + "AA",
+         "model: bad weights: buffer size must be a multiple of element "
+         "size"),
+        (lambda w: w.tolist(),
+         "model: field weights has the wrong type list"),
+        (lambda w: True, "model: field weights has the wrong type bool"),
+    ], ids=["no-weights", "nan-w3", "nan-first", "minus-inf-last", "inf-w2",
+            "one-value-short", "not-base64", "not-ascii", "no-padding",
+            "json-list", "json-true"])
+    def test_corrupt_weights_rejected(self, corrupt, message):
+        row = init_model(ARCH, 0).weights
+        value = corrupt(row)    # the weights value, or the whole document
+        doc = value if isinstance(value, dict) else {"weights": value}
+        with pytest.raises(SchemaError) as info:
             model_from_dict(doc, ARCH)
+        assert str(info.value).startswith(message)
+        assert "\n" not in str(info.value)
+
+    def test_model_needs_a_finite_row_of_the_architectures_length(self):
+        row = init_model(ARCH, 0).weights
+        with pytest.raises(ShapeMismatch, match=r"^weights have shape "
+                           r"\(793,\), architecture needs \(794,\)$"):
+            AEModel(ARCH, row[:-1])
+        with pytest.raises(SchemaError, match="^non-finite value in weight "
+                           "b1$"):
+            AEModel(ARCH, with_value(row, 48, np.nan))
 
 
 # --- kernel oracles -------------------------------------------------------
@@ -225,7 +279,7 @@ class TestSerialization:
 def reference_forward(model, X):
     """The einsum / np.pad / np.add.at forward pass that the im2col kernel
     replaced, kept as an independent oracle."""
-    a, p = model.arch, model.params
+    a, p = model.arch, params(model)
     B, r, L = X.shape[0], a.r, a.conv_len
     idx = na.STRIDE * np.arange(L)[:, None] + np.arange(na.KERNEL)[None, :]
     xp = np.pad(X.reshape(B, 2, r), ((0, 0), (0, 0), (1, 1)))
@@ -316,10 +370,10 @@ class Im2col:
         return np.concatenate([grads[n].ravel() for n in na._PARAM_ORDER])
 
 
-def dense_gradients(arch, params, x):
+def dense_gradients(model, x):
     """One training step's flat gradient through the dense kernel, on a
     stack of one."""
-    return na._Stack(arch, na._flatten(params)[None], [0]).gradients(
+    return na._Stack(model.arch, kernel_rows(model), [0]).gradients(
         [x[None]])[0]
 
 
@@ -339,18 +393,17 @@ class TestKernel:
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_forward_matches_both_oracles(self, n, batch, seed):
         arch, model, X = model_and_batch(n, batch, seed)
-        got = na._forward(na._gather(arch, na._flatten(model.params)[None]),
-                          X[None])[0]
+        got = na._forward(na._gather(arch, kernel_rows(model)), X[None])[0]
         assert np.max(np.abs(got - reference_forward(model, X))) <= 1e-12
-        im2col, _ = Im2col.forward(arch, model.params, X)
+        im2col, _ = Im2col.forward(arch, params(model), X)
         assert np.max(np.abs(got - im2col)) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(n=even_lengths, batch=batch_sizes, seed=seeds)
     def test_step_gradients_match_im2col(self, n, batch, seed):
         arch, model, X = model_and_batch(n, batch, seed)
-        got = dense_gradients(arch, model.params, X)
-        want = Im2col.gradients(arch, model.params, X)
+        got = dense_gradients(model, X)
+        want = Im2col.gradients(arch, params(model), X)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -373,10 +426,9 @@ class TestKernel:
         arch = AEArchitecture(r=n // 2)
         rng = np.random.default_rng(seed)
         w = rng.normal(size=(na.CHANNELS, 2, na.KERNEL))
-        params = {name: np.zeros(shape)
-                  for name, shape in na._param_shapes(arch).items()}
-        params["w1"], params["w4"] = w, w
-        layers = na._gather(arch, na._flatten(params)[None])
+        model = AEModel(arch, np.zeros(na._n_weights(arch)))
+        params(model)["w1"][...] = params(model)["w4"][...] = w
+        layers = na._gather(arch, kernel_rows(model))
         conv, conv_t = layers[0][0], layers[6][0]
         assert np.array_equal(conv_t, conv.T)
         # and each matches the im2col oracle's conv or transposed conv
@@ -414,10 +466,10 @@ class TestKernel:
     def test_forward_reads_the_current_weights(self):
         model = init_model(ARCH, 0)
         x = np.random.default_rng(0).uniform(0, 1, ARCH.input_len)
-        before, w4 = forward(model, x), model.params["w4"].copy()
-        model.params["w4"] += 0.5
+        before, w4 = forward(model, x), params(model)["w4"].copy()
+        params(model)["w4"] += 0.5
         assert not np.allclose(forward(model, x), before)
-        model.params["w4"][...] = w4
+        params(model)["w4"][...] = w4
         assert np.array_equal(forward(model, x), before)
 
 
@@ -466,7 +518,7 @@ def seq_backward(layers, cache, d_out, grads):
             d *= acts[j] > 0
 
 
-def sequential_fit(model, data, epochs):
+def sequential_fit(model, seed, data, epochs):
     """The one-key training loop that fit_many replaced, with the one-key
     kernel: Adam on 32-row batches of the key's own shuffle, the best-loss
     weights kept, and a stop after PATIENCE epochs without a better loss.
@@ -474,8 +526,8 @@ def sequential_fit(model, data, epochs):
     epochs run."""
     arch = model.arch
     X = np.stack([np.asarray(v, dtype=float).ravel() for v in data])
-    rng = np.random.default_rng(model.rng_seed)
-    flat = na._flatten(model.params)
+    rng = np.random.default_rng(seed)
+    flat = kernel_rows(model)[0]
     flat_params = flat[:-1]
     adam_m = np.zeros_like(flat_params)
     adam_v = np.zeros_like(flat_params)
@@ -536,28 +588,26 @@ def sequential_fit(model, data, epochs):
             stale += 1
             if stale >= na.PATIENCE:
                 break
-    return (na._flat_views(best_flat[:-1], arch),
-            [float(e) for e in batch_errors(best_flat)], run)
+    return best_flat[:-1], [float(e) for e in batch_errors(best_flat)], run
 
 
 def keys_and_data(sizes, r, seed):
     arch = AEArchitecture(r)
     rng = np.random.default_rng(seed)
-    models = [init_model(arch, int(s))
+    starts = [(init_model(arch, int(s)), int(s))
               for s in rng.integers(0, 2 ** 32, size=len(sizes))]
-    return models, [rng.uniform(0, 1, (n, 2 * r)) for n in sizes]
+    return starts, [rng.uniform(0, 1, (n, 2 * r)) for n in sizes]
 
 
-def assert_equals_sequential(models, datas, epochs):
+def assert_equals_sequential(starts, datas, epochs):
     """fit_many's weights and errors equal the oracle's, bit for bit, per
     key; returns the epochs each key ran."""
     runs = []
-    for (model, errors), start, data in zip(
-            fit_many(models, datas, epochs), models, datas):
-        params, want, run = sequential_fit(start, data, epochs)
+    for (model, errors), (start, seed), data in zip(
+            fit_many(starts, datas, epochs), starts, datas):
+        weights, want, run = sequential_fit(start, seed, data, epochs)
         assert errors == want
-        for name in na._PARAM_ORDER:
-            assert np.array_equal(model.params[name], params[name])
+        assert np.array_equal(model.weights, weights)
         runs.append(run)
     return runs
 
@@ -617,64 +667,62 @@ class TestFitMany:
             shapes.append([b.shape[:2] for b in batches])
             return original(stack, batches)
         monkeypatch.setattr(na._Stack, "step", counting)
-        models, datas = keys_and_data([119, 179, 239, 143], 10, 1)
-        fit_many(models, datas, 1)
+        starts, datas = keys_and_data([119, 179, 239, 143], 10, 1)
+        fit_many(starts, datas, 1)
         assert len(shapes) == 8
         assert shapes[0] == [(4, 32)]
         assert shapes[3] == [(3, 32), (1, 23)]
         assert shapes[7] == [(1, 15)]
 
     def test_results_come_back_in_input_order(self):
-        models, datas = keys_and_data([3, 40, 1, 40], 10, 2)
-        fitted = fit_many(models, datas, 2)
+        starts, datas = keys_and_data([3, 40, 1, 40], 10, 2)
+        fitted = fit_many(starts, datas, 2)
         assert [len(errors) for _, errors in fitted] == [3, 40, 1, 40]
-        assert [m.rng_seed for m, _ in fitted] == \
-            [m.rng_seed for m in models]
 
     def test_diverged_key_is_named(self):
-        models, datas = keys_and_data([40, 90, 10, 65], 10, 3)
+        starts, datas = keys_and_data([40, 90, 10, 65], 10, 3)
         datas[2][4] = np.nan
         with pytest.raises(DivergedLoss, match="^activity key 2: non-finite "
                            "gradient in w1$"):
-            fit_many(models, datas, 3)
+            fit_many(starts, datas, 3)
 
     def test_non_finite_loss_names_the_key(self):
-        models, datas = keys_and_data([40, 90, 10], 10, 4)
+        starts, datas = keys_and_data([40, 90, 10], 10, 4)
         datas[1] *= 1e200       # its squared errors overflow to inf
         with pytest.raises(DivergedLoss, match="^activity key 1: non-finite "
                            "training loss inf$"), np.errstate(over="ignore"):
-            fit_many(models, datas, 3)
+            fit_many(starts, datas, 3)
 
     def test_huge_learning_rate_on_several_keys(self, monkeypatch):
         monkeypatch.setattr(na, "LEARNING_RATE", 1e6)
-        models, datas = keys_and_data([64, 20, 33], 10, 6)
+        starts, datas = keys_and_data([64, 20, 33], 10, 6)
         try:
-            fitted = fit_many(models, datas, 30)
+            fitted = fit_many(starts, datas, 30)
         except DivergedLoss as exc:
             assert re.match(r"activity key \d: non-finite", str(exc))
             return
-        for model, data, (_, errors) in zip(models, datas, fitted):
+        for (model, _), data, (_, errors) in zip(starts, datas, fitted):
             initial = float(np.mean(reconstruction_error(model, data)))
             assert float(np.mean(errors)) <= initial + 1e-12
 
     def test_first_empty_key_is_named(self):
-        models, datas = keys_and_data([5, 0, 0], 10, 0)
+        starts, datas = keys_and_data([5, 0, 0], 10, 0)
         with pytest.raises(EmptyData, match="^activity key 1: "):
-            fit_many(models, datas, 1)
+            fit_many(starts, datas, 1)
 
     def test_models_may_come_from_a_generator(self):
-        models, datas = keys_and_data([5, 40], 10, 0)
-        fitted = fit_many(iter(models), datas, 2)
+        starts, datas = keys_and_data([5, 40], 10, 0)
+        fitted = fit_many(iter(starts), datas, 2)
         assert [e for _, e in fitted] == \
-            [e for _, e in fit_many(models, datas, 2)]
+            [e for _, e in fit_many(starts, datas, 2)]
 
     def test_models_share_one_architecture(self):
-        models, datas = keys_and_data([5, 5], 10, 0)
-        models[1] = init_model(AEArchitecture(5), 0)
+        starts, datas = keys_and_data([5, 5], 10, 0)
+        starts[1] = (init_model(AEArchitecture(5), 0), 0)
         with pytest.raises(BadArchitecture, match="^activity key 1: "):
-            fit_many(models, datas, 1)
+            fit_many(starts, datas, 1)
 
     def test_one_model_per_training_set(self):
-        models, datas = keys_and_data([5, 5], 10, 0)
+        starts, datas = keys_and_data([5, 5], 10, 0)
         with pytest.raises(ValueError, match="zip"):
-            fit_many(models, datas[:1], 1)
+            fit_many(starts, datas[:1], 1)

@@ -209,6 +209,31 @@ def test_every_reread_is_listed(name):
         REREADERS[name]
 
 
+WEIGHT_NAMES = {"w1", "b1", "w2", "b2", "w3", "b3", "w4", "b4"}
+
+
+def weight_name_literals(source: str) -> list:
+    """The string constants of a module that name a weight of the
+    autoencoder."""
+    return [node.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and node.value in WEIGHT_NAMES]
+
+
+def test_weight_name_literals_are_found():
+    assert weight_name_literals(
+        'W = {"w1": 1}\ndef f(p):\n    return p["b4"], "w5", w2\n') == \
+        ["w1", "b4"]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != "neural_autoencoder.py"],
+    ids=lambda p: p.name)
+def test_only_the_autoencoder_names_its_weights(path):
+    """A model is one weight row; its layout is neural_autoencoder's
+    decision alone, so no other module names a weight."""
+    assert weight_name_literals(path.read_text()) == []
+
+
 def test_no_module_loads_scipy():
     """The pipeline runs on numpy alone; scipy is only the tests' oracle.
     A fresh interpreter imports the CLI and every module of the package."""
